@@ -67,16 +67,6 @@ class ChatRequest:
             raise ValueError("temperature must be >= 0")
 
 
-@dataclass(frozen=True)
-class ChatExchange:
-    """A cached request/response pair."""
-
-    key: str
-    request: ChatRequest
-    response_text: str
-    timestamp: float
-
-
 def exchange_key(model_id: str, prompt: str, temperature: float) -> str:
     """Deterministic, platform-stable cache key for a request."""
     material = json.dumps(
@@ -87,6 +77,16 @@ def exchange_key(model_id: str, prompt: str, temperature: float) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+# What a cache line that is not a whole record raises; ValueError covers
+# JSONDecodeError and the UnicodeDecodeError of a write torn inside a character.
+_BAD_RECORD = (ValueError, KeyError, TypeError)
+
+
+def _parse_record(line: str | bytes) -> tuple[str, str]:
+    record = json.loads(line)
+    return record["key"], record["response"]
+
+
 def load_cache(path: str | Path) -> dict[str, str]:
     """Load a JSONL exchange cache into a key -> response map.
 
@@ -94,18 +94,40 @@ def load_cache(path: str | Path) -> dict[str, str]:
     else raises. When a key appears twice the later record wins.
     """
     entries: dict[str, str] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # Split the bytes, not decoded text: str.splitlines would also break a
+    # record at a U+2028 inside a reply.
+    lines = Path(path).read_bytes().splitlines()
     for i, line in enumerate(lines):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            entries[record["key"]] = record["response"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            key, response = _parse_record(line)
+        except _BAD_RECORD as exc:
             if i == len(lines) - 1:
                 break
             raise CacheCorruptError(f"{path}: bad record on line {i + 1}") from exc
+        entries[key] = response
     return entries
+
+
+def _end_torn_tail(path: Path) -> None:
+    """Make an existing cache end on a line break before anything is
+    appended to it: a last record missing only its newline gets one, and a
+    torn fragment is cut off. Otherwise the next append would be glued onto
+    the fragment and lost."""
+    if not path.exists():
+        return
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return
+        start = data.rfind(b"\n") + 1
+        try:
+            _parse_record(data[start:])
+        except _BAD_RECORD:
+            fh.truncate(start)
+        else:
+            fh.write(b"\n")
 
 
 def http_chat_transport(
@@ -171,8 +193,10 @@ class ChatGateway:
             if self._cache_path is None:
                 raise GatewayError("replay mode requires a cache path")
             self._replay_cache = load_cache(self._cache_path)
-        if mode == "record" and self._cache_path is None:
-            raise GatewayError("record mode requires a cache path")
+        if mode == "record":
+            if self._cache_path is None:
+                raise GatewayError("record mode requires a cache path")
+            _end_torn_tail(self._cache_path)
         if mode in ("live", "record") and self._transport is None:
             if not endpoint:
                 raise GatewayError(f"{mode} mode requires an endpoint")
@@ -223,20 +247,14 @@ class ChatGateway:
         ) from last_error
 
     def _append_exchange(self, request: ChatRequest, response_text: str) -> None:
-        exchange = ChatExchange(
-            key=exchange_key(request.model_id, request.prompt, request.temperature),
-            request=request,
-            response_text=response_text,
-            timestamp=time.time(),
-        )
         record = {
-            "key": exchange.key,
-            "model_id": exchange.request.model_id,
-            "prompt": exchange.request.prompt,
-            "temperature": exchange.request.temperature,
-            "max_tokens": exchange.request.max_tokens,
-            "response": exchange.response_text,
-            "timestamp": exchange.timestamp,
+            "key": exchange_key(request.model_id, request.prompt, request.temperature),
+            "model_id": request.model_id,
+            "prompt": request.prompt,
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
+            "response": response_text,
+            "timestamp": time.time(),
         }
         line = json.dumps(record, ensure_ascii=False)
         assert self._cache_path is not None

@@ -12,6 +12,14 @@ draw in a fixed order (initial wages, initial savings, then per month: labor
 in household order, the consumption shuffle, wage steps in household order,
 the price step). With the rule-based backend, or an LLM backend in replay or
 scripted mode, two runs produce byte-identical outputs.
+
+When LLM households reach a transport (live or record mode), a month's
+decisions and a quarter's reflections each depend only on start-of-step
+state, so they run concurrently on up to ``FAN_OUT_WORKERS`` threads. Their
+results are applied in household order, so no output depends on the order in
+which calls complete; only the record cache's line order does. Replay and
+scripted runs, and rule-based runs, call households one by one on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -19,9 +27,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +81,7 @@ from taxsim.policies import (
 )
 
 START_YEAR = 2001  # month 1 renders as "2001.01"
+FAN_OUT_WORKERS = 12  # concurrent household LLM calls in live/record runs
 
 
 @dataclass
@@ -190,6 +201,24 @@ def build_gateway(config: GatewayConfig) -> ChatGateway:
     )
 
 
+@contextmanager
+def _household_map(fan_out: bool) -> Iterator[Callable]:
+    """Yield the ``map`` that runs one household step over all households:
+    the builtin on the calling thread, or that of a pool of
+    ``FAN_OUT_WORKERS`` threads that are all joined when the block exits,
+    even on error. Both return results, and ``pool.map`` re-raises a
+    worker's exception, in household order."""
+    if not fan_out:
+        yield map
+        return
+    # Imported here: concurrent.futures pulls in logging, about 10 ms of
+    # imports that runs which never fan out should not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=FAN_OUT_WORKERS) as pool:
+        yield pool.map
+
+
 def run(
     config: SimConfig,
     gateway: ChatGateway | None = None,
@@ -258,154 +287,169 @@ def run(
         if event_log is not None:
             event_log.append((month, step))
 
-    for month in range(1, config.months + 1):
-        date = month_label(month)
+    # Only live and record gateways wait on a transport, so only they gain
+    # from overlapping calls; scripted replies must also pop in household order.
+    fan_out = isinstance(backend, LLMBackend) and backend.gateway.mode in ("live", "record")
+    with _household_map(fan_out) as map_households:
+        for month in range(1, config.months + 1):
+            date = month_label(month)
 
-        # (1) policy proposal on the adjustment cadence, observing last month
-        if (month - 1) % config.adjust_period_months == 0:
-            observation = PolicyObservation(
-                month=month - 1,
-                incomes=tuple(last_incomes),
-                wealth=tuple(hh.savings for hh in households),
-                schedule_history=tuple(schedule_history),
-                productivity_history=tuple(productivity_history),
-                equality_history=tuple(equality_history),
+            # (1) policy proposal on the adjustment cadence, observing last month
+            if (month - 1) % config.adjust_period_months == 0:
+                observation = PolicyObservation(
+                    month=month - 1,
+                    incomes=tuple(last_incomes),
+                    wealth=tuple(hh.savings for hh in households),
+                    schedule_history=tuple(schedule_history),
+                    productivity_history=tuple(productivity_history),
+                    equality_history=tuple(equality_history),
+                )
+                schedule = policy.propose(observation)
+                log(month, "propose")
+
+            # (2) household decisions from start-of-month state
+            decision_price = market.price
+            contexts = []
+            for i, hh in enumerate(households):
+                expected = HOURS_PER_MONTH * hh.hourly_wage
+                contexts.append(
+                    DecisionContext(
+                        date=date,
+                        persona=hh.persona,
+                        expected_income=expected,
+                        previous_schedule=schedule_history[-1],
+                        current_schedule=schedule,
+                        average_price=decision_price,
+                        savings=hh.savings,
+                        interest_rate=market.interest_rate,
+                        income_direction=_direction(expected, previous_expected[i]),
+                        price_direction=_direction(decision_price, previous_price),
+                        last_consumption=hh.consumption_spent,
+                        reflection_note=hh.reflection_note,
+                    )
+                )
+                previous_expected[i] = expected
+            decisions = map_households(
+                partial(decide, backend),
+                contexts,
+                [Decision(hh.work_propensity, hh.consumption_propensity) for hh in households],
             )
-            schedule = policy.propose(observation)
-            log(month, "propose")
+            for hh, decision in zip(households, decisions):
+                hh.work_propensity = decision.work_propensity
+                hh.consumption_propensity = decision.consumption_propensity
+            previous_price = decision_price
+            log(month, "decide")
 
-        # (2) household decisions from start-of-month state
-        decision_price = market.price
-        for i, hh in enumerate(households):
-            expected = HOURS_PER_MONTH * hh.hourly_wage
-            context = DecisionContext(
-                date=date,
-                persona=hh.persona,
-                expected_income=expected,
-                previous_schedule=schedule_history[-1],
-                current_schedule=schedule,
-                average_price=decision_price,
-                savings=hh.savings,
-                interest_rate=market.interest_rate,
-                income_direction=_direction(expected, previous_expected[i]),
-                price_direction=_direction(decision_price, previous_price),
-                last_consumption=hh.consumption_spent,
-                reflection_note=hh.reflection_note,
-            )
-            fallback = Decision(hh.work_propensity, hh.consumption_propensity)
-            decision = decide(backend, context, fallback)
-            hh.work_propensity = decision.work_propensity
-            hh.consumption_propensity = decision.consumption_propensity
-            previous_expected[i] = expected
-        previous_price = decision_price
-        log(month, "decide")
+            # (3) labor realization, then production
+            labor_draws = rng.random(n)
+            for hh, draw in zip(households, labor_draws):
+                hh.employed = 1 if draw < hh.work_propensity else 0
+            labor_history.append([hh.employed for hh in households])
+            _, pretax_incomes = produce(households, market)
+            log(month, "produce")
 
-        # (3) labor realization, then production
-        labor_draws = rng.random(n)
-        for hh, draw in zip(households, labor_draws):
-            hh.employed = 1 if draw < hh.work_propensity else 0
-        labor_history.append([hh.employed for hh in households])
-        _, pretax_incomes = produce(households, market)
-        log(month, "produce")
+            # (4) taxation with even redistribution; credit post-tax income
+            posttax, taxes, _ = apply_taxation(schedule, pretax_incomes)
+            for hh, net, tax in zip(households, posttax, taxes):
+                hh.tax_paid = tax
+                hh.posttax_income = net
+                hh.savings += net
+            log(month, "tax")
 
-        # (4) taxation with even redistribution; credit post-tax income
-        posttax, taxes, _ = apply_taxation(schedule, pretax_incomes)
-        for hh, net, tax in zip(households, posttax, taxes):
-            hh.tax_paid = tax
-            hh.posttax_income = net
-            hh.savings += net
-        log(month, "tax")
+            # (5) consumption against post-production inventory
+            available_supply = market.inventory
+            _, total_demand = execute_consumption(households, market, rng)
+            log(month, "consume")
 
-        # (5) consumption against post-production inventory
-        available_supply = market.inventory
-        _, total_demand = execute_consumption(households, market, rng)
-        log(month, "consume")
+            # (6) mismatch uses intended demand vs the pre-consumption inventory
+            mismatch = compute_mismatch(total_demand, available_supply)
+            adjust_wages_and_price(households, market, mismatch, params, rng)
+            log(month, "adjust")
 
-        # (6) mismatch uses intended demand vs the pre-consumption inventory
-        mismatch = compute_mismatch(total_demand, available_supply)
-        adjust_wages_and_price(households, market, mismatch, params, rng)
-        log(month, "adjust")
-
-        # (7) record end-of-month state and metrics over wealth
-        wealth = [hh.savings for hh in households]
-        equality_score = metrics.equality(wealth)
-        productivity_score = metrics.productivity(wealth, per_capita=per_capita)
-        snapshot = MetricSnapshot(
-            month=month,
-            gini=metrics.gini(wealth),
-            equality=equality_score,
-            productivity=productivity_score,
-            social_outcome=metrics.social_outcome(equality_score, productivity_score),
-        )
-        month_records.append(
-            MonthRecord(
+            # (7) record end-of-month state and metrics over wealth
+            wealth = [hh.savings for hh in households]
+            equality_score = metrics.equality(wealth)
+            productivity_score = metrics.productivity(wealth, per_capita=per_capita)
+            snapshot = MetricSnapshot(
                 month=month,
-                price=market.price,
-                inventory=market.inventory,
-                interest_rate=market.interest_rate,
-                rates=schedule.rates,
-                total_pretax_income=float(sum(pretax_incomes)),
-                total_tax=float(sum(taxes)),
-                total_consumption=float(sum(hh.consumption_spent for hh in households)),
-                total_wealth=float(sum(wealth)),
-                metrics=snapshot,
+                gini=metrics.gini(wealth),
+                equality=equality_score,
+                productivity=productivity_score,
+                social_outcome=metrics.social_outcome(equality_score, productivity_score),
             )
-        )
-        for hh in households:
-            household_rows.append(
-                HouseholdMonthRow(
+            month_records.append(
+                MonthRecord(
                     month=month,
-                    household_id=hh.id,
-                    hourly_wage=hh.hourly_wage,
-                    savings=hh.savings,
-                    work_propensity=hh.work_propensity,
-                    consumption_propensity=hh.consumption_propensity,
-                    employed=hh.employed,
-                    pretax_income=hh.pretax_income,
-                    tax_paid=hh.tax_paid,
-                    posttax_income=hh.posttax_income,
-                    consumption_spent=hh.consumption_spent,
+                    price=market.price,
+                    inventory=market.inventory,
+                    interest_rate=market.interest_rate,
+                    rates=schedule.rates,
+                    total_pretax_income=float(sum(pretax_incomes)),
+                    total_tax=float(sum(taxes)),
+                    total_consumption=float(sum(hh.consumption_spent for hh in households)),
+                    total_wealth=float(sum(wealth)),
+                    metrics=snapshot,
                 )
             )
-            assert hh.memory is not None
-            hh.memory.add(
-                MemoryEntry(
-                    date=date,
-                    work_propensity=hh.work_propensity,
-                    consumption_propensity=hh.consumption_propensity,
-                    pretax_income=hh.pretax_income,
-                    posttax_income=hh.posttax_income,
-                    consumption=hh.consumption_spent,
-                )
-            )
-        schedule_history.append(schedule)
-        productivity_history.append(snapshot.productivity)
-        equality_history.append(snapshot.equality)
-        price_history.append(market.price)
-        last_incomes = pretax_incomes
-        log(month, "record")
-
-        # (8) quarterly reflection
-        if month % config.reflection_period_months == 0:
             for hh in households:
-                assert hh.memory is not None
-                hh.reflection_note = reflect(backend, hh.memory, hh.reflection_note)
-            log(month, "reflect")
-
-        # (9) annual metrics, Taylor-rule update, interest accrual
-        if month % 12 == 0:
-            inflation = metrics.annual_inflation(price_history)
-            unemployment = metrics.annual_unemployment(labor_history[-12:])
-            market.interest_rate = update_interest_rate(params, inflation, unemployment)
-            accrue_interest(households, market.interest_rate)
-            annual_records.append(
-                AnnualRecord(
-                    year=month // 12, inflation=inflation, unemployment=unemployment
+                household_rows.append(
+                    HouseholdMonthRow(
+                        month=month,
+                        household_id=hh.id,
+                        hourly_wage=hh.hourly_wage,
+                        savings=hh.savings,
+                        work_propensity=hh.work_propensity,
+                        consumption_propensity=hh.consumption_propensity,
+                        employed=hh.employed,
+                        pretax_income=hh.pretax_income,
+                        tax_paid=hh.tax_paid,
+                        posttax_income=hh.posttax_income,
+                        consumption_spent=hh.consumption_spent,
+                    )
                 )
-            )
-            snapshot.inflation = inflation
-            snapshot.unemployment = unemployment
-            log(month, "annual")
+                assert hh.memory is not None
+                hh.memory.add(
+                    MemoryEntry(
+                        date=date,
+                        work_propensity=hh.work_propensity,
+                        consumption_propensity=hh.consumption_propensity,
+                        pretax_income=hh.pretax_income,
+                        posttax_income=hh.posttax_income,
+                        consumption=hh.consumption_spent,
+                    )
+                )
+            schedule_history.append(schedule)
+            productivity_history.append(snapshot.productivity)
+            equality_history.append(snapshot.equality)
+            price_history.append(market.price)
+            last_incomes = pretax_incomes
+            log(month, "record")
+
+            # (8) quarterly reflection
+            if month % config.reflection_period_months == 0:
+                notes = map_households(
+                    partial(reflect, backend),
+                    [hh.memory for hh in households],
+                    [hh.reflection_note for hh in households],
+                )
+                for hh, note in zip(households, notes):
+                    hh.reflection_note = note
+                log(month, "reflect")
+
+            # (9) annual metrics, Taylor-rule update, interest accrual
+            if month % 12 == 0:
+                inflation = metrics.annual_inflation(price_history)
+                unemployment = metrics.annual_unemployment(labor_history[-12:])
+                market.interest_rate = update_interest_rate(params, inflation, unemployment)
+                accrue_interest(households, market.interest_rate)
+                annual_records.append(
+                    AnnualRecord(
+                        year=month // 12, inflation=inflation, unemployment=unemployment
+                    )
+                )
+                snapshot.inflation = inflation
+                snapshot.unemployment = unemployment
+                log(month, "annual")
 
     final = month_records[-1].metrics
     summary = {

@@ -58,7 +58,7 @@ class TestScriptedMode:
 class TestRecordReplay:
     def test_round_trip_is_byte_identical(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        text = "weird reply é中文 with\nnewline and \"quotes\""
+        text = "weird reply é中文 with\nnewline, \u2028 line separator and \"quotes\""
         recorder = ChatGateway("record", cache_path=cache, transport=lambda req: text)
         assert recorder.complete(REQUEST) == text
 
@@ -98,11 +98,23 @@ class TestRecordReplay:
         assert "timestamp" in record
 
 
+TORN_TAILS = {
+    "mid_record": b'{"key": "k2", "resp',
+    "mid_character": '{"key": "k2", "response": "中'.encode()[:-1],
+}
+
+
 class TestCacheLoading:
     def test_torn_trailing_line_tolerated(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         good = json.dumps({"key": "k1", "response": "r1"})
         cache.write_text(good + "\n" + '{"key": "k2", "resp')
+        assert load_cache(cache) == {"k1": "r1"}
+
+    def test_tail_torn_inside_a_character_tolerated(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        good = json.dumps({"key": "k1", "response": "r1"})
+        cache.write_bytes(good.encode() + b"\n" + TORN_TAILS["mid_character"])
         assert load_cache(cache) == {"k1": "r1"}
 
     def test_corrupt_interior_line_raises(self, tmp_path):
@@ -120,6 +132,32 @@ class TestCacheLoading:
         ]
         cache.write_text("\n".join(lines) + "\n")
         assert load_cache(cache) == {"k": "new"}
+
+
+class TestRecordAfterInterruption:
+    @pytest.mark.parametrize("torn", TORN_TAILS.values(), ids=TORN_TAILS.keys())
+    def test_appends_after_a_torn_tail_survive(self, tmp_path, torn):
+        cache = tmp_path / "cache.jsonl"
+        good = json.dumps({"key": "k1", "response": "r1"})
+        cache.write_bytes(good.encode() + b"\n" + torn)
+        gateway = ChatGateway("record", cache_path=cache, transport=lambda req: req.prompt.upper())
+        first = ChatRequest(model_id="m", prompt="first")
+        second = ChatRequest(model_id="m", prompt="second")
+        gateway.complete(first)
+        assert load_cache(cache) == {"k1": "r1", exchange_key("m", "first", 0.7): "FIRST"}
+        gateway.complete(second)
+        assert load_cache(cache) == {
+            "k1": "r1",
+            exchange_key("m", "first", 0.7): "FIRST",
+            exchange_key("m", "second", 0.7): "SECOND",
+        }
+
+    def test_whole_last_record_without_newline_is_kept(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps({"key": "k1", "response": "r1"}))
+        gateway = ChatGateway("record", cache_path=cache, transport=lambda req: "ok")
+        gateway.complete(REQUEST)
+        assert load_cache(cache) == {"k1": "r1", exchange_key("test-model", "hello there", 0.7): "ok"}
 
 
 class TestLiveMode:
