@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
+from taxsim.config import config_from_dict, load_config
 from taxsim.economy import TaxSchedule
 from taxsim.gateway import ChatGateway, ChatRequest
+from taxsim.simulation import run
 
 
 def tax_by_cent_integration(
@@ -106,3 +109,43 @@ def scripted_gateway(replies) -> ChatGateway:
 
 def panicking_transport(request: ChatRequest) -> str:
     raise AssertionError("transport must not be touched in this mode")
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+OUTPUT_FILES = ("monthly.csv", "annual.csv", "households.csv", "summary.json")
+REPLAY_CASE = "fixture_replay"
+# Config overrides per golden case; REPLAY_CASE replays the committed fixture.
+# The productivity-0.005 case is the one that reaches the partial fill of
+# execute_consumption (inventory below total demand).
+GOLDEN_CASES = {
+    "free_n50_m120_s0": {"tax_system": "free", "n_households": 50, "months": 120, "seed": 0},
+    "us_federal_n50_m120_s0": {"tax_system": "us_federal", "n_households": 50, "months": 120, "seed": 0},
+    "saez_n50_m120_s0": {"tax_system": "saez", "n_households": 50, "months": 120, "seed": 0},
+    "saez_n1_m30_s1": {"tax_system": "saez", "n_households": 1, "months": 30, "seed": 1},
+    "saez_n50_m120_s0_low_productivity": {
+        "tax_system": "saez",
+        "n_households": 50,
+        "months": 120,
+        "seed": 0,
+        "productivity": 0.005,
+    },
+    REPLAY_CASE: None,
+}
+
+
+def golden_digests(case: str, out_dir: Path) -> dict[str, str]:
+    """Run one golden case, write its outputs under ``out_dir`` and return
+    the sha256 of each output file."""
+    if case == REPLAY_CASE:
+        config = load_config(FIXTURES / "replay_config.json")
+        gateway = ChatGateway(
+            "replay", cache_path=FIXTURES / "replay_cache.jsonl", transport=panicking_transport
+        )
+    else:
+        config = config_from_dict(GOLDEN_CASES[case])
+        gateway = None
+    run(config, gateway=gateway).write_outputs(out_dir)
+    return {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in OUTPUT_FILES
+    }
