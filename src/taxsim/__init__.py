@@ -9,7 +9,6 @@ The social outcome is equality times per-capita wealth.
 from taxsim.config import GatewayConfig, InitialConditions, SimConfig, load_config
 from taxsim.economy import (
     AdjustmentParams,
-    HouseholdState,
     MarketState,
     Persona,
     TaxSchedule,
@@ -17,7 +16,7 @@ from taxsim.economy import (
     compute_tax,
 )
 from taxsim.gateway import ChatGateway, ChatRequest
-from taxsim.households import Decision, DecisionContext, LLMBackend, RuleBasedBackend
+from taxsim.households import Decision, DecisionContext, LLMBackend
 from taxsim.metrics import equality, gini, productivity, social_outcome
 from taxsim.policies import (
     DEFAULT_BRACKETS,
@@ -44,13 +43,11 @@ __all__ = [
     "DecisionContext",
     "FreeMarketPolicy",
     "GatewayConfig",
-    "HouseholdState",
     "InitialConditions",
     "LLMBackend",
     "MarketState",
     "Persona",
     "PolicyObservation",
-    "RuleBasedBackend",
     "SaezOptimalPolicy",
     "SaezParams",
     "SimConfig",

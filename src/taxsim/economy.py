@@ -1,24 +1,27 @@
 """Core domain types and the four market mechanisms: production, bracketed
 taxation with even redistribution, inventory-bounded consumption, and the
-financial channel (interest accrual, Taylor-rule rate setting, mismatch-driven
-wage/price adjustment).
+financial channel (Taylor-rule rate setting, mismatch-driven wage/price
+adjustment).
 
-Everything here is a pure state transition over explicit values; the only
-mutation is the in-place update of the household/market objects passed in.
-Stochastic operations take an explicit numpy Generator.
+The population is columnar: every household quantity is a numpy array
+indexed by household id, and each mechanism is one array pass per month.
+Functions return new arrays; the only mutation is of the ``MarketState``
+passed in. Stochastic operations take an explicit numpy Generator.
+
+Every total is a ``sequential_sum`` and every kernel repeats the float
+operations of a per-household loop in the same order, so the results are
+bit-identical to that loop's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import TYPE_CHECKING, Sequence
+from functools import lru_cache
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a runtime cycle
-    from taxsim.households import MemoryPool
 
 HOURS_PER_MONTH = 168  # 21 eight-hour working days
 
@@ -27,21 +30,57 @@ class ScheduleError(ValueError):
     """A tax schedule failed validation."""
 
 
-def quantize_fraction(value: float, step: str = "0.02") -> float:
+def sequential_sum(values) -> float:
+    """Left-to-right float sum, ``0.0`` when empty.
+
+    Bit-equal to the builtin ``sum`` of CPython 3.11 on floats. ``np.sum``
+    adds pairwise and CPython 3.12's ``sum`` is compensated; either would
+    move the last bits of the outputs.
+    """
+    values = np.asarray(values, dtype=float)
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+@lru_cache(maxsize=None)
+def _quantize_tables(step: str) -> tuple:
+    """For the grid of ``step``: the float nearest each decimal midpoint
+    (2k+1)*step/2 below 1, and the grid values float(k*step), each as a
+    tuple (for bisect) and as a read-only array (for searchsorted)."""
+    quantum = Decimal(step)
+    top = int((Decimal(1) / quantum).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+    midpoints = tuple(float((2 * k + 1) * quantum / 2) for k in range(top))
+    grid = tuple(float(k * quantum) for k in range(top + 1))
+    arrays = np.array(midpoints), np.array(grid)
+    for array in arrays:
+        array.setflags(write=False)
+    return midpoints, grid, *arrays
+
+
+def quantize_fraction(value, step: str = "0.02"):
     """Clamp ``value`` to [0, 1] and round half-up onto a decimal grid.
 
     ``step`` is given as a decimal string ("0.02", "0.01") so the grid is
-    exact; binary-float division would misround values like 0.83.
+    exact; binary-float division would misround values like 0.83. Rounding
+    is half-up on the decimal ``repr`` of the value: a float x is at or
+    above a decimal midpoint m exactly when x >= float(m), so the tick is
+    the count of midpoint floats at or below x. That count is 0 below the
+    grid and the top tick above it, which is the clamp. An input of -0.0
+    stays -0.0, as it does through Decimal.
+
+    An array (the rule-based population) is snapped in one numpy pass and
+    gives an array; a scalar (one LLM reply) takes a bisect, which is
+    several times cheaper than numpy's per-call overhead, and gives a float.
     """
+    midpoints, grid, midpoint_array, grid_array = _quantize_tables(step)
+    if isinstance(value, np.ndarray):
+        if not np.isfinite(value).all():
+            raise ValueError(f"cannot quantize non-finite values in {value!r}")
+        ticks = np.searchsorted(midpoint_array, value, side="right")
+        return np.where(value == 0.0, value, grid_array[ticks])
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"cannot quantize non-finite value {value!r}")
-    clamped = min(max(value, 0.0), 1.0)
-    quantum = Decimal(step)
-    ticks = (Decimal(repr(clamped)) / quantum).quantize(
-        Decimal("1"), rounding=ROUND_HALF_UP
-    )
-    return float(ticks * quantum)
+    return value if value == 0.0 else grid[bisect_right(midpoints, value)]
 
 
 @dataclass(frozen=True)
@@ -59,41 +98,6 @@ class Persona:
                 raise ValueError(f"persona {attr} must be non-empty")
         if self.age <= 0:
             raise ValueError("persona age must be a positive integer")
-
-
-@dataclass
-class HouseholdState:
-    """Mutable per-household economic state, updated month by month.
-
-    Savings never go negative: consumption is capped by wealth and post-tax
-    income is nonnegative whenever all marginal rates are <= 1.
-    """
-
-    id: int
-    persona: Persona
-    hourly_wage: float
-    savings: float
-    work_propensity: float = 0.6
-    consumption_propensity: float = 0.4
-    employed: int = 0
-    pretax_income: float = 0.0
-    tax_paid: float = 0.0
-    posttax_income: float = 0.0
-    consumption_spent: float = 0.0
-    reflection_note: str = ""
-    memory: "MemoryPool | None" = None
-
-    def __post_init__(self) -> None:
-        if self.hourly_wage <= 0:
-            raise ValueError("hourly_wage must be > 0")
-        if self.savings < 0:
-            raise ValueError("savings must be >= 0")
-        for attr in ("work_propensity", "consumption_propensity"):
-            p = getattr(self, attr)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{attr} must lie in [0, 1]")
-        if self.employed not in (0, 1):
-            raise ValueError("employed must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -134,9 +138,6 @@ class MarketState:
     inventory: float = 0.0
     interest_rate: float = 0.0
     productivity: float = 1.0
-    last_demand: float = 0.0
-    last_supply: float = 0.0
-    mismatch: float = 0.0
 
     def __post_init__(self) -> None:
         if self.price <= 0:
@@ -147,8 +148,6 @@ class MarketState:
             raise ValueError("interest_rate must be >= 0")
         if self.productivity <= 0:
             raise ValueError("productivity must be > 0")
-        if not -1.0 <= self.mismatch <= 1.0:
-            raise ValueError("mismatch must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -170,49 +169,45 @@ class AdjustmentParams:
                 raise ValueError(f"{attr} must lie in (0, 1]")
 
 
-def produce(
-    households: Sequence[HouseholdState], market: MarketState
-) -> tuple[float, list[float]]:
+def produce(employed: np.ndarray, wages: np.ndarray, market: MarketState) -> np.ndarray:
     """Run the month's production round.
 
-    Every employed household supplies 168 hours of labor; output is hours
-    times productivity, added to inventory. Pre-tax income is hours times
-    the household's own wage (zero when not working).
-
-    Returns (total supply in goods units, pre-tax incomes by household id).
+    Every employed household (``employed`` is 0 or 1) supplies 168 hours of
+    labor; output is hours times productivity, added to inventory. Returns
+    the pre-tax incomes: hours times the household's own wage, zero when
+    not working.
     """
-    supply = 0.0
-    incomes: list[float] = []
-    for hh in households:
-        supply += hh.employed * HOURS_PER_MONTH * market.productivity
-        hh.pretax_income = hh.employed * HOURS_PER_MONTH * hh.hourly_wage
-        incomes.append(hh.pretax_income)
-    market.inventory += supply
-    market.last_supply = supply
-    return supply, incomes
+    hours = employed * HOURS_PER_MONTH
+    market.inventory += sequential_sum(hours * market.productivity)
+    return hours * wages
 
 
-def compute_tax(schedule: TaxSchedule, income: float) -> float:
-    """Tax owed on ``income``: each bracket's slice is taxed at that
-    bracket's marginal rate only, so the total is continuous and
-    nondecreasing in income."""
-    if income < 0:
+def compute_tax(schedule: TaxSchedule, income):
+    """Tax owed on ``income`` (a scalar, giving a float, or an array):
+    each bracket's slice is taxed at that bracket's marginal rate only, so
+    the total is continuous and nondecreasing in income.
+
+    The tax is the full tax of every bracket below the income's, summed
+    bracket by bracket, plus the marginal rate on the part inside it.
+    """
+    incomes = np.asarray(income, dtype=float)
+    if (incomes < 0).any():
         raise ValueError("income must be >= 0")
-    tax = 0.0
-    thresholds = schedule.thresholds
-    for k, rate in enumerate(schedule.rates):
-        lower = thresholds[k]
-        upper = thresholds[k + 1] if k + 1 < len(thresholds) else math.inf
-        if income > upper:
-            tax += rate * (upper - lower)
-        elif income > lower:
-            tax += rate * (income - lower)
-    return tax
+    thresholds = np.array(schedule.thresholds)
+    rates = np.array(schedule.rates)
+    below = np.cumsum(np.concatenate(([0.0], rates[:-1] * np.diff(thresholds))))
+    # bracket j holds incomes in (thresholds[j], thresholds[j + 1]]; -1 is zero income
+    j = np.searchsorted(thresholds, incomes, side="left") - 1
+    inside = np.maximum(j, 0)
+    tax = np.where(
+        j < 0, 0.0, below[inside] + rates[inside] * (incomes - thresholds[inside])
+    )
+    return float(tax) if tax.ndim == 0 else tax
 
 
 def apply_taxation(
-    schedule: TaxSchedule, pretax_incomes: Sequence[float]
-) -> tuple[list[float], list[float], float]:
+    schedule: TaxSchedule, pretax_incomes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Tax every income and redistribute the proceeds evenly.
 
     Post-tax income is ``z - T(z) + mean(T)``; the even lump-sum transfer
@@ -220,49 +215,48 @@ def apply_taxation(
 
     Returns (posttax incomes, taxes, per-household redistribution).
     """
-    if not pretax_incomes:
+    pretax_incomes = np.asarray(pretax_incomes, dtype=float)
+    if not pretax_incomes.size:
         raise ValueError("need at least one income")
-    taxes = [compute_tax(schedule, z) for z in pretax_incomes]
-    redistribution = sum(taxes) / len(taxes)
-    posttax = [z - t + redistribution for z, t in zip(pretax_incomes, taxes)]
-    return posttax, taxes, redistribution
-
-
-def plan_demand(household: HouseholdState, price: float) -> float:
-    """Intended goods demand: the consumption propensity applied to current
-    wealth (post-tax income already credited), divided by the price."""
-    if price <= 0:
-        raise ValueError("price must be > 0")
-    return household.consumption_propensity * household.savings / price
+    taxes = compute_tax(schedule, pretax_incomes)
+    redistribution = sequential_sum(taxes) / taxes.size
+    return pretax_incomes - taxes + redistribution, taxes, redistribution
 
 
 def execute_consumption(
-    households: Sequence[HouseholdState],
+    savings: np.ndarray,
+    propensities: np.ndarray,
     market: MarketState,
     rng: np.random.Generator,
-) -> tuple[list[float], float]:
+) -> tuple[np.ndarray, float]:
     """Let households buy goods in a random order until inventory runs out.
 
-    Intentions are fixed from start-of-round wealth; each purchase is capped
-    by the remaining inventory (and spending by the buyer's savings, which
-    only binds at float rounding). Inventory and savings are updated in
-    place.
+    Intended demand is the consumption propensity applied to start-of-round
+    wealth (post-tax income already credited), divided by the price. Each
+    purchase is capped by the remaining inventory: buyers before the one who
+    would take inventory below zero get their full demand, that buyer gets
+    what remains, and later buyers get nothing. Spending is further capped
+    by the buyer's savings, which only binds at float rounding, so
+    ``savings - spent`` is never negative. Inventory is updated in place.
 
     Returns (amount spent by household id, total intended demand).
     """
-    demands = [plan_demand(hh, market.price) for hh in households]
-    total_demand = float(sum(demands))
-    spent = [0.0] * len(households)
-    for idx in rng.permutation(len(households)):
-        hh = households[idx]
-        filled = min(demands[idx], market.inventory)
-        cost = min(filled * market.price, hh.savings)
-        hh.consumption_spent = float(cost)
-        hh.savings = float(max(hh.savings - cost, 0.0))
-        market.inventory = float(max(market.inventory - filled, 0.0))
-        spent[idx] = float(cost)
-    market.last_demand = total_demand
-    return spent, total_demand
+    demands = propensities * savings / market.price
+    order = rng.permutation(savings.size)
+    wanted = demands[order]
+    # remaining[k] is the inventory left before the k-th buyer in order
+    remaining = np.subtract.accumulate(np.concatenate(([market.inventory], wanted)))
+    short = remaining[1:] < 0
+    filled_in_order = np.where(short, 0.0, wanted)
+    if short.any():
+        first = int(np.argmax(short))
+        filled_in_order[first] = remaining[first]
+        market.inventory = 0.0
+    else:
+        market.inventory = float(remaining[-1])
+    filled = np.empty_like(demands)
+    filled[order] = filled_in_order
+    return np.minimum(filled * market.price, savings), sequential_sum(demands)
 
 
 def compute_mismatch(demand: float, inventory: float) -> float:
@@ -278,36 +272,27 @@ def compute_mismatch(demand: float, inventory: float) -> float:
 
 
 def adjust_wages_and_price(
-    households: Sequence[HouseholdState],
+    wages: np.ndarray,
     market: MarketState,
     mismatch: float,
     params: AdjustmentParams,
     rng: np.random.Generator,
-) -> None:
+) -> np.ndarray:
     """Nudge every wage and the price toward the mismatch sign.
 
     Each multiplier is 1 + sign(mismatch) * U(0, cap * |mismatch|), drawn
     independently per wage and once for the price; wages draw first, in
     household order. Zero mismatch leaves everything unchanged (the draws
-    still occur, keeping the rng stream layout fixed).
+    still occur, keeping the rng stream layout fixed). Returns the new
+    wages; the price is updated in place.
     """
     mismatch = float(mismatch)
     direction = 1 if mismatch > 0 else -1 if mismatch < 0 else 0
     magnitude = abs(mismatch)
-    wage_steps = rng.uniform(0.0, params.max_wage_step * magnitude, len(households))
-    for hh, step in zip(households, wage_steps):
-        hh.hourly_wage = float(hh.hourly_wage * (1.0 + direction * step))
+    wage_steps = rng.uniform(0.0, params.max_wage_step * magnitude, len(wages))
     price_step = rng.uniform(0.0, params.max_price_step * magnitude)
     market.price = float(market.price * (1.0 + direction * price_step))
-    market.mismatch = mismatch
-
-
-def accrue_interest(households: Sequence[HouseholdState], rate: float) -> None:
-    """Grow every savings balance by the annual interest rate."""
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
-    for hh in households:
-        hh.savings *= 1.0 + rate
+    return wages * (1.0 + direction * wage_steps)
 
 
 def update_interest_rate(

@@ -2,10 +2,11 @@
 
 Each month a household picks a work propensity and a consumption propensity,
 both on a 0.02 grid. The LLM backend renders a persona-grounded prompt over
-the household's economic situation and parses a two-key JSON reply; the
-rule-based backend is a deterministic offline stand-in with the same
-interface. Quarterly, households distill their memory of past months into a
-free-text reflection note that is appended to later prompts.
+the household's economic situation and parses a two-key JSON reply, one
+household at a time. The rule-based decision is a deterministic offline
+stand-in computed for the whole population in one array pass. Quarterly, LLM
+households distill their memory of past months into a free-text reflection
+note that is appended to later prompts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Protocol
+
+import numpy as np
 
 from taxsim.economy import Persona, TaxSchedule, compute_tax, quantize_fraction
 from taxsim.gateway import ChatGateway, ChatRequest, TransportError
@@ -231,32 +234,25 @@ def parse_decision_reply(text: str) -> Decision:
     raise DecisionError("reply contains no work/consumption object")
 
 
-def rule_based_decide(context: DecisionContext) -> Decision:
-    """Deterministic offline decision rule.
+def rule_based_decide(
+    schedule: TaxSchedule, expected_income, savings, price: float
+) -> tuple:
+    """Deterministic offline decision rule, for one household (scalars) or
+    the whole population (arrays); returns (work, consumption) propensities
+    on the 0.02 grid.
 
     Work appetite falls linearly with the average tax rate on the expected
     income (floor 0.2 at full confiscation); the consumption share targets
     roughly three units of the good out of reachable wealth, capped at 0.95.
     """
-    expected = context.expected_income
-    tax = compute_tax(context.current_schedule, expected)
-    average_rate = tax / max(expected, 1.0)
+    tax = compute_tax(schedule, expected_income)
+    average_rate = tax / np.maximum(expected_income, 1.0)
     work = quantize_fraction(0.2 + 0.8 * (1.0 - average_rate))
-    reachable = context.savings + expected * (1.0 - average_rate)
+    reachable = savings + expected_income * (1.0 - average_rate)
     consumption = quantize_fraction(
-        min(0.95, 3.0 * context.average_price / max(reachable, context.average_price))
+        np.minimum(0.95, 3.0 * price / np.maximum(reachable, price))
     )
-    return Decision(work, consumption)
-
-
-class RuleBasedBackend:
-    """Offline backend: pure functions of the context, zero network use."""
-
-    def decide(self, context: DecisionContext) -> Decision:
-        return rule_based_decide(context)
-
-    def reflect(self, memory: MemoryPool) -> str:
-        return "baseline reflection"
+    return work, consumption
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,31 @@ and income crediting, (5) consumption in a shuffled order, (6) mismatch-driven
 wage/price adjustment, (7) recording, (8) quarterly reflection, (9) annual
 inflation/unemployment, Taylor-rule update, and interest accrual.
 
+The population is columnar: wage, savings, propensities, employment and
+the month's flows are numpy arrays indexed by household id, and phases 3-7
+and 9 are each one array pass over all households. Rule-based decisions are
+one array pass too. LLM households keep a per-household path: each builds a
+``DecisionContext`` from its array elements and asks the backend, and only
+they keep a memory and a reflection note, since the note feeds prompts
+alone. Every month is recorded into months x N arrays
+(``SimulationResult.households``).
+
 Determinism: a single numpy Generator seeded from the config drives every
 draw in a fixed order (initial wages, initial savings, then per month: labor
 in household order, the consumption shuffle, wage steps in household order,
-the price step). With the rule-based backend, or an LLM backend in replay or
-scripted mode, two runs produce byte-identical outputs.
+the price step). Each array pass repeats the float operations of a
+per-household loop in the same order, and every total is a left-to-right
+``sequential_sum`` rather than numpy's pairwise sum, so the output bits do
+not depend on how the work is vectorised or on the interpreter's ``sum``.
+With the rule-based backend, or an LLM backend in replay or scripted mode,
+two runs produce byte-identical outputs.
 
 When LLM households reach a transport (live or record mode), a month's
 decisions and a quarter's reflections each depend only on start-of-step
 state, so they run concurrently on up to ``FAN_OUT_WORKERS`` threads. Their
 results are applied in household order, so no output depends on the order in
 which calls complete; only the record cache's line order does. Replay and
-scripted runs, and rule-based runs, call households one by one on the
-calling thread.
+scripted runs call households one by one on the calling thread.
 """
 
 from __future__ import annotations
@@ -28,8 +40,9 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -39,16 +52,14 @@ from taxsim import metrics
 from taxsim.config import ConfigError, GatewayConfig, SimConfig
 from taxsim.economy import (
     HOURS_PER_MONTH,
-    AdjustmentParams,
-    HouseholdState,
     MarketState,
     TaxSchedule,
-    accrue_interest,
     adjust_wages_and_price,
     apply_taxation,
     compute_mismatch,
     execute_consumption,
     produce,
+    sequential_sum,
     update_interest_rate,
 )
 from taxsim.gateway import ChatGateway
@@ -59,13 +70,12 @@ from taxsim.households import (
     UNCHANGED,
     Decision,
     DecisionContext,
-    HouseholdBackend,
     LLMBackend,
     MemoryEntry,
     MemoryPool,
-    RuleBasedBackend,
     decide,
     reflect,
+    rule_based_decide,
 )
 from taxsim.metrics import MetricSnapshot
 from taxsim.personas import load_personas, roster_for
@@ -108,27 +118,30 @@ class AnnualRecord:
     unemployment: float
 
 
-@dataclass
-class HouseholdMonthRow:
-    month: int
-    household_id: int
-    hourly_wage: float
-    savings: float
-    work_propensity: float
-    consumption_propensity: float
-    employed: int
-    pretax_income: float
-    tax_paid: float
-    posttax_income: float
-    consumption_spent: float
+# Per-household columns recorded every month, in households.csv order.
+HOUSEHOLD_COLUMNS = (
+    "hourly_wage",
+    "savings",
+    "work_propensity",
+    "consumption_propensity",
+    "employed",
+    "pretax_income",
+    "tax_paid",
+    "posttax_income",
+    "consumption_spent",
+)
 
 
 @dataclass
 class SimulationResult:
+    """Every record of one run. ``households`` maps each name in
+    ``HOUSEHOLD_COLUMNS`` to a months x N array: row m holds month m + 1,
+    column i household i, as recorded at the end of the month."""
+
     config: SimConfig
     month_records: list[MonthRecord]
     annual_records: list[AnnualRecord]
-    household_rows: list[HouseholdMonthRow]
+    households: dict[str, np.ndarray]
     summary: dict
 
     def write_outputs(self, out_dir: str | Path) -> Path:
@@ -139,7 +152,7 @@ class SimulationResult:
         _write_monthly_csv(out / "monthly.csv", self.month_records)
         _write_annual_csv(out / "annual.csv", self.annual_records)
         if self.config.write_households:
-            _write_households_csv(out / "households.csv", self.household_rows)
+            _write_households_csv(out / "households.csv", self.households)
         (out / "summary.json").write_text(
             json.dumps(self.summary, indent=2) + "\n", encoding="utf-8"
         )
@@ -178,9 +191,11 @@ def build_policy(config: SimConfig, gateway: ChatGateway | None) -> TaxPolicy:
     raise ConfigError(f"unknown tax system {config.tax_system!r}")
 
 
-def build_backend(config: SimConfig, gateway: ChatGateway | None) -> HouseholdBackend:
+def build_backend(config: SimConfig, gateway: ChatGateway | None) -> LLMBackend | None:
+    """The LLM backend, or None for rule-based households, whose decisions
+    ``run`` computes for the whole population at once."""
     if config.household_backend == "rule_based":
-        return RuleBasedBackend()
+        return None
     if gateway is None:
         raise ConfigError("llm household backend needs a chat gateway")
     return LLMBackend(gateway, config.household_llm)
@@ -242,22 +257,14 @@ def run(
     rng = np.random.default_rng(config.seed)
     n = config.n_households
 
-    wages = rng.lognormal(math.log(config.initial.wage_median), config.initial.wage_sigma, n)
+    # The population, one array per quantity, indexed by household id.
+    wage = rng.lognormal(math.log(config.initial.wage_median), config.initial.wage_sigma, n)
     savings = rng.lognormal(
         math.log(config.initial.savings_median), config.initial.savings_sigma, n
     )
-    households = [
-        HouseholdState(
-            id=i,
-            persona=personas[i],
-            hourly_wage=float(wages[i]),
-            savings=float(savings[i]),
-            work_propensity=DEFAULT_DECISION.work_propensity,
-            consumption_propensity=DEFAULT_DECISION.consumption_propensity,
-            memory=MemoryPool(),
-        )
-        for i in range(n)
-    ]
+    work = np.full(n, DEFAULT_DECISION.work_propensity)
+    consumption = np.full(n, DEFAULT_DECISION.consumption_propensity)
+    spent = np.zeros(n)
     market = MarketState(
         price=config.initial.price,
         inventory=config.initial.inventory,
@@ -273,13 +280,18 @@ def run(
     schedule_history: list[TaxSchedule] = [schedule]  # month-0 bootstrap entry
     productivity_history = [0.0]
     equality_history = [0.0]
-    last_incomes = [0.0] * n
+    last_incomes = np.zeros(n)
 
     price_history: list[float] = []
-    labor_history: list[list[int]] = []
     month_records: list[MonthRecord] = []
     annual_records: list[AnnualRecord] = []
-    household_rows: list[HouseholdMonthRow] = []
+    households = {
+        name: np.empty((config.months, n), dtype=int if name == "employed" else float)
+        for name in HOUSEHOLD_COLUMNS
+    }
+    # Only LLM households keep memories and notes: they feed prompts alone.
+    memories = [MemoryPool() for _ in range(n)] if backend is not None else []
+    notes = [""] * n
     previous_expected: list[float | None] = [None] * n
     previous_price: float | None = None
 
@@ -289,7 +301,7 @@ def run(
 
     # Only live and record gateways wait on a transport, so only they gain
     # from overlapping calls; scripted replies must also pop in household order.
-    fan_out = isinstance(backend, LLMBackend) and backend.gateway.mode in ("live", "record")
+    fan_out = backend is not None and backend.gateway.mode in ("live", "record")
     with _household_map(fan_out) as map_households:
         for month in range(1, config.months + 1):
             date = month_label(month)
@@ -298,8 +310,8 @@ def run(
             if (month - 1) % config.adjust_period_months == 0:
                 observation = PolicyObservation(
                     month=month - 1,
-                    incomes=tuple(last_incomes),
-                    wealth=tuple(hh.savings for hh in households),
+                    incomes=tuple(last_incomes.tolist()),
+                    wealth=tuple(savings.tolist()),
                     schedule_history=tuple(schedule_history),
                     productivity_history=tuple(productivity_history),
                     equality_history=tuple(equality_history),
@@ -308,71 +320,68 @@ def run(
                 log(month, "propose")
 
             # (2) household decisions from start-of-month state
-            decision_price = market.price
-            contexts = []
-            for i, hh in enumerate(households):
-                expected = HOURS_PER_MONTH * hh.hourly_wage
-                contexts.append(
+            expected = HOURS_PER_MONTH * wage
+            if backend is None:
+                work, consumption = rule_based_decide(schedule, expected, savings, market.price)
+            else:
+                expected_list = expected.tolist()
+                contexts = [
                     DecisionContext(
                         date=date,
-                        persona=hh.persona,
-                        expected_income=expected,
+                        persona=personas[i],
+                        expected_income=expected_list[i],
                         previous_schedule=schedule_history[-1],
                         current_schedule=schedule,
-                        average_price=decision_price,
-                        savings=hh.savings,
+                        average_price=market.price,
+                        savings=wealth_i,
                         interest_rate=market.interest_rate,
-                        income_direction=_direction(expected, previous_expected[i]),
-                        price_direction=_direction(decision_price, previous_price),
-                        last_consumption=hh.consumption_spent,
-                        reflection_note=hh.reflection_note,
+                        income_direction=_direction(expected_list[i], previous_expected[i]),
+                        price_direction=_direction(market.price, previous_price),
+                        last_consumption=spent_i,
+                        reflection_note=notes[i],
+                    )
+                    for i, (wealth_i, spent_i) in enumerate(zip(savings.tolist(), spent.tolist()))
+                ]
+                decisions = list(
+                    map_households(
+                        partial(decide, backend),
+                        contexts,
+                        list(map(Decision, work.tolist(), consumption.tolist())),
                     )
                 )
-                previous_expected[i] = expected
-            decisions = map_households(
-                partial(decide, backend),
-                contexts,
-                [Decision(hh.work_propensity, hh.consumption_propensity) for hh in households],
-            )
-            for hh, decision in zip(households, decisions):
-                hh.work_propensity = decision.work_propensity
-                hh.consumption_propensity = decision.consumption_propensity
-            previous_price = decision_price
+                work = np.array([d.work_propensity for d in decisions])
+                consumption = np.array([d.consumption_propensity for d in decisions])
+                previous_expected = expected_list
+                previous_price = market.price
             log(month, "decide")
 
             # (3) labor realization, then production
-            labor_draws = rng.random(n)
-            for hh, draw in zip(households, labor_draws):
-                hh.employed = 1 if draw < hh.work_propensity else 0
-            labor_history.append([hh.employed for hh in households])
-            _, pretax_incomes = produce(households, market)
+            employed = (rng.random(n) < work).astype(int)
+            pretax = produce(employed, wage, market)
             log(month, "produce")
 
             # (4) taxation with even redistribution; credit post-tax income
-            posttax, taxes, _ = apply_taxation(schedule, pretax_incomes)
-            for hh, net, tax in zip(households, posttax, taxes):
-                hh.tax_paid = tax
-                hh.posttax_income = net
-                hh.savings += net
+            posttax, tax, _ = apply_taxation(schedule, pretax)
+            savings = savings + posttax
             log(month, "tax")
 
             # (5) consumption against post-production inventory
             available_supply = market.inventory
-            _, total_demand = execute_consumption(households, market, rng)
+            spent, total_demand = execute_consumption(savings, consumption, market, rng)
+            savings = savings - spent
             log(month, "consume")
 
             # (6) mismatch uses intended demand vs the pre-consumption inventory
             mismatch = compute_mismatch(total_demand, available_supply)
-            adjust_wages_and_price(households, market, mismatch, params, rng)
+            wage = adjust_wages_and_price(wage, market, mismatch, params, rng)
             log(month, "adjust")
 
             # (7) record end-of-month state and metrics over wealth
-            wealth = [hh.savings for hh in households]
-            equality_score = metrics.equality(wealth)
-            productivity_score = metrics.productivity(wealth, per_capita=per_capita)
+            equality_score = metrics.equality(savings)
+            productivity_score = metrics.productivity(savings, per_capita=per_capita)
             snapshot = MetricSnapshot(
                 month=month,
-                gini=metrics.gini(wealth),
+                gini=metrics.gini(savings),
                 equality=equality_score,
                 productivity=productivity_score,
                 social_outcome=metrics.social_outcome(equality_score, productivity_score),
@@ -384,64 +393,47 @@ def run(
                     inventory=market.inventory,
                     interest_rate=market.interest_rate,
                     rates=schedule.rates,
-                    total_pretax_income=float(sum(pretax_incomes)),
-                    total_tax=float(sum(taxes)),
-                    total_consumption=float(sum(hh.consumption_spent for hh in households)),
-                    total_wealth=float(sum(wealth)),
+                    total_pretax_income=sequential_sum(pretax),
+                    total_tax=sequential_sum(tax),
+                    total_consumption=sequential_sum(spent),
+                    total_wealth=sequential_sum(savings),
                     metrics=snapshot,
                 )
             )
-            for hh in households:
-                household_rows.append(
-                    HouseholdMonthRow(
-                        month=month,
-                        household_id=hh.id,
-                        hourly_wage=hh.hourly_wage,
-                        savings=hh.savings,
-                        work_propensity=hh.work_propensity,
-                        consumption_propensity=hh.consumption_propensity,
-                        employed=hh.employed,
-                        pretax_income=hh.pretax_income,
-                        tax_paid=hh.tax_paid,
-                        posttax_income=hh.posttax_income,
-                        consumption_spent=hh.consumption_spent,
-                    )
+            columns = (wage, savings, work, consumption, employed, pretax, tax, posttax, spent)
+            for name, column in zip(HOUSEHOLD_COLUMNS, columns):
+                households[name][month - 1] = column
+            if backend is not None:
+                entries = map(
+                    partial(MemoryEntry, date),
+                    work.tolist(),
+                    consumption.tolist(),
+                    pretax.tolist(),
+                    posttax.tolist(),
+                    spent.tolist(),
                 )
-                assert hh.memory is not None
-                hh.memory.add(
-                    MemoryEntry(
-                        date=date,
-                        work_propensity=hh.work_propensity,
-                        consumption_propensity=hh.consumption_propensity,
-                        pretax_income=hh.pretax_income,
-                        posttax_income=hh.posttax_income,
-                        consumption=hh.consumption_spent,
-                    )
-                )
+                for memory, entry in zip(memories, entries):
+                    memory.add(entry)
             schedule_history.append(schedule)
             productivity_history.append(snapshot.productivity)
             equality_history.append(snapshot.equality)
             price_history.append(market.price)
-            last_incomes = pretax_incomes
+            last_incomes = pretax
             log(month, "record")
 
             # (8) quarterly reflection
             if month % config.reflection_period_months == 0:
-                notes = map_households(
-                    partial(reflect, backend),
-                    [hh.memory for hh in households],
-                    [hh.reflection_note for hh in households],
-                )
-                for hh, note in zip(households, notes):
-                    hh.reflection_note = note
+                if backend is not None:
+                    notes = list(map_households(partial(reflect, backend), memories, notes))
                 log(month, "reflect")
 
             # (9) annual metrics, Taylor-rule update, interest accrual
             if month % 12 == 0:
                 inflation = metrics.annual_inflation(price_history)
-                unemployment = metrics.annual_unemployment(labor_history[-12:])
+                last_year = households["employed"][month - 12 : month]
+                unemployment = metrics.annual_unemployment(last_year)
                 market.interest_rate = update_interest_rate(params, inflation, unemployment)
-                accrue_interest(households, market.interest_rate)
+                savings = savings * (1.0 + market.interest_rate)
                 annual_records.append(
                     AnnualRecord(
                         year=month // 12, inflation=inflation, unemployment=unemployment
@@ -473,7 +465,7 @@ def run(
         config=config,
         month_records=month_records,
         annual_records=annual_records,
-        household_rows=household_rows,
+        households=households,
         summary=summary,
     )
 
@@ -491,7 +483,6 @@ class ComparisonRow:
 @dataclass
 class ComparisonResult:
     rows: list[ComparisonRow]
-    results: dict[str, SimulationResult] = field(default_factory=dict)
 
     def mean_social_outcomes(self) -> dict[str, float]:
         by_system: dict[str, list[float]] = {}
@@ -533,7 +524,6 @@ def compare(
                 final_social_outcome=final.social_outcome,
             )
         )
-        result.results[cfg.tax_system] = sim
     return result
 
 
@@ -588,37 +578,20 @@ def _write_annual_csv(path: Path, records: list[AnnualRecord]) -> None:
             writer.writerow([rec.year, _fmt(rec.inflation), _fmt(rec.unemployment)])
 
 
-def _write_households_csv(path: Path, rows: list[HouseholdMonthRow]) -> None:
+# One households.csv row; "%.6f" formats as format(v, ".6f") does, and
+# "\r\n" is the line ending csv.writer uses in the other files.
+_HOUSEHOLD_ROW = (
+    "%d,%d,"
+    + ",".join("%d" if name == "employed" else "%.6f" for name in HOUSEHOLD_COLUMNS)
+    + "\r\n"
+)
+
+
+def _write_households_csv(path: Path, households: dict[str, np.ndarray]) -> None:
+    months, n = households["savings"].shape
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "month",
-                "household_id",
-                "hourly_wage",
-                "savings",
-                "work_propensity",
-                "consumption_propensity",
-                "employed",
-                "pretax_income",
-                "tax_paid",
-                "posttax_income",
-                "consumption_spent",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.month,
-                    row.household_id,
-                    _fmt(row.hourly_wage),
-                    _fmt(row.savings),
-                    _fmt(row.work_propensity),
-                    _fmt(row.consumption_propensity),
-                    row.employed,
-                    _fmt(row.pretax_income),
-                    _fmt(row.tax_paid),
-                    _fmt(row.posttax_income),
-                    _fmt(row.consumption_spent),
-                ]
-            )
+        fh.write(",".join(("month", "household_id", *HOUSEHOLD_COLUMNS)) + "\r\n")
+        for row in range(months):
+            columns = [households[name][row].tolist() for name in HOUSEHOLD_COLUMNS]
+            rows = zip(repeat(row + 1), range(n), *columns)
+            fh.write("".join(_HOUSEHOLD_ROW % values for values in rows))

@@ -1,10 +1,13 @@
 """Shared test utilities: independent oracles for the tax, gini, and
-optimal-rate computations, plus deterministic offline LLM stand-ins."""
+optimal-rate computations, per-household reference loops for the columnar
+kernels, deterministic offline LLM stand-ins, and the golden-output cases."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,48 @@ def random_cent_income(rng: np.random.Generator, max_income: float = 1000.0) -> 
     if rng.random() < 0.02:
         return 0.0
     return round(float(10.0 ** rng.uniform(-1.0, np.log10(max_income))), 2)
+
+
+def decimal_quantize(value: float, step: str = "0.02") -> float:
+    """Reference quantizer: clamp to [0, 1], then round the decimal repr
+    half-up onto the grid through Decimal, one value at a time."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot quantize non-finite value {value!r}")
+    clamped = min(max(value, 0.0), 1.0)
+    quantum = Decimal(step)
+    ticks = (Decimal(repr(clamped)) / quantum).quantize(Decimal("1"), rounding=ROUND_HALF_UP)
+    return float(ticks * quantum)
+
+
+def bracket_loop_tax(schedule: TaxSchedule, income: float) -> float:
+    """Reference tax: walk the brackets in order, adding each slice's tax."""
+    tax = 0.0
+    thresholds = schedule.thresholds
+    for k, rate in enumerate(schedule.rates):
+        lower = thresholds[k]
+        upper = thresholds[k + 1] if k + 1 < len(thresholds) else math.inf
+        if income > upper:
+            tax += rate * (upper - lower)
+        elif income > lower:
+            tax += rate * (income - lower)
+    return tax
+
+
+def sequential_consumption(savings, propensities, price, inventory, rng):
+    """Reference consumption round: households buy one by one in the rng's
+    shuffled order, each capped by the remaining inventory and by its
+    savings. Returns (spent, savings after, inventory after, total demand)."""
+    savings = [float(s) for s in savings]
+    demands = [float(c) * s / price for c, s in zip(propensities, savings)]
+    spent = [0.0] * len(savings)
+    for idx in rng.permutation(len(savings)):
+        filled = min(demands[idx], inventory)
+        cost = min(filled * price, savings[idx])
+        savings[idx] = float(max(savings[idx] - cost, 0.0))
+        inventory = float(max(inventory - filled, 0.0))
+        spent[idx] = float(cost)
+    return spent, savings, inventory, float(sum(demands))
 
 
 def pairwise_gini(values) -> float:

@@ -254,8 +254,8 @@ def test_criterion_8_parser_robustness():
     ok = len(result.month_records) == config.months
     for record in result.month_records:
         ok = ok and all(0.0 <= r <= 1.0 for r in record.rates)
-    for row in result.household_rows:
-        for p in (row.work_propensity, row.consumption_propensity):
+    for name in ("work_propensity", "consumption_propensity"):
+        for p in result.households[name].ravel().tolist():
             ok = ok and 0.0 <= p <= 1.0 and abs(p * 50 - round(p * 50)) < 1e-9
     check(8, f"{len(MALFORMED_REPLIES)}-reply malformed corpus, run completes", ok)
 
@@ -268,8 +268,7 @@ def test_criterion_9_structural_invariants():
         for record in result.month_records:
             ok = ok and record.inventory >= 0.0
             ok = ok and 0.0 <= record.metrics.equality <= (n - 1) / n + 1e-12
-        for row in result.household_rows:
-            ok = ok and row.savings >= 0.0
+        ok = ok and bool((result.households["savings"] >= 0.0).all())
         for annual in result.annual_records:
             ok = ok and 0.0 <= annual.unemployment <= 1.0
     check(9, "inventory/savings/equality/unemployment invariants over 5 seeds", ok)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from taxsim.config import (
     load_config,
     save_config,
 )
+from taxsim.simulation import run
 
 
 class TestValidation:
@@ -34,6 +36,27 @@ class TestValidation:
         config = SimConfig(**overrides)
         with pytest.raises(ConfigError):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "key,data",
+        [
+            ("initial.wage_median", {"initial": {"wage_median": 0}}),
+            ("initial.savings_median", {"initial": {"savings_median": -1}}),
+            ("initial.wage_sigma", {"initial": {"wage_sigma": -1}}),
+            ("months", {"months": "12"}),
+            ("n_households", {"n_households": 2.5}),
+            ("seed", {"seed": -1}),
+            ("initial.inventory", {"initial": {"inventory": -5}}),
+            ("seed", {"seed": True}),
+            ("productivity", {"productivity": float("nan")}),
+        ],
+    )
+    def test_bad_file_values_rejected_before_running(self, key, data):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            run(config_from_dict(data))
+
+    def test_int_accepted_for_a_float_field(self):
+        config_from_dict({"productivity": 2, "initial": {"wage_median": 30}}).validate()
 
 
 class TestSerialization:

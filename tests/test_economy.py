@@ -1,35 +1,43 @@
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_cent_schedule, tax_by_cent_integration
+from helpers import (
+    bracket_loop_tax,
+    decimal_quantize,
+    random_cent_schedule,
+    sequential_consumption,
+    tax_by_cent_integration,
+)
 from taxsim.economy import (
     AdjustmentParams,
-    HouseholdState,
     MarketState,
-    Persona,
     ScheduleError,
     TaxSchedule,
-    accrue_interest,
     adjust_wages_and_price,
     apply_taxation,
     compute_mismatch,
     compute_tax,
     execute_consumption,
-    plan_demand,
     produce,
     quantize_fraction,
+    sequential_sum,
     update_interest_rate,
 )
+from taxsim.policies import DEFAULT_BRACKETS, SaezParams, saez_schedule
 
-PERSONA = Persona("Test Person", 40, "Springfield, Illinois", "Clerk")
 
-
-def make_household(i=0, wage=10.0, savings=1000.0, **kwargs):
-    return HouseholdState(id=i, persona=PERSONA, hourly_wage=wage, savings=savings, **kwargs)
+def assert_bits_equal(got, want):
+    """Equal as IEEE doubles, bit for bit: -0.0 differs from 0.0."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- schedules
@@ -62,32 +70,29 @@ class TestTaxSchedule:
 
 class TestProduce:
     def test_supply_from_two_of_three_workers(self):
-        households = [make_household(i) for i in range(3)]
-        households[0].employed = 1
-        households[1].employed = 0
-        households[2].employed = 1
+        employed = np.array([1, 0, 1])
         market = MarketState(price=100.0, productivity=1.0)
-        supply, incomes = produce(households, market)
+        before = market.inventory
+        incomes = produce(employed, np.full(3, 10.0), market)
+        supply = market.inventory - before
         assert supply == 336.0
         assert market.inventory == 336.0
-        assert market.last_supply == 336.0
         assert incomes[1] == 0.0
 
     def test_no_workers_leaves_inventory_unchanged(self):
-        households = [make_household(i) for i in range(3)]
         market = MarketState(price=100.0, inventory=5.0)
-        supply, incomes = produce(households, market)
+        before = market.inventory
+        incomes = produce(np.zeros(3, dtype=int), np.full(3, 10.0), market)
+        supply = market.inventory - before
         assert supply == 0.0
         assert market.inventory == 5.0
-        assert incomes == [0.0, 0.0, 0.0]
+        assert incomes.tolist() == [0.0, 0.0, 0.0]
 
     def test_monthly_income_is_hours_times_wage(self):
-        hh = make_household(wage=3.376)
-        hh.employed = 1
         market = MarketState(price=100.0)
-        produce([hh], market)
-        assert hh.pretax_income == pytest.approx(567.17, abs=0.01)
-        assert hh.pretax_income == pytest.approx(168 * 3.376)
+        (income,) = produce(np.array([1]), np.array([3.376]), market)
+        assert income == pytest.approx(567.17, abs=0.01)
+        assert income == pytest.approx(168 * 3.376)
 
 
 # ----------------------------------------------------------------- taxation
@@ -149,8 +154,8 @@ class TestApplyTaxation:
         schedule = TaxSchedule((0.0, 100.0), (0.0, 0.0))
         incomes = [12.5, 900.0, 0.0]
         posttax, taxes, redistribution = apply_taxation(schedule, incomes)
-        assert posttax == incomes
-        assert taxes == [0.0, 0.0, 0.0]
+        assert posttax.tolist() == incomes
+        assert taxes.tolist() == [0.0, 0.0, 0.0]
         assert redistribution == 0.0
 
     def test_equal_incomes_stay_equal(self, federal_schedule):
@@ -188,59 +193,55 @@ class TestApplyTaxation:
 # -------------------------------------------------------------- consumption
 
 
+def consume(savings, propensities, price, inventory, seed=0):
+    """One consumption round; returns (spent, savings after, market, demand)."""
+    savings = np.asarray(savings, dtype=float)
+    market = MarketState(price=price, inventory=inventory)
+    spent, demand = execute_consumption(
+        savings, np.asarray(propensities, dtype=float), market, np.random.default_rng(seed)
+    )
+    return spent, savings - spent, market, demand
+
+
 class TestDemandAndConsumption:
     def test_planned_demand(self):
-        hh = make_household(savings=1000.0)
-        hh.consumption_propensity = 0.5
-        assert plan_demand(hh, 126.78) == pytest.approx(3.9439, abs=1e-4)
+        _, _, _, demand = consume([1000.0], [0.5], 126.78, 1e6)
+        assert demand == pytest.approx(3.9439, abs=1e-4)
 
     def test_zero_propensity_zero_demand(self):
-        hh = make_household(savings=1000.0)
-        hh.consumption_propensity = 0.0
-        assert plan_demand(hh, 100.0) == 0.0
+        _, _, _, demand = consume([1000.0], [0.0], 100.0, 1e6)
+        assert demand == 0.0
 
     def test_zero_savings_zero_demand(self):
-        hh = make_household(savings=0.0)
-        hh.consumption_propensity = 0.5
-        assert plan_demand(hh, 100.0) == 0.0
+        _, _, _, demand = consume([0.0], [0.5], 100.0, 1e6)
+        assert demand == 0.0
 
     def test_consumption_bounded_by_inventory(self):
-        hh = make_household(savings=1000.0)
-        hh.consumption_propensity = 0.5
-        market = MarketState(price=126.78, inventory=2.0)
-        spent, demand = execute_consumption([hh], market, np.random.default_rng(0))
+        spent, savings, market, demand = consume([1000.0], [0.5], 126.78, 2.0)
         assert demand == pytest.approx(3.9439, abs=1e-4)
         assert spent[0] == pytest.approx(253.56)
         assert market.inventory == 0.0
-        assert hh.savings == pytest.approx(1000.0 - 253.56)
+        assert savings[0] == pytest.approx(1000.0 - 253.56)
 
     def test_empty_inventory_changes_nothing(self):
-        hh = make_household(savings=500.0)
-        hh.consumption_propensity = 0.8
-        market = MarketState(price=10.0, inventory=0.0)
-        spent, _ = execute_consumption([hh], market, np.random.default_rng(0))
-        assert spent == [0.0]
-        assert hh.savings == 500.0
+        spent, savings, _, _ = consume([500.0], [0.8], 10.0, 0.0)
+        assert spent.tolist() == [0.0]
+        assert savings[0] == 500.0
 
     def test_identical_households_consume_identically_when_supplied(self):
-        market = MarketState(price=10.0, inventory=1e6)
-        a, b = make_household(0, savings=400.0), make_household(1, savings=400.0)
-        a.consumption_propensity = b.consumption_propensity = 0.5
-        spent, _ = execute_consumption([a, b], market, np.random.default_rng(7))
+        spent, savings, _, _ = consume([400.0, 400.0], [0.5, 0.5], 10.0, 1e6, seed=7)
         assert spent[0] == spent[1]
-        assert a.savings == b.savings
+        assert savings[0] == savings[1]
 
     def test_total_consumed_never_exceeds_starting_inventory(self):
         rng = np.random.default_rng(3)
-        households = [make_household(i, savings=float(s)) for i, s in enumerate(rng.uniform(0, 5000, 20))]
-        for hh in households:
-            hh.consumption_propensity = 0.9
+        savings = rng.uniform(0, 5000, 20)
         market = MarketState(price=50.0, inventory=30.0)
         before = market.inventory
-        spent, _ = execute_consumption(households, market, rng)
+        spent, _ = execute_consumption(savings, np.full(20, 0.9), market, rng)
         assert market.inventory >= 0.0
         assert sum(spent) / market.price <= before + 1e-9
-        assert all(hh.savings >= 0.0 for hh in households)
+        assert all(s >= 0.0 for s in savings - spent)
 
 
 class TestMismatch:
@@ -265,18 +266,19 @@ class TestMismatch:
 
 class TestAdjustWagesAndPrice:
     def test_zero_mismatch_changes_nothing(self):
-        households = [make_household(i, wage=12.0) for i in range(4)]
         market = MarketState(price=100.0)
-        adjust_wages_and_price(households, market, 0.0, AdjustmentParams(), np.random.default_rng(0))
-        assert all(hh.hourly_wage == 12.0 for hh in households)
+        wages = adjust_wages_and_price(
+            np.full(4, 12.0), market, 0.0, AdjustmentParams(), np.random.default_rng(0)
+        )
+        assert all(w == 12.0 for w in wages)
         assert market.price == 100.0
 
     def test_wage_multipliers_bounded_over_many_draws(self):
         params = AdjustmentParams(max_wage_step=0.1)
-        households = [make_household(i, wage=1.0) for i in range(10_000)]
         market = MarketState(price=100.0)
-        adjust_wages_and_price(households, market, 0.5, params, np.random.default_rng(1))
-        wages = np.array([hh.hourly_wage for hh in households])
+        wages = adjust_wages_and_price(
+            np.ones(10_000), market, 0.5, params, np.random.default_rng(1)
+        )
         assert wages.min() >= 1.0
         assert wages.max() <= 1.05
 
@@ -285,34 +287,16 @@ class TestAdjustWagesAndPrice:
         rng = np.random.default_rng(2)
         for _ in range(10_000):
             market = MarketState(price=1.0)
-            adjust_wages_and_price([], market, -0.5, params, rng)
+            adjust_wages_and_price(np.empty(0), market, -0.5, params, rng)
             assert 0.9 <= market.price <= 1.0
 
     def test_sign_follows_mismatch(self):
         params = AdjustmentParams()
         rng = np.random.default_rng(5)
-        households = [make_household(i, wage=10.0) for i in range(50)]
         market = MarketState(price=100.0)
-        adjust_wages_and_price(households, market, -0.8, params, rng)
-        assert all(hh.hourly_wage <= 10.0 for hh in households)
+        wages = adjust_wages_and_price(np.full(50, 10.0), market, -0.8, params, rng)
+        assert all(w <= 10.0 for w in wages)
         assert market.price <= 100.0
-
-
-class TestInterest:
-    def test_annual_accrual(self):
-        hh = make_household(savings=13072.25)
-        accrue_interest([hh], 0.03)
-        assert hh.savings == pytest.approx(13464.42, abs=0.005)
-
-    def test_zero_rate_no_change(self):
-        hh = make_household(savings=500.0)
-        accrue_interest([hh], 0.0)
-        assert hh.savings == 500.0
-
-    def test_zero_savings_stay_zero(self):
-        hh = make_household(savings=0.0)
-        accrue_interest([hh], 0.05)
-        assert hh.savings == 0.0
 
 
 class TestTaylorRule:
@@ -372,3 +356,128 @@ class TestQuantizeFraction:
         snapped = quantize_fraction(raw)
         assert 0.0 <= snapped <= 1.0
         assert abs(snapped * 50 - round(snapped * 50)) < 1e-9
+
+
+# ------------------------------------------- columnar kernels vs loops
+
+
+def grid_midpoint_corpus(step: str) -> np.ndarray:
+    """Every decimal midpoint of the grid as its nearest float, with both
+    float neighbours, plus hand-picked ties and values off the grid."""
+    quantum = Decimal(step)
+    count = int(Decimal(1) / quantum)
+    midpoints = np.array([float((2 * k + 1) * quantum / 2) for k in range(count)])
+    ties = [0.01, 0.03, 0.83, 0.125, 0.0, -0.0, 1.0, -1e-300, -0.3, 1.7, 1e308, -1e308]
+    return np.concatenate(
+        (
+            midpoints,
+            np.nextafter(midpoints, np.inf),
+            np.nextafter(midpoints, -np.inf),
+            ties,
+        )
+    )
+
+
+class TestQuantizeMatchesDecimal:
+    @pytest.mark.parametrize("step", ["0.02", "0.01"])
+    def test_midpoints_neighbours_and_ties(self, step):
+        corpus = grid_midpoint_corpus(step)
+        assert_bits_equal(
+            quantize_fraction(corpus, step), [decimal_quantize(v, step) for v in corpus]
+        )
+
+    @pytest.mark.parametrize("step", ["0.02", "0.01"])
+    def test_scalars_return_floats(self, step):
+        for value in grid_midpoint_corpus(step).tolist():
+            got = quantize_fraction(value, step)
+            assert type(got) is float
+            assert_bits_equal(got, decimal_quantize(value, step))
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+        step=st.sampled_from(["0.02", "0.01"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_corpus(self, values, step):
+        want = [decimal_quantize(v, step) for v in values]
+        assert_bits_equal(quantize_fraction(np.array(values), step), want)
+        assert_bits_equal([quantize_fraction(v, step) for v in values], want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_an_array_rejected(self, bad):
+        with pytest.raises(ValueError):
+            quantize_fraction(np.array([0.5, bad]))
+        with pytest.raises(ValueError):
+            quantize_fraction(bad, "0.01")
+
+
+def saez_test_schedule() -> TaxSchedule:
+    incomes = np.random.default_rng(11).lognormal(np.log(4000.0), 1.0, 500)
+    return saez_schedule(incomes.tolist(), DEFAULT_BRACKETS, SaezParams())
+
+
+class TestComputeTaxMatchesBracketLoop:
+    @pytest.mark.parametrize("which", ["federal", "saez"])
+    def test_thresholds_neighbours_and_lognormal_incomes(self, which, federal_schedule):
+        schedule = federal_schedule if which == "federal" else saez_test_schedule()
+        thresholds = np.array(schedule.thresholds)
+        incomes = np.concatenate(
+            (
+                [0.0],
+                thresholds,
+                np.nextafter(thresholds, np.inf),
+                np.nextafter(thresholds[1:], -np.inf),
+                np.random.default_rng(0).lognormal(np.log(4000.0), 1.2, 2000),
+            )
+        )
+        want = [bracket_loop_tax(schedule, z) for z in incomes.tolist()]
+        assert_bits_equal(compute_tax(schedule, incomes), want)
+        for z, expected in zip(incomes.tolist(), want):
+            assert_bits_equal(compute_tax(schedule, z), expected)
+
+    def test_zero_income_in_an_array_pays_zero(self, federal_schedule):
+        assert compute_tax(federal_schedule, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_negative_income_in_an_array_rejected(self, federal_schedule):
+        with pytest.raises(ValueError):
+            compute_tax(federal_schedule, np.array([100.0, -1.0]))
+
+
+class TestConsumptionMatchesSequentialLoop:
+    def check(self, savings, propensities, price, inventory, seed):
+        spent, after, market, demand = consume(savings, propensities, price, inventory, seed)
+        ref_spent, ref_after, ref_inventory, ref_demand = sequential_consumption(
+            savings, propensities, price, inventory, np.random.default_rng(seed)
+        )
+        assert_bits_equal(spent, ref_spent)
+        assert_bits_equal(after, ref_after)
+        assert_bits_equal(market.inventory, ref_inventory)
+        assert_bits_equal(demand, ref_demand)
+        return spent
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_inventory_below_total_demand(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(1, 60))
+        savings = rng.lognormal(np.log(50_000.0), 0.6, n)
+        propensities = rng.integers(0, 51, n) * 0.02
+        price = float(rng.uniform(50.0, 200.0))
+        total = sequential_sum(propensities * savings / price)
+        inventory = float(total * rng.uniform(0.0, 1.2))
+        self.check(savings, propensities, price, inventory, seed)
+
+    def test_buyer_demand_equal_to_remaining_inventory(self):
+        # Dyadic values keep the arithmetic exact: the third buyer in the
+        # shuffled order wants exactly what the first two leave.
+        savings = np.array([64.0, 32.0, 16.0, 8.0, 4.0, 2.0])
+        propensities = np.full(6, 0.5)
+        order = np.random.default_rng(9).permutation(6)
+        inventory = float(sum(0.5 * savings[i] for i in order[:3]))
+        spent = self.check(savings, propensities, 1.0, inventory, seed=9)
+        assert spent[order[2]] == 0.5 * savings[order[2]]
+        assert all(spent[i] == 0.0 for i in order[3:])
+
+    def test_sequential_sum_is_left_to_right(self):
+        assert sequential_sum([0.1] * 10) == 0.9999999999999999
+        assert sequential_sum(np.array([1e16, 1.0, -1e16])) == 0.0
+        assert sequential_sum([]) == 0.0

@@ -123,7 +123,7 @@ def test_scripted_and_replay_runs_stay_on_the_calling_thread():
     replies = [f'{{"work": {w:.2f}, "consumption": 0.5}}' for w in works]
     gateway = ThreadLoggingGateway("scripted", scripted_replies=replies)
     result = run(config, gateway=gateway)
-    assert [row.work_propensity for row in result.household_rows] == pytest.approx(works)
+    assert result.households["work_propensity"][0].tolist() == pytest.approx(works)
     assert set(gateway.threads) == {threading.get_ident()}
 
     gateway = ThreadLoggingGateway(

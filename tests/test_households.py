@@ -16,7 +16,6 @@ from taxsim.households import (
     LLMBackend,
     MemoryEntry,
     MemoryPool,
-    RuleBasedBackend,
     build_household_prompt,
     build_reflection_prompt,
     decide,
@@ -137,6 +136,15 @@ class TestParseDecisionReply:
             assert abs(p * 50 - round(p * 50)) < 1e-9
 
 
+def rule_decision(ctx: DecisionContext) -> Decision:
+    """The rule-based decision for one household's context."""
+    return Decision(
+        *rule_based_decide(
+            ctx.current_schedule, ctx.expected_income, ctx.savings, ctx.average_price
+        )
+    )
+
+
 class TestRuleBasedDecide:
     def test_zero_tax_case(self):
         ctx = context(
@@ -145,14 +153,14 @@ class TestRuleBasedDecide:
             savings=0.0,
             average_price=100.0,
         )
-        decision = rule_based_decide(ctx)
+        decision = rule_decision(ctx)
         assert decision.work_propensity == 1.0
         assert decision.consumption_propensity == pytest.approx(0.3)
 
     def test_full_confiscation_floors_work(self):
         flat_100 = TaxSchedule((0.0, 100.0), (1.0, 1.0))
         ctx = context(current_schedule=flat_100, expected_income=1000.0)
-        assert rule_based_decide(ctx).work_propensity == pytest.approx(0.2)
+        assert rule_decision(ctx).work_propensity == pytest.approx(0.2)
 
     def test_large_savings_target_subsistence_consumption(self):
         ctx = context(
@@ -161,7 +169,7 @@ class TestRuleBasedDecide:
             savings=15_000.0,
             average_price=100.0,
         )
-        decision = rule_based_decide(ctx)
+        decision = rule_decision(ctx)
         assert decision.consumption_propensity == pytest.approx(0.02)
         # the implied spend is about three units of the good
         assert decision.consumption_propensity * ctx.savings == pytest.approx(
@@ -169,14 +177,14 @@ class TestRuleBasedDecide:
         )
 
     def test_deterministic(self):
-        assert rule_based_decide(context()) == rule_based_decide(context())
+        assert rule_decision(context()) == rule_decision(context())
 
     def test_work_nonincreasing_in_tax_burden(self):
         last = 1.0
         for top in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
             schedule = TaxSchedule((0.0,), (top,))
             ctx = context(current_schedule=schedule, expected_income=2000.0)
-            work = rule_based_decide(ctx).work_propensity
+            work = rule_decision(ctx).work_propensity
             assert work <= last + 1e-12
             last = work
 
@@ -246,10 +254,7 @@ def make_memory(months=3) -> MemoryPool:
 
 class TestReflect:
     def test_empty_memory_gives_empty_note(self):
-        assert reflect(RuleBasedBackend(), MemoryPool()) == ""
-
-    def test_rule_based_note_is_constant(self):
-        assert reflect(RuleBasedBackend(), make_memory()) == "baseline reflection"
+        assert reflect(LLMBackend(scripted_gateway([])), MemoryPool()) == ""
 
     def test_scripted_note_passes_through_verbatim(self):
         backend = LLMBackend(scripted_gateway(["save more when prices rise"]))

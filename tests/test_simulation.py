@@ -146,18 +146,14 @@ class TestInvariants:
             assert record.inventory >= 0.0
             assert record.interest_rate >= 0.0
             assert 0.0 <= record.metrics.equality <= (n - 1) / n + 1e-12
-        for row in result.household_rows:
-            assert row.savings >= 0.0
+        assert (result.households["savings"] >= 0.0).all()
         for annual in result.annual_records:
             assert 0.0 <= annual.unemployment <= 1.0
 
     def test_metrics_recomputable_from_household_rows(self):
         result = run(SMALL)
-        by_month: dict[int, list[float]] = {}
-        for row in result.household_rows:
-            by_month.setdefault(row.month, []).append(row.savings)
         for record in result.month_records:
-            wealth = by_month[record.month]
+            wealth = result.households["savings"][record.month - 1].tolist()
             assert metrics.gini(wealth) == record.metrics.gini
             assert metrics.equality(wealth) == record.metrics.equality
             assert metrics.productivity(wealth) == record.metrics.productivity
@@ -211,9 +207,8 @@ class TestGatewayUsage:
         assert len(result.month_records) == 6
         for record in result.month_records:
             assert record.rates == US_FEDERAL_RATES  # fallback keeps the bootstrap
-        for row in result.household_rows:
-            assert row.work_propensity == 0.6  # documented fallback decision
-            assert row.consumption_propensity == 0.4
+        assert (result.households["work_propensity"] == 0.6).all()  # documented fallback
+        assert (result.households["consumption_propensity"] == 0.4).all()
 
 
 class TestCompare:
