@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,25 @@ class TestCompareCommand:
         assert len(lines) == 5  # header + 2 systems x 2 seeds
         printed = capsys.readouterr().out
         assert "per-system mean final social outcome" in printed
+
+    def test_comparison_csv_matches_golden_digest(self, tmp_path, capsys):
+        # The sha256 of comparison.csv and the printed means for three
+        # systems x two seeds at N=50 x 120; never re-bless them to make a
+        # change pass.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_households": 50, "months": 120}))
+        out = tmp_path / "cmp"
+        argv = ["compare", "--config", str(config), "--systems", "free,us_federal,saez"]
+        assert main(argv + ["--seeds", "0,1", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest()
+        assert digest == "ea8e3733ee7de4c57372e03c5f040908354a4bbbe219b85f179999c5ecb2c7ee"
+        printed = capsys.readouterr().out.splitlines()
+        means = printed[printed.index("per-system mean final social outcome:") + 1 :][:3]
+        assert means == [
+            "  free         188039.666172",
+            "  us_federal   182793.940563",
+            "  saez         118329.474480",
+        ]
 
     def test_empty_systems_rejected(self, small_config):
         assert main(
