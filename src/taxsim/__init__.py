@@ -21,13 +21,12 @@ from taxsim.metrics import equality, gini, productivity, social_outcome
 from taxsim.policies import (
     DEFAULT_BRACKETS,
     US_FEDERAL_RATES,
-    FreeMarketPolicy,
+    FixedPolicy,
     PolicyObservation,
     SaezOptimalPolicy,
     SaezParams,
     TaxAgentConfig,
     TaxAgentPolicy,
-    USFederalPolicy,
     saez_schedule,
 )
 from taxsim.simulation import SimulationResult, compare, run, sweep
@@ -41,7 +40,7 @@ __all__ = [
     "DEFAULT_BRACKETS",
     "Decision",
     "DecisionContext",
-    "FreeMarketPolicy",
+    "FixedPolicy",
     "GatewayConfig",
     "InitialConditions",
     "LLMBackend",
@@ -55,7 +54,6 @@ __all__ = [
     "TaxAgentConfig",
     "TaxAgentPolicy",
     "TaxSchedule",
-    "USFederalPolicy",
     "US_FEDERAL_RATES",
     "apply_taxation",
     "compare",

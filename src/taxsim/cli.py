@@ -4,13 +4,12 @@ or replay a recorded LLM experiment offline."""
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from taxsim.config import TAX_SYSTEMS, SimConfig, load_config
-from taxsim.simulation import ComparisonRow, run, sweep
+from taxsim.simulation import ComparisonResult, run, sweep
 
 
 def _load_or_default(config_path: str | None) -> SimConfig:
@@ -42,19 +41,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not systems or not seeds:
         print("compare needs at least one system and one seed", file=sys.stderr)
         return 2
-    rows = sweep(config, systems, seeds)
+    result = ComparisonResult(sweep(config, systems, seeds))
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_comparison_csv(out / "comparison.csv", rows)
+    result.write_csv(out / "comparison.csv")
     print(f"{'system':<12} {'seed':>6} {'social_outcome':>16}")
-    for row in rows:
+    for row in result.rows:
         print(f"{row.tax_system:<12} {row.seed:>6} {row.final_social_outcome:>16.6f}")
-    by_system: dict[str, list[float]] = {}
-    for row in rows:
-        by_system.setdefault(row.tax_system, []).append(row.final_social_outcome)
     print("per-system mean final social outcome:")
-    for system, values in by_system.items():
-        print(f"  {system:<12} {sum(values) / len(values):.6f}")
+    for system, mean in result.mean_social_outcomes().items():
+        print(f"  {system:<12} {mean:.6f}")
     print(f"wrote {out / 'comparison.csv'}")
     return 0
 
@@ -72,32 +68,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"replayed {config.months} months from {args.cache}")
     print(f"wrote {out / 'monthly.csv'}")
     return 0
-
-
-def _write_comparison_csv(path: Path, rows: list[ComparisonRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "tax_system",
-                "seed",
-                "final_gini",
-                "final_equality",
-                "final_productivity",
-                "final_social_outcome",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.tax_system,
-                    row.seed,
-                    f"{row.final_gini:.6f}",
-                    f"{row.final_equality:.6f}",
-                    f"{row.final_productivity:.6f}",
-                    f"{row.final_social_outcome:.6f}",
-                ]
-            )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -116,12 +115,6 @@ class MemoryPool:
 
     def __bool__(self) -> bool:
         return bool(self.entries)
-
-
-class HouseholdBackend(Protocol):
-    def decide(self, context: DecisionContext) -> Decision: ...
-
-    def reflect(self, memory: MemoryPool) -> str: ...
 
 
 def build_household_prompt(context: DecisionContext) -> str:
@@ -304,21 +297,21 @@ class LLMBackend:
 
 
 def decide(
-    backend: HouseholdBackend,
+    backend: LLMBackend,
     context: DecisionContext,
     fallback: Decision = DEFAULT_DECISION,
 ) -> Decision:
-    """Total decision step: backend output is re-snapped onto the grid, and
-    any decision/transport failure yields the fallback (the household's
-    previous decision, or the documented month-0 default)."""
+    """Total decision step: the backend's parsed decision, or on any
+    decision/transport failure the fallback (the household's previous
+    decision, or the documented month-0 default). Both are on the grid
+    already: the parser snaps every reply."""
     try:
-        raw = backend.decide(context)
+        return backend.decide(context)
     except (DecisionError, TransportError):
-        raw = fallback
-    return Decision.snapped(raw.work_propensity, raw.consumption_propensity)
+        return fallback
 
 
-def reflect(backend: HouseholdBackend, memory: MemoryPool, previous: str = "") -> str:
+def reflect(backend: LLMBackend, memory: MemoryPool, previous: str = "") -> str:
     """Total reflection step: empty memory yields an empty note, and any
     transport failure keeps the previous note."""
     if not memory:

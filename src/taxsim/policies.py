@@ -1,11 +1,12 @@
 """Government-side tax policies.
 
-Four interchangeable implementations of one interface: propose a full
-bracketed schedule from an observation of the economy. The bracket
-thresholds are fixed for a whole run; policies only move the rates.
+Three implementations of one ``TaxPolicy`` protocol: propose a full
+bracketed schedule from an observation of the economy. Every policy uses
+the ``DEFAULT_BRACKETS`` thresholds; policies only move the rates.
 
-  FreeMarketPolicy  - zero rates everywhere.
-  USFederalPolicy   - the fixed seven federal marginal rates.
+  FixedPolicy       - one schedule, never adjusted: zero rates for the free
+                      market (``free_market_schedule``), the seven federal
+                      marginal rates (``us_federal_schedule``).
   SaezOptimalPolicy - elasticity-based optimal rates re-estimated from the
                       current income distribution each period.
   TaxAgentPolicy    - an LLM planner prompted with incomes, wealth, and the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -42,12 +43,12 @@ class TaxReplyParseError(ValueError):
     """The planner reply contained no well-formed list of seven rates."""
 
 
-def free_market_schedule(brackets: Sequence[float] = DEFAULT_BRACKETS) -> TaxSchedule:
-    return TaxSchedule(tuple(brackets), (0.0,) * len(brackets))
+def free_market_schedule() -> TaxSchedule:
+    return TaxSchedule(DEFAULT_BRACKETS, (0.0,) * len(DEFAULT_BRACKETS))
 
 
-def us_federal_schedule(brackets: Sequence[float] = DEFAULT_BRACKETS) -> TaxSchedule:
-    return TaxSchedule(tuple(brackets), US_FEDERAL_RATES)
+def us_federal_schedule() -> TaxSchedule:
+    return TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES)
 
 
 @dataclass(frozen=True)
@@ -84,19 +85,14 @@ class PolicyObservation:
 class SaezParams:
     """Inputs to the optimal-rate formulas. ``elasticity`` doubles as the
     top-bracket uncompensated elasticity. ``tail_threshold`` of None means
-    the schedule's own top threshold; ``density_bandwidth`` is reserved for
-    a kernel density variant (the default estimator is a bracket
-    histogram)."""
+    the schedule's own top threshold."""
 
     elasticity: float = 0.25
-    density_bandwidth: float = 1000.0
     tail_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.elasticity < 0:
             raise ValueError("elasticity must be >= 0")
-        if self.density_bandwidth <= 0:
-            raise ValueError("density_bandwidth must be > 0")
         if self.tail_threshold is not None and self.tail_threshold <= 0:
             raise ValueError("tail_threshold must be > 0")
 
@@ -202,13 +198,11 @@ def saez_schedule(
     return TaxSchedule(brackets, tuple(rates))
 
 
-def build_tax_prompt(
-    observation: PolicyObservation, brackets: Sequence[float] = DEFAULT_BRACKETS
-) -> str:
+def build_tax_prompt(observation: PolicyObservation) -> str:
     """Render the planner prompt: fixed brackets, last month's incomes and
     current wealth, the past schedules, and the metric histories, ending
     with the JSON list-of-seven instruction."""
-    bracket_text = "[" + ", ".join(f"{b:.2f}" for b in brackets) + "]"
+    bracket_text = "[" + ", ".join(f"{b:.2f}" for b in DEFAULT_BRACKETS) + "]"
     income_text = "[" + ", ".join(str(round(z, 2)) for z in observation.incomes) + "]"
     wealth_text = "[" + ", ".join(str(round(w, 2)) for w in observation.wealth) + "]"
     schedule_text = "[(" + str(
@@ -261,79 +255,53 @@ def parse_tax_reply(text: str) -> tuple[float, ...]:
     raise TaxReplyParseError("reply contains no list of seven rates")
 
 
-class TaxPolicy:
-    """Interface: map an observation to a full, valid TaxSchedule over the
-    policy's fixed brackets."""
+class TaxPolicy(Protocol):
+    """Maps an observation to a full, valid TaxSchedule over
+    ``DEFAULT_BRACKETS``."""
 
-    brackets: tuple[float, ...] = DEFAULT_BRACKETS
-
-    def propose(self, observation: PolicyObservation) -> TaxSchedule:
-        raise NotImplementedError
+    def propose(self, observation: PolicyObservation) -> TaxSchedule: ...
 
 
-class FreeMarketPolicy(TaxPolicy):
-    """No taxation, no redistribution: every rate is zero."""
+@dataclass(frozen=True)
+class FixedPolicy:
+    """One schedule, proposed every period and never adjusted."""
 
-    def __init__(self, brackets: Sequence[float] = DEFAULT_BRACKETS) -> None:
-        self.brackets = tuple(brackets)
-        self._schedule = free_market_schedule(self.brackets)
+    schedule: TaxSchedule
 
     def propose(self, observation: PolicyObservation) -> TaxSchedule:
-        return self._schedule
+        return self.schedule
 
 
-class USFederalPolicy(TaxPolicy):
-    """The fixed federal marginal rates, never adjusted."""
-
-    def __init__(self, brackets: Sequence[float] = DEFAULT_BRACKETS) -> None:
-        self.brackets = tuple(brackets)
-        self._schedule = us_federal_schedule(self.brackets)
-
-    def propose(self, observation: PolicyObservation) -> TaxSchedule:
-        return self._schedule
-
-
-class SaezOptimalPolicy(TaxPolicy):
+class SaezOptimalPolicy:
     """Re-derives optimal rates from the observed income distribution; any
     estimation failure keeps the previous schedule."""
 
-    def __init__(
-        self,
-        params: SaezParams | None = None,
-        brackets: Sequence[float] = DEFAULT_BRACKETS,
-    ) -> None:
+    def __init__(self, params: SaezParams | None = None) -> None:
         self.params = params or SaezParams()
-        self.brackets = tuple(brackets)
 
     def propose(self, observation: PolicyObservation) -> TaxSchedule:
         previous = observation.previous_schedule()
         try:
             return saez_schedule(
-                observation.incomes, self.brackets, self.params, previous=previous
+                observation.incomes, DEFAULT_BRACKETS, self.params, previous=previous
             )
         except (DegenerateIncomesError, EmptyTailError):
             return previous
 
 
-class TaxAgentPolicy(TaxPolicy):
+class TaxAgentPolicy:
     """LLM-backed planner. Retries up to ``max_retries`` total attempts on
     parse or transport failures, then keeps the previous schedule; a replay
     cache miss is fatal and propagates."""
 
-    def __init__(
-        self,
-        gateway: ChatGateway,
-        config: TaxAgentConfig | None = None,
-        brackets: Sequence[float] = DEFAULT_BRACKETS,
-    ) -> None:
+    def __init__(self, gateway: ChatGateway, config: TaxAgentConfig | None = None) -> None:
         self.gateway = gateway
         self.config = config or TaxAgentConfig()
-        self.brackets = tuple(brackets)
 
     def propose(self, observation: PolicyObservation) -> TaxSchedule:
         request = ChatRequest(
             model_id=self.config.model_id,
-            prompt=build_tax_prompt(observation, self.brackets),
+            prompt=build_tax_prompt(observation),
             temperature=self.config.temperature,
             max_tokens=self.config.max_tokens,
         )
@@ -342,5 +310,5 @@ class TaxAgentPolicy(TaxPolicy):
                 rates = parse_tax_reply(self.gateway.complete(request))
             except (TaxReplyParseError, TransportError):
                 continue
-            return TaxSchedule(self.brackets, rates)
+            return TaxSchedule(DEFAULT_BRACKETS, rates)
         return observation.previous_schedule()

@@ -36,15 +36,14 @@ scripted runs call households one by one on the calling thread.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,12 +79,11 @@ from taxsim.households import (
 from taxsim.metrics import MetricSnapshot
 from taxsim.personas import load_personas, roster_for
 from taxsim.policies import (
-    FreeMarketPolicy,
+    FixedPolicy,
     PolicyObservation,
     SaezOptimalPolicy,
     TaxAgentPolicy,
     TaxPolicy,
-    USFederalPolicy,
     free_market_schedule,
     us_federal_schedule,
 )
@@ -149,10 +147,33 @@ class SimulationResult:
         households.csv under ``out_dir``; numbers carry six decimals."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_monthly_csv(out / "monthly.csv", self.month_records)
-        _write_annual_csv(out / "annual.csv", self.annual_records)
+        # monthly.csv flattens each record's rates and metrics; it leaves out
+        # the month's totals.
+        n_rates = len(self.month_records[0].rates)
+        _write_rows(
+            out / "monthly.csv",
+            ["month", "price", "inventory", "interest_rate"]
+            + [f"rate_{k + 1}" for k in range(n_rates)]
+            + ["gini", "equality", "productivity", "social_outcome"],
+            "%d" + ",%.6f" * (3 + n_rates + 4),
+            (
+                (
+                    r.month, r.price, r.inventory, r.interest_rate, *r.rates,
+                    r.metrics.gini, r.metrics.equality,
+                    r.metrics.productivity, r.metrics.social_outcome,
+                )
+                for r in self.month_records
+            ),
+        )
+        _write_records(out / "annual.csv", AnnualRecord, self.annual_records)
         if self.config.write_households:
-            _write_households_csv(out / "households.csv", self.households)
+            _write_rows(
+                out / "households.csv",
+                ["month", "household_id", *HOUSEHOLD_COLUMNS],
+                "%d,%d,"
+                + ",".join("%d" if c == "employed" else "%.6f" for c in HOUSEHOLD_COLUMNS),
+                _household_rows(self.households),
+            )
         (out / "summary.json").write_text(
             json.dumps(self.summary, indent=2) + "\n", encoding="utf-8"
         )
@@ -178,10 +199,8 @@ def initial_schedule(tax_system: str) -> TaxSchedule:
 
 
 def build_policy(config: SimConfig, gateway: ChatGateway | None) -> TaxPolicy:
-    if config.tax_system == "free":
-        return FreeMarketPolicy()
-    if config.tax_system == "us_federal":
-        return USFederalPolicy()
+    if config.tax_system in ("free", "us_federal"):
+        return FixedPolicy(initial_schedule(config.tax_system))
     if config.tax_system == "saez":
         return SaezOptimalPolicy(config.saez)
     if config.tax_system == "tax_agent":
@@ -485,12 +504,19 @@ class ComparisonResult:
     rows: list[ComparisonRow]
 
     def mean_social_outcomes(self) -> dict[str, float]:
+        """Each system's mean final social outcome, systems in first-seen
+        order."""
         by_system: dict[str, list[float]] = {}
         for row in self.rows:
             by_system.setdefault(row.tax_system, []).append(row.final_social_outcome)
         return {
-            system: float(np.mean(values)) for system, values in by_system.items()
+            system: sequential_sum(values) / len(values)
+            for system, values in by_system.items()
         }
+
+    def write_csv(self, path: str | Path) -> None:
+        """Write comparison.csv: one row per run, numbers with six decimals."""
+        _write_records(Path(path), ComparisonRow, self.rows)
 
 
 def compare(
@@ -543,55 +569,36 @@ def sweep(
     return rows
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+# The number format of every table: ints in full, floats with six decimals.
+_FORMATS = {"int": "%d", "float": "%.6f", "str": "%s"}
 
 
-def _write_monthly_csv(path: Path, records: list[MonthRecord]) -> None:
-    n_rates = len(records[0].rates) if records else 7
-    header = (
-        ["month", "price", "inventory", "interest_rate"]
-        + [f"rate_{k + 1}" for k in range(n_rates)]
-        + ["gini", "equality", "productivity", "social_outcome"]
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow(
-                [rec.month, _fmt(rec.price), _fmt(rec.inventory), _fmt(rec.interest_rate)]
-                + [_fmt(r) for r in rec.rates]
-                + [
-                    _fmt(rec.metrics.gini),
-                    _fmt(rec.metrics.equality),
-                    _fmt(rec.metrics.productivity),
-                    _fmt(rec.metrics.social_outcome),
-                ]
-            )
+def _write_rows(
+    path: Path, header: Sequence[str], row_format: str, rows: Iterable[tuple]
+) -> None:
+    """Write a CSV table: ``header``, then ``row_format % row`` for each row,
+    every line ending in "\\r\\n". No value needs quoting: the only strings
+    are tax system names. Rows are joined 4096 at a time, so a long table
+    never sits in memory whole."""
+    line = row_format + "\r\n"
+    lines = (line % row for row in rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while chunk := "".join(islice(lines, 4096)):
+            fh.write(chunk)
 
 
-def _write_annual_csv(path: Path, records: list[AnnualRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "inflation", "unemployment"])
-        for rec in records:
-            writer.writerow([rec.year, _fmt(rec.inflation), _fmt(rec.unemployment)])
+def _write_records(path: Path, record_type: type, records: Iterable) -> None:
+    """Write dataclass records, one column per field of ``record_type``,
+    each formatted by the field's type."""
+    columns = fields(record_type)
+    row_format = ",".join(_FORMATS[f.type] for f in columns)
+    _write_rows(path, [f.name for f in columns], row_format, map(astuple, records))
 
 
-# One households.csv row; "%.6f" formats as format(v, ".6f") does, and
-# "\r\n" is the line ending csv.writer uses in the other files.
-_HOUSEHOLD_ROW = (
-    "%d,%d,"
-    + ",".join("%d" if name == "employed" else "%.6f" for name in HOUSEHOLD_COLUMNS)
-    + "\r\n"
-)
-
-
-def _write_households_csv(path: Path, households: dict[str, np.ndarray]) -> None:
+def _household_rows(households: dict[str, np.ndarray]) -> Iterator[tuple]:
+    """The households.csv rows: (month, household id, *HOUSEHOLD_COLUMNS)."""
     months, n = households["savings"].shape
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(("month", "household_id", *HOUSEHOLD_COLUMNS)) + "\r\n")
-        for row in range(months):
-            columns = [households[name][row].tolist() for name in HOUSEHOLD_COLUMNS]
-            rows = zip(repeat(row + 1), range(n), *columns)
-            fh.write("".join(_HOUSEHOLD_ROW % values for values in rows))
+    for row in range(months):
+        columns = [households[name][row].tolist() for name in HOUSEHOLD_COLUMNS]
+        yield from zip(repeat(row + 1), range(n), *columns)

@@ -95,13 +95,15 @@ def sequential_consumption(savings, propensities, price, inventory, rng):
 
 
 def pairwise_gini(values) -> float:
-    """Brute-force gini: mean absolute pairwise difference over 2 * N^2 * mean."""
+    """Brute-force gini: absolute pairwise differences summed over
+    2 * N * total, which equals 2 * N^2 * mean without dividing a subnormal
+    total by N (that underflows: [0.0, 5e-324] would give inf)."""
     arr = np.asarray(values, dtype=float)
     total = arr.sum()
     if total == 0:
         return 0.0
     diffs = np.abs(arr[:, None] - arr[None, :]).sum()
-    return float(diffs / (2 * arr.size ** 2 * (total / arr.size)))
+    return float(diffs / (2 * arr.size * total))
 
 
 def oracle_saez_rates(incomes, brackets, elasticity, previous_top=None):

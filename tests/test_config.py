@@ -93,6 +93,10 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=r"adjustment\.'max_wage'"):
             config_from_dict({"adjustment": {"max_wage": 0.1}})
 
+    def test_removed_density_bandwidth_rejected(self):
+        with pytest.raises(ConfigError, match=r"saez\.'density_bandwidth'"):
+            config_from_dict({"saez": {"density_bandwidth": 1000.0}})
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")

@@ -217,17 +217,6 @@ class TestDecide:
         )
         assert decide(backend, context()) == Decision(0.5, 0.5)
 
-    def test_misbehaving_backend_still_yields_grid_values(self):
-        class OffGrid:
-            def decide(self, ctx):
-                return Decision(0.837, 1.9)
-
-            def reflect(self, memory):
-                return ""
-
-        decision = decide(OffGrid(), context())
-        assert decision == Decision(0.84, 1.0)
-
     def test_replay_miss_propagates(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text("")

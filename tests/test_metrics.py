@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import pairwise_gini
@@ -40,6 +40,8 @@ class TestGini:
             gini([1.0, -2.0])
 
     @given(wealth_vectors)
+    @example([0.0, 5e-324])
+    @example([5e-324, 5e-324, 0.0])
     @settings(max_examples=150, deadline=None)
     def test_matches_pairwise_oracle(self, values):
         assert gini(values) == pytest.approx(pairwise_gini(values), abs=1e-9)

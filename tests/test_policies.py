@@ -15,14 +15,13 @@ from taxsim.policies import (
     US_FEDERAL_RATES,
     DegenerateIncomesError,
     EmptyTailError,
-    FreeMarketPolicy,
+    FixedPolicy,
     PolicyObservation,
     SaezOptimalPolicy,
     SaezParams,
     TaxAgentConfig,
     TaxAgentPolicy,
     TaxReplyParseError,
-    USFederalPolicy,
     build_tax_prompt,
     free_market_schedule,
     marginal_rate,
@@ -49,12 +48,14 @@ def observation(incomes=(), wealth=None, schedules=(), prod=(0.0,), eq=(0.0,), m
 
 class TestFixedPolicies:
     def test_free_market_rates_are_all_zero(self):
-        schedule = FreeMarketPolicy().propose(observation(incomes=[1.0], wealth=[1.0]))
+        policy = FixedPolicy(free_market_schedule())
+        schedule = policy.propose(observation(incomes=[1.0], wealth=[1.0]))
         assert schedule.rates == (0.0,) * 7
         assert schedule.thresholds == DEFAULT_BRACKETS
 
     def test_us_federal_rates(self):
-        schedule = USFederalPolicy().propose(observation(incomes=[1.0], wealth=[1.0]))
+        policy = FixedPolicy(us_federal_schedule())
+        schedule = policy.propose(observation(incomes=[1.0], wealth=[1.0]))
         assert schedule.rates == US_FEDERAL_RATES
         assert schedule.thresholds == DEFAULT_BRACKETS
 
@@ -326,7 +327,11 @@ class TestScheduleInvariants:
         incomes = rng.lognormal(8.0, 1.5, 30).tolist()
         obs = observation(incomes=incomes, wealth=incomes,
                           schedules=[us_federal_schedule()])
-        for policy in (FreeMarketPolicy(), USFederalPolicy(), SaezOptimalPolicy()):
+        for policy in (
+            FixedPolicy(free_market_schedule()),
+            FixedPolicy(us_federal_schedule()),
+            SaezOptimalPolicy(),
+        ):
             schedule = policy.propose(obs)
             assert schedule.thresholds == DEFAULT_BRACKETS
             assert all(0.0 <= r <= 1.0 for r in schedule.rates)

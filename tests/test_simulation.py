@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES
@@ -12,6 +13,8 @@ from taxsim.config import ConfigError, SimConfig, load_config
 from taxsim.gateway import ChatGateway
 from taxsim.policies import US_FEDERAL_RATES
 from taxsim.simulation import (
+    ComparisonResult,
+    ComparisonRow,
     compare,
     initial_schedule,
     month_label,
@@ -242,6 +245,27 @@ class TestCompare:
         for row in rows:
             means.setdefault(row.tax_system, []).append(row.final_social_outcome)
         assert set(means) == {"free", "us_federal", "saez", "tax_agent"}
+
+    def test_mean_social_outcomes_add_left_to_right(self):
+        # Nine seeds per system: from eight values up, np.mean's pairwise sum
+        # often differs in the last bit from the left-to-right sum that
+        # CPython 3.11's sum(values) / len(values) computes.
+        rng = np.random.default_rng(0)
+        systems = ("free", "us_federal", "saez")
+        for _ in range(20):
+            outcomes = {system: rng.uniform(5e4, 3e5, 9).tolist() for system in systems}
+            rows = [
+                ComparisonRow(system, seed, 0.0, 0.0, 0.0, outcomes[system][seed])
+                for seed in range(9)
+                for system in systems
+            ]
+            expected = {}
+            for system, values in outcomes.items():
+                total = 0.0
+                for value in values:
+                    total += value
+                expected[system] = total / len(values)
+            assert ComparisonResult(rows).mean_social_outcomes() == expected
 
 
 class TestOutputs:
