@@ -41,7 +41,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -581,8 +581,7 @@ def _write_rows(
     are tax system names. Rows are joined 512 at a time: a long table never
     sits in memory whole, and a chunk of households.csv stays near 50 kB
     (4096 rows a chunk raised peak RSS by 1.4 MiB at 500 households)."""
-    line = row_format + "\r\n"
-    lines = (line % row for row in rows)
+    lines = map((row_format + "\r\n").__mod__, rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         while chunk := "".join(islice(lines, 512)):
@@ -600,6 +599,7 @@ def _write_records(path: Path, record_type: type, records: Iterable) -> None:
 def _household_rows(households: dict[str, np.ndarray]) -> Iterator[tuple]:
     """The households.csv rows: (month, household id, *HOUSEHOLD_COLUMNS)."""
     months, n = households["savings"].shape
-    for row in range(months):
-        columns = [households[name][row].tolist() for name in HOUSEHOLD_COLUMNS]
-        yield from zip(repeat(row + 1), range(n), *columns)
+    return chain.from_iterable(
+        zip(repeat(m + 1), range(n), *(households[c][m].tolist() for c in HOUSEHOLD_COLUMNS))
+        for m in range(months)
+    )
