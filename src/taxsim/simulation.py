@@ -569,7 +569,8 @@ def sweep(
     return rows
 
 
-# The number format of every table: ints in full, floats with six decimals.
+# Column format of a record field by its annotation, which dataclasses keep as
+# a string here (postponed evaluation): ints in full, floats six decimals.
 _FORMATS = {"int": "%d", "float": "%.6f", "str": "%s"}
 
 
