@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from taxsim.config import TAX_SYSTEMS, SimConfig, load_config
+from taxsim.config import TAX_SYSTEMS, ConfigError, SimConfig, load_config
 from taxsim.simulation import ComparisonResult, run, sweep
 
 
@@ -37,10 +37,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_or_default(args.config)
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--seeds takes comma-separated integers, not {args.seeds!r}") from None
     if not systems or not seeds:
-        print("compare needs at least one system and one seed", file=sys.stderr)
-        return 2
+        raise ConfigError("compare needs at least one system and one seed")
     result = ComparisonResult(sweep(config, systems, seeds))
     out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -101,8 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a bad config or argument prints one error line and
+    returns 2, as argparse does for a malformed command line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"taxsim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

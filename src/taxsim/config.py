@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
 from taxsim.economy import AdjustmentParams
+from taxsim.gateway import GATEWAY_MODES
 from taxsim.households import HouseholdLLMConfig
 from taxsim.policies import SaezParams, TaxAgentConfig
 
@@ -39,7 +40,7 @@ class GatewayConfig:
     """How LLM calls are satisfied; "scripted" is injection-only and cannot
     be configured from a file."""
 
-    mode: str = "replay"
+    mode: str = _checked("replay", choices=GATEWAY_MODES)
     endpoint: str = ""
     cache_path: str = ""
     api_key_env: str = "TAXSIM_API_KEY"

@@ -39,11 +39,10 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +86,7 @@ from taxsim.policies import (
     free_market_schedule,
     us_federal_schedule,
 )
+from taxsim.tables import write_records, write_rows, write_tuples
 
 START_YEAR = 2001  # month 1 renders as "2001.01"
 FAN_OUT_WORKERS = 12  # concurrent household LLM calls in live/record runs
@@ -150,29 +150,37 @@ class SimulationResult:
         # monthly.csv flattens each record's rates and metrics; it leaves out
         # the month's totals.
         n_rates = len(self.month_records[0].rates)
-        _write_rows(
+        write_tuples(
             out / "monthly.csv",
             ["month", "price", "inventory", "interest_rate"]
             + [f"rate_{k + 1}" for k in range(n_rates)]
             + ["gini", "equality", "productivity", "social_outcome"],
-            "%d" + ",%.6f" * (3 + n_rates + 4),
-            (
+            ["%d"] + ["%.6f"] * (3 + n_rates + 4),
+            [
                 (
                     r.month, r.price, r.inventory, r.interest_rate, *r.rates,
                     r.metrics.gini, r.metrics.equality,
                     r.metrics.productivity, r.metrics.social_outcome,
                 )
                 for r in self.month_records
-            ),
+            ],
         )
-        _write_records(out / "annual.csv", AnnualRecord, self.annual_records)
+        write_records(out / "annual.csv", AnnualRecord, self.annual_records)
         if self.config.write_households:
-            _write_rows(
+            months, n = self.households["savings"].shape
+            flat = [self.households[c].ravel() for c in HOUSEHOLD_COLUMNS]
+
+            def household_block(start: int, stop: int) -> list[np.ndarray]:
+                # Row r is month r // n + 1, household r % n; values are views.
+                row = np.arange(start, stop)
+                return [row // n + 1, row % n, *(column[start:stop] for column in flat)]
+
+            write_rows(
                 out / "households.csv",
                 ["month", "household_id", *HOUSEHOLD_COLUMNS],
-                "%d,%d,"
-                + ",".join("%d" if c == "employed" else "%.6f" for c in HOUSEHOLD_COLUMNS),
-                _household_rows(self.households),
+                ["%d", "%d", *("%d" if c == "employed" else "%.6f" for c in HOUSEHOLD_COLUMNS)],
+                months * n,
+                household_block,
             )
         (out / "summary.json").write_text(
             json.dumps(self.summary, indent=2) + "\n", encoding="utf-8"
@@ -516,7 +524,7 @@ class ComparisonResult:
 
     def write_csv(self, path: str | Path) -> None:
         """Write comparison.csv: one row per run, numbers with six decimals."""
-        _write_records(Path(path), ComparisonRow, self.rows)
+        write_records(Path(path), ComparisonRow, self.rows)
 
 
 def compare(
@@ -567,40 +575,3 @@ def sweep(
         ]
         rows.extend(compare(configs, gateway_factory=gateway_factory).rows)
     return rows
-
-
-# Column format of a record field by its annotation, which dataclasses keep as
-# a string here (postponed evaluation): ints in full, floats six decimals.
-_FORMATS = {"int": "%d", "float": "%.6f", "str": "%s"}
-
-
-def _write_rows(
-    path: Path, header: Sequence[str], row_format: str, rows: Iterable[tuple]
-) -> None:
-    """Write a CSV table: ``header``, then ``row_format % row`` for each row,
-    every line ending in "\\r\\n". No value needs quoting: the only strings
-    are tax system names. Rows are joined 512 at a time: a long table never
-    sits in memory whole, and a chunk of households.csv stays near 50 kB
-    (4096 rows a chunk raised peak RSS by 1.4 MiB at 500 households)."""
-    lines = map((row_format + "\r\n").__mod__, rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        while chunk := "".join(islice(lines, 512)):
-            fh.write(chunk)
-
-
-def _write_records(path: Path, record_type: type, records: Iterable) -> None:
-    """Write dataclass records, one column per field of ``record_type``,
-    each formatted by the field's type."""
-    columns = fields(record_type)
-    row_format = ",".join(_FORMATS[f.type] for f in columns)
-    _write_rows(path, [f.name for f in columns], row_format, map(astuple, records))
-
-
-def _household_rows(households: dict[str, np.ndarray]) -> Iterator[tuple]:
-    """The households.csv rows: (month, household id, *HOUSEHOLD_COLUMNS)."""
-    months, n = households["savings"].shape
-    return chain.from_iterable(
-        zip(repeat(m + 1), range(n), *(households[c][m].tolist() for c in HOUSEHOLD_COLUMNS))
-        for m in range(months)
-    )

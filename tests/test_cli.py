@@ -50,6 +50,11 @@ class TestRunCommand:
         assert summary["months"] == 5
         assert summary["seed"] == 9
 
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys):
+        assert main(["run", "--months", "0", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "taxsim: error: months must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_without_config(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--months", "3", "--out", str(out)])
@@ -103,6 +108,13 @@ class TestCompareCommand:
         assert main(
             ["compare", "--config", str(small_config), "--systems", "", "--seeds", "1"]
         ) == 2
+
+    def test_bad_seed_list_is_one_error_line(self, small_config, capsys):
+        argv = ["compare", "--config", str(small_config), "--systems", "free", "--seeds", "a"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "taxsim: error: --seeds takes comma-separated integers, not 'a'\n"
+        assert captured.out == ""
 
 
 class TestReplayCommand:

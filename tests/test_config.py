@@ -49,6 +49,7 @@ class TestValidation:
             ("initial.inventory", {"initial": {"inventory": -5}}),
             ("seed", {"seed": True}),
             ("productivity", {"productivity": float("nan")}),
+            ("gateway.mode", {"gateway": {"mode": "bogus"}}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from taxsim.config import ConfigError
 from taxsim.economy import Persona
 from taxsim.personas import load_personas, roster_for
 
@@ -27,8 +28,22 @@ class TestLoadPersonas:
 
     def test_missing_file_raises_with_path(self, tmp_path):
         missing = tmp_path / "nope.json"
-        with pytest.raises(FileNotFoundError, match="nope.json"):
+        with pytest.raises(ConfigError, match=r"persona_path .*nope\.json"):
             load_personas(missing)
+
+    def test_record_without_occupation_names_its_index(self, tmp_path):
+        path = tmp_path / "roster.json"
+        records = [{"name": "Pat Doe", "age": 30, "city": "Reno, Nevada", "occupation": "Baker"}]
+        path.write_text(json.dumps(records + [{"name": "Sam Roe", "age": 41, "city": "Reno"}]))
+        with pytest.raises(ConfigError, match=r"persona_path .*: record 1 has no 'occupation'"):
+            load_personas(path)
+
+    def test_non_integer_age_names_its_index(self, tmp_path):
+        path = tmp_path / "roster.json"
+        record = {"name": "Pat Doe", "age": "thirty", "city": "Reno", "occupation": "Baker"}
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ConfigError, match=r"persona_path .*: record 0: .*'thirty'"):
+            load_personas(path)
 
     def test_empty_roster_rejected(self, tmp_path):
         path = tmp_path / "empty.json"

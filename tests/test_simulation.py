@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import csv
 import itertools
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from helpers import deterministic_reply, panicking_transport, scripted_gateway
+from helpers import OUTPUT_FILES, deterministic_reply, panicking_transport, scripted_gateway
 from taxsim import metrics
 from taxsim.config import ConfigError, SimConfig, load_config
 from taxsim.gateway import ChatGateway
@@ -308,8 +314,26 @@ class TestConfigErrors:
 
     def test_missing_persona_roster_is_fatal(self, tmp_path):
         config = replace(SMALL, persona_path=str(tmp_path / "absent.json"))
-        with pytest.raises(FileNotFoundError, match="persona roster"):
-            run(config)
+        events: list[tuple[int, str]] = []
+        with pytest.raises(ConfigError, match="persona_path"):
+            run(config, event_log=events)
+        assert events == []
+
+    @pytest.mark.parametrize(
+        "record,problem",
+        [
+            ({"name": "Sam Roe", "age": 41, "city": "Reno"}, "has no 'occupation'"),
+            ({"name": "Sam", "age": "thirty", "city": "Reno", "occupation": "Baker"}, "thirty"),
+        ],
+    )
+    def test_bad_persona_record_fails_before_month_1(self, tmp_path, record, problem):
+        good = {"name": "Pat Doe", "age": 30, "city": "Reno", "occupation": "Baker"}
+        path = tmp_path / "roster.json"
+        path.write_text(json.dumps([good, record]))
+        events: list[tuple[int, str]] = []
+        with pytest.raises(ConfigError, match=rf"persona_path .*: record 1\b.*{problem}"):
+            run(replace(SMALL, persona_path=str(path)), event_log=events)
+        assert events == []
 
     def test_replay_miss_is_fatal_not_a_fallback(self, tmp_path):
         from taxsim.gateway import ReplayMissError
@@ -320,3 +344,76 @@ class TestConfigErrors:
         gateway = ChatGateway("replay", cache_path=cache, transport=panicking_transport)
         with pytest.raises(ReplayMissError):
             run(config, gateway=gateway)
+
+
+def read_table(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def assert_whole_run_invariants(config: SimConfig, out: Path, gateway_factory=lambda: None):
+    """Run ``config`` twice, writing under ``out``, and check what the files
+    show: the same bytes both times, every month's budget balanced, savings
+    and inventory never negative, equality within [0, (N-1)/N]."""
+    for name in ("a", "b"):
+        run(config, gateway=gateway_factory()).write_outputs(out / name)
+    for name in OUTPUT_FILES:
+        assert (out / "a" / name).read_bytes() == (out / "b" / name).read_bytes(), name
+    n = config.n_households
+    monthly = read_table(out / "a" / "monthly.csv")
+    assert [int(row["month"]) for row in monthly] == list(range(1, config.months + 1))
+    for row in monthly:
+        assert float(row["inventory"]) >= 0.0
+        assert 0.0 <= float(row["equality"]) <= (n - 1) / n + 1e-6  # six decimals
+    pretax = [0.0] * config.months
+    posttax = [0.0] * config.months
+    for row in read_table(out / "a" / "households.csv"):
+        month = int(row["month"]) - 1
+        assert float(row["savings"]) >= 0.0
+        pretax[month] += float(row["pretax_income"])
+        posttax[month] += float(row["posttax_income"])
+    for pre, post in zip(pretax, posttax):
+        assert abs(post - pre) <= 1e-6 * n + 1e-9 * abs(pre)  # taxes all come back
+
+
+class TestWholeRunProperties:
+    @given(
+        system=st.sampled_from(["free", "us_federal", "saez"]),
+        n=st.integers(1, 8),
+        months=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+        productivity=st.sampled_from([0.005, 0.3, 1.0, 4.0]),
+        adjust=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rule_based_systems(self, system, n, months, seed, productivity, adjust):
+        config = SimConfig(
+            n_households=n,
+            months=months,
+            seed=seed,
+            tax_system=system,
+            productivity=productivity,
+            adjust_period_months=adjust,
+        )
+        with tempfile.TemporaryDirectory() as out:
+            assert_whole_run_invariants(config, Path(out))
+
+    def test_tax_agent_with_scripted_llm_households(self, tmp_path):
+        config = replace(
+            SMALL, n_households=5, months=14, tax_system="tax_agent", household_backend="llm"
+        )
+        rng = np.random.default_rng(8)
+        replies: list[str] = []
+        works: list[float] = []
+        for month in range(1, config.months + 1):
+            if (month - 1) % config.adjust_period_months == 0:
+                replies.append(str([round(r, 2) for r in rng.uniform(0.0, 0.5, 7).tolist()]))
+            for _ in range(config.n_households):
+                work, spend = (0.02 * rng.integers(10, 50, 2)).tolist()
+                works.append(round(work, 2))
+                replies.append(json.dumps({"work": works[-1], "consumption": round(spend, 2)}))
+            if month % config.reflection_period_months == 0:
+                replies += ["Keep a cushion when prices climb."] * config.n_households
+        assert_whole_run_invariants(config, tmp_path, lambda: scripted_gateway(replies))
+        rows = read_table(tmp_path / "a" / "households.csv")
+        assert [float(row["work_propensity"]) for row in rows] == works
