@@ -5,21 +5,25 @@ adjustment).
 
 The population is columnar: every household quantity is a numpy array
 indexed by household id, and each mechanism is one array pass per month.
-Functions return new arrays; the only mutation is of the ``MarketState``
-passed in. Stochastic operations take an explicit numpy Generator.
+A 2-D array is an ensemble of runs, one run per row: then the fields of the
+``MarketState`` hold one value per run, taxes follow a ``ScheduleRows``, and
+stochastic operations take one numpy Generator per row instead of one
+explicit Generator. Functions return new arrays; the only mutation is of
+the ``MarketState`` passed in.
 
-Every total is a ``sequential_sum`` and every kernel repeats the float
-operations of a per-household loop in the same order, so the results are
-bit-identical to that loop's.
+Every total is a ``sequential_sum`` along its row and every kernel repeats
+the float operations of a per-household loop in the same order, so the
+results are bit-identical to that loop's, row by row.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -30,14 +34,17 @@ class ScheduleError(ValueError):
     """A tax schedule failed validation."""
 
 
-def sequential_sum(values) -> float:
-    """Left-to-right float sum, ``0.0`` when empty.
+def sequential_sum(values):
+    """Left-to-right float sum, ``0.0`` when empty; of a 2-D array, the sum
+    of each row.
 
     Bit-equal to the builtin ``sum`` of CPython 3.11 on floats. ``np.sum``
     adds pairwise and CPython 3.12's ``sum`` is compensated; either would
     move the last bits of the outputs.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim == 2:
+        return np.cumsum(values, axis=1)[:, -1] if values.shape[1] else np.zeros(len(values))
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
@@ -129,22 +136,51 @@ class TaxSchedule:
     def num_brackets(self) -> int:
         return len(self.rates)
 
+    @cached_property
+    def bracket_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(thresholds, rates, full tax of the brackets below each
+        threshold) as arrays, built on the schedule's first ``compute_tax``
+        and kept: a schedule changes at most once a proposal period."""
+        thresholds = np.array(self.thresholds)
+        rates = np.array(self.rates)
+        below = np.cumsum(np.concatenate(([0.0], rates[:-1] * np.diff(thresholds))))
+        return thresholds, rates, below
+
+
+class ScheduleRows:
+    """The schedules in force in the runs of an ensemble, one per row of its
+    (runs x N) arrays. They share thresholds, so ``compute_tax`` finds every
+    bracket with one ``searchsorted`` and gathers each row's rates and
+    cumulative tax from ``bracket_table``."""
+
+    def __init__(self, schedules: Sequence[TaxSchedule]) -> None:
+        if any(s.thresholds != schedules[0].thresholds for s in schedules):
+            raise ScheduleError("the schedules of an ensemble must share thresholds")
+        tables = [s.bracket_table for s in schedules]
+        self.bracket_table = (
+            tables[0][0],
+            np.array([rates for _, rates, _ in tables]),
+            np.array([below for _, _, below in tables]),
+        )
+
 
 @dataclass
 class MarketState:
-    """Aggregate market state for the single consumption good."""
+    """Aggregate market state for the single consumption good. In an
+    ensemble, price, inventory and interest rate are arrays with one value
+    per run."""
 
-    price: float
-    inventory: float = 0.0
-    interest_rate: float = 0.0
+    price: float | np.ndarray
+    inventory: float | np.ndarray = 0.0
+    interest_rate: float | np.ndarray = 0.0
     productivity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.price <= 0:
+        if np.any(np.less_equal(self.price, 0)):
             raise ValueError("price must be > 0")
-        if self.inventory < 0:
+        if np.any(np.less(self.inventory, 0)):
             raise ValueError("inventory must be >= 0")
-        if self.interest_rate < 0:
+        if np.any(np.less(self.interest_rate, 0)):
             raise ValueError("interest_rate must be >= 0")
         if self.productivity <= 0:
             raise ValueError("productivity must be > 0")
@@ -178,14 +214,15 @@ def produce(employed: np.ndarray, wages: np.ndarray, market: MarketState) -> np.
     not working.
     """
     hours = employed * HOURS_PER_MONTH
-    market.inventory += sequential_sum(hours * market.productivity)
+    market.inventory = market.inventory + sequential_sum(hours * market.productivity)
     return hours * wages
 
 
-def compute_tax(schedule: TaxSchedule, income):
+def compute_tax(schedule: TaxSchedule | ScheduleRows, income):
     """Tax owed on ``income`` (a scalar, giving a float, or an array):
     each bracket's slice is taxed at that bracket's marginal rate only, so
-    the total is continuous and nondecreasing in income.
+    the total is continuous and nondecreasing in income. A 2-D ``income``
+    (an ensemble) takes a ``ScheduleRows``, and row r pays schedule r.
 
     The tax is the full tax of every bracket below the income's, summed
     bracket by bracket, plus the marginal rate on the part inside it.
@@ -193,22 +230,22 @@ def compute_tax(schedule: TaxSchedule, income):
     incomes = np.asarray(income, dtype=float)
     if (incomes < 0).any():
         raise ValueError("income must be >= 0")
-    thresholds = np.array(schedule.thresholds)
-    rates = np.array(schedule.rates)
-    below = np.cumsum(np.concatenate(([0.0], rates[:-1] * np.diff(thresholds))))
+    thresholds, rates, below = schedule.bracket_table
     # bracket j holds incomes in (thresholds[j], thresholds[j + 1]]; -1 is zero income
     j = np.searchsorted(thresholds, incomes, side="left") - 1
     inside = np.maximum(j, 0)
-    tax = np.where(
-        j < 0, 0.0, below[inside] + rates[inside] * (incomes - thresholds[inside])
-    )
+    lower = thresholds[inside]
+    if rates.ndim == 2:  # row r pays the schedule of run r, at its flat positions
+        inside = inside + rates.shape[1] * np.arange(len(rates))[:, None]
+    tax = np.where(j < 0, 0.0, below.take(inside) + rates.take(inside) * (incomes - lower))
     return float(tax) if tax.ndim == 0 else tax
 
 
 def apply_taxation(
-    schedule: TaxSchedule, pretax_incomes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Tax every income and redistribute the proceeds evenly.
+    schedule: TaxSchedule | ScheduleRows, pretax_incomes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Tax every income and redistribute the proceeds evenly (in an
+    ensemble, within each run).
 
     Post-tax income is ``z - T(z) + mean(T)``; the even lump-sum transfer
     balances the budget exactly, so total post-tax equals total pre-tax.
@@ -219,16 +256,17 @@ def apply_taxation(
     if not pretax_incomes.size:
         raise ValueError("need at least one income")
     taxes = compute_tax(schedule, pretax_incomes)
-    redistribution = sequential_sum(taxes) / taxes.size
-    return pretax_incomes - taxes + redistribution, taxes, redistribution
+    redistribution = sequential_sum(taxes) / taxes.shape[-1]
+    posttax = pretax_incomes - taxes + np.asarray(redistribution)[..., None]
+    return posttax, taxes, redistribution
 
 
 def execute_consumption(
     savings: np.ndarray,
     propensities: np.ndarray,
     market: MarketState,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Let households buy goods in a random order until inventory runs out.
 
     Intended demand is the consumption propensity applied to start-of-round
@@ -238,25 +276,39 @@ def execute_consumption(
     what remains, and later buyers get nothing. Spending is further capped
     by the buyer's savings, which only binds at float rounding, so
     ``savings - spent`` is never negative. Inventory is updated in place.
+    In an ensemble each run shuffles its own row with its own Generator and
+    buys from its own inventory.
 
     Returns (amount spent by household id, total intended demand).
     """
-    demands = propensities * savings / market.price
-    order = rng.permutation(savings.size)
-    wanted = demands[order]
-    # remaining[k] is the inventory left before the k-th buyer in order
-    remaining = np.subtract.accumulate(np.concatenate(([market.inventory], wanted)))
-    short = remaining[1:] < 0
+    if savings.ndim == 1:  # one run, as an ensemble of one
+        ensemble = replace(
+            market, price=np.array([market.price]), inventory=np.array([market.inventory])
+        )
+        spent, demand = execute_consumption(savings[None], propensities[None], ensemble, [rng])
+        market.inventory = float(ensemble.inventory[0])
+        return spent[0], float(demand[0])
+    price = market.price[:, None]
+    demands = propensities * savings / price
+    n = savings.shape[1]
+    # Each run's shuffle of its own row, as flat positions in the ensemble
+    order = np.array([generator.permutation(n) for generator in rng])
+    order += n * np.arange(len(savings))[:, None]
+    wanted = demands.take(order)
+    # remaining[:, k] is the inventory left before the k-th buyer in order
+    remaining = np.subtract.accumulate(
+        np.concatenate((market.inventory[:, None], wanted), axis=1), axis=1
+    )
+    short = remaining[:, 1:] < 0
     filled_in_order = np.where(short, 0.0, wanted)
-    if short.any():
-        first = int(np.argmax(short))
-        filled_in_order[first] = remaining[first]
-        market.inventory = 0.0
-    else:
-        market.inventory = float(remaining[-1])
+    partial = short.any(axis=1)
+    if partial.any():
+        first = np.argmax(short[partial], axis=1)  # each partial run's first short buyer
+        filled_in_order[partial, first] = remaining[partial, first]
+    market.inventory = np.where(partial, 0.0, remaining[:, -1])
     filled = np.empty_like(demands)
-    filled[order] = filled_in_order
-    return np.minimum(filled * market.price, savings), sequential_sum(demands)
+    filled.put(order, filled_in_order)
+    return np.minimum(filled * price, savings), sequential_sum(demands)
 
 
 def compute_mismatch(demand: float, inventory: float) -> float:
@@ -274,25 +326,39 @@ def compute_mismatch(demand: float, inventory: float) -> float:
 def adjust_wages_and_price(
     wages: np.ndarray,
     market: MarketState,
-    mismatch: float,
+    mismatch: float | np.ndarray,
     params: AdjustmentParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Nudge every wage and the price toward the mismatch sign.
 
     Each multiplier is 1 + sign(mismatch) * U(0, cap * |mismatch|), drawn
     independently per wage and once for the price; wages draw first, in
     household order. Zero mismatch leaves everything unchanged (the draws
-    still occur, keeping the rng stream layout fixed). Returns the new
+    still occur, keeping the rng stream layout fixed). In an ensemble each
+    run draws from its own Generator with its own mismatch. Returns the new
     wages; the price is updated in place.
     """
-    mismatch = float(mismatch)
-    direction = 1 if mismatch > 0 else -1 if mismatch < 0 else 0
-    magnitude = abs(mismatch)
-    wage_steps = rng.uniform(0.0, params.max_wage_step * magnitude, len(wages))
-    price_step = rng.uniform(0.0, params.max_price_step * magnitude)
-    market.price = float(market.price * (1.0 + direction * price_step))
-    return wages * (1.0 + direction * wage_steps)
+    if wages.ndim == 1:  # one run, as an ensemble of one
+        ensemble = replace(market, price=np.array([market.price]))
+        (wages,) = adjust_wages_and_price(
+            wages[None], ensemble, np.array([mismatch]), params, [rng]
+        )
+        market.price = float(ensemble.price[0])
+        return wages
+    direction = np.sign(mismatch)
+    magnitude = np.abs(mismatch).tolist()
+    wage_steps = np.array(
+        [
+            generator.uniform(0.0, params.max_wage_step * m, wages.shape[1])
+            for generator, m in zip(rng, magnitude)
+        ]
+    )
+    price_steps = np.array(
+        [generator.uniform(0.0, params.max_price_step * m) for generator, m in zip(rng, magnitude)]
+    )
+    market.price = market.price * (1.0 + direction * price_steps)
+    return wages * (1.0 + direction[:, None] * wage_steps)
 
 
 def update_interest_rate(

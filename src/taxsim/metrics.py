@@ -1,6 +1,11 @@
 """Evaluation metrics: Gini index, the equality score derived from it,
 per-capita productivity, their product as the social outcome, and the annual
-inflation/unemployment series."""
+inflation/unemployment series.
+
+``gini``, ``equality`` and ``productivity`` also take a 2-D array, the
+wealth of an ensemble of runs, and give each row's value. numpy reduces each
+row of a C-contiguous array exactly as it reduces that row alone, so a row's
+value has the bits of the 1-D call on it."""
 
 from __future__ import annotations
 
@@ -24,7 +29,12 @@ class MetricSnapshot:
     unemployment: float | None = None
 
 
-def gini(values: Sequence[float]) -> float:
+def _per_row(values: np.ndarray):
+    """A float for a vector's value, the array of row values otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
+def gini(values: Sequence[float] | np.ndarray):
     """Gini index of a nonnegative vector: the mean absolute pairwise
     difference normalized by twice the mean, in [0, (N-1)/N].
 
@@ -36,29 +46,33 @@ def gini(values: Sequence[float]) -> float:
         raise ValueError("gini of an empty vector is undefined")
     if np.any(arr < 0):
         raise ValueError("gini requires nonnegative values")
-    total = float(arr.sum())
-    if total == 0.0:
-        return 0.0
-    ordered = np.sort(arr)
-    n = arr.size
+    n = arr.shape[-1]
+    total = arr.sum(axis=-1)
+    ordered = np.sort(arr, axis=-1)
     ranks = np.arange(1, n + 1)
-    return float(((2 * ranks - n - 1) * ordered).sum() / (n * total))
+    weighted = ((2 * ranks - n - 1) * ordered).sum(axis=-1)
+    return _per_row(
+        np.divide(weighted, n * total, out=np.zeros_like(total), where=total != 0.0)
+    )
 
 
-def equality(values: Sequence[float]) -> float:
-    """Equality score (1 - gini) * (N-1)/N; 0 is worst, (N-1)/N is perfect."""
-    n = len(values)
-    return (1.0 - gini(values)) * (n - 1) / n
+def equality(values: Sequence[float] | np.ndarray, gini_index=None):
+    """Equality score (1 - gini) * (N-1)/N; 0 is worst, (N-1)/N is perfect.
+    ``gini_index`` is the gini of ``values`` when the caller has it already."""
+    n = np.shape(values)[-1]
+    if gini_index is None:
+        gini_index = gini(values)
+    return (1.0 - gini_index) * (n - 1) / n
 
 
-def productivity(values: Sequence[float], per_capita: bool = True) -> float:
+def productivity(values: Sequence[float] | np.ndarray, per_capita: bool = True):
     """Aggregate wealth, per capita by default (``per_capita=False`` gives
     the plain sum)."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("productivity of an empty vector is undefined")
-    total = float(arr.sum())
-    return total / arr.size if per_capita else total
+    total = arr.sum(axis=-1)
+    return _per_row(total / arr.shape[-1] if per_capita else total)
 
 
 def social_outcome(equality_score: float, productivity_score: float) -> float:

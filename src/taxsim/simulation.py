@@ -7,24 +7,44 @@ and income crediting, (5) consumption in a shuffled order, (6) mismatch-driven
 wage/price adjustment, (7) recording, (8) quarterly reflection, (9) annual
 inflation/unemployment, Taylor-rule update, and interest accrual.
 
-The population is columnar: wage, savings, propensities, employment and
-the month's flows are numpy arrays indexed by household id, and phases 3-7
-and 9 are each one array pass over all households. Rule-based decisions are
-one array pass too. LLM households keep a per-household path: each builds a
-``DecisionContext`` from its array elements and asks the backend, and only
-they keep a memory and a reflection note, since the note feeds prompts
-alone. Every month is recorded into months x N arrays
-(``SimulationResult.households``).
+One loop advances an ensemble of runs in lockstep. ``run(config)`` is the
+ensemble of one. ``sweep`` and ``compare`` put every rule-based config into
+one ensemble with the others that differ from it only in tax system, seed
+and the policy sections (``saez``, ``tax_agent``, ``gateway``); a config
+with LLM households is an ensemble of one.
 
-Determinism: a single numpy Generator seeded from the config drives every
-draw in a fixed order (initial wages, initial savings, then per month: labor
-in household order, the consumption shuffle, wage steps in household order,
+Shared: the population is columnar, one (runs x N) array per quantity
+(wage, savings, propensities, employment, the month's flows), row r for run
+r and column i for household i, and phases 2-7 and 9 are each one pass over
+those arrays. Every schedule uses the ``DEFAULT_BRACKETS`` thresholds, so a
+``ScheduleRows`` lets one ``compute_tax`` call find every bracket with one
+``searchsorted`` and gather each run's rates. Totals and metrics reduce
+along the rows.
+
+Per run: a numpy Generator seeded from the run's config; a policy that
+proposes from an observation of the run's own row; the market scalars
+(price, inventory and interest rate, one array element each); and the
+schedule, metric and price histories and the records. LLM households ask
+their backend one household at a time from their row's elements, and only
+they keep a memory and a reflection note, since the note feeds prompts
+alone. The months x N household arrays (``SimulationResult.households``)
+are kept only when ``households.csv`` is to be written; the annual
+unemployment reads a 12 x N employment window per run instead.
+
+Determinism: a run's Generator drives every draw of that run, and no other,
+in a fixed order (initial wages, initial savings, then per month: labor in
+household order, the consumption shuffle, wage steps in household order,
 the price step). Each array pass repeats the float operations of a
-per-household loop in the same order, and every total is a left-to-right
-``sequential_sum`` rather than numpy's pairwise sum, so the output bits do
-not depend on how the work is vectorised or on the interpreter's ``sum``.
-With the rule-based backend, or an LLM backend in replay or scripted mode,
-two runs produce byte-identical outputs.
+per-household loop in the same order on every element, and every total is
+a left-to-right ``sequential_sum`` rather than numpy's pairwise sum. numpy
+reduces each row of a C-contiguous array as it would reduce that row alone,
+so the row reductions (``sequential_sum``, ``gini``, ``productivity``) give
+each run the bits of its own 1-D reduction, and each annual unemployment
+reduces the run's contiguous 12 x N window as before. So the output bits of
+a run do not depend on how the work is vectorised, on which runs share its
+ensemble, or on the interpreter's ``sum``. With the rule-based backend, or
+an LLM backend in replay or scripted mode, two runs produce byte-identical
+outputs.
 
 When LLM households reach a transport (live or record mode), a month's
 decisions and a quarter's reflections each depend only on start-of-step
@@ -36,10 +56,9 @@ scripted runs call households one by one on the calling thread.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -51,6 +70,7 @@ from taxsim.config import ConfigError, GatewayConfig, SimConfig
 from taxsim.economy import (
     HOURS_PER_MONTH,
     MarketState,
+    ScheduleRows,
     TaxSchedule,
     adjust_wages_and_price,
     apply_taxation,
@@ -86,106 +106,17 @@ from taxsim.policies import (
     free_market_schedule,
     us_federal_schedule,
 )
-from taxsim.tables import write_records, write_rows, write_tuples
+from taxsim.results import (
+    HOUSEHOLD_COLUMNS,
+    AnnualRecord,
+    ComparisonResult,
+    ComparisonRow,
+    MonthRecord,
+    SimulationResult,
+)
 
 START_YEAR = 2001  # month 1 renders as "2001.01"
 FAN_OUT_WORKERS = 12  # concurrent household LLM calls in live/record runs
-
-
-@dataclass
-class MonthRecord:
-    """End-of-month snapshot of the market, the schedule in force, and the
-    aggregate flows of the month."""
-
-    month: int
-    price: float
-    inventory: float
-    interest_rate: float
-    rates: tuple[float, ...]
-    total_pretax_income: float
-    total_tax: float
-    total_consumption: float
-    total_wealth: float
-    metrics: MetricSnapshot
-
-
-@dataclass
-class AnnualRecord:
-    year: int
-    inflation: float
-    unemployment: float
-
-
-# Per-household columns recorded every month, in households.csv order.
-HOUSEHOLD_COLUMNS = (
-    "hourly_wage",
-    "savings",
-    "work_propensity",
-    "consumption_propensity",
-    "employed",
-    "pretax_income",
-    "tax_paid",
-    "posttax_income",
-    "consumption_spent",
-)
-
-
-@dataclass
-class SimulationResult:
-    """Every record of one run. ``households`` maps each name in
-    ``HOUSEHOLD_COLUMNS`` to a months x N array: row m holds month m + 1,
-    column i household i, as recorded at the end of the month."""
-
-    config: SimConfig
-    month_records: list[MonthRecord]
-    annual_records: list[AnnualRecord]
-    households: dict[str, np.ndarray]
-    summary: dict
-
-    def write_outputs(self, out_dir: str | Path) -> Path:
-        """Write monthly.csv, annual.csv, summary.json, and (when enabled)
-        households.csv under ``out_dir``; numbers carry six decimals."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        # monthly.csv flattens each record's rates and metrics; it leaves out
-        # the month's totals.
-        n_rates = len(self.month_records[0].rates)
-        write_tuples(
-            out / "monthly.csv",
-            ["month", "price", "inventory", "interest_rate"]
-            + [f"rate_{k + 1}" for k in range(n_rates)]
-            + ["gini", "equality", "productivity", "social_outcome"],
-            ["%d"] + ["%.6f"] * (3 + n_rates + 4),
-            [
-                (
-                    r.month, r.price, r.inventory, r.interest_rate, *r.rates,
-                    r.metrics.gini, r.metrics.equality,
-                    r.metrics.productivity, r.metrics.social_outcome,
-                )
-                for r in self.month_records
-            ],
-        )
-        write_records(out / "annual.csv", AnnualRecord, self.annual_records)
-        if self.config.write_households:
-            months, n = self.households["savings"].shape
-            flat = [self.households[c].ravel() for c in HOUSEHOLD_COLUMNS]
-
-            def household_block(start: int, stop: int) -> list[np.ndarray]:
-                # Row r is month r // n + 1, household r % n; values are views.
-                row = np.arange(start, stop)
-                return [row // n + 1, row % n, *(column[start:stop] for column in flat)]
-
-            write_rows(
-                out / "households.csv",
-                ["month", "household_id", *HOUSEHOLD_COLUMNS],
-                ["%d", "%d", *("%d" if c == "employed" else "%.6f" for c in HOUSEHOLD_COLUMNS)],
-                months * n,
-                household_block,
-            )
-        (out / "summary.json").write_text(
-            json.dumps(self.summary, indent=2) + "\n", encoding="utf-8"
-        )
-        return out
 
 
 def month_label(month: int) -> str:
@@ -234,6 +165,10 @@ def build_gateway(config: GatewayConfig) -> ChatGateway:
             "scripted gateways hold an in-memory queue; construct one directly "
             "and pass it to run()"
         )
+    if config.mode == "replay" and not Path(config.cache_path).is_file():
+        raise ConfigError(
+            f"gateway.cache_path {config.cache_path!r}: replay needs an existing cache file"
+        )
     return ChatGateway(
         config.mode,
         cache_path=config.cache_path or None,
@@ -261,6 +196,119 @@ def _household_map(fan_out: bool) -> Iterator[Callable]:
         yield pool.map
 
 
+# A month's scalars of each run, in the order of the rows of ``_Run.monthly``.
+_MONTH_VALUES = (
+    "price",
+    "inventory",
+    "interest_rate",
+    "total_pretax_income",
+    "total_tax",
+    "total_consumption",
+    "total_wealth",
+    "gini",
+    "equality",
+    "productivity",
+    "social_outcome",
+)
+_PRICE = _MONTH_VALUES.index("price")
+_GINI = _MONTH_VALUES.index("gini")  # the metric scores follow, in MetricSnapshot order
+_EQUALITY = _MONTH_VALUES.index("equality")
+_PRODUCTIVITY = _MONTH_VALUES.index("productivity")
+
+
+@dataclass
+class _Run:
+    """What one run of an ensemble keeps for itself: its Generator, its
+    policy and schedules, its annual records, and ``monthly``, its view of
+    the ensemble's month values (months x ``_MONTH_VALUES``)."""
+
+    config: SimConfig
+    rng: np.random.Generator
+    policy: TaxPolicy
+    schedule: TaxSchedule  # in force this month
+    schedule_history: list[TaxSchedule]  # one per past month, after the month-0 bootstrap
+    monthly: np.ndarray
+    annual_records: list[AnnualRecord] = field(default_factory=list)
+    households: dict[str, np.ndarray] = field(default_factory=dict)  # when kept
+
+    def observation(
+        self, months_done: int, incomes: list[float], wealth: list[float]
+    ) -> PolicyObservation:
+        past = self.monthly[:months_done]
+        return PolicyObservation(
+            month=months_done,
+            incomes=tuple(incomes),
+            wealth=tuple(wealth),
+            schedule_history=tuple(self.schedule_history),
+            productivity_history=(0.0, *past[:, _PRODUCTIVITY].tolist()),
+            equality_history=(0.0, *past[:, _EQUALITY].tolist()),
+        )
+
+    def final_row(self) -> ComparisonRow:
+        """The run's final metrics, read from its last month's values."""
+        scores = self.monthly[-1, _GINI:].tolist()
+        return ComparisonRow(self.config.tax_system, self.config.seed, *scores)
+
+    def result(self) -> SimulationResult:
+        """The run's result, its month records built from ``monthly``."""
+        config, annual = self.config, self.annual_records
+        year_ends = {12 * a.year: a for a in annual}
+        month_records = []
+        rows = zip(self.monthly.tolist(), self.schedule_history[1:])
+        for month, (values, schedule) in enumerate(rows, start=1):
+            price, inventory, interest_rate, *totals = values[:_GINI]
+            snapshot = MetricSnapshot(month, *values[_GINI:])
+            if month in year_ends:
+                snapshot.inflation = year_ends[month].inflation
+                snapshot.unemployment = year_ends[month].unemployment
+            month_records.append(
+                MonthRecord(
+                    month, price, inventory, interest_rate, schedule.rates, *totals, snapshot
+                )
+            )
+        final = month_records[-1].metrics
+        summary = {
+            "tax_system": config.tax_system,
+            "household_backend": config.household_backend,
+            "seed": config.seed,
+            "n_households": config.n_households,
+            "months": config.months,
+            "final_gini": round(final.gini, 6),
+            "final_equality": round(final.equality, 6),
+            "final_productivity": round(final.productivity, 6),
+            "final_social_outcome": round(final.social_outcome, 6),
+            "mean_annual_inflation": round(
+                float(np.mean([a.inflation for a in annual])) if annual else 0.0, 6
+            ),
+            "mean_annual_unemployment": round(
+                float(np.mean([a.unemployment for a in annual])) if annual else 0.0, 6
+            ),
+        }
+        return SimulationResult(config, month_records, annual, self.households, summary)
+
+
+# What may differ between the runs of one ensemble: each run draws from its
+# own seed and proposes through its own policy and gateway. Every other
+# setting is shared.
+_PER_RUN_FIELDS = ("tax_system", "seed", "saez", "tax_agent", "gateway")
+_SHARED_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name not in _PER_RUN_FIELDS)
+
+
+def _shared_settings(config: SimConfig) -> list:
+    return [getattr(config, name) for name in _SHARED_FIELDS]
+
+
+def _prepared(config: SimConfig, gateway: ChatGateway | None):
+    """Validate ``config`` and pair it with its gateway: the one passed in,
+    or, when the run makes LLM calls, one built from the gateway section."""
+    config.validate()
+    if gateway is None and (
+        config.tax_system == "tax_agent" or config.household_backend == "llm"
+    ):
+        gateway = build_gateway(config.gateway)
+    return config, gateway
+
+
 def run(
     config: SimConfig,
     gateway: ChatGateway | None = None,
@@ -273,49 +321,64 @@ def run(
     gateway section. ``event_log`` (for tests) receives (month, step) pairs
     in execution order.
     """
-    config.validate()
-    needs_gateway = (
-        config.tax_system == "tax_agent" or config.household_backend == "llm"
-    )
-    if needs_gateway and gateway is None:
-        gateway = build_gateway(config.gateway)
+    config, gateway = _prepared(config, gateway)
+    (only,) = _simulate([config], [gateway], config.write_households, event_log)
+    return only.result()
 
-    personas = roster_for(config.n_households, load_personas(config.persona_path or None))
-    rng = np.random.default_rng(config.seed)
-    n = config.n_households
 
-    # The population, one array per quantity, indexed by household id.
-    wage = rng.lognormal(math.log(config.initial.wage_median), config.initial.wage_sigma, n)
-    savings = rng.lognormal(
-        math.log(config.initial.savings_median), config.initial.savings_sigma, n
-    )
-    work = np.full(n, DEFAULT_DECISION.work_propensity)
-    consumption = np.full(n, DEFAULT_DECISION.consumption_propensity)
-    spent = np.zeros(n)
+def _simulate(
+    configs: Sequence[SimConfig],
+    gateways: Sequence[ChatGateway | None],
+    keep_households: bool,
+    event_log: list[tuple[int, str]] | None = None,
+) -> list[_Run]:
+    """Advance an ensemble of validated runs in lockstep and return the
+    runs in order; see the module docstring. ``configs`` differ at most in
+    ``_PER_RUN_FIELDS``, and LLM households run alone.
+    ``keep_households`` keeps the months x N household arrays."""
+    head = configs[0]
+    n = head.n_households
+    personas = roster_for(n, load_personas(head.persona_path or None))
+    backend = build_backend(head, gateways[0])
+    params = head.adjustment
+    per_capita = head.productivity_metric == "per_capita"
+
+    # Month m's values of run r are monthly[m - 1, :, r].
+    monthly = np.empty((head.months, len(_MONTH_VALUES), len(configs)))
+    runs: list[_Run] = []
+    initial_wages, initial_savings = [], []
+    for i, (config, gateway) in enumerate(zip(configs, gateways)):
+        rng = np.random.default_rng(config.seed)
+        init = config.initial
+        initial_wages.append(rng.lognormal(math.log(init.wage_median), init.wage_sigma, n))
+        initial_savings.append(rng.lognormal(math.log(init.savings_median), init.savings_sigma, n))
+        schedule = initial_schedule(config.tax_system)
+        policy = build_policy(config, gateway)
+        runs.append(_Run(config, rng, policy, schedule, [schedule], monthly[:, :, i]))
+    rngs = [r.rng for r in runs]
+
+    # The population, one (runs x N) array per quantity: row r is run r,
+    # column i household i.
+    shape = (len(runs), n)
+    wage, savings = np.array(initial_wages), np.array(initial_savings)
+    work = np.full(shape, DEFAULT_DECISION.work_propensity)
+    consumption = np.full(shape, DEFAULT_DECISION.consumption_propensity)
+    spent = np.zeros(shape)
+    last_incomes = np.zeros(shape)
+    # Employment of the last 12 months, month m at [:, (m - 1) % 12]: at
+    # each year end every run's 12 x N window is in month order.
+    employment = np.empty((len(runs), 12, n))
     market = MarketState(
-        price=config.initial.price,
-        inventory=config.initial.inventory,
-        interest_rate=config.initial.interest_rate,
-        productivity=config.productivity,
+        price=np.full(len(runs), head.initial.price),
+        inventory=np.full(len(runs), head.initial.inventory),
+        interest_rate=np.full(len(runs), head.initial.interest_rate),
+        productivity=head.productivity,
     )
-    policy = build_policy(config, gateway)
-    backend = build_backend(config, gateway)
-    params = config.adjustment
-    per_capita = config.productivity_metric == "per_capita"
-
-    schedule = initial_schedule(config.tax_system)
-    schedule_history: list[TaxSchedule] = [schedule]  # month-0 bootstrap entry
-    productivity_history = [0.0]
-    equality_history = [0.0]
-    last_incomes = np.zeros(n)
-
-    price_history: list[float] = []
-    month_records: list[MonthRecord] = []
-    annual_records: list[AnnualRecord] = []
+    schedules = ScheduleRows([r.schedule for r in runs])
     households = {
-        name: np.empty((config.months, n), dtype=int if name == "employed" else float)
+        name: np.empty((head.months, *shape), dtype=int if name == "employed" else float)
         for name in HOUSEHOLD_COLUMNS
-    }
+    } if keep_households else {}
     # Only LLM households keep memories and notes: they feed prompts alone.
     memories = [MemoryPool() for _ in range(n)] if backend is not None else []
     notes = [""] * n
@@ -330,201 +393,171 @@ def run(
     # from overlapping calls; scripted replies must also pop in household order.
     fan_out = backend is not None and backend.gateway.mode in ("live", "record")
     with _household_map(fan_out) as map_households:
-        for month in range(1, config.months + 1):
+        for month in range(1, head.months + 1):
             date = month_label(month)
 
-            # (1) policy proposal on the adjustment cadence, observing last month
-            if (month - 1) % config.adjust_period_months == 0:
-                observation = PolicyObservation(
-                    month=month - 1,
-                    incomes=tuple(last_incomes.tolist()),
-                    wealth=tuple(savings.tolist()),
-                    schedule_history=tuple(schedule_history),
-                    productivity_history=tuple(productivity_history),
-                    equality_history=tuple(equality_history),
-                )
-                schedule = policy.propose(observation)
+            # (1) each run's policy proposes on the cadence, observing its
+            # own last month
+            if (month - 1) % head.adjust_period_months == 0:
+                for r, incomes, wealth in zip(runs, last_incomes, savings):
+                    r.schedule = r.policy.propose(
+                        r.observation(month - 1, incomes.tolist(), wealth.tolist())
+                    )
+                schedules = ScheduleRows([r.schedule for r in runs])
                 log(month, "propose")
 
             # (2) household decisions from start-of-month state
             expected = HOURS_PER_MONTH * wage
             if backend is None:
-                work, consumption = rule_based_decide(schedule, expected, savings, market.price)
+                work, consumption = rule_based_decide(
+                    schedules, expected, savings, market.price[:, None]
+                )
             else:
-                expected_list = expected.tolist()
+                # LLM households: the ensemble is this one run, row 0
+                (only,) = runs
+                price, interest_rate = market.price.item(), market.interest_rate.item()
+                expected_list = expected[0].tolist()
                 contexts = [
                     DecisionContext(
                         date=date,
                         persona=personas[i],
                         expected_income=expected_list[i],
-                        previous_schedule=schedule_history[-1],
-                        current_schedule=schedule,
-                        average_price=market.price,
+                        previous_schedule=only.schedule_history[-1],
+                        current_schedule=only.schedule,
+                        average_price=price,
                         savings=wealth_i,
-                        interest_rate=market.interest_rate,
+                        interest_rate=interest_rate,
                         income_direction=_direction(expected_list[i], previous_expected[i]),
-                        price_direction=_direction(market.price, previous_price),
+                        price_direction=_direction(price, previous_price),
                         last_consumption=spent_i,
                         reflection_note=notes[i],
                     )
-                    for i, (wealth_i, spent_i) in enumerate(zip(savings.tolist(), spent.tolist()))
+                    for i, (wealth_i, spent_i) in enumerate(
+                        zip(savings[0].tolist(), spent[0].tolist())
+                    )
                 ]
                 decisions = list(
                     map_households(
                         partial(decide, backend),
                         contexts,
-                        list(map(Decision, work.tolist(), consumption.tolist())),
+                        list(map(Decision, work[0].tolist(), consumption[0].tolist())),
                     )
                 )
-                work = np.array([d.work_propensity for d in decisions])
-                consumption = np.array([d.consumption_propensity for d in decisions])
+                work = np.array([[d.work_propensity for d in decisions]])
+                consumption = np.array([[d.consumption_propensity for d in decisions]])
                 previous_expected = expected_list
-                previous_price = market.price
+                previous_price = price
             log(month, "decide")
 
             # (3) labor realization, then production
-            employed = (rng.random(n) < work).astype(int)
+            employed = (np.array([rng.random(n) for rng in rngs]) < work).astype(int)
             pretax = produce(employed, wage, market)
             log(month, "produce")
 
             # (4) taxation with even redistribution; credit post-tax income
-            posttax, tax, _ = apply_taxation(schedule, pretax)
+            posttax, tax, _ = apply_taxation(schedules, pretax)
             savings = savings + posttax
             log(month, "tax")
 
             # (5) consumption against post-production inventory
             available_supply = market.inventory
-            spent, total_demand = execute_consumption(savings, consumption, market, rng)
+            spent, total_demand = execute_consumption(savings, consumption, market, rngs)
             savings = savings - spent
             log(month, "consume")
 
             # (6) mismatch uses intended demand vs the pre-consumption inventory
-            mismatch = compute_mismatch(total_demand, available_supply)
-            wage = adjust_wages_and_price(wage, market, mismatch, params, rng)
+            mismatch = np.array(
+                list(map(compute_mismatch, total_demand.tolist(), available_supply.tolist()))
+            )
+            wage = adjust_wages_and_price(wage, market, mismatch, params, rngs)
             log(month, "adjust")
 
             # (7) record end-of-month state and metrics over wealth
-            equality_score = metrics.equality(savings)
-            productivity_score = metrics.productivity(savings, per_capita=per_capita)
-            snapshot = MetricSnapshot(
-                month=month,
-                gini=metrics.gini(savings),
-                equality=equality_score,
-                productivity=productivity_score,
-                social_outcome=metrics.social_outcome(equality_score, productivity_score),
+            gini = metrics.gini(savings)
+            equality = metrics.equality(savings, gini)
+            productivity = metrics.productivity(savings, per_capita=per_capita)
+            monthly[month - 1] = (
+                market.price,
+                market.inventory,
+                market.interest_rate,
+                *map(sequential_sum, (pretax, tax, spent, savings)),
+                gini,
+                equality,
+                productivity,
+                metrics.social_outcome(equality, productivity),
             )
-            month_records.append(
-                MonthRecord(
-                    month=month,
-                    price=market.price,
-                    inventory=market.inventory,
-                    interest_rate=market.interest_rate,
-                    rates=schedule.rates,
-                    total_pretax_income=sequential_sum(pretax),
-                    total_tax=sequential_sum(tax),
-                    total_consumption=sequential_sum(spent),
-                    total_wealth=sequential_sum(savings),
-                    metrics=snapshot,
-                )
-            )
-            columns = (wage, savings, work, consumption, employed, pretax, tax, posttax, spent)
-            for name, column in zip(HOUSEHOLD_COLUMNS, columns):
-                households[name][month - 1] = column
+            for r in runs:
+                r.schedule_history.append(r.schedule)
+            if households:
+                columns = (wage, savings, work, consumption, employed, pretax, tax, posttax, spent)
+                for name, column in zip(HOUSEHOLD_COLUMNS, columns):
+                    households[name][month - 1] = column
+            employment[:, (month - 1) % 12] = employed
             if backend is not None:
                 entries = map(
                     partial(MemoryEntry, date),
-                    work.tolist(),
-                    consumption.tolist(),
-                    pretax.tolist(),
-                    posttax.tolist(),
-                    spent.tolist(),
+                    work[0].tolist(),
+                    consumption[0].tolist(),
+                    pretax[0].tolist(),
+                    posttax[0].tolist(),
+                    spent[0].tolist(),
                 )
                 for memory, entry in zip(memories, entries):
                     memory.add(entry)
-            schedule_history.append(schedule)
-            productivity_history.append(snapshot.productivity)
-            equality_history.append(snapshot.equality)
-            price_history.append(market.price)
             last_incomes = pretax
             log(month, "record")
 
             # (8) quarterly reflection
-            if month % config.reflection_period_months == 0:
+            if month % head.reflection_period_months == 0:
                 if backend is not None:
                     notes = list(map_households(partial(reflect, backend), memories, notes))
                 log(month, "reflect")
 
-            # (9) annual metrics, Taylor-rule update, interest accrual
+            # (9) annual metrics and Taylor-rule update per run, then one
+            # interest accrual over the ensemble
             if month % 12 == 0:
-                inflation = metrics.annual_inflation(price_history)
-                last_year = households["employed"][month - 12 : month]
-                unemployment = metrics.annual_unemployment(last_year)
-                market.interest_rate = update_interest_rate(params, inflation, unemployment)
-                savings = savings * (1.0 + market.interest_rate)
-                annual_records.append(
-                    AnnualRecord(
-                        year=month // 12, inflation=inflation, unemployment=unemployment
-                    )
-                )
-                snapshot.inflation = inflation
-                snapshot.unemployment = unemployment
+                for i, r in enumerate(runs):
+                    inflation = metrics.annual_inflation(r.monthly[:month, _PRICE].tolist())
+                    unemployment = metrics.annual_unemployment(employment[i])
+                    market.interest_rate[i] = update_interest_rate(params, inflation, unemployment)
+                    r.annual_records.append(AnnualRecord(month // 12, inflation, unemployment))
+                savings = savings * (1.0 + market.interest_rate[:, None])
                 log(month, "annual")
 
-    final = month_records[-1].metrics
-    summary = {
-        "tax_system": config.tax_system,
-        "household_backend": config.household_backend,
-        "seed": config.seed,
-        "n_households": config.n_households,
-        "months": config.months,
-        "final_gini": round(final.gini, 6),
-        "final_equality": round(final.equality, 6),
-        "final_productivity": round(final.productivity, 6),
-        "final_social_outcome": round(final.social_outcome, 6),
-        "mean_annual_inflation": round(
-            float(np.mean([a.inflation for a in annual_records])) if annual_records else 0.0, 6
-        ),
-        "mean_annual_unemployment": round(
-            float(np.mean([a.unemployment for a in annual_records])) if annual_records else 0.0, 6
-        ),
-    }
-    return SimulationResult(
-        config=config,
-        month_records=month_records,
-        annual_records=annual_records,
-        households=households,
-        summary=summary,
-    )
+    for i, r in enumerate(runs):
+        r.households = {name: column[:, i] for name, column in households.items()}
+    return runs
 
 
-@dataclass
-class ComparisonRow:
-    tax_system: str
-    seed: int
-    final_gini: float
-    final_equality: float
-    final_productivity: float
-    final_social_outcome: float
-
-
-@dataclass
-class ComparisonResult:
-    rows: list[ComparisonRow]
-
-    def mean_social_outcomes(self) -> dict[str, float]:
-        """Each system's mean final social outcome, systems in first-seen
-        order."""
-        by_system: dict[str, list[float]] = {}
-        for row in self.rows:
-            by_system.setdefault(row.tax_system, []).append(row.final_social_outcome)
-        return {
-            system: sequential_sum(values) / len(values)
-            for system, values in by_system.items()
-        }
-
-    def write_csv(self, path: str | Path) -> None:
-        """Write comparison.csv: one row per run, numbers with six decimals."""
-        write_records(Path(path), ComparisonRow, self.rows)
+def _comparison_rows(
+    configs: Sequence[SimConfig],
+    gateway_factory: Callable[[SimConfig], ChatGateway | None] | None,
+) -> list[ComparisonRow]:
+    """One row of final metrics per config, in order. Rule-based configs
+    that differ only in ``_PER_RUN_FIELDS`` run as one ensemble; LLM
+    households run alone. Every config is validated, and its gateway built,
+    before any month runs; no household arrays are kept."""
+    prepared = [
+        _prepared(cfg, gateway_factory(cfg) if gateway_factory else None) for cfg in configs
+    ]
+    ensembles: list[list[int]] = []
+    for i, (cfg, _) in enumerate(prepared):
+        shared = _shared_settings(cfg)
+        for members in ensembles:
+            if cfg.household_backend == "rule_based" and shared == _shared_settings(
+                prepared[members[0]][0]
+            ):
+                members.append(i)
+                break
+        else:
+            ensembles.append([i])
+    rows: list[ComparisonRow] = [None] * len(configs)  # type: ignore[list-item]
+    for members in ensembles:
+        ensemble = [prepared[i] for i in members]
+        runs = _simulate([c for c, _ in ensemble], [g for _, g in ensemble], False)
+        for i, r in zip(members, runs):
+            rows[i] = r.final_row()
+    return rows
 
 
 def compare(
@@ -543,22 +576,7 @@ def compare(
             or cfg.seed != head.seed
         ):
             raise ValueError("compared configs must share n_households, months, seed")
-    result = ComparisonResult(rows=[])
-    for cfg in configs:
-        gateway = gateway_factory(cfg) if gateway_factory else None
-        sim = run(cfg, gateway=gateway)
-        final = sim.month_records[-1].metrics
-        result.rows.append(
-            ComparisonRow(
-                tax_system=cfg.tax_system,
-                seed=cfg.seed,
-                final_gini=final.gini,
-                final_equality=final.equality,
-                final_productivity=final.productivity,
-                final_social_outcome=final.social_outcome,
-            )
-        )
-    return result
+    return ComparisonResult(rows=_comparison_rows(configs, gateway_factory))
 
 
 def sweep(
@@ -567,11 +585,6 @@ def sweep(
     seeds: Sequence[int],
     gateway_factory: Callable[[SimConfig], ChatGateway | None] | None = None,
 ) -> list[ComparisonRow]:
-    """Cross systems with seeds, one comparison per seed, rows flattened."""
-    rows: list[ComparisonRow] = []
-    for seed in seeds:
-        configs = [
-            replace(base, tax_system=system, seed=seed) for system in systems
-        ]
-        rows.extend(compare(configs, gateway_factory=gateway_factory).rows)
-    return rows
+    """Cross systems with seeds: one row per (seed, system), seed-major."""
+    configs = [replace(base, tax_system=system, seed=seed) for seed in seeds for system in systems]
+    return _comparison_rows(configs, gateway_factory)

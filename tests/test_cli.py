@@ -134,3 +134,15 @@ class TestReplayCommand:
         assert code == 0
         assert (out / "monthly.csv").exists()
         assert "replayed 14 months" in capsys.readouterr().out
+
+    def test_missing_cache_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        argv = ["replay", "--config", str(FIXTURES / "replay_config.json")]
+        code = main(argv + ["--cache", str(missing), "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("taxsim: error: gateway.cache_path")
+        assert str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()

@@ -1,0 +1,220 @@
+"""The lockstep ensemble: the row kernels on (runs x N) arrays give each row
+the bits of the 1-D call on that row alone, and every row of a sweep equals
+``run()`` of its config alone."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import scripted_gateway
+from taxsim.config import SimConfig
+from taxsim.economy import (
+    AdjustmentParams,
+    MarketState,
+    ScheduleError,
+    ScheduleRows,
+    TaxSchedule,
+    adjust_wages_and_price,
+    apply_taxation,
+    compute_tax,
+    execute_consumption,
+    sequential_sum,
+)
+from taxsim.metrics import equality, gini, productivity
+from taxsim.policies import DEFAULT_BRACKETS, US_FEDERAL_RATES
+from taxsim.simulation import ComparisonRow, compare, run, sweep
+
+
+def assert_bits_equal(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def random_shapes(count: int, seed: int):
+    """``count`` (runs, N) shapes with runs <= 11 and N <= 599, the
+    smallest and largest first."""
+    rng = np.random.default_rng(seed)
+    yield from ((1, 1), (11, 599), (11, 1), (1, 599))
+    for _ in range(count - 4):
+        yield int(rng.integers(1, 12)), int(rng.integers(1, 600))
+
+
+def wealth_rows(rng: np.random.Generator, shape) -> np.ndarray:
+    """Log-normal wealth of several spreads, with some exact zeros and, now
+    and then, an all-zero row."""
+    values = rng.lognormal(np.log(5e4), rng.uniform(0.0, 2.5), shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    values[rng.random(shape[0]) < 0.1] = 0.0
+    return values
+
+
+def random_rates_schedule(rng: np.random.Generator) -> TaxSchedule:
+    rates = rng.uniform(0.0, 1.0, len(DEFAULT_BRACKETS))
+    rates[rng.random(len(DEFAULT_BRACKETS)) < 0.2] = 0.0
+    return TaxSchedule(DEFAULT_BRACKETS, tuple(rates.tolist()))
+
+
+class TestRowKernelsMatchOneRowAlone:
+    def test_gini_equality_productivity(self):
+        rng = np.random.default_rng(1)
+        for shape in random_shapes(300, seed=2):
+            values = wealth_rows(rng, shape)
+            rows = list(values)
+            assert_bits_equal(gini(values), [gini(row) for row in rows])
+            assert_bits_equal(equality(values), [equality(row) for row in rows])
+            assert_bits_equal(equality(values, gini(values)), [equality(row) for row in rows])
+            for per_capita in (True, False):
+                assert_bits_equal(
+                    productivity(values, per_capita=per_capita),
+                    [productivity(row, per_capita=per_capita) for row in rows],
+                )
+
+    def test_sequential_sum(self):
+        rng = np.random.default_rng(3)
+        for shape in random_shapes(300, seed=4):
+            values = rng.normal(0.0, 10.0 ** rng.uniform(-3, 12), shape)
+            assert_bits_equal(sequential_sum(values), [sequential_sum(row) for row in values])
+
+    def test_rows_without_households(self):
+        assert_bits_equal(sequential_sum(np.empty((3, 0))), [0.0, 0.0, 0.0])
+        market = MarketState(price=10.0, inventory=5.0)
+        spent, demand = execute_consumption(
+            np.empty(0), np.empty(0), market, np.random.default_rng(0)
+        )
+        assert (spent.size, demand, market.inventory) == (0, 0.0, 5.0)
+
+    def test_compute_tax_and_taxation(self):
+        rng = np.random.default_rng(5)
+        thresholds = np.array(DEFAULT_BRACKETS)
+        neighbours = (np.nextafter(thresholds, np.inf), np.nextafter(thresholds[1:], 0.0))
+        edges = np.concatenate(([0.0], thresholds, *neighbours))
+        for shape in random_shapes(300, seed=6):
+            schedules = [random_rates_schedule(rng) for _ in range(shape[0])]
+            incomes = rng.lognormal(np.log(4000.0), 1.5, shape)
+            incomes[rng.random(shape) < 0.1] = 0.0
+            picks = rng.random(shape) < 0.2
+            incomes[picks] = rng.choice(edges, int(picks.sum()))
+            table = ScheduleRows(schedules)
+            assert_bits_equal(
+                compute_tax(table, incomes),
+                [compute_tax(s, row) for s, row in zip(schedules, incomes)],
+            )
+            posttax, taxes, redistribution = apply_taxation(table, incomes)
+            one_by_one = [apply_taxation(s, row) for s, row in zip(schedules, incomes)]
+            assert_bits_equal(posttax, [p for p, _, _ in one_by_one])
+            assert_bits_equal(taxes, [t for _, t, _ in one_by_one])
+            assert_bits_equal(redistribution, [r for _, _, r in one_by_one])
+
+    def test_schedules_of_an_ensemble_share_thresholds(self):
+        other = TaxSchedule((0.0, 100.0), (0.1, 0.2))
+        with pytest.raises(ScheduleError):
+            ScheduleRows([TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES), other])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_consumption_and_adjustment_draw_per_run(self, seed):
+        # Each row draws from its own Generator, as if it ran alone; some
+        # rows run short of inventory and some do not.
+        rng = np.random.default_rng(50 + seed)
+        runs, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+        savings = rng.lognormal(np.log(5e4), 0.6, (runs, n))
+        propensities = rng.integers(0, 51, (runs, n)) * 0.02
+        prices = rng.uniform(50.0, 200.0, runs)
+        demand = sequential_sum(propensities * savings / prices[:, None])
+        inventories = demand * rng.uniform(0.0, 1.5, runs)
+        mismatches = rng.uniform(-1.0, 1.0, runs)
+        mismatches[rng.random(runs) < 0.3] = 0.0
+        wages = rng.lognormal(np.log(25.0), 0.8, (runs, n))
+        params = AdjustmentParams()
+
+        market = MarketState(price=prices.copy(), inventory=inventories.copy())
+        generators = [np.random.default_rng([seed, r]) for r in range(runs)]
+        spent, total_demand = execute_consumption(savings, propensities, market, generators)
+        new_wages = adjust_wages_and_price(wages, market, mismatches, params, generators)
+
+        for r in range(runs):
+            alone = MarketState(price=float(prices[r]), inventory=float(inventories[r]))
+            generator = np.random.default_rng([seed, r])
+            spent_r, demand_r = execute_consumption(savings[r], propensities[r], alone, generator)
+            assert_bits_equal(spent[r], spent_r)
+            assert_bits_equal(total_demand[r], demand_r)
+            assert_bits_equal(market.inventory[r], alone.inventory)
+            wages_r = adjust_wages_and_price(wages[r], alone, mismatches[r], params, generator)
+            assert_bits_equal(new_wages[r], wages_r)
+            assert_bits_equal(market.price[r], alone.price)
+
+
+def planner_replies(seed: int) -> list[str]:
+    """Scripted planner replies for a tax_agent run: rate lists drawn from
+    the seed, every fourth reply junk (a retry), enough for 30 months."""
+    rng = np.random.default_rng(seed)
+    return [
+        "no rates this time" if k % 4 == 3 else str(np.round(rng.uniform(0, 0.6, 7), 2).tolist())
+        for k in range(40)
+    ]
+
+
+def scripted_planner(config: SimConfig):
+    if config.tax_system == "tax_agent":
+        return scripted_gateway(planner_replies(config.seed))
+    return None
+
+
+def row_of_run_alone(config: SimConfig) -> ComparisonRow:
+    final = run(config, gateway=scripted_planner(config)).month_records[-1].metrics
+    return ComparisonRow(
+        config.tax_system,
+        config.seed,
+        final.gini,
+        final.equality,
+        final.productivity,
+        final.social_outcome,
+    )
+
+
+class TestEnsembleEqualsSingleRuns:
+    @given(
+        systems=st.lists(
+            st.sampled_from(["free", "us_federal", "saez", "tax_agent"]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        n=st.integers(1, 12),
+        months=st.integers(1, 30),
+        productivity=st.sampled_from([0.005, 1.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_sweep_row_equals_run_alone(self, systems, seeds, n, months, productivity):
+        # Productivity 0.005 reaches the partial consumption fill and the
+        # Saez fallbacks.
+        base = SimConfig(n_households=n, months=months, productivity=productivity)
+        rows = sweep(base, systems, seeds, gateway_factory=scripted_planner)
+        configs = [replace(base, tax_system=s, seed=seed) for seed in seeds for s in systems]
+        assert rows == [row_of_run_alone(config) for config in configs]
+
+    def test_configs_that_differ_elsewhere_run_apart(self):
+        # A different productivity puts a config in an ensemble of its own;
+        # the rows still come back in config order.
+        base = SimConfig(n_households=7, months=14, seed=3)
+        configs = [
+            replace(base, tax_system="saez"),
+            replace(base, tax_system="free", productivity=0.3),
+            replace(base, tax_system="us_federal"),
+        ]
+        assert compare(configs).rows == [row_of_run_alone(config) for config in configs]
+
+    def test_household_arrays_kept_only_for_households_csv(self):
+        config = SimConfig(n_households=4, months=5, seed=1)
+        assert run(replace(config, write_households=False)).households == {}
+        kept = run(config).households
+        assert {name: column.shape for name, column in kept.items()} == {
+            name: (5, 4) for name in kept
+        }

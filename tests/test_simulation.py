@@ -335,6 +335,16 @@ class TestConfigErrors:
             run(replace(SMALL, persona_path=str(path)), event_log=events)
         assert events == []
 
+    @pytest.mark.parametrize("cache_path", ["", "missing.jsonl"])
+    def test_replay_without_a_cache_file_fails_before_month_1(self, tmp_path, cache_path):
+        config = load_config(FIXTURES / "replay_config.json")
+        path = str(tmp_path / cache_path) if cache_path else ""
+        config = replace(config, gateway=replace(config.gateway, cache_path=path))
+        events: list[tuple[int, str]] = []
+        with pytest.raises(ConfigError, match="gateway.cache_path"):
+            run(config, event_log=events)
+        assert events == []
+
     def test_replay_miss_is_fatal_not_a_fallback(self, tmp_path):
         from taxsim.gateway import ReplayMissError
 
