@@ -146,6 +146,17 @@ class TaxSchedule:
         below = np.cumsum(np.concatenate(([0.0], rates[:-1] * np.diff(thresholds))))
         return thresholds, rates, below
 
+    @cached_property
+    def prompt_texts(self) -> tuple[str, str, str]:
+        """(thresholds, rates, rates in percent) as the household prompt
+        spells them, rendered on the schedule's first prompt and kept: every
+        household's prompt of a month shows the same schedules."""
+        return (
+            "[" + ", ".join(f"{b:.2f}" for b in self.thresholds) + "]",
+            "[" + ", ".join(f"{r:.2f}" for r in self.rates) + "]",
+            "[" + ", ".join(f"{r * 100:.2f}%" for r in self.rates) + "]",
+        )
+
 
 class ScheduleRows:
     """The schedules in force in the runs of an ensemble, one per row of its

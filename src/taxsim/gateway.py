@@ -21,7 +21,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 GATEWAY_MODES = ("live", "record", "replay", "scripted")
 
@@ -87,46 +87,72 @@ def _parse_record(line: str | bytes) -> tuple[str, str]:
     return record["key"], record["response"]
 
 
+def _lines(fh) -> Iterator[bytes]:
+    """The lines of a binary file, broken where ``bytes.splitlines`` of the
+    whole file breaks them: at LF, at CRLF and at a lone CR. Bytes, not
+    decoded text: str.splitlines would also break a record at a U+2028
+    inside a reply. A line with no CR keeps its LF, which json.loads and
+    strip ignore, so it is not copied again."""
+    for chunk in fh:
+        if b"\r" in chunk:
+            yield from chunk.splitlines()
+        else:
+            yield chunk
+
+
 def load_cache(path: str | Path) -> dict[str, str]:
-    """Load a JSONL exchange cache into a key -> response map.
+    """Load a JSONL exchange cache into a key -> response map, one line at a
+    time.
 
     A torn trailing line (interrupted append) is dropped; corruption anywhere
     else raises. When a key appears twice the later record wins.
     """
     entries: dict[str, str] = {}
-    # Split the bytes, not decoded text: str.splitlines would also break a
-    # record at a U+2028 inside a reply.
-    lines = Path(path).read_bytes().splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            key, response = _parse_record(line)
-        except _BAD_RECORD as exc:
-            if i == len(lines) - 1:
-                break
-            raise CacheCorruptError(f"{path}: bad record on line {i + 1}") from exc
-        entries[key] = response
+    bad: Exception | None = None
+    with open(path, "rb") as fh:
+        for number, line in enumerate(_lines(fh), 1):
+            if bad is not None:
+                raise CacheCorruptError(f"{path}: bad record on line {number - 1}") from bad
+            if not line.strip():
+                continue
+            try:
+                key, response = _parse_record(line)
+            except _BAD_RECORD as exc:
+                bad = exc  # tolerated only if no line follows
+                continue
+            entries[key] = response
     return entries
+
+
+# How far ``_end_torn_tail`` reads back from the end at a time.
+_TAIL_BLOCK = 1 << 16
 
 
 def _end_torn_tail(path: Path) -> None:
     """Make an existing cache end on a line break before anything is
     appended to it: a last record missing only its newline gets one, and a
     torn fragment is cut off. Otherwise the next append would be glued onto
-    the fragment and lost."""
+    the fragment and lost. Only the last line is read, block by block from
+    the end."""
     if not path.exists():
         return
     with open(path, "r+b") as fh:
-        data = fh.read()
-        if not data or data.endswith(b"\n"):
+        start = end = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while start and b"\n" not in tail:
+            step = min(_TAIL_BLOCK, start)
+            start -= step
+            fh.seek(start)
+            tail = fh.read(step) + tail
+        if not tail or tail.endswith(b"\n"):
             return
-        start = data.rfind(b"\n") + 1
+        cut = tail.rfind(b"\n") + 1
         try:
-            _parse_record(data[start:])
+            _parse_record(tail[cut:])
         except _BAD_RECORD:
-            fh.truncate(start)
+            fh.truncate(start + cut)
         else:
+            fh.seek(end)
             fh.write(b"\n")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,6 +95,17 @@ class MemoryEntry:
     posttax_income: float
     consumption: float
 
+    @cached_property
+    def line(self) -> str:
+        """This month's line of the quarterly review prompt, rendered once:
+        an entry stays in memory for up to four reviews."""
+        return (
+            f"{self.date}: work propensity {self.work_propensity:.2f}, consumption "
+            f"propensity {self.consumption_propensity:.2f}, pre-tax income "
+            f"${self.pretax_income:.2f}, post-tax income ${self.posttax_income:.2f}, "
+            f"spent ${self.consumption:.2f}"
+        )
+
 
 @dataclass
 class MemoryPool:
@@ -123,15 +135,8 @@ def build_household_prompt(context: DecisionContext) -> str:
     schedules, price, savings, interest rate, and the two-key JSON
     instruction on the 0.02 grid. A non-empty reflection note is appended."""
     persona = context.persona
-    brackets = (
-        "[" + ", ".join(f"{b:.2f}" for b in context.current_schedule.thresholds) + "]"
-    )
-    old_rates = (
-        "[" + ", ".join(f"{r:.2f}" for r in context.previous_schedule.rates) + "]"
-    )
-    new_rates = (
-        "[" + ", ".join(f"{r * 100:.2f}%" for r in context.current_schedule.rates) + "]"
-    )
+    brackets, _, new_rates = context.current_schedule.prompt_texts
+    old_rates = context.previous_schedule.prompt_texts[1]
     prompt = (
         f"You're {persona.name}, a {persona.age}-year-old individual living in "
         f"{persona.city}. A tax planner adjusts your tax rates periodically. "
@@ -175,16 +180,9 @@ def build_household_prompt(context: DecisionContext) -> str:
 
 def build_reflection_prompt(memory: MemoryPool) -> str:
     """Render the quarterly self-review prompt from the memory entries."""
-    lines = [
-        f"{e.date}: work propensity {e.work_propensity:.2f}, consumption "
-        f"propensity {e.consumption_propensity:.2f}, pre-tax income "
-        f"${e.pretax_income:.2f}, post-tax income ${e.posttax_income:.2f}, "
-        f"spent ${e.consumption:.2f}"
-        for e in memory
-    ]
     return (
         "You are reviewing your household finances. Here is your record of "
-        "recent months:\n" + "\n".join(lines) + "\n"
+        "recent months:\n" + "\n".join(e.line for e in memory) + "\n"
         "Write a short note to yourself (two or three sentences) with lessons "
         "from these months to guide your upcoming work and spending "
         "decisions. Reply with the note only."
@@ -193,11 +191,23 @@ def build_reflection_prompt(memory: MemoryPool) -> str:
 
 _JSON_OBJECT = re.compile(r"\{[^{}]*\}", re.DOTALL)
 
+# How many distinct replies the parse remembers. Replies repeat: a replay at
+# N=50 x 120 parses about 6,100 of them, of which fewer than 200 differ.
+PARSE_MEMO_SIZE = 4096
+
 
 def parse_decision_reply(text: str) -> Decision:
     """Parse a {"work": x, "consumption": y} reply into a grid-valid
     Decision; values are clamped and snapped, anything unparsable raises
-    DecisionError."""
+    DecisionError. The parse is a pure function of the text, so it is
+    memoised; an unparsable reply raises on every call."""
+    # A plain function in front of the memo, so that code wrapping this
+    # module's functions from outside (perfbench's tracer) still finds it.
+    return _parse_decision_reply(text)
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse_decision_reply(text: str) -> Decision:
     candidates = []
     try:
         candidates.append(json.loads(text))

@@ -55,6 +55,32 @@ class TestRunCommand:
         assert capsys.readouterr().err == "taxsim: error: months must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_record_without_cache_path_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TAXSIM_API_KEY", "secret")
+        config = tmp_path / "config.json"
+        gateway = {"mode": "record", "endpoint": "http://example.invalid"}
+        config.write_text(json.dumps({"tax_system": "tax_agent", "gateway": gateway}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("taxsim: error: gateway.cache_path")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_live_without_credential_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("TAXSIM_API_KEY", raising=False)
+        config = tmp_path / "config.json"
+        gateway = {"mode": "live", "endpoint": "http://example.invalid"}
+        config.write_text(json.dumps({"household_backend": "llm", "gateway": gateway}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "taxsim: error: gateway.api_key_env 'TAXSIM_API_KEY': live needs a credential "
+            "in that environment variable\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_without_config(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--months", "3", "--out", str(out)])

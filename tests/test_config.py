@@ -14,6 +14,8 @@ from taxsim.config import (
 )
 from taxsim.simulation import run
 
+URL = "http://example.invalid"
+
 
 class TestValidation:
     def test_defaults_are_valid(self):
@@ -55,6 +57,34 @@ class TestValidation:
     def test_bad_file_values_rejected_before_running(self, key, data):
         with pytest.raises(ConfigError, match=re.escape(key)):
             run(config_from_dict(data))
+
+    @pytest.mark.parametrize(
+        "key,gateway,credential",
+        [
+            ("gateway.cache_path", {"mode": "record", "endpoint": URL}, True),
+            ("gateway.cache_path", {"mode": "record", "endpoint": URL, "cache_path": "."}, True),
+            ("gateway.endpoint", {"mode": "live"}, True),
+            ("gateway.endpoint", {"mode": "record", "cache_path": "c.jsonl"}, True),
+            ("gateway.api_key_env", {"mode": "live", "endpoint": URL}, False),
+            (
+                "gateway.api_key_env",
+                {"mode": "record", "endpoint": URL, "cache_path": "c.jsonl", "api_key_env": "UNSET_KEY"},
+                True,
+            ),
+        ],
+    )
+    def test_unusable_gateway_settings_rejected_before_running(
+        self, key, gateway, credential, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("UNSET_KEY", raising=False)
+        if credential:
+            monkeypatch.setenv("TAXSIM_API_KEY", "secret")
+        else:
+            monkeypatch.delenv("TAXSIM_API_KEY", raising=False)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            run(config_from_dict({"tax_system": "tax_agent", "gateway": gateway}))
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_int_accepted_for_a_float_field(self):
         config_from_dict({"productivity": 2, "initial": {"wage_median": 30}}).validate()

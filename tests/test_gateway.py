@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import panicking_transport
 from taxsim.gateway import (
@@ -13,6 +16,8 @@ from taxsim.gateway import (
     ReplayMissError,
     ScriptExhaustedError,
     TransportError,
+    _end_torn_tail,
+    _TAIL_BLOCK,
     exchange_key,
     load_cache,
 )
@@ -103,6 +108,21 @@ TORN_TAILS = {
     "mid_character": '{"key": "k2", "response": "中'.encode()[:-1],
 }
 
+# Lines of a cache file, whole and broken, and the ends that may follow them.
+CACHE_LINES = [
+    b'{"key": "k1", "response": "r1"}',
+    b'{"key": "k1", "response": "later"}',
+    json.dumps({"key": "k2", "response": "a\u2028b"}, ensure_ascii=False).encode(),
+    b'{"key": "k3",\r"response": "split by a lone CR"}',
+    b"",
+    b"   ",
+    b"not json",
+    b'{"key": "k4"}',
+    b"[1, 2]",
+    *TORN_TAILS.values(),
+]
+LINE_ENDS = [b"\n", b"\r\n", b"\r", b""]
+
 
 class TestCacheLoading:
     def test_torn_trailing_line_tolerated(self, tmp_path):
@@ -120,8 +140,8 @@ class TestCacheLoading:
     def test_corrupt_interior_line_raises(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         good = json.dumps({"key": "k1", "response": "r1"})
-        cache.write_text("not json at all\n" + good + "\n")
-        with pytest.raises(CacheCorruptError):
+        cache.write_text(f"{good}\n\nnot json at all\n{good}\n")
+        with pytest.raises(CacheCorruptError, match="bad record on line 3$"):
             load_cache(cache)
 
     def test_later_duplicate_key_wins(self, tmp_path):
@@ -132,6 +152,77 @@ class TestCacheLoading:
         ]
         cache.write_text("\n".join(lines) + "\n")
         assert load_cache(cache) == {"k": "new"}
+
+    def test_bad_line_followed_by_blank_lines_raises(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        good = json.dumps({"key": "k1", "response": "r1"})
+        cache.write_text(good + "\n" + '{"key": "k2", "resp' + "\n\n  \n")
+        with pytest.raises(CacheCorruptError, match="line 2$"):
+            load_cache(cache)
+
+    def test_crlf_cache_loads(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        records = [{"key": f"k{i}", "response": f"r\u2028{i}"} for i in range(3)]
+        lines = [json.dumps(record, ensure_ascii=False) for record in records]
+        cache.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        assert load_cache(cache) == {f"k{i}": f"r\u2028{i}" for i in range(3)}
+
+    @given(pieces=st.lists(st.tuples(st.sampled_from(CACHE_LINES), st.sampled_from(LINE_ENDS))))
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_accepts_and_rejects_what_a_whole_file_read_does(self, tmp_path, pieces):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(b"".join(line + end for line, end in pieces))
+        assert outcome(load_cache, cache) == outcome(whole_file_load_cache, cache)
+
+
+def whole_file_load_cache(path: Path) -> dict[str, str]:
+    """The reference reading of a cache: split the whole file's bytes into
+    lines, tolerate a bad last line only, let the later duplicate win."""
+    entries = {}
+    lines = path.read_bytes().splitlines()
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            key, response = record["key"], record["response"]
+        except (ValueError, KeyError, TypeError) as exc:
+            if i == len(lines) - 1:
+                break
+            raise CacheCorruptError(f"{path}: bad record on line {i + 1}") from exc
+        entries[key] = response
+    return entries
+
+
+def outcome(load, path: Path):
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+GOOD_LINE = b'{"key": "k0", "response": "r0"}\n'
+LONG_RECORD = json.dumps({"key": "k1", "response": "r" * 3 * _TAIL_BLOCK}).encode()
+# A cache before and after ``_end_torn_tail``.
+TAIL_REPAIRS = {
+    "empty": (b"", b""),
+    "whole": (GOOD_LINE, GOOD_LINE),
+    "one_torn_fragment": (TORN_TAILS["mid_character"], b""),
+    "no_newline": (GOOD_LINE + GOOD_LINE[:-1], GOOD_LINE + GOOD_LINE),
+    "long_no_newline": (GOOD_LINE + LONG_RECORD, GOOD_LINE + LONG_RECORD + b"\n"),
+    "torn_after_a_long_line": (LONG_RECORD + b"\n" + TORN_TAILS["mid_record"], LONG_RECORD + b"\n"),
+    "long_torn_fragment": (GOOD_LINE + LONG_RECORD[:-5], GOOD_LINE),
+}
+
+
+@pytest.mark.parametrize("before,after", TAIL_REPAIRS.values(), ids=TAIL_REPAIRS.keys())
+def test_end_torn_tail(tmp_path, before, after):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(before)
+    _end_torn_tail(cache)
+    assert cache.read_bytes() == after
 
 
 class TestRecordAfterInterruption:

@@ -47,6 +47,14 @@ def context(**overrides) -> DecisionContext:
     return DecisionContext(**base)
 
 
+# Values on or beside a 0.005 rounding boundary of {:.2f}, as amounts and, for
+# rates, also of {r * 100:.2f}.
+BOUNDARY_AMOUNTS = st.sampled_from([0.005, 0.125, 0.135, 2.675, 1.005, 808.335, 7016.665])
+BOUNDARY_RATES = st.sampled_from(
+    [0.0, 0.005, 0.015, 0.125, 0.135, 0.145, 0.995, 1.0, 0.00005, 0.12345, 0.99995]
+)
+
+
 class TestBuildHouseholdPrompt:
     def test_golden_prompt(self, fixtures_dir):
         expected = (fixtures_dir / "household_prompt_golden.txt").read_text()[:-1]
@@ -90,6 +98,23 @@ class TestBuildHouseholdPrompt:
         with pytest.raises(ValueError):
             context(income_direction="sideways")
 
+    @given(
+        gaps=st.lists(st.one_of(BOUNDARY_AMOUNTS, st.floats(1e-3, 1e6)), max_size=7),
+        rates=st.lists(st.one_of(BOUNDARY_RATES, st.floats(0, 1)), min_size=8, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_schedule_texts_match_inline_formatting(self, gaps, rates):
+        thresholds = [0.0]
+        for gap in gaps:
+            thresholds.append(thresholds[-1] + gap)
+        schedule = TaxSchedule(tuple(thresholds), tuple(rates[: len(thresholds)]))
+        # The schedule texts as the prompt formatted them inline, per prompt.
+        assert schedule.prompt_texts == (
+            "[" + ", ".join(f"{b:.2f}" for b in schedule.thresholds) + "]",
+            "[" + ", ".join(f"{r:.2f}" for r in schedule.rates) + "]",
+            "[" + ", ".join(f"{r * 100:.2f}%" for r in schedule.rates) + "]",
+        )
+
 
 class TestParseDecisionReply:
     def test_plain_json(self):
@@ -121,6 +146,20 @@ class TestParseDecisionReply:
             parse_decision_reply('{"work": "lots", "consumption": 0.5}')
         with pytest.raises(DecisionError):
             parse_decision_reply('{"work": true, "consumption": 0.5}')
+
+    def test_repeated_reply_parses_to_an_equal_decision(self):
+        text = '{"work": 0.42, "consumption": 0.58}'
+        first = parse_decision_reply(text)
+        assert first == Decision(0.42, 0.58)
+        for copy in (text, "".join(list(text))):
+            assert parse_decision_reply(copy) == first
+
+    def test_malformed_reply_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DecisionError):
+                parse_decision_reply("no decision here")
+            with pytest.raises(DecisionError):
+                parse_decision_reply('{"work": NaN, "consumption": 0.5}')
 
     @given(
         work=st.floats(min_value=-3, max_value=3, allow_nan=False),
@@ -225,6 +264,32 @@ class TestDecide:
             decide(backend, context())
 
 
+# Twelve months whose values sit on or beside a 0.005 rounding boundary, so
+# the golden pins how {:.2f} spells each of them:
+# (work, consumption, pre-tax income, post-tax income, spent).
+GOLDEN_MEMORY_ROWS = [
+    (0.6, 0.4, 4000.0, 3600.0, 1500.0),
+    (0.005, 0.995, 4000.005, 3600.125, 1500.375),
+    (0.015, 0.985, 2.675, 1.005, 0.125),
+    (0.125, 0.875, 0.135, 0.145, 0.375),
+    (0.135, 0.865, 1234.565, 999.995, 0.005),
+    (0.145, 0.855, 12345.675, 10000.015, 0.015),
+    (0.375, 0.625, 0.0, 0.0, 0.0),
+    (1.0, 0.0, 808.335, 7016.665, 42525.005),
+    (0.0, 1.0, 0.004999, 0.005001, 0.994999),
+    (0.98, 0.02, 1e7 + 0.005, 123456.785, 3289.585),
+    (0.02, 0.98, 5.015, 5.025, 5.035),
+    (0.995, 0.005, 17008.335, 13393.755, 0.995),
+]
+
+
+def golden_memory() -> MemoryPool:
+    pool = MemoryPool()
+    for month, row in enumerate(GOLDEN_MEMORY_ROWS, 1):
+        pool.add(MemoryEntry(f"2001.{month:02d}", *row))
+    return pool
+
+
 def make_memory(months=3) -> MemoryPool:
     pool = MemoryPool()
     for m in range(1, months + 1):
@@ -267,6 +332,10 @@ class TestReflect:
         prompt = build_reflection_prompt(make_memory(3))
         for month in ("2001.01", "2001.02", "2001.03"):
             assert month in prompt
+
+    def test_golden_reflection_prompt(self, fixtures_dir):
+        expected = (fixtures_dir / "reflection_prompt_golden.txt").read_text()[:-1]
+        assert build_reflection_prompt(golden_memory()) == expected
 
 
 class TestMemoryPool:
