@@ -34,6 +34,15 @@ class GatewayError(Exception):
     """Base class for gateway failures."""
 
 
+class GatewaySettingError(GatewayError):
+    """The gateway's mode cannot work with one of its settings; ``setting``
+    names the constructor argument (and the ``gateway`` config key)."""
+
+    def __init__(self, setting: str, message: str) -> None:
+        super().__init__(message)
+        self.setting = setting
+
+
 class TransportError(GatewayError):
     """All transport attempts failed; callers may fall back."""
 
@@ -215,23 +224,26 @@ class ChatGateway:
         self._lock = threading.Lock()
         self._replay_cache: dict[str, str] = {}
 
-        if mode == "replay":
-            if self._cache_path is None:
-                raise GatewayError("replay mode requires a cache path")
-            self._replay_cache = load_cache(self._cache_path)
-        if mode == "record":
-            if self._cache_path is None:
-                raise GatewayError("record mode requires a cache path")
-            _end_torn_tail(self._cache_path)
+        # Every setting is checked before the cache is read or repaired.
+        if mode in ("replay", "record") and self._cache_path is None:
+            raise GatewaySettingError("cache_path", f"{mode} mode requires a cache path")
+        if mode == "replay" and not self._cache_path.is_file():
+            raise GatewaySettingError("cache_path", "replay needs an existing cache file")
+        if mode == "record" and self._cache_path.is_dir():
+            raise GatewaySettingError("cache_path", "record needs a cache file, not a directory")
         if mode in ("live", "record") and self._transport is None:
             if not endpoint:
-                raise GatewayError(f"{mode} mode requires an endpoint")
+                raise GatewaySettingError("endpoint", f"{mode} mode requires an endpoint")
             api_key = os.environ.get(api_key_env, "")
             if not api_key:
-                raise GatewayError(
-                    f"{mode} mode requires a credential in ${api_key_env}"
+                raise GatewaySettingError(
+                    "api_key_env", f"{mode} mode requires a credential in ${api_key_env}"
                 )
             self._transport = http_chat_transport(endpoint, api_key, timeout)
+        if mode == "replay":
+            self._replay_cache = load_cache(self._cache_path)
+        if mode == "record":
+            _end_torn_tail(self._cache_path)
 
     def complete(self, request: ChatRequest) -> str:
         """Resolve one request to a response text according to the mode."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,16 +93,20 @@ class MemoryEntry:
     pretax_income: float
     posttax_income: float
     consumption: float
+    # This month's line of the quarterly review prompt, rendered once, on
+    # creation: an entry stays in memory for up to four reviews and nearly
+    # every entry reaches one, while a cached_property would take a lock on
+    # its first read.
+    line: str = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def line(self) -> str:
-        """This month's line of the quarterly review prompt, rendered once:
-        an entry stays in memory for up to four reviews."""
-        return (
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "line",
             f"{self.date}: work propensity {self.work_propensity:.2f}, consumption "
             f"propensity {self.consumption_propensity:.2f}, pre-tax income "
             f"${self.pretax_income:.2f}, post-tax income ${self.posttax_income:.2f}, "
-            f"spent ${self.consumption:.2f}"
+            f"spent ${self.consumption:.2f}",
         )
 
 
@@ -191,23 +194,11 @@ def build_reflection_prompt(memory: MemoryPool) -> str:
 
 _JSON_OBJECT = re.compile(r"\{[^{}]*\}", re.DOTALL)
 
-# How many distinct replies the parse remembers. Replies repeat: a replay at
-# N=50 x 120 parses about 6,100 of them, of which fewer than 200 differ.
-PARSE_MEMO_SIZE = 4096
-
 
 def parse_decision_reply(text: str) -> Decision:
     """Parse a {"work": x, "consumption": y} reply into a grid-valid
     Decision; values are clamped and snapped, anything unparsable raises
-    DecisionError. The parse is a pure function of the text, so it is
-    memoised; an unparsable reply raises on every call."""
-    # A plain function in front of the memo, so that code wrapping this
-    # module's functions from outside (perfbench's tracer) still finds it.
-    return _parse_decision_reply(text)
-
-
-@lru_cache(maxsize=PARSE_MEMO_SIZE)
-def _parse_decision_reply(text: str) -> Decision:
+    DecisionError."""
     candidates = []
     try:
         candidates.append(json.loads(text))

@@ -57,11 +57,9 @@ scripted runs call households one by one on the calling thread.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -81,7 +79,7 @@ from taxsim.economy import (
     sequential_sum,
     update_interest_rate,
 )
-from taxsim.gateway import ChatGateway
+from taxsim.gateway import ChatGateway, GatewaySettingError
 from taxsim.households import (
     DEFAULT_DECISION,
     DECREASED,
@@ -162,35 +160,23 @@ def build_backend(config: SimConfig, gateway: ChatGateway | None) -> LLMBackend 
 
 def build_gateway(config: GatewayConfig) -> ChatGateway:
     """The gateway of the config's gateway section; a setting its mode
-    cannot work without is a ConfigError naming the key, before month 1."""
+    cannot work with is a ConfigError naming the key, before month 1."""
     if config.mode == "scripted":
         raise ConfigError(
             "scripted gateways hold an in-memory queue; construct one directly "
             "and pass it to run()"
         )
-    if config.mode == "replay" and not Path(config.cache_path).is_file():
-        raise ConfigError(
-            f"gateway.cache_path {config.cache_path!r}: replay needs an existing cache file"
+    try:
+        return ChatGateway(
+            config.mode,
+            cache_path=config.cache_path or None,
+            endpoint=config.endpoint,
+            api_key_env=config.api_key_env,
+            timeout=config.timeout_seconds,
         )
-    if config.mode == "record" and (not config.cache_path or Path(config.cache_path).is_dir()):
-        raise ConfigError(
-            f"gateway.cache_path {config.cache_path!r}: record needs a cache file to append to"
-        )
-    if config.mode in ("live", "record"):
-        if not config.endpoint:
-            raise ConfigError(f"gateway.endpoint is empty: {config.mode} needs the endpoint's URL")
-        if not os.environ.get(config.api_key_env):
-            raise ConfigError(
-                f"gateway.api_key_env {config.api_key_env!r}: {config.mode} needs a "
-                "credential in that environment variable"
-            )
-    return ChatGateway(
-        config.mode,
-        cache_path=config.cache_path or None,
-        endpoint=config.endpoint,
-        api_key_env=config.api_key_env,
-        timeout=config.timeout_seconds,
-    )
+    except GatewaySettingError as exc:
+        value = getattr(config, exc.setting)
+        raise ConfigError(f"gateway.{exc.setting} {value!r}: {exc}") from None
 
 
 @contextmanager

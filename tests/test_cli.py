@@ -76,8 +76,8 @@ class TestRunCommand:
         argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "taxsim: error: gateway.api_key_env 'TAXSIM_API_KEY': live needs a credential "
-            "in that environment variable\n"
+            "taxsim: error: gateway.api_key_env 'TAXSIM_API_KEY': live mode requires a "
+            "credential in $TAXSIM_API_KEY\n"
         )
         assert not (tmp_path / "out").exists()
 

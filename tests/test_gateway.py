@@ -13,6 +13,7 @@ from taxsim.gateway import (
     ChatGateway,
     ChatRequest,
     GatewayError,
+    GatewaySettingError,
     ReplayMissError,
     ScriptExhaustedError,
     TransportError,
@@ -23,6 +24,7 @@ from taxsim.gateway import (
 )
 
 REQUEST = ChatRequest(model_id="test-model", prompt="hello there", temperature=0.7)
+URL = "http://example.invalid"
 
 
 class TestChatRequest:
@@ -138,6 +140,13 @@ class TestCacheLoading:
         assert load_cache(cache) == {"k1": "r1"}
 
     def test_corrupt_interior_line_raises(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        good = json.dumps({"key": "k1", "response": "r1"})
+        cache.write_text("not json at all\n" + good + "\n")
+        with pytest.raises(CacheCorruptError, match="bad record on line 1$"):
+            load_cache(cache)
+
+    def test_corrupt_line_after_a_blank_line_names_its_line(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         good = json.dumps({"key": "k1", "response": "r1"})
         cache.write_text(f"{good}\n\nnot json at all\n{good}\n")
@@ -366,3 +375,31 @@ class TestModeValidation:
     def test_record_requires_cache_path(self):
         with pytest.raises(GatewayError):
             ChatGateway("record", transport=lambda req: "ok")
+
+    @pytest.mark.parametrize(
+        "mode,kwargs,setting",
+        [
+            ("replay", {"cache_path": "missing.jsonl"}, "cache_path"),
+            ("record", {"cache_path": ".", "transport": lambda req: "ok"}, "cache_path"),
+            ("live", {}, "endpoint"),
+            (
+                "record",
+                {"cache_path": "c.jsonl", "endpoint": URL, "api_key_env": "UNSET_KEY"},
+                "api_key_env",
+            ),
+        ],
+    )
+    def test_setting_errors_name_the_setting(self, mode, kwargs, setting, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("UNSET_KEY", raising=False)
+        with pytest.raises(GatewaySettingError) as caught:
+            ChatGateway(mode, **kwargs)
+        assert caught.value.setting == setting
+
+    def test_record_without_credential_leaves_a_torn_cache_alone(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("UNSET_KEY", raising=False)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(GOOD_LINE + TORN_TAILS["mid_record"])
+        with pytest.raises(GatewaySettingError):
+            ChatGateway("record", cache_path=cache, endpoint=URL, api_key_env="UNSET_KEY")
+        assert cache.read_bytes() == GOOD_LINE + TORN_TAILS["mid_record"]
