@@ -157,6 +157,14 @@ class TaxSchedule:
             "[" + ", ".join(f"{r * 100:.2f}%" for r in self.rates) + "]",
         )
 
+    @cached_property
+    def planner_text(self) -> str:
+        """The rates as the planner prompt's history spells them, rendered on
+        the schedule's first planner prompt and kept: a schedule stays in
+        force for a whole proposal period, so it fills many months of
+        every later history."""
+        return str([round(r, 2) for r in self.rates])
+
 
 class ScheduleRows:
     """The schedules in force in the runs of an ensemble, one per row of its

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -76,14 +77,42 @@ class ChatRequest:
             raise ValueError("temperature must be >= 0")
 
 
+# Every byte but the 32 control bytes, which a JSON string must escape.
+_NOT_CONTROL = bytes(range(0x20, 0x100))
+_SHORT_ESCAPES = {8: b"\\b", 9: b"\\t", 10: b"\\n", 12: b"\\f", 13: b"\\r"}
+
+
+def _json_string_body(text: str) -> bytes:
+    """``text`` between the quotes of its compact JSON spelling, in UTF-8,
+    as ``json.dumps(..., ensure_ascii=False)`` writes it. Escaping bytes
+    rather than characters is exact: the bytes of a multi-byte UTF-8
+    sequence are never ASCII."""
+    data = text.encode("utf-8").replace(b"\\", b"\\\\").replace(b'"', b'\\"')
+    for byte in set(data.translate(None, _NOT_CONTROL)):
+        data = data.replace(bytes((byte,)), _SHORT_ESCAPES.get(byte) or b"\\u%04x" % byte)
+    return data
+
+
+def _json_float(value: float) -> bytes:
+    """A float as ``json.dumps`` spells it, non-finite values included."""
+    if math.isfinite(value):
+        return repr(value).encode()
+    return b"NaN" if value != value else b"Infinity" if value > 0 else b"-Infinity"
+
+
 def exchange_key(model_id: str, prompt: str, temperature: float) -> str:
-    """Deterministic, platform-stable cache key for a request."""
-    material = json.dumps(
-        [model_id, prompt, float(temperature)],
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    """Deterministic, platform-stable cache key for a request: the sha256 of
+    the UTF-8 bytes of ``json.dumps([model_id, prompt, float(temperature)],
+    ensure_ascii=False, separators=(",", ":"))``. The strings are escaped
+    with whole-string replaces, which cost less than the JSON encoder's
+    escaping of a prompt one character at a time, and fed to the hash piece
+    by piece, so no joined copy of the prompt is made."""
+    key = hashlib.sha256(b'["')
+    key.update(_json_string_body(model_id))
+    key.update(b'","')
+    key.update(_json_string_body(prompt))
+    key.update(b'",' + _json_float(float(temperature)) + b"]")
+    return key.hexdigest()
 
 
 # What a cache line that is not a whole record raises; ValueError covers
@@ -244,6 +273,12 @@ class ChatGateway:
             self._replay_cache = load_cache(self._cache_path)
         if mode == "record":
             _end_torn_tail(self._cache_path)
+
+    def attempts(self, max_retries: int) -> int:
+        """How many times a caller should ask for a reply that does not
+        parse: ``max_retries``, except in replay, where the same request
+        always gets the same cached reply back and asking again cannot help."""
+        return 1 if self.mode == "replay" else max_retries
 
     def complete(self, request: ChatRequest) -> str:
         """Resolve one request to a response text according to the mode."""

@@ -265,8 +265,9 @@ class LLMBackend:
     """LLM-driven decisions and reflections through a chat gateway.
 
     Parse and transport failures are retried up to ``max_retries`` total
-    attempts and then surface as DecisionError/TransportError for the
-    caller's fallback; a replay cache miss always propagates.
+    attempts (one in replay, whose replies are fixed) and then surface as
+    DecisionError/TransportError for the caller's fallback; a replay cache
+    miss always propagates.
     """
 
     def __init__(
@@ -285,7 +286,7 @@ class LLMBackend:
 
     def decide(self, context: DecisionContext) -> Decision:
         request = self._request(build_household_prompt(context))
-        for _ in range(self.config.max_retries):
+        for _ in range(self.gateway.attempts(self.config.max_retries)):
             try:
                 return parse_decision_reply(self.gateway.complete(request))
             except (DecisionError, TransportError):

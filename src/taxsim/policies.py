@@ -205,9 +205,9 @@ def build_tax_prompt(observation: PolicyObservation) -> str:
     bracket_text = "[" + ", ".join(f"{b:.2f}" for b in DEFAULT_BRACKETS) + "]"
     income_text = "[" + ", ".join(str(round(z, 2)) for z in observation.incomes) + "]"
     wealth_text = "[" + ", ".join(str(round(w, 2)) for w in observation.wealth) + "]"
-    schedule_text = "[(" + str(
-        [[round(r, 2) for r in s.rates] for s in observation.schedule_history]
-    ) + ")]"
+    schedule_text = (
+        "[([" + ", ".join(s.planner_text for s in observation.schedule_history) + "])]"
+    )
     productivity_text = (
         "[" + ", ".join(f" ({round(v, 2)})" for v in observation.productivity_history) + "]"
     )
@@ -290,9 +290,9 @@ class SaezOptimalPolicy:
 
 
 class TaxAgentPolicy:
-    """LLM-backed planner. Retries up to ``max_retries`` total attempts on
-    parse or transport failures, then keeps the previous schedule; a replay
-    cache miss is fatal and propagates."""
+    """LLM-backed planner. Retries up to ``max_retries`` total attempts (one
+    in replay, whose replies are fixed) on parse or transport failures, then
+    keeps the previous schedule; a replay cache miss is fatal and propagates."""
 
     def __init__(self, gateway: ChatGateway, config: TaxAgentConfig | None = None) -> None:
         self.gateway = gateway
@@ -305,7 +305,7 @@ class TaxAgentPolicy:
             temperature=self.config.temperature,
             max_tokens=self.config.max_tokens,
         )
-        for _ in range(self.config.max_retries):
+        for _ in range(self.gateway.attempts(self.config.max_retries)):
             try:
                 rates = parse_tax_reply(self.gateway.complete(request))
             except (TaxReplyParseError, TransportError):

@@ -158,6 +158,18 @@ def panicking_transport(request: ChatRequest) -> str:
     raise AssertionError("transport must not be touched in this mode")
 
 
+class CountingGateway(ChatGateway):
+    """A gateway that counts its ``complete`` calls."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def complete(self, request: ChatRequest) -> str:
+        self.calls += 1
+        return super().complete(request)
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 OUTPUT_FILES = ("monthly.csv", "annual.csv", "households.csv", "summary.json")
 REPLAY_CASE = "fixture_replay"

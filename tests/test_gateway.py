@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -37,6 +38,29 @@ class TestChatRequest:
             ChatRequest(model_id="m", prompt="p", temperature=-0.1)
 
 
+def json_dumps_key(model_id: str, prompt: str, temperature: float) -> str:
+    """The key as first defined: the sha256 of the compact ``json.dumps``
+    spelling of the request, which ``exchange_key`` must reproduce."""
+    material = json.dumps(
+        [model_id, prompt, float(temperature)],
+        ensure_ascii=False,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+# The characters the JSON encoder escapes (the 32 controls, quote, backslash)
+# and neighbours it must leave alone (DEL, U+2028/9, multi-byte UTF-8).
+KEY_ALPHABET = st.one_of(
+    st.sampled_from([chr(c) for c in range(0x20)] + ['"', "\\", "\x7f", "\u2028", "\u2029"]),
+    st.sampled_from(["a", " ", "é", "中", "\U0001f600", "\U00010348"]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+KEY_TEMPERATURES = st.sampled_from(
+    [0.0, -0.0, 0, 1, 2, 0.7, 1e-7, 1e16, 1e22, 5e-324, float("nan"), float("inf"), float("-inf")]
+)
+
+
 class TestExchangeKey:
     def test_deterministic(self):
         assert exchange_key("m", "p", 0.7) == exchange_key("m", "p", 0.7)
@@ -52,6 +76,36 @@ class TestExchangeKey:
         assert exchange_key("qwen-turbo-2024-09-19", "ping", 0.2) == (
             "5b768fd4ac3f833921ca37c0e13697e7f423e1394d03c59bc60024248c092570"
         )
+
+    @given(
+        model_id=st.text(KEY_ALPHABET, max_size=8),
+        prompt=st.text(KEY_ALPHABET),
+        temperature=st.one_of(KEY_TEMPERATURES, st.floats(), st.integers(0, 10**6)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_json_dumps_spelling(self, model_id, prompt, temperature):
+        assert exchange_key(model_id, prompt, temperature) == json_dumps_key(
+            model_id, prompt, temperature
+        )
+
+    def test_every_escaped_character_alone(self):
+        for text in [chr(c) for c in range(0x20)] + ['"', "\\", "\x7f"]:
+            for model_id, prompt in ((text, "p"), ("m", text), ("", text * 3 + "é")):
+                assert exchange_key(model_id, prompt, 0.7) == json_dumps_key(model_id, prompt, 0.7)
+
+    def test_lone_surrogate_raises_as_the_encoder_does(self):
+        for key in (exchange_key, json_dumps_key):
+            with pytest.raises(UnicodeEncodeError):
+                key("m", "half a pair \ud800", 0.7)
+
+    def test_fixture_cache_records_rekey_to_their_keys(self, fixtures_dir):
+        lines = (fixtures_dir / "replay_cache.jsonl").read_bytes().splitlines()
+        records = [json.loads(line) for line in lines if line.strip()]
+        assert records
+        for record in records:
+            assert record["key"] == exchange_key(
+                record["model_id"], record["prompt"], record["temperature"]
+            )
 
 
 class TestScriptedMode:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scripted_gateway
+from helpers import CountingGateway, scripted_gateway
 from taxsim.economy import Persona, TaxSchedule
 from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.households import (
@@ -255,6 +255,17 @@ class TestDecide:
             HouseholdLLMConfig(max_retries=2),
         )
         assert decide(backend, context()) == Decision(0.5, 0.5)
+
+    def test_replayed_malformed_reply_is_asked_for_once(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        previous = Decision(0.44, 0.38)
+        recorder = CountingGateway("record", cache_path=cache, transport=lambda request: "bad")
+        assert decide(LLMBackend(recorder), context(), fallback=previous) == previous
+        assert recorder.calls == HouseholdLLMConfig().max_retries
+        # Asking the cache again would only return the same reply.
+        replayer = CountingGateway("replay", cache_path=cache)
+        assert decide(LLMBackend(replayer), context(), fallback=previous) == previous
+        assert replayer.calls == 1
 
     def test_replay_miss_propagates(self, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_saez_rates, scripted_gateway
+from helpers import CountingGateway, oracle_saez_rates, scripted_gateway
 from taxsim.economy import TaxSchedule
 from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.policies import (
@@ -202,6 +203,18 @@ class TestSaezSchedule:
         assert policy.propose(obs_low).rates != policy.propose(obs_high).rates
 
 
+# Rates on the 0.005 rounding boundaries of the 0.01 grid and one step of a
+# float either side of them, with both ends of [0, 1].
+HALF_CENT_RATES = st.sampled_from(
+    [0.0, 1.0]
+    + [
+        math.nextafter(boundary, toward)
+        for boundary in (0.005, 0.015, 0.125, 0.135, 0.145, 0.285, 0.995)
+        for toward in (0.0, boundary, 1.0)
+    ]
+)
+
+
 class TestBuildTaxPrompt:
     def test_golden_prompt(self, fixtures_dir):
         data = json.loads((fixtures_dir / "planner_observation.json").read_text())
@@ -218,6 +231,24 @@ class TestBuildTaxPrompt:
         )
         expected = (fixtures_dir / "planner_prompt_golden.txt").read_text()[:-1]
         assert build_tax_prompt(obs) == expected
+
+    @given(
+        rates=st.lists(
+            st.lists(st.one_of(HALF_CENT_RATES, st.floats(0, 1)), min_size=7, max_size=7),
+            min_size=1,
+            max_size=4,
+        ),
+        months=st.lists(st.integers(0, 3), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_history_text_matches_nested_list_spelling(self, rates, months):
+        schedules = [TaxSchedule(DEFAULT_BRACKETS, r) for r in rates]
+        # Months share schedule objects, as a run's history does.
+        history = [schedules[m % len(schedules)] for m in months]
+        prompt = build_tax_prompt(observation(incomes=[1.0], schedules=history))
+        # The history as the prompt spelled it before schedules kept their text.
+        nested = "[(" + str([[round(r, 2) for r in s.rates] for s in history]) + ")]"
+        assert f"The tax rates you set in the past months were {nested}. " in prompt
 
     def test_required_fields_present(self):
         obs = observation(incomes=[0.0, 1200.5], wealth=[100.0, 200.0],
@@ -308,6 +339,17 @@ class TestTaxAgentPolicy:
         policy = TaxAgentPolicy(gateway, TaxAgentConfig(max_retries=2))
         obs = observation(incomes=[1.0], wealth=[1.0], schedules=[us_federal_schedule()])
         assert policy.propose(obs).rates == (0.2,) * 7
+
+    def test_replayed_malformed_reply_is_asked_for_once(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        previous = free_market_schedule()
+        obs = observation(incomes=[1.0], wealth=[1.0], schedules=[previous])
+        recorder = CountingGateway("record", cache_path=cache, transport=lambda request: "[1,2]")
+        assert TaxAgentPolicy(recorder).propose(obs) == previous
+        assert recorder.calls == TaxAgentConfig().max_retries
+        replayer = CountingGateway("replay", cache_path=cache)
+        assert TaxAgentPolicy(replayer).propose(obs) == previous
+        assert replayer.calls == 1
 
     def test_replay_miss_propagates(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
