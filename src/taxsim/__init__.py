@@ -6,9 +6,16 @@ optimal rates, or an LLM planner) periodically resets the bracket rates.
 The social outcome is equality times per-capita wealth.
 """
 
-from taxsim.config import GatewayConfig, InitialConditions, SimConfig, load_config
-from taxsim.economy import (
+from taxsim.config import (
     AdjustmentParams,
+    GatewayConfig,
+    InitialConditions,
+    SaezParams,
+    SimConfig,
+    TaxAgentConfig,
+    load_config,
+)
+from taxsim.economy import (
     MarketState,
     Persona,
     TaxSchedule,
@@ -24,8 +31,6 @@ from taxsim.policies import (
     FixedPolicy,
     PolicyObservation,
     SaezOptimalPolicy,
-    SaezParams,
-    TaxAgentConfig,
     TaxAgentPolicy,
     saez_schedule,
 )

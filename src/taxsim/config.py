@@ -3,7 +3,10 @@ field-for-field, with validation and (de)serialization.
 
 ``SimConfig.validate`` checks every field of the tree the same way: its
 value must match the field's annotation, and a field declared with
-``_checked`` must also satisfy that field's rule.
+``_checked`` must also satisfy that field's rule: a bound ``gt``, ``ge`` or
+``le``, or ``choices``. The ``None`` of an optional field skips its rule.
+No section checks itself on construction, so every bad value is reported
+by ``validate`` under its dotted key.
 """
 
 from __future__ import annotations
@@ -15,10 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
-from taxsim.economy import AdjustmentParams
 from taxsim.gateway import GATEWAY_MODES
-from taxsim.households import HouseholdLLMConfig
-from taxsim.policies import SaezParams, TaxAgentConfig
 
 TAX_SYSTEMS = ("free", "us_federal", "saez", "tax_agent")
 HOUSEHOLD_BACKENDS = ("llm", "rule_based")
@@ -31,7 +31,8 @@ class ConfigError(ValueError):
 
 def _checked(default, **rule):
     """A field whose value ``validate`` also checks against ``rule``: a
-    lower bound ``gt`` (exclusive) or ``ge`` (inclusive), or ``choices``."""
+    lower bound ``gt`` (exclusive) or ``ge`` (inclusive), an upper bound
+    ``le`` (inclusive), or ``choices``."""
     return field(default=default, metadata=rule)
 
 
@@ -44,7 +45,49 @@ class GatewayConfig:
     endpoint: str = ""
     cache_path: str = ""
     api_key_env: str = "TAXSIM_API_KEY"
-    timeout_seconds: float = 30.0
+    timeout_seconds: float = _checked(30.0, gt=0)
+
+
+@dataclass(frozen=True)
+class AdjustmentParams:
+    """Wage/price adjustment caps and Taylor-rule coefficients."""
+
+    max_wage_step: float = _checked(0.05, gt=0, le=1)
+    max_price_step: float = _checked(0.10, gt=0, le=1)
+    natural_rate: float = 0.01
+    target_inflation: float = 0.02
+    inflation_response: float = 0.5
+    unemployment_response: float = 0.5
+    natural_unemployment: float = 0.04
+
+
+@dataclass(frozen=True)
+class SaezParams:
+    """Inputs to the optimal-rate formulas. ``elasticity`` doubles as the
+    top-bracket uncompensated elasticity. ``tail_threshold`` of None means
+    the schedule's own top threshold."""
+
+    elasticity: float = _checked(0.25, ge=0)
+    tail_threshold: float | None = _checked(None, gt=0)
+
+
+@dataclass(frozen=True)
+class TaxAgentConfig:
+    """LLM planner settings; the model id stands in for whatever policy
+    knowledge the model carries."""
+
+    model_id: str = "qwen-turbo-2024-09-19"
+    temperature: float = _checked(0.2, ge=0)
+    max_retries: int = _checked(3, ge=1)
+    max_tokens: int = 256
+
+
+@dataclass(frozen=True)
+class HouseholdLLMConfig:
+    model_id: str = "qwen-turbo-2024-09-19"
+    temperature: float = _checked(0.7, ge=0)
+    max_retries: int = _checked(3, ge=1)
+    max_tokens: int = 128
 
 
 @dataclass
@@ -103,10 +146,14 @@ def _problems(section, where: str) -> list[str]:
             problems.append(f"{key} must be {kinds}, got {value!r}")
         elif is_dataclass(value):
             problems += _problems(value, key + ".")
+        elif value is None:
+            continue  # the None of an optional field meets every rule
         elif "gt" in rule and not value > rule["gt"]:
             problems.append(f"{key} must be > {rule['gt']}")
         elif "ge" in rule and not value >= rule["ge"]:
             problems.append(f"{key} must be >= {rule['ge']}")
+        elif "le" in rule and not value <= rule["le"]:
+            problems.append(f"{key} must be <= {rule['le']}")
         elif "choices" in rule and value not in rule["choices"]:
             problems.append(f"{key} must be one of {rule['choices']}")
     return problems
@@ -134,32 +181,18 @@ def _has_type(value, annotation) -> bool:
 
 
 def _build_dataclass(cls, data: dict[str, Any], where: str):
-    known = {f.name: f for f in fields(cls)}
+    hints = _type_hints(cls)
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"unknown config key {where}{key!r}")
         # Nested sections are dicts in the file; everything else passes through.
         if isinstance(value, dict):
-            nested = _NESTED_TYPES.get(key)
-            if nested is None:
+            if not is_dataclass(hints[key]):
                 raise ConfigError(f"config key {where}{key!r} does not take a mapping")
-            value = _build_dataclass(nested, value, where=f"{where}{key}.")
+            value = _build_dataclass(hints[key], value, where=f"{where}{key}.")
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config section {where or 'root.'}: {exc}") from exc
-
-
-_NESTED_TYPES = {
-    "adjustment": AdjustmentParams,
-    "saez": SaezParams,
-    "tax_agent": TaxAgentConfig,
-    "household_llm": HouseholdLLMConfig,
-    "gateway": GatewayConfig,
-    "initial": InitialConditions,
-}
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:

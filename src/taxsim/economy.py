@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from taxsim.config import AdjustmentParams
+
 HOURS_PER_MONTH = 168  # 21 eight-hour working days
 
 
@@ -132,10 +134,6 @@ class TaxSchedule:
             if not 0.0 <= rate <= 1.0:
                 raise ScheduleError("every rate must lie in [0, 1]")
 
-    @property
-    def num_brackets(self) -> int:
-        return len(self.rates)
-
     @cached_property
     def bracket_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(thresholds, rates, full tax of the brackets below each
@@ -203,25 +201,6 @@ class MarketState:
             raise ValueError("interest_rate must be >= 0")
         if self.productivity <= 0:
             raise ValueError("productivity must be > 0")
-
-
-@dataclass(frozen=True)
-class AdjustmentParams:
-    """Wage/price adjustment caps and Taylor-rule coefficients."""
-
-    max_wage_step: float = 0.05
-    max_price_step: float = 0.10
-    natural_rate: float = 0.01
-    target_inflation: float = 0.02
-    inflation_response: float = 0.5
-    unemployment_response: float = 0.5
-    natural_unemployment: float = 0.04
-
-    def __post_init__(self) -> None:
-        for attr in ("max_wage_step", "max_price_step"):
-            step = getattr(self, attr)
-            if not 0.0 < step <= 1.0:
-                raise ValueError(f"{attr} must lie in (0, 1]")
 
 
 def produce(employed: np.ndarray, wages: np.ndarray, market: MarketState) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from taxsim.config import HouseholdLLMConfig
 from taxsim.economy import Persona, TaxSchedule, compute_tax, quantize_fraction
 from taxsim.gateway import ChatGateway, ChatRequest, TransportError
 
@@ -247,18 +248,6 @@ def rule_based_decide(
         np.minimum(0.95, 3.0 * price / np.maximum(reachable, price))
     )
     return work, consumption
-
-
-@dataclass(frozen=True)
-class HouseholdLLMConfig:
-    model_id: str = "qwen-turbo-2024-09-19"
-    temperature: float = 0.7
-    max_retries: int = 3
-    max_tokens: int = 128
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
 
 class LLMBackend:

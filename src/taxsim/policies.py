@@ -22,6 +22,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from taxsim.config import SaezParams, TaxAgentConfig
 from taxsim.economy import TaxSchedule, quantize_fraction
 from taxsim.gateway import ChatGateway, ChatRequest, TransportError
 
@@ -79,37 +80,6 @@ class PolicyObservation:
         if not self.schedule_history:
             return us_federal_schedule()
         return self.schedule_history[-1]
-
-
-@dataclass(frozen=True)
-class SaezParams:
-    """Inputs to the optimal-rate formulas. ``elasticity`` doubles as the
-    top-bracket uncompensated elasticity. ``tail_threshold`` of None means
-    the schedule's own top threshold."""
-
-    elasticity: float = 0.25
-    tail_threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.elasticity < 0:
-            raise ValueError("elasticity must be >= 0")
-        if self.tail_threshold is not None and self.tail_threshold <= 0:
-            raise ValueError("tail_threshold must be > 0")
-
-
-@dataclass(frozen=True)
-class TaxAgentConfig:
-    """LLM planner settings; the model id stands in for whatever policy
-    knowledge the model carries."""
-
-    model_id: str = "qwen-turbo-2024-09-19"
-    temperature: float = 0.2
-    max_retries: int = 3
-    max_tokens: int = 256
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
 
 def pareto_parameter(incomes: Sequence[float], tail_threshold: float) -> float:

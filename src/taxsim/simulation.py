@@ -137,15 +137,13 @@ def initial_schedule(tax_system: str) -> TaxSchedule:
 
 
 def build_policy(config: SimConfig, gateway: ChatGateway | None) -> TaxPolicy:
-    if config.tax_system in ("free", "us_federal"):
-        return FixedPolicy(initial_schedule(config.tax_system))
+    """The policy of a validated config; ``_prepared`` has supplied the
+    gateway when the system needs one."""
     if config.tax_system == "saez":
         return SaezOptimalPolicy(config.saez)
     if config.tax_system == "tax_agent":
-        if gateway is None:
-            raise ConfigError("tax_agent needs a chat gateway")
         return TaxAgentPolicy(gateway, config.tax_agent)
-    raise ConfigError(f"unknown tax system {config.tax_system!r}")
+    return FixedPolicy(initial_schedule(config.tax_system))
 
 
 def build_backend(config: SimConfig, gateway: ChatGateway | None) -> LLMBackend | None:
@@ -153,8 +151,6 @@ def build_backend(config: SimConfig, gateway: ChatGateway | None) -> LLMBackend 
     ``run`` computes for the whole population at once."""
     if config.household_backend == "rule_based":
         return None
-    if gateway is None:
-        raise ConfigError("llm household backend needs a chat gateway")
     return LLMBackend(gateway, config.household_llm)
 
 

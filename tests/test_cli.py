@@ -55,6 +55,16 @@ class TestRunCommand:
         assert capsys.readouterr().err == "taxsim: error: months must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_bad_section_value_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"household_llm": {"temperature": -1}}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "taxsim: error: household_llm.temperature must be >= 0\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_record_without_cache_path_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TAXSIM_API_KEY", "secret")
         config = tmp_path / "config.json"

@@ -52,11 +52,36 @@ class TestValidation:
             ("seed", {"seed": True}),
             ("productivity", {"productivity": float("nan")}),
             ("gateway.mode", {"gateway": {"mode": "bogus"}}),
+            ("adjustment.max_wage_step", {"adjustment": {"max_wage_step": 2.0}}),
+            ("adjustment.max_wage_step", {"adjustment": {"max_wage_step": 0}}),
+            ("adjustment.max_wage_step", {"adjustment": {"max_wage_step": 1.5}}),
+            ("adjustment.max_wage_step", {"adjustment": {"max_wage_step": "x"}}),
+            ("adjustment.max_price_step", {"adjustment": {"max_price_step": 0}}),
+            ("saez.elasticity", {"saez": {"elasticity": -0.1}}),
+            ("saez.elasticity", {"saez": {"elasticity": "a"}}),
+            ("saez.tail_threshold", {"saez": {"tail_threshold": 0}}),
+            ("tax_agent.max_retries", {"tax_agent": {"max_retries": 0}}),
+            ("household_llm.max_retries", {"household_llm": {"max_retries": 0}}),
+            ("tax_agent.temperature", {"tax_agent": {"temperature": -0.1}}),
+            ("household_llm.temperature", {"household_llm": {"temperature": -0.1}}),
+            ("gateway.timeout_seconds", {"gateway": {"timeout_seconds": 0}}),
+            ("gateway.timeout_seconds", {"gateway": {"timeout_seconds": -1}}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):
+        config = config_from_dict(data)
         with pytest.raises(ConfigError, match=re.escape(key)):
-            run(config_from_dict(data))
+            run(config)
+
+    def test_bounds_themselves_accepted(self):
+        config_from_dict(
+            {
+                "adjustment": {"max_wage_step": 1.0},
+                "saez": {"elasticity": 0, "tail_threshold": None},
+                "tax_agent": {"temperature": 0},
+                "household_llm": {"temperature": 0},
+            }
+        ).validate()
 
     @pytest.mark.parametrize(
         "key,gateway,credential",
@@ -137,7 +162,3 @@ class TestSerialization:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
-
-    def test_bad_section_value_reported(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"adjustment": {"max_wage_step": 2.0}})

@@ -47,7 +47,6 @@ class TestTaxSchedule:
     def test_valid_schedule_coerces_to_tuples(self):
         s = TaxSchedule([0.0, 100.0], [0.1, 0.2])
         assert s.thresholds == (0.0, 100.0)
-        assert s.num_brackets == 2
 
     @pytest.mark.parametrize(
         "thresholds,rates",
