@@ -46,12 +46,22 @@ ensemble, or on the interpreter's ``sum``. With the rule-based backend, or
 an LLM backend in replay or scripted mode, two runs produce byte-identical
 outputs.
 
+Each proposal is submitted at the end of the month before it, after (9):
+it observes that month's incomes and the wealth after interest, which is
+what step (1) would see, and no reflection note. So it can overlap the
+reflections of (8), whose notes are collected only after the proposal is
+submitted; no proposal is made after the last month.
+
 When LLM households reach a transport (live or record mode), a month's
-decisions and a quarter's reflections each depend only on start-of-step
-state, so they run concurrently on up to ``FAN_OUT_WORKERS`` threads. Their
-results are applied in household order, so no output depends on the order in
-which calls complete; only the record cache's line order does. Replay and
-scripted runs call households one by one on the calling thread.
+decisions, and a quarter's reflections together with the next proposal,
+each depend only on state that is fixed before they start, so they run
+concurrently on up to ``FAN_OUT_WORKERS`` threads. Their results are
+applied in a fixed order (household order, then the proposal), so no output
+depends on the order in which calls complete; only the record cache's line
+order does. Every other run (rule-based, replay, scripted) makes each call
+on the calling thread when its result is read, which keeps the serial
+order: a quarter's reflections, then the next proposal, then the next
+month's decisions.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,7 +125,7 @@ from taxsim.results import (
 )
 
 START_YEAR = 2001  # month 1 renders as "2001.01"
-FAN_OUT_WORKERS = 12  # concurrent household LLM calls in live/record runs
+FAN_OUT_WORKERS = 32  # concurrent LLM calls in live/record runs
 
 
 def month_label(month: int) -> str:
@@ -175,22 +185,33 @@ def build_gateway(config: GatewayConfig) -> ChatGateway:
         raise ConfigError(f"gateway.{exc.setting} {value!r}: {exc}") from None
 
 
+class _Runner(NamedTuple):
+    """How a run makes its LLM calls: ``map(fn, *iterables)`` yields
+    ``fn``'s results in input order, and ``submit(fn, *args)`` returns a
+    callable that returns ``fn(*args)``. Reading a result re-raises its
+    call's exception."""
+
+    map: Callable
+    submit: Callable
+
+
 @contextmanager
-def _household_map(fan_out: bool) -> Iterator[Callable]:
-    """Yield the ``map`` that runs one household step over all households:
-    the builtin on the calling thread, or that of a pool of
-    ``FAN_OUT_WORKERS`` threads that are all joined when the block exits,
-    even on error. Both return results, and ``pool.map`` re-raises a
-    worker's exception, in household order."""
+def _household_map(fan_out: bool) -> Iterator[_Runner]:
+    """Yield the runner of the LLM calls of one household step or one
+    proposal. Serially, ``map`` is the builtin and ``submit`` is ``partial``:
+    each call runs on the calling thread when its result is read, so calls
+    happen in the order their results are read. Fanned out, both hand their
+    calls at once to a pool of ``FAN_OUT_WORKERS`` threads that are all
+    joined when the block exits, even on error."""
     if not fan_out:
-        yield map
+        yield _Runner(map, partial)
         return
     # Imported here: concurrent.futures pulls in logging, about 10 ms of
     # imports that runs which never fan out should not pay.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=FAN_OUT_WORKERS) as pool:
-        yield pool.map
+        yield _Runner(pool.map, lambda fn, *args: pool.submit(fn, *args).result)
 
 
 # A month's scalars of each run, in the order of the rows of ``_Run.monthly``.
@@ -386,20 +407,32 @@ def _simulate(
         if event_log is not None:
             event_log.append((month, step))
 
+    def submit_proposals(
+        runner: _Runner, months_done: int, incomes: np.ndarray, wealth: np.ndarray
+    ) -> list[Callable] | None:
+        """Each run's proposal for the next month, when there is a next
+        month and the cadence asks for one, submitted with a snapshot of
+        the run's observation of its own last month."""
+        if months_done == head.months or months_done % head.adjust_period_months:
+            return None
+        return [
+            runner.submit(r.policy.propose, r.observation(months_done, i.tolist(), w.tolist()))
+            for r, i, w in zip(runs, incomes, wealth)
+        ]
+
     # Only live and record gateways wait on a transport, so only they gain
-    # from overlapping calls; scripted replies must also pop in household order.
+    # from overlapping calls; scripted replies must also pop in serial order.
     fan_out = backend is not None and backend.gateway.mode in ("live", "record")
-    with _household_map(fan_out) as map_households:
+    with _household_map(fan_out) as runner:
+        proposals = submit_proposals(runner, 0, last_incomes, savings)
         for month in range(1, head.months + 1):
             date = month_label(month)
 
-            # (1) each run's policy proposes on the cadence, observing its
-            # own last month
-            if (month - 1) % head.adjust_period_months == 0:
-                for r, incomes, wealth in zip(runs, last_incomes, savings):
-                    r.schedule = r.policy.propose(
-                        r.observation(month - 1, incomes.tolist(), wealth.tolist())
-                    )
+            # (1) on the cadence, each run's proposal, submitted at the end
+            # of the month before, takes force
+            if proposals is not None:
+                for r, proposal in zip(runs, proposals):
+                    r.schedule = proposal()
                 schedules = ScheduleRows([r.schedule for r in runs])
                 log(month, "propose")
 
@@ -434,7 +467,7 @@ def _simulate(
                     )
                 ]
                 decisions = list(
-                    map_households(
+                    runner.map(
                         partial(decide, backend),
                         contexts,
                         list(map(Decision, work[0].tolist(), consumption[0].tolist())),
@@ -504,11 +537,11 @@ def _simulate(
             last_incomes = pretax
             log(month, "record")
 
-            # (8) quarterly reflection
-            if month % head.reflection_period_months == 0:
-                if backend is not None:
-                    notes = list(map_households(partial(reflect, backend), memories, notes))
-                log(month, "reflect")
+            # (8) quarterly reflection, submitted now and collected after
+            # the next month's proposal is submitted
+            reflecting = month % head.reflection_period_months == 0
+            if reflecting and backend is not None:
+                next_notes = runner.map(partial(reflect, backend), memories, notes)
 
             # (9) annual metrics and Taylor-rule update per run, then one
             # interest accrual over the ensemble
@@ -520,6 +553,13 @@ def _simulate(
                     r.annual_records.append(AnnualRecord(month // 12, inflation, unemployment))
                 savings = savings * (1.0 + market.interest_rate[:, None])
                 log(month, "annual")
+
+            # The next month's proposal reads no note, so it overlaps (8).
+            proposals = submit_proposals(runner, month, last_incomes, savings)
+            if reflecting:
+                if backend is not None:
+                    notes = list(next_notes)
+                log(month, "reflect")
 
     for i, r in enumerate(runs):
         r.households = {name: column[:, i] for name, column in households.items()}

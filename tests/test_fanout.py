@@ -1,12 +1,14 @@
-"""Household LLM calls fan out over a thread pool in live and record runs.
+"""LLM calls fan out over a thread pool in live and record runs, and the
+next proposal overlaps a quarter's reflections.
 
 Outputs must not depend on the order in which those calls complete, the
 pool's threads must not outlive ``run``, and replay and scripted runs must
-stay on the calling thread.
+stay on the calling thread and keep the serial call order.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import Counter
@@ -19,7 +21,7 @@ from helpers import deterministic_reply, panicking_transport
 from taxsim.config import SimConfig, load_config
 from taxsim.gateway import ChatGateway, GatewayError
 from taxsim.personas import load_personas, roster_for
-from taxsim.simulation import run
+from taxsim.simulation import FAN_OUT_WORKERS, run
 
 CONFIG = SimConfig(
     n_households=6,
@@ -32,16 +34,130 @@ OUTPUT_FILES = ("monthly.csv", "annual.csv", "households.csv", "summary.json")
 MALFORMED = '{"work": 0.5, "consumption"'
 
 
+def kind_of(prompt: str) -> str:
+    if prompt.startswith("You are a tax planner"):
+        return "planner"
+    if prompt.startswith("You are reviewing your household finances"):
+        return "reflection"
+    return "decision"
+
+
+def runs_of(kinds: list[str]) -> list[tuple[str, int]]:
+    """``kinds`` run-length encoded: [("planner", 1), ("decision", 18), ...]."""
+    return [(kind, len(list(group))) for kind, group in itertools.groupby(kinds)]
+
+
 class ThreadLoggingGateway(ChatGateway):
-    """A gateway that notes which thread makes each call."""
+    """A gateway that notes the prompt of each call and the thread that
+    makes it."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.threads: list[int] = []
+        self.calls: list[tuple[str, int]] = []
+
+    @property
+    def threads(self) -> list[int]:
+        return [thread for _, thread in self.calls]
+
+    @property
+    def kinds(self) -> list[str]:
+        return [kind_of(prompt) for prompt, _ in self.calls]
 
     def complete(self, request):
-        self.threads.append(threading.get_ident())
+        self.calls.append((request.prompt, threading.get_ident()))
         return super().complete(request)
+
+
+class InFlightTransport:
+    """Answers like ``deterministic_reply`` and logs, as each request
+    starts, its kind and the kinds of the requests then in flight.
+
+    The second planner request (month 4's proposal) waits until ``n``
+    reflections are in flight, and a reflection waits until that planner
+    request has started. So when a run lets month 3's reflections overlap
+    month 4's proposal, the planner request finds all ``n`` in flight; when
+    it does not, both waits time out and the log shows no overlap."""
+
+    def __init__(self, n: int, timeout: float = 5.0) -> None:
+        self._n = n
+        self._timeout = timeout
+        self._cond = threading.Condition()
+        self._in_flight: Counter = Counter()
+        self.started: Counter = Counter()
+        self.log: list[tuple[str, Counter]] = []
+
+    def __call__(self, request) -> str:
+        kind = kind_of(request.prompt)
+        with self._cond:
+            if kind == "planner" and self.started["planner"] == 1:
+                self._cond.wait_for(lambda: self._in_flight["reflection"] == self._n, self._timeout)
+            self.log.append((kind, +self._in_flight))
+            self.started[kind] += 1
+            self._in_flight[kind] += 1
+            self._cond.notify_all()
+            if kind == "reflection":
+                self._cond.wait_for(lambda: self.started["planner"] >= 2, self._timeout)
+        try:
+            return deterministic_reply(request)
+        finally:
+            with self._cond:
+                self._in_flight[kind] -= 1
+                self._cond.notify_all()
+
+
+class RefusingTransport:
+    """Answers like ``deterministic_reply``, except that the kinds in
+    ``refused`` raise a ``GatewayError``: every planner request after the
+    first (month 1's proposal runs alone), and every reflection after
+    ``delay`` seconds, so an overlapped planner refuses first in time."""
+
+    def __init__(self, refused: set[str], delay: float = 0.05) -> None:
+        self._refused = refused
+        self._delay = delay
+        self._lock = threading.Lock()
+        self.started: Counter = Counter()
+
+    def __call__(self, request) -> str:
+        kind = kind_of(request.prompt)
+        with self._lock:
+            self.started[kind] += 1
+            first = self.started[kind] == 1
+        if kind not in self._refused or (kind == "planner" and first):
+            return deterministic_reply(request)
+        if kind == "reflection":
+            time.sleep(self._delay)
+        raise GatewayError(f"{kind} refused")
+
+
+class PeakTransport:
+    """Answers like ``deterministic_reply`` and tracks the most requests in
+    flight at once. Each household request waits (up to ``timeout``) until
+    that peak has reached ``width``, so every worker the pool allows is in
+    flight together, then lingers ``hold`` seconds more, so a worker past
+    ``width`` would be seen. Planner requests do not wait: month 1's runs
+    alone."""
+
+    def __init__(self, width: int, hold: float = 0.01, timeout: float = 5.0) -> None:
+        self._width = width
+        self._hold = hold
+        self._timeout = timeout
+        self._cond = threading.Condition()
+        self._in_flight = 0
+        self.peak = 0
+
+    def __call__(self, request) -> str:
+        with self._cond:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+            self._cond.notify_all()
+            if kind_of(request.prompt) != "planner":
+                self._cond.wait_for(lambda: self.peak >= self._width, self._timeout)
+        try:
+            time.sleep(self._hold)
+            return deterministic_reply(request)
+        finally:
+            with self._cond:
+                self._in_flight -= 1
 
 
 class ReversingTransport:
@@ -86,25 +202,56 @@ def outputs(result, out_dir) -> dict[str, bytes]:
     return {name: (out_dir / name).read_bytes() for name in OUTPUT_FILES}
 
 
-def test_outputs_do_not_depend_on_completion_order(tmp_path):
+def assert_outputs_do_not_depend_on_completion_order(config, tmp_path):
     threads_before = threading.active_count()
-    slow = ReversingTransport(CONFIG, delay=0.01)
+    slow = ReversingTransport(config, delay=0.01)
     gateway = ThreadLoggingGateway("record", cache_path=tmp_path / "slow.jsonl", transport=slow)
-    recorded = outputs(run(CONFIG, gateway=gateway), tmp_path / "slow")
+    recorded = outputs(run(config, gateway=gateway), tmp_path / "slow")
     assert threading.active_count() == threads_before
 
     # The calls overlapped and completed out of household order.
     assert set(gateway.threads) - {threading.get_ident()}
     month_1 = [i for date, i in slow.finished if date == "2001.01"]
-    assert month_1.index(CONFIG.n_households - 1) < month_1.index(0)
+    assert month_1.index(config.n_households - 1) < month_1.index(0)
     assert slow.retried and slow.attempts[slow.retried] == 2
 
-    instant = ReversingTransport(CONFIG, delay=0.0)
+    instant = ReversingTransport(config, delay=0.0)
     gateway = ChatGateway("record", cache_path=tmp_path / "instant.jsonl", transport=instant)
-    assert outputs(run(CONFIG, gateway=gateway), tmp_path / "instant") == recorded
+    assert outputs(run(config, gateway=gateway), tmp_path / "instant") == recorded
 
     gateway = ChatGateway("replay", cache_path=tmp_path / "slow.jsonl", transport=panicking_transport)
-    assert outputs(run(CONFIG, gateway=gateway), tmp_path / "replay") == recorded
+    assert outputs(run(config, gateway=gateway), tmp_path / "replay") == recorded
+
+
+def test_outputs_do_not_depend_on_completion_order(tmp_path):
+    assert_outputs_do_not_depend_on_completion_order(CONFIG, tmp_path)
+
+
+def test_outputs_do_not_depend_on_completion_order_when_cadences_differ(tmp_path):
+    config = replace(CONFIG, months=6, adjust_period_months=2, reflection_period_months=3)
+    assert_outputs_do_not_depend_on_completion_order(config, tmp_path)
+
+
+def test_next_proposal_is_in_flight_with_the_quarters_reflections(tmp_path):
+    config = replace(CONFIG, months=6)  # both cadences at 3
+    threads_before = threading.active_count()
+    transport = InFlightTransport(config.n_households)
+    gateway = ChatGateway("record", cache_path=tmp_path / "cache.jsonl", transport=transport)
+    recorded = outputs(run(config, gateway=gateway), tmp_path / "record")
+    assert threading.active_count() == threads_before
+
+    planner_calls = [in_flight for kind, in_flight in transport.log if kind == "planner"]
+    # Month 1's proposal runs alone; month 4's runs with month 3's reflections.
+    assert planner_calls == [Counter(), Counter(reflection=config.n_households)]
+    # No proposal follows month 6, the last.
+    assert transport.started["planner"] == 2
+
+    # A serial run of the recorded cache makes the same calls per kind.
+    gateway = ThreadLoggingGateway(
+        "replay", cache_path=tmp_path / "cache.jsonl", transport=panicking_transport
+    )
+    assert outputs(run(config, gateway=gateway), tmp_path / "replay") == recorded
+    assert Counter(gateway.kinds) == transport.started
 
 
 def test_worker_error_is_raised_in_household_order_and_threads_end(tmp_path):
@@ -117,6 +264,32 @@ def test_worker_error_is_raised_in_household_order_and_threads_end(tmp_path):
     assert threading.active_count() == threads_before
 
 
+def test_worker_errors_follow_the_serial_order_and_threads_end(tmp_path):
+    threads_before = threading.active_count()
+    # Month 4's planner refuses first in time; month 3's reflections come
+    # first in the serial order.
+    transport = RefusingTransport({"reflection", "planner"})
+    gateway = ChatGateway("record", cache_path=tmp_path / "both.jsonl", transport=transport)
+    with pytest.raises(GatewayError, match="reflection refused"):
+        run(CONFIG, gateway=gateway)
+    assert transport.started["planner"] == 2
+    assert threading.active_count() == threads_before
+
+    transport = RefusingTransport({"planner"})
+    gateway = ChatGateway("record", cache_path=tmp_path / "planner.jsonl", transport=transport)
+    with pytest.raises(GatewayError, match="planner refused"):
+        run(CONFIG, gateway=gateway)
+    assert threading.active_count() == threads_before
+
+
+def test_no_more_than_fan_out_workers_calls_at_once(tmp_path):
+    config = replace(CONFIG, n_households=40)  # month 4's proposal joins 40 reflections
+    transport = PeakTransport(FAN_OUT_WORKERS)
+    gateway = ChatGateway("record", cache_path=tmp_path / "cache.jsonl", transport=transport)
+    run(config, gateway=gateway)
+    assert transport.peak == FAN_OUT_WORKERS
+
+
 def test_scripted_and_replay_runs_stay_on_the_calling_thread():
     config = replace(CONFIG, months=1, tax_system="us_federal")
     works = [0.1 * (i + 1) for i in range(config.n_households)]
@@ -126,8 +299,27 @@ def test_scripted_and_replay_runs_stay_on_the_calling_thread():
     assert result.households["work_propensity"][0].tolist() == pytest.approx(works)
     assert set(gateway.threads) == {threading.get_ident()}
 
+    # Month 3's reflections, then month 4's proposal, then month 4's
+    # decisions, in the order a serial run reads their results.
+    n = CONFIG.n_households
+    planner = "[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]"
+    note = "Keep a cushion when prices climb."
+    replies = [planner, *replies * 3, *[note] * n, planner, *replies]
+    gateway = ThreadLoggingGateway("scripted", scripted_replies=replies)
+    result = run(CONFIG, gateway=gateway)
+    assert result.households["work_propensity"].ravel().tolist() == pytest.approx(works * 4)
+    assert runs_of(gateway.kinds) == [
+        ("planner", 1), ("decision", 3 * n), ("reflection", n), ("planner", 1), ("decision", n)
+    ]
+    assert gateway.calls[-n][0].split("Now it's ", 1)[1].startswith("2001.04")
+    assert set(gateway.threads) == {threading.get_ident()}
+
+    config = load_config(FIXTURES / "replay_config.json")
     gateway = ThreadLoggingGateway(
         "replay", cache_path=FIXTURES / "replay_cache.jsonl", transport=panicking_transport
     )
-    run(load_config(FIXTURES / "replay_config.json"), gateway=gateway)
+    run(config, gateway=gateway)
+    n = config.n_households
+    quarter = [("planner", 1), ("decision", 3 * n), ("reflection", n)]
+    assert runs_of(gateway.kinds) == [*quarter * 4, ("planner", 1), ("decision", 2 * n)]
     assert gateway.threads and set(gateway.threads) == {threading.get_ident()}
