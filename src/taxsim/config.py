@@ -38,8 +38,7 @@ def _checked(default, **rule):
 
 @dataclass
 class GatewayConfig:
-    """How LLM calls are satisfied; "scripted" is injection-only and cannot
-    be configured from a file."""
+    """How LLM calls are satisfied."""
 
     mode: str = _checked("replay", choices=GATEWAY_MODES)
     endpoint: str = ""
@@ -79,7 +78,7 @@ class TaxAgentConfig:
     model_id: str = "qwen-turbo-2024-09-19"
     temperature: float = _checked(0.2, ge=0)
     max_retries: int = _checked(3, ge=1)
-    max_tokens: int = 256
+    max_tokens: int = _checked(256, ge=1)
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ class HouseholdLLMConfig:
     model_id: str = "qwen-turbo-2024-09-19"
     temperature: float = _checked(0.7, ge=0)
     max_retries: int = _checked(3, ge=1)
-    max_tokens: int = 128
+    max_tokens: int = _checked(128, ge=1)
 
 
 @dataclass

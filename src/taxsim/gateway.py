@@ -1,10 +1,10 @@
 """Uniform chat-completion access with retries and a record/replay cache.
 
 Modes:
-  live     - HTTP round trip with exponential backoff.
+  live     - HTTP round trip with exponential backoff, or a constructor-
+             injected ``transport`` in its place (tests, offline runs).
   record   - live, plus every exchange is appended to a JSONL cache.
   replay   - answers come from the cache only; any network use is a bug.
-  scripted - answers pop from an in-memory queue (tests and offline sweeps).
 
 The cache key is a sha256 over (model_id, prompt, temperature), so a recorded
 experiment replays byte-identically on any machine. Credentials come from an
@@ -19,12 +19,11 @@ import math
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-GATEWAY_MODES = ("live", "record", "replay", "scripted")
+GATEWAY_MODES = ("live", "record", "replay")
 
 DEFAULT_MAX_ATTEMPTS = 5
 DEFAULT_BACKOFF_BASE = 1.0
@@ -51,10 +50,6 @@ class TransportError(GatewayError):
 class ReplayMissError(GatewayError):
     """A replayed run hit a prompt absent from the cache. Fatal by design:
     silently diverging from the recorded experiment would be worse."""
-
-
-class ScriptExhaustedError(GatewayError):
-    """The scripted reply queue ran dry."""
 
 
 class CacheCorruptError(GatewayError):
@@ -222,8 +217,7 @@ def http_chat_transport(
 
 class ChatGateway:
     """Mode-switched chat access. Safe for concurrent ``complete`` calls:
-    cache appends and script pops are serialized, replay lookups are
-    read-only after load."""
+    cache appends are serialized, replay lookups are read-only after load."""
 
     def __init__(
         self,
@@ -231,7 +225,6 @@ class ChatGateway:
         *,
         cache_path: str | Path | None = None,
         transport: Callable[[ChatRequest], str] | None = None,
-        scripted_replies: Iterable[str] | None = None,
         endpoint: str = "",
         api_key_env: str = "TAXSIM_API_KEY",
         timeout: float = 30.0,
@@ -245,7 +238,6 @@ class ChatGateway:
         self.mode = mode
         self._cache_path = Path(cache_path) if cache_path else None
         self._transport = transport
-        self._script: deque[str] = deque(scripted_replies or ())
         self._max_attempts = max_attempts
         self._backoff_base = backoff_base
         self._backoff_factor = backoff_factor
@@ -282,11 +274,6 @@ class ChatGateway:
 
     def complete(self, request: ChatRequest) -> str:
         """Resolve one request to a response text according to the mode."""
-        if self.mode == "scripted":
-            with self._lock:
-                if not self._script:
-                    raise ScriptExhaustedError("scripted reply queue is empty")
-                return self._script.popleft()
         if self.mode == "replay":
             key = exchange_key(request.model_id, request.prompt, request.temperature)
             try:

@@ -43,8 +43,7 @@ each run the bits of its own 1-D reduction, and each annual unemployment
 reduces the run's contiguous 12 x N window as before. So the output bits of
 a run do not depend on how the work is vectorised, on which runs share its
 ensemble, or on the interpreter's ``sum``. With the rule-based backend, or
-an LLM backend in replay or scripted mode, two runs produce byte-identical
-outputs.
+an LLM backend in replay mode, two runs produce byte-identical outputs.
 
 Each proposal is submitted at the end of the month before it, after (9):
 it observes that month's incomes and the wealth after interest, which is
@@ -58,10 +57,10 @@ each depend only on state that is fixed before they start, so they run
 concurrently on up to ``FAN_OUT_WORKERS`` threads. Their results are
 applied in a fixed order (household order, then the proposal), so no output
 depends on the order in which calls complete; only the record cache's line
-order does. Every other run (rule-based, replay, scripted) makes each call
-on the calling thread when its result is read, which keeps the serial
-order: a quarter's reflections, then the next proposal, then the next
-month's decisions.
+order does. Every other run (rule-based or replay) makes each call on the
+calling thread when its result is read, which keeps the serial order: a
+quarter's reflections, then the next proposal, then the next month's
+decisions.
 """
 
 from __future__ import annotations
@@ -167,11 +166,6 @@ def build_backend(config: SimConfig, gateway: ChatGateway | None) -> LLMBackend 
 def build_gateway(config: GatewayConfig) -> ChatGateway:
     """The gateway of the config's gateway section; a setting its mode
     cannot work with is a ConfigError naming the key, before month 1."""
-    if config.mode == "scripted":
-        raise ConfigError(
-            "scripted gateways hold an in-memory queue; construct one directly "
-            "and pass it to run()"
-        )
     try:
         return ChatGateway(
             config.mode,
@@ -421,8 +415,8 @@ def _simulate(
         ]
 
     # Only live and record gateways wait on a transport, so only they gain
-    # from overlapping calls; scripted replies must also pop in serial order.
-    fan_out = backend is not None and backend.gateway.mode in ("live", "record")
+    # from overlapping calls.
+    fan_out = backend is not None and backend.gateway.mode != "replay"
     with _household_map(fan_out) as runner:
         proposals = submit_proposals(runner, 0, last_incomes, savings)
         for month in range(1, head.months + 1):

@@ -7,6 +7,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
+from collections import deque
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from taxsim.config import config_from_dict, load_config
 from taxsim.economy import TaxSchedule
-from taxsim.gateway import ChatGateway, ChatRequest
+from taxsim.gateway import ChatGateway, ChatRequest, GatewayError
 from taxsim.simulation import run
 
 
@@ -151,7 +153,21 @@ def deterministic_reply(request: ChatRequest) -> str:
 
 
 def scripted_gateway(replies) -> ChatGateway:
-    return ChatGateway("scripted", scripted_replies=list(replies))
+    """A live gateway whose transport answers with ``replies`` in call
+    order, for serial callers only. A call past the last reply, or from a
+    thread other than the one that built the gateway (a fanned-out run),
+    raises a GatewayError, which no caller falls back from."""
+    queue = deque(replies)
+    owner = threading.get_ident()
+
+    def send(request: ChatRequest) -> str:
+        if threading.get_ident() != owner:
+            raise GatewayError("an ordered reply queue cannot answer a fanned-out call")
+        if not queue:
+            raise GatewayError("scripted reply queue is empty")
+        return queue.popleft()
+
+    return ChatGateway("live", transport=send)
 
 
 def panicking_transport(request: ChatRequest) -> str:

@@ -4,7 +4,9 @@ line; tolerances are pinned here and nowhere else."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import threading
 import time
 from dataclasses import replace
 
@@ -248,9 +250,16 @@ def test_criterion_8_parser_robustness():
         tax_agent=replace(config.tax_agent, max_retries=1),
         household_llm=replace(config.household_llm, max_retries=1),
     )
-    # decisions 3*9, reflections 3*3, proposals 3 -> 39 calls
-    replies = [MALFORMED_REPLIES[i % len(MALFORMED_REPLIES)] for i in range(39)]
-    result = run(config, gateway=scripted_gateway(replies))
+    # decisions 3*9, reflections 3*3, proposals 3 -> 39 calls, which cycle
+    # through the corpus in whatever order the fanned-out calls arrive
+    corpus = itertools.cycle(MALFORMED_REPLIES)
+    lock = threading.Lock()
+
+    def malformed(request):
+        with lock:
+            return next(corpus)
+
+    result = run(config, gateway=ChatGateway("live", transport=malformed))
     ok = len(result.month_records) == config.months
     for record in result.month_records:
         ok = ok and all(0.0 <= r <= 1.0 for r in record.rates)

@@ -52,6 +52,7 @@ class TestValidation:
             ("seed", {"seed": True}),
             ("productivity", {"productivity": float("nan")}),
             ("gateway.mode", {"gateway": {"mode": "bogus"}}),
+            ("gateway.mode", {"gateway": {"mode": "scripted"}}),
             ("adjustment.max_wage_step", {"adjustment": {"max_wage_step": 2.0}}),
             ("adjustment.max_wage_step", {"adjustment": {"max_wage_step": 0}}),
             ("adjustment.max_wage_step", {"adjustment": {"max_wage_step": 1.5}}),
@@ -64,6 +65,8 @@ class TestValidation:
             ("household_llm.max_retries", {"household_llm": {"max_retries": 0}}),
             ("tax_agent.temperature", {"tax_agent": {"temperature": -0.1}}),
             ("household_llm.temperature", {"household_llm": {"temperature": -0.1}}),
+            ("tax_agent.max_tokens", {"tax_agent": {"max_tokens": 0}}),
+            ("household_llm.max_tokens", {"household_llm": {"max_tokens": -5}}),
             ("gateway.timeout_seconds", {"gateway": {"timeout_seconds": 0}}),
             ("gateway.timeout_seconds", {"gateway": {"timeout_seconds": -1}}),
         ],
@@ -78,8 +81,8 @@ class TestValidation:
             {
                 "adjustment": {"max_wage_step": 1.0},
                 "saez": {"elasticity": 0, "tail_threshold": None},
-                "tax_agent": {"temperature": 0},
-                "household_llm": {"temperature": 0},
+                "tax_agent": {"temperature": 0, "max_tokens": 1},
+                "household_llm": {"temperature": 0, "max_tokens": 1},
             }
         ).validate()
 

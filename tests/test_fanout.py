@@ -2,8 +2,8 @@
 next proposal overlaps a quarter's reflections.
 
 Outputs must not depend on the order in which those calls complete, the
-pool's threads must not outlive ``run``, and replay and scripted runs must
-stay on the calling thread and keep the serial call order.
+pool's threads must not outlive ``run``, and replay runs must stay on the
+calling thread and keep the serial call order.
 """
 
 from __future__ import annotations
@@ -290,30 +290,7 @@ def test_no_more_than_fan_out_workers_calls_at_once(tmp_path):
     assert transport.peak == FAN_OUT_WORKERS
 
 
-def test_scripted_and_replay_runs_stay_on_the_calling_thread():
-    config = replace(CONFIG, months=1, tax_system="us_federal")
-    works = [0.1 * (i + 1) for i in range(config.n_households)]
-    replies = [f'{{"work": {w:.2f}, "consumption": 0.5}}' for w in works]
-    gateway = ThreadLoggingGateway("scripted", scripted_replies=replies)
-    result = run(config, gateway=gateway)
-    assert result.households["work_propensity"][0].tolist() == pytest.approx(works)
-    assert set(gateway.threads) == {threading.get_ident()}
-
-    # Month 3's reflections, then month 4's proposal, then month 4's
-    # decisions, in the order a serial run reads their results.
-    n = CONFIG.n_households
-    planner = "[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]"
-    note = "Keep a cushion when prices climb."
-    replies = [planner, *replies * 3, *[note] * n, planner, *replies]
-    gateway = ThreadLoggingGateway("scripted", scripted_replies=replies)
-    result = run(CONFIG, gateway=gateway)
-    assert result.households["work_propensity"].ravel().tolist() == pytest.approx(works * 4)
-    assert runs_of(gateway.kinds) == [
-        ("planner", 1), ("decision", 3 * n), ("reflection", n), ("planner", 1), ("decision", n)
-    ]
-    assert gateway.calls[-n][0].split("Now it's ", 1)[1].startswith("2001.04")
-    assert set(gateway.threads) == {threading.get_ident()}
-
+def test_replay_runs_stay_on_the_calling_thread():
     config = load_config(FIXTURES / "replay_config.json")
     gateway = ThreadLoggingGateway(
         "replay", cache_path=FIXTURES / "replay_cache.jsonl", transport=panicking_transport

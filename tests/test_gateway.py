@@ -16,7 +16,6 @@ from taxsim.gateway import (
     GatewayError,
     GatewaySettingError,
     ReplayMissError,
-    ScriptExhaustedError,
     TransportError,
     _end_torn_tail,
     _TAIL_BLOCK,
@@ -106,14 +105,6 @@ class TestExchangeKey:
             assert record["key"] == exchange_key(
                 record["model_id"], record["prompt"], record["temperature"]
             )
-
-
-class TestScriptedMode:
-    def test_queue_pops_then_errors(self):
-        gateway = ChatGateway("scripted", scripted_replies=['{"work":0.5,"consumption":0.5}'])
-        assert gateway.complete(REQUEST) == '{"work":0.5,"consumption":0.5}'
-        with pytest.raises(ScriptExhaustedError):
-            gateway.complete(REQUEST)
 
 
 class TestRecordReplay:
@@ -333,6 +324,20 @@ class TestLiveMode:
             gateway.complete(REQUEST)
         assert calls["n"] == 5
         assert sleeps == [1.0, 2.0, 4.0, 8.0]
+
+    def test_transport_gateway_error_is_raised_at_once(self):
+        # What lets a test transport fail loudly, e.g. when its replies run out.
+        sleeps: list[float] = []
+        calls = {"n": 0}
+
+        def refusing(request):
+            calls["n"] += 1
+            raise GatewayError("no replies left")
+
+        gateway = ChatGateway("live", transport=refusing, sleeper=sleeps.append)
+        with pytest.raises(GatewayError, match="no replies left"):
+            gateway.complete(REQUEST)
+        assert calls["n"] == 1 and sleeps == []
 
     def test_recovers_after_transient_failures(self):
         attempts = {"n": 0}

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from helpers import OUTPUT_FILES, deterministic_reply, panicking_transport, scripted_gateway
 from taxsim import metrics
-from taxsim.config import ConfigError, SimConfig, load_config
-from taxsim.gateway import ChatGateway
+from taxsim.config import ConfigError, GatewayConfig, SimConfig, load_config
+from taxsim.gateway import GATEWAY_MODES, ChatGateway
+from taxsim.personas import load_personas, roster_for
 from taxsim.policies import US_FEDERAL_RATES
 from taxsim.simulation import (
     ComparisonResult,
     ComparisonRow,
+    build_gateway,
     compare,
     initial_schedule,
     month_label,
@@ -197,8 +199,17 @@ class TestGatewayUsage:
 
     def test_llm_config_without_gateway_config_fails_cleanly(self):
         config = replace(SMALL, household_backend="llm")  # replay mode, no cache path
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="gateway.cache_path"):
             run(config)
+
+    @pytest.mark.parametrize("mode", GATEWAY_MODES)
+    def test_every_gateway_mode_builds_from_a_config(self, mode, tmp_path, monkeypatch):
+        # Each mode can be set from a file; building one makes no call.
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("")
+        monkeypatch.setenv("TAXSIM_API_KEY", "secret")
+        config = GatewayConfig(mode=mode, endpoint="http://example.invalid", cache_path=str(cache))
+        assert build_gateway(config).mode == mode
 
     def test_malformed_scripted_replies_never_crash_the_run(self):
         config = replace(
@@ -211,7 +222,7 @@ class TestGatewayUsage:
             household_llm=replace(SMALL.household_llm, max_retries=1),
         )
         # decisions 3*6=18, reflections 3*2=6, proposals 2 -> 26 calls, all junk
-        gateway = scripted_gateway(["junk reply"] * 26)
+        gateway = ChatGateway("live", transport=lambda request: "junk reply")
         result = run(config, gateway=gateway)
         assert len(result.month_records) == 6
         for record in result.month_records:
@@ -412,18 +423,28 @@ class TestWholeRunProperties:
         config = replace(
             SMALL, n_households=5, months=14, tax_system="tax_agent", household_backend="llm"
         )
+        # Decisions fan out, so each is scripted by its prompt's date and
+        # persona rather than by call order.
+        names = [p.name for p in roster_for(config.n_households, load_personas())]
         rng = np.random.default_rng(8)
-        replies: list[str] = []
-        works: list[float] = []
+        decisions = {}
         for month in range(1, config.months + 1):
-            if (month - 1) % config.adjust_period_months == 0:
-                replies.append(str([round(r, 2) for r in rng.uniform(0.0, 0.5, 7).tolist()]))
-            for _ in range(config.n_households):
+            for name in names:
                 work, spend = (0.02 * rng.integers(10, 50, 2)).tolist()
-                works.append(round(work, 2))
-                replies.append(json.dumps({"work": works[-1], "consumption": round(spend, 2)}))
-            if month % config.reflection_period_months == 0:
-                replies += ["Keep a cushion when prices climb."] * config.n_households
-        assert_whole_run_invariants(config, tmp_path, lambda: scripted_gateway(replies))
+                decisions[month_label(month), name] = round(work, 2), round(spend, 2)
+
+        def reply(request):
+            prompt = request.prompt
+            if not prompt.startswith("You're "):
+                return deterministic_reply(request)  # planner or reflection
+            name = prompt[len("You're "):].split(",", 1)[0]
+            work, spend = decisions[prompt.split("Now it's ", 1)[1][:7], name]
+            return json.dumps({"work": work, "consumption": spend})
+
+        assert_whole_run_invariants(
+            config, tmp_path, lambda: ChatGateway("live", transport=reply)
+        )
         rows = read_table(tmp_path / "a" / "households.csv")
-        assert [float(row["work_propensity"]) for row in rows] == works
+        assert [float(row["work_propensity"]) for row in rows] == [
+            work for work, _ in decisions.values()
+        ]
