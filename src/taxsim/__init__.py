@@ -23,7 +23,7 @@ from taxsim.economy import (
     compute_tax,
 )
 from taxsim.gateway import ChatGateway, ChatRequest
-from taxsim.households import Decision, DecisionContext, LLMBackend
+from taxsim.households import Decision, DecisionContext, DecisionMonth, LLMBackend
 from taxsim.metrics import equality, gini, productivity, social_outcome
 from taxsim.policies import (
     DEFAULT_BRACKETS,
@@ -45,6 +45,7 @@ __all__ = [
     "DEFAULT_BRACKETS",
     "Decision",
     "DecisionContext",
+    "DecisionMonth",
     "FixedPolicy",
     "GatewayConfig",
     "InitialConditions",

@@ -4,7 +4,8 @@ field-for-field, with validation and (de)serialization.
 ``SimConfig.validate`` checks every field of the tree the same way: its
 value must match the field's annotation, and a field declared with
 ``_checked`` must also satisfy that field's rule: a bound ``gt``, ``ge`` or
-``le``, or ``choices``. The ``None`` of an optional field skips its rule.
+``le``, ``choices``, or ``nonempty``. The ``None`` of an optional field
+skips its rule.
 No section checks itself on construction, so every bad value is reported
 by ``validate`` under its dotted key.
 """
@@ -32,7 +33,8 @@ class ConfigError(ValueError):
 def _checked(default, **rule):
     """A field whose value ``validate`` also checks against ``rule``: a
     lower bound ``gt`` (exclusive) or ``ge`` (inclusive), an upper bound
-    ``le`` (inclusive), or ``choices``."""
+    ``le`` (inclusive), ``choices``, or ``nonempty=True`` for a string that
+    must not be empty."""
     return field(default=default, metadata=rule)
 
 
@@ -75,16 +77,16 @@ class TaxAgentConfig:
     """LLM planner settings; the model id stands in for whatever policy
     knowledge the model carries."""
 
-    model_id: str = "qwen-turbo-2024-09-19"
-    temperature: float = _checked(0.2, ge=0)
+    model_id: str = _checked("qwen-turbo-2024-09-19", nonempty=True)
+    temperature: float = _checked(0.2, ge=0, le=2)
     max_retries: int = _checked(3, ge=1)
     max_tokens: int = _checked(256, ge=1)
 
 
 @dataclass(frozen=True)
 class HouseholdLLMConfig:
-    model_id: str = "qwen-turbo-2024-09-19"
-    temperature: float = _checked(0.7, ge=0)
+    model_id: str = _checked("qwen-turbo-2024-09-19", nonempty=True)
+    temperature: float = _checked(0.7, ge=0, le=2)
     max_retries: int = _checked(3, ge=1)
     max_tokens: int = _checked(128, ge=1)
 
@@ -155,6 +157,8 @@ def _problems(section, where: str) -> list[str]:
             problems.append(f"{key} must be <= {rule['le']}")
         elif "choices" in rule and value not in rule["choices"]:
             problems.append(f"{key} must be one of {rule['choices']}")
+        elif "nonempty" in rule and not value:
+            problems.append(f"{key} must be non-empty")
     return problems
 
 

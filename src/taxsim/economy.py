@@ -108,6 +108,19 @@ class Persona:
         if self.age <= 0:
             raise ValueError("persona age must be a positive integer")
 
+    @cached_property
+    def prompt_texts(self) -> tuple[str, str]:
+        """The household decision prompt's text before the date, and from
+        the date to the expected income, rendered on the persona's first
+        prompt and kept: a household's persona is the same every month."""
+        return (
+            f"You're {self.name}, a {self.age}-year-old individual living in "
+            f"{self.city}. A tax planner adjusts your tax rates periodically. "
+            "Now it's ",
+            f". Last month, you worked as a(an) {self.occupation}. If you "
+            "continue working this month, your expected income will be $",
+        )
+
 
 @dataclass(frozen=True)
 class TaxSchedule:

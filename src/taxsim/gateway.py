@@ -20,6 +20,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -95,6 +96,15 @@ def _json_float(value: float) -> bytes:
     return b"NaN" if value != value else b"Infinity" if value > 0 else b"-Infinity"
 
 
+@lru_cache(maxsize=64)
+def _key_prefix(model_id: str):
+    """The hash state after ``["<model_id>","``, the part of a key that
+    only the model id sets; each key hashes on from a copy. Keyed by the
+    model id alone: ``0.0`` and ``-0.0`` share a dict slot but spell apart,
+    so the temperature is spelled on every call."""
+    return hashlib.sha256(b'["' + _json_string_body(model_id) + b'","')
+
+
 def exchange_key(model_id: str, prompt: str, temperature: float) -> str:
     """Deterministic, platform-stable cache key for a request: the sha256 of
     the UTF-8 bytes of ``json.dumps([model_id, prompt, float(temperature)],
@@ -102,9 +112,7 @@ def exchange_key(model_id: str, prompt: str, temperature: float) -> str:
     with whole-string replaces, which cost less than the JSON encoder's
     escaping of a prompt one character at a time, and fed to the hash piece
     by piece, so no joined copy of the prompt is made."""
-    key = hashlib.sha256(b'["')
-    key.update(_json_string_body(model_id))
-    key.update(b'","')
+    key = _key_prefix(model_id).copy()
     key.update(_json_string_body(prompt))
     key.update(b'",' + _json_float(float(temperature)) + b"]")
     return key.hexdigest()

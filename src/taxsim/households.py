@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,57 +58,105 @@ DEFAULT_DECISION = Decision(0.6, 0.4)  # month-0 fallback before any history
 
 
 @dataclass(frozen=True)
-class DecisionContext:
-    """Everything one household observes when deciding for a month."""
+class DecisionMonth:
+    """What every household observes alike in one month: the date, last
+    month's and this month's schedules, the average price and its direction,
+    and the interest rate. ``_simulate`` builds one a month, so its checks
+    run and its prompt texts render once a month, not once a household."""
 
     date: str  # "YYYY.MM"
-    persona: Persona
-    expected_income: float
     previous_schedule: TaxSchedule
     current_schedule: TaxSchedule
     average_price: float
-    savings: float
     interest_rate: float
-    income_direction: str = UNCHANGED
     price_direction: str = UNCHANGED
+
+    def __post_init__(self) -> None:
+        if self.average_price <= 0:
+            raise ValueError("average_price must be > 0")
+        if self.price_direction not in _PRICE_PHRASES:
+            raise ValueError(f"unknown price_direction {self.price_direction!r}")
+
+    @cached_property
+    def prompt_texts(self) -> tuple[str, str]:
+        """The decision prompt's text from "Part of your income" through
+        "savings account balance is $", and from ". Interest rates" to the
+        end: the same in every household's prompt of the month."""
+        brackets, _, new_rates = self.current_schedule.prompt_texts
+        old_rates = self.previous_schedule.prompt_texts[1]
+        return (
+            "Part of your income last month was witheld as income tax. Last "
+            f"month, the tax brackets are: {brackets} and their corresponding "
+            f"rates are: {old_rates}. Income earned within each bracket is taxed "
+            "only at that bracket's rate. This month, according to the tax "
+            "planner, the brackets are not changed. But the planner updated "
+            f"corresponding rates: {new_rates}. Income earned within each "
+            "bracket is taxed at that bracket's rate. Pay attention to the tax "
+            "rates because they may be different from the previous ones and you "
+            "need to make your decision based on the current rates "
+            f"{_PRICE_PHRASES[self.price_direction]}, with the average price of "
+            f"essential goods now at ${self.average_price:.2f}. Your current "
+            "savings account balance is $",
+            ". Interest rates, as set by your bank, stand at "
+            f"{self.interest_rate * 100:.2f}%. Considering aspects like your "
+            "living costs, future aspirations, broader economic trends, and the "
+            "tax you need to pay, how is your willingness to work this month? How "
+            "would you plan your expenditures on essential goods? Provide your "
+            "decisions in a JSON format. The format should have two keys: 'work' "
+            "(a value between 0 and 1 with intervals of 0.02, indicating the "
+            "willingness or propensity to work) and 'consumption' (a value "
+            "between 0 and 1 with intervals of 0.02, indicating the proportion of "
+            "all your savings and income you intend to spend on essential goods). "
+            "Keep in mind, only provide your decisions in a JSON format with two "
+            "keys and two values. Do not contain any other content in your "
+            "response. Keep the thinking process to yourself. I only need two "
+            "key-value pairs.",
+        )
+
+
+@dataclass(frozen=True)
+class DecisionContext:
+    """Everything one household observes when deciding for a month: the
+    month's shared view and its own situation."""
+
+    month: DecisionMonth
+    persona: Persona
+    expected_income: float
+    savings: float
+    income_direction: str = UNCHANGED
     last_consumption: float = 0.0
     reflection_note: str = ""
 
     def __post_init__(self) -> None:
         if self.expected_income < 0 or self.savings < 0 or self.last_consumption < 0:
             raise ValueError("currency fields must be >= 0")
-        if self.average_price <= 0:
-            raise ValueError("average_price must be > 0")
         if self.income_direction not in _INCOME_PHRASES:
             raise ValueError(f"unknown income_direction {self.income_direction!r}")
-        if self.price_direction not in _PRICE_PHRASES:
-            raise ValueError(f"unknown price_direction {self.price_direction!r}")
 
 
-@dataclass(frozen=True)
 class MemoryEntry:
-    """One month's summary kept for the quarterly self-review."""
+    """One month's summary kept for the quarterly self-review: the month's
+    date and its line of the review prompt, which is all the review reads.
+    The line is rendered once, on creation: an entry stays in memory for up
+    to four reviews and nearly every entry reaches one."""
 
-    date: str
-    work_propensity: float
-    consumption_propensity: float
-    pretax_income: float
-    posttax_income: float
-    consumption: float
-    # This month's line of the quarterly review prompt, rendered once, on
-    # creation: an entry stays in memory for up to four reviews and nearly
-    # every entry reaches one, while a cached_property would take a lock on
-    # its first read.
-    line: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("date", "line")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "line",
-            f"{self.date}: work propensity {self.work_propensity:.2f}, consumption "
-            f"propensity {self.consumption_propensity:.2f}, pre-tax income "
-            f"${self.pretax_income:.2f}, post-tax income ${self.posttax_income:.2f}, "
-            f"spent ${self.consumption:.2f}",
+    def __init__(
+        self,
+        date: str,
+        work_propensity: float,
+        consumption_propensity: float,
+        pretax_income: float,
+        posttax_income: float,
+        consumption: float,
+    ) -> None:
+        self.date = date
+        self.line = (
+            f"{date}: work propensity {work_propensity:.2f}, consumption "
+            f"propensity {consumption_propensity:.2f}, pre-tax income "
+            f"${pretax_income:.2f}, post-tax income ${posttax_income:.2f}, "
+            f"spent ${consumption:.2f}"
         )
 
 
@@ -137,49 +186,18 @@ def build_household_prompt(context: DecisionContext) -> str:
     """Render the monthly decision prompt, field for field: persona, date,
     expected income and its direction, last consumption, old and new tax
     schedules, price, savings, interest rate, and the two-key JSON
-    instruction on the 0.02 grid. A non-empty reflection note is appended."""
-    persona = context.persona
-    brackets, _, new_rates = context.current_schedule.prompt_texts
-    old_rates = context.previous_schedule.prompt_texts[1]
-    prompt = (
-        f"You're {persona.name}, a {persona.age}-year-old individual living in "
-        f"{persona.city}. A tax planner adjusts your tax rates periodically. "
-        f"Now it's {context.date}. Last month, you worked as a(an) "
-        f"{persona.occupation}. If you continue working this month, your "
-        f"expected income will be ${context.expected_income:.2f}, which "
-        f"{_INCOME_PHRASES[context.income_direction]}. Besides, your "
-        f"consumption was ${context.last_consumption:.2f}. Part of your income "
-        "last month was witheld as income tax. Last month, the tax brackets "
-        f"are: {brackets} and their corresponding rates are: {old_rates}. "
-        "Income earned within each bracket is taxed only at that bracket's "
-        "rate. This month, according to the tax planner, the brackets are not "
-        f"changed. But the planner updated corresponding rates: {new_rates}. "
-        "Income earned within each bracket is taxed at that bracket's rate. "
-        "Pay attention to the tax rates because they may be different from "
-        "the previous ones and you need to make your decision based on the "
-        f"current rates {_PRICE_PHRASES[context.price_direction]}, with the "
-        f"average price of essential goods now at ${context.average_price:.2f}. "
-        f"Your current savings account balance is ${context.savings:.2f}. "
-        f"Interest rates, as set by your bank, stand at "
-        f"{context.interest_rate * 100:.2f}%. Considering aspects like your "
-        "living costs, future aspirations, broader economic trends, and the "
-        "tax you need to pay, how is your willingness to work this month? How "
-        "would you plan your expenditures on essential goods? Provide your "
-        "decisions in a JSON format. The format should have two keys: 'work' "
-        "(a value between 0 and 1 with intervals of 0.02, indicating the "
-        "willingness or propensity to work) and 'consumption' (a value "
-        "between 0 and 1 with intervals of 0.02, indicating the proportion of "
-        "all your savings and income you intend to spend on essential goods). "
-        "Keep in mind, only provide your decisions in a JSON format with two "
-        "keys and two values. Do not contain any other content in your "
-        "response. Keep the thinking process to yourself. I only need two "
-        "key-value pairs."
+    instruction on the 0.02 grid. A non-empty reflection note is appended.
+    The persona's and the month's texts are rendered once each; only the
+    household's own values are rendered here."""
+    month, note = context.month, context.reflection_note
+    head, occupation = context.persona.prompt_texts
+    taxes, interest = month.prompt_texts
+    return (
+        f"{head}{month.date}{occupation}{context.expected_income:.2f}, which "
+        f"{_INCOME_PHRASES[context.income_direction]}. Besides, your consumption "
+        f"was ${context.last_consumption:.2f}. {taxes}{context.savings:.2f}{interest}"
+        f"{f' Your reflection on your earlier decisions: {note}' if note else ''}"
     )
-    if context.reflection_note:
-        prompt += (
-            f" Your reflection on your earlier decisions: {context.reflection_note}"
-        )
-    return prompt
 
 
 def build_reflection_prompt(memory: MemoryPool) -> str:

@@ -168,6 +168,29 @@ def saez_schedule(
     return TaxSchedule(brackets, tuple(rates))
 
 
+class _HistoryEntries(dict):
+    """Each month's productivity or equality entry of the planner prompt,
+    by value, rendered on the first prompt that shows it and kept: a month's
+    value never changes once recorded, and every later prompt of the run
+    shows it again. Only a float with a fraction is kept: ``0.0`` and
+    ``-0.0`` are one key and render apart, and so are ``1.0`` and ``1``.
+    The memo is emptied when it reaches ``limit`` entries, so a long
+    process keeps it small."""
+
+    limit = 4096
+
+    def __missing__(self, value: float) -> str:
+        text = f" ({round(value, 2)})"
+        if type(value) is float and not value.is_integer():
+            if len(self) >= self.limit:
+                self.clear()
+            self[value] = text
+        return text
+
+
+_HISTORY_ENTRIES = _HistoryEntries()
+
+
 def build_tax_prompt(observation: PolicyObservation) -> str:
     """Render the planner prompt: fixed brackets, last month's incomes and
     current wealth, the past schedules, and the metric histories, ending
@@ -178,12 +201,9 @@ def build_tax_prompt(observation: PolicyObservation) -> str:
     schedule_text = (
         "[([" + ", ".join(s.planner_text for s in observation.schedule_history) + "])]"
     )
-    productivity_text = (
-        "[" + ", ".join(f" ({round(v, 2)})" for v in observation.productivity_history) + "]"
-    )
-    equality_text = (
-        "[" + ", ".join(f" ({round(v, 2)})" for v in observation.equality_history) + "]"
-    )
+    entry = _HISTORY_ENTRIES.__getitem__
+    productivity_text = "[" + ", ".join(map(entry, observation.productivity_history)) + "]"
+    equality_text = "[" + ", ".join(map(entry, observation.equality_history)) + "]"
     return (
         "You are a tax planner in charge of adjusting the tax rates of each "
         "income brackets. You will decide the tax rate in next period applied "

@@ -96,6 +96,7 @@ from taxsim.households import (
     UNCHANGED,
     Decision,
     DecisionContext,
+    DecisionMonth,
     LLMBackend,
     MemoryEntry,
     MemoryPool,
@@ -441,25 +442,25 @@ def _simulate(
                 (only,) = runs
                 price, interest_rate = market.price.item(), market.interest_rate.item()
                 expected_list = expected[0].tolist()
-                contexts = [
-                    DecisionContext(
-                        date=date,
-                        persona=personas[i],
-                        expected_income=expected_list[i],
-                        previous_schedule=only.schedule_history[-1],
-                        current_schedule=only.schedule,
-                        average_price=price,
-                        savings=wealth_i,
-                        interest_rate=interest_rate,
-                        income_direction=_direction(expected_list[i], previous_expected[i]),
-                        price_direction=_direction(price, previous_price),
-                        last_consumption=spent_i,
-                        reflection_note=notes[i],
-                    )
-                    for i, (wealth_i, spent_i) in enumerate(
-                        zip(savings[0].tolist(), spent[0].tolist())
-                    )
-                ]
+                # What every household sees alike this month, checked and
+                # rendered once for all of them.
+                shared = DecisionMonth(
+                    date=date,
+                    previous_schedule=only.schedule_history[-1],
+                    current_schedule=only.schedule,
+                    average_price=price,
+                    interest_rate=interest_rate,
+                    price_direction=_direction(price, previous_price),
+                )
+                contexts = map(
+                    partial(DecisionContext, shared),
+                    personas,
+                    expected_list,
+                    savings[0].tolist(),
+                    map(_direction, expected_list, previous_expected),
+                    spent[0].tolist(),
+                    notes,
+                )
                 decisions = list(
                     runner.map(
                         partial(decide, backend),

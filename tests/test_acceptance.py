@@ -31,7 +31,7 @@ from taxsim.economy import (
     update_interest_rate,
 )
 from taxsim.gateway import ChatGateway
-from taxsim.households import DecisionContext, build_household_prompt
+from taxsim.households import DecisionContext, DecisionMonth, build_household_prompt
 from taxsim.metrics import equality, gini
 from taxsim.policies import (
     DEFAULT_BRACKETS,
@@ -163,16 +163,18 @@ def test_criterion_6_determinism(tmp_path):
 def test_criterion_7_golden_prompts():
     federal = TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES)
     context = DecisionContext(
-        date="2001.03",
+        month=DecisionMonth(
+            date="2001.03",
+            previous_schedule=federal,
+            current_schedule=federal,
+            average_price=126.78,
+            interest_rate=0.03,
+            price_direction="decreased",
+        ),
         persona=Persona("Adam Mills", 58, "San Antonio, Texas", "Newspaper Delivery"),
         expected_income=567.18,
-        previous_schedule=federal,
-        current_schedule=federal,
-        average_price=126.78,
         savings=13072.25,
-        interest_rate=0.03,
         income_direction="decreased",
-        price_direction="decreased",
         last_consumption=544.68,
     )
     household_prompt = build_household_prompt(context)

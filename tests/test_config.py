@@ -65,6 +65,10 @@ class TestValidation:
             ("household_llm.max_retries", {"household_llm": {"max_retries": 0}}),
             ("tax_agent.temperature", {"tax_agent": {"temperature": -0.1}}),
             ("household_llm.temperature", {"household_llm": {"temperature": -0.1}}),
+            ("tax_agent.temperature", {"tax_agent": {"temperature": 5.0}}),
+            ("household_llm.temperature", {"household_llm": {"temperature": 2.01}}),
+            ("tax_agent.model_id", {"tax_agent": {"model_id": ""}}),
+            ("household_llm.model_id", {"household_llm": {"model_id": ""}}),
             ("tax_agent.max_tokens", {"tax_agent": {"max_tokens": 0}}),
             ("household_llm.max_tokens", {"household_llm": {"max_tokens": -5}}),
             ("gateway.timeout_seconds", {"gateway": {"timeout_seconds": 0}}),
@@ -77,14 +81,15 @@ class TestValidation:
             run(config)
 
     def test_bounds_themselves_accepted(self):
-        config_from_dict(
-            {
-                "adjustment": {"max_wage_step": 1.0},
-                "saez": {"elasticity": 0, "tail_threshold": None},
-                "tax_agent": {"temperature": 0, "max_tokens": 1},
-                "household_llm": {"temperature": 0, "max_tokens": 1},
-            }
-        ).validate()
+        for temperature in (0, 2.0):
+            config_from_dict(
+                {
+                    "adjustment": {"max_wage_step": 1.0},
+                    "saez": {"elasticity": 0, "tail_threshold": None},
+                    "tax_agent": {"temperature": temperature, "max_tokens": 1, "model_id": "m"},
+                    "household_llm": {"temperature": temperature, "max_tokens": 1, "model_id": "m"},
+                }
+            ).validate()
 
     @pytest.mark.parametrize(
         "key,gateway,credential",

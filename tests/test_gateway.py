@@ -87,6 +87,17 @@ class TestExchangeKey:
             model_id, prompt, temperature
         )
 
+    @pytest.mark.parametrize("temperatures", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_sign_of_zero_temperature_spelled_on_every_call(self, temperatures):
+        # A model id of its own per order, so nothing kept from an earlier
+        # key of the same model can answer the first call.
+        model_id = f"sign-of-zero-{temperatures[0]!r}"
+        for temperature in temperatures:
+            assert exchange_key(model_id, "p", temperature) == json_dumps_key(
+                model_id, "p", temperature
+            )
+        assert exchange_key(model_id, "p", -0.0) != exchange_key(model_id, "p", 0.0)
+
     def test_every_escaped_character_alone(self):
         for text in [chr(c) for c in range(0x20)] + ['"', "\\", "\x7f"]:
             for model_id, prompt in ((text, "p"), ("m", text), ("", text * 3 + "é")):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,16 @@ from helpers import CountingGateway, scripted_gateway
 from taxsim.economy import Persona, TaxSchedule
 from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.households import (
+    _INCOME_PHRASES,
+    _PRICE_PHRASES,
+    DECREASED,
     DEFAULT_DECISION,
+    INCREASED,
+    UNCHANGED,
     Decision,
     DecisionContext,
     DecisionError,
+    DecisionMonth,
     HouseholdLLMConfig,
     LLMBackend,
     MemoryEntry,
@@ -29,7 +37,12 @@ ADAM = Persona("Adam Mills", 58, "San Antonio, Texas", "Newspaper Delivery")
 FEDERAL = TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES)
 
 
+MONTH_FIELDS = tuple(f.name for f in fields(DecisionMonth))
+
+
 def context(**overrides) -> DecisionContext:
+    """Adam's context for March 2001; an override of a month field goes to
+    the context's DecisionMonth."""
     base = dict(
         date="2001.03",
         persona=ADAM,
@@ -44,7 +57,68 @@ def context(**overrides) -> DecisionContext:
         last_consumption=544.68,
     )
     base.update(overrides)
-    return DecisionContext(**base)
+    month = DecisionMonth(**{name: base.pop(name) for name in MONTH_FIELDS})
+    return DecisionContext(month=month, **base)
+
+
+def template_prompt(
+    date,
+    persona,
+    expected_income,
+    previous_schedule,
+    current_schedule,
+    average_price,
+    savings,
+    interest_rate,
+    income_direction="unchanged",
+    price_direction="unchanged",
+    last_consumption=0.0,
+    reflection_note="",
+) -> str:
+    """The decision prompt as one template renders it whole, every field
+    formatted inline: the oracle of the renderer that reuses the persona's
+    and the month's texts."""
+
+    brackets = "[" + ", ".join(f"{b:.2f}" for b in current_schedule.thresholds) + "]"
+    old_rates = "[" + ", ".join(f"{r:.2f}" for r in previous_schedule.rates) + "]"
+    new_rates = "[" + ", ".join(f"{r * 100:.2f}%" for r in current_schedule.rates) + "]"
+    prompt = (
+        f"You're {persona.name}, a {persona.age}-year-old individual living in "
+        f"{persona.city}. A tax planner adjusts your tax rates periodically. "
+        f"Now it's {date}. Last month, you worked as a(an) "
+        f"{persona.occupation}. If you continue working this month, your "
+        f"expected income will be ${expected_income:.2f}, which "
+        f"{_INCOME_PHRASES[income_direction]}. Besides, your "
+        f"consumption was ${last_consumption:.2f}. Part of your income "
+        "last month was witheld as income tax. Last month, the tax brackets "
+        f"are: {brackets} and their corresponding rates are: {old_rates}. "
+        "Income earned within each bracket is taxed only at that bracket's "
+        "rate. This month, according to the tax planner, the brackets are not "
+        f"changed. But the planner updated corresponding rates: {new_rates}. "
+        "Income earned within each bracket is taxed at that bracket's rate. "
+        "Pay attention to the tax rates because they may be different from "
+        "the previous ones and you need to make your decision based on the "
+        f"current rates {_PRICE_PHRASES[price_direction]}, with the "
+        f"average price of essential goods now at ${average_price:.2f}. "
+        f"Your current savings account balance is ${savings:.2f}. "
+        f"Interest rates, as set by your bank, stand at "
+        f"{interest_rate * 100:.2f}%. Considering aspects like your "
+        "living costs, future aspirations, broader economic trends, and the "
+        "tax you need to pay, how is your willingness to work this month? How "
+        "would you plan your expenditures on essential goods? Provide your "
+        "decisions in a JSON format. The format should have two keys: 'work' "
+        "(a value between 0 and 1 with intervals of 0.02, indicating the "
+        "willingness or propensity to work) and 'consumption' (a value "
+        "between 0 and 1 with intervals of 0.02, indicating the proportion of "
+        "all your savings and income you intend to spend on essential goods). "
+        "Keep in mind, only provide your decisions in a JSON format with two "
+        "keys and two values. Do not contain any other content in your "
+        "response. Keep the thinking process to yourself. I only need two "
+        "key-value pairs."
+    )
+    if reflection_note:
+        prompt += f" Your reflection on your earlier decisions: {reflection_note}"
+    return prompt
 
 
 # Values on or beside a 0.005 rounding boundary of {:.2f}, as amounts and, for
@@ -52,6 +126,12 @@ def context(**overrides) -> DecisionContext:
 BOUNDARY_AMOUNTS = st.sampled_from([0.005, 0.125, 0.135, 2.675, 1.005, 808.335, 7016.665])
 BOUNDARY_RATES = st.sampled_from(
     [0.0, 0.005, 0.015, 0.125, 0.135, 0.145, 0.995, 1.0, 0.00005, 0.12345, 0.99995]
+)
+# Persona and note text with quotes, backslashes, non-ASCII and line breaks.
+PERSONA_TEXT = st.text(
+    st.one_of(st.sampled_from(list("a Z'\"\\\n\r\t{}%$é中\u2028😀")), st.characters()),
+    min_size=1,
+    max_size=12,
 )
 
 
@@ -95,8 +175,51 @@ class TestBuildHouseholdPrompt:
         assert note not in build_household_prompt(context())
 
     def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="income_direction"):
             context(income_direction="sideways")
+        with pytest.raises(ValueError, match="price_direction"):
+            context(price_direction="sideways")
+
+    def test_bad_amounts_rejected(self):
+        for overrides in ({"savings": -1.0}, {"last_consumption": -0.01}, {"average_price": 0.0}):
+            with pytest.raises(ValueError):
+                context(**overrides)
+
+    @given(
+        persona=st.builds(
+            Persona,
+            name=PERSONA_TEXT,
+            age=st.integers(1, 120),
+            city=PERSONA_TEXT,
+            occupation=PERSONA_TEXT,
+        ),
+        date=st.sampled_from(["2001.01", "2001.03", "2010.12"]),
+        amounts=st.lists(st.one_of(BOUNDARY_AMOUNTS, st.floats(0, 1e7)), min_size=3, max_size=3),
+        average_price=st.one_of(BOUNDARY_AMOUNTS, st.floats(1e-3, 1e6)),
+        interest_rate=st.one_of(BOUNDARY_RATES, st.floats(-1, 1)),
+        rates=st.lists(st.lists(BOUNDARY_RATES, min_size=7, max_size=7), min_size=2, max_size=2),
+        directions=st.lists(st.sampled_from([INCREASED, DECREASED, UNCHANGED]), min_size=2, max_size=2),
+        reflection_note=st.one_of(st.just(""), PERSONA_TEXT),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prompt_matches_whole_template(
+        self, persona, date, amounts, average_price, interest_rate, rates, directions, reflection_note
+    ):
+        values = dict(
+            date=date,
+            persona=persona,
+            expected_income=amounts[0],
+            previous_schedule=TaxSchedule(DEFAULT_BRACKETS, rates[0]),
+            current_schedule=TaxSchedule(DEFAULT_BRACKETS, rates[1]),
+            average_price=average_price,
+            savings=amounts[1],
+            interest_rate=interest_rate,
+            income_direction=directions[0],
+            price_direction=directions[1],
+            last_consumption=amounts[2],
+            reflection_note=reflection_note,
+        )
+        assert build_household_prompt(context(**values)) == template_prompt(**values)
 
     @given(
         gaps=st.lists(st.one_of(BOUNDARY_AMOUNTS, st.floats(1e-3, 1e6)), max_size=7),
@@ -179,7 +302,7 @@ def rule_decision(ctx: DecisionContext) -> Decision:
     """The rule-based decision for one household's context."""
     return Decision(
         *rule_based_decide(
-            ctx.current_schedule, ctx.expected_income, ctx.savings, ctx.average_price
+            ctx.month.current_schedule, ctx.expected_income, ctx.savings, ctx.month.average_price
         )
     )
 
@@ -212,7 +335,7 @@ class TestRuleBasedDecide:
         assert decision.consumption_propensity == pytest.approx(0.02)
         # the implied spend is about three units of the good
         assert decision.consumption_propensity * ctx.savings == pytest.approx(
-            3 * ctx.average_price, rel=0.5
+            3 * ctx.month.average_price, rel=0.5
         )
 
     def test_deterministic(self):

@@ -265,6 +265,39 @@ class TestBuildTaxPrompt:
         prompt = build_tax_prompt(obs)
         assert "[ (0.0)]" in prompt
 
+    @pytest.mark.parametrize("values", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_sign_of_zero_history_entries_render_apart(self, values):
+        for value in values:
+            obs = observation(incomes=[1.0], schedules=[us_federal_schedule()], prod=[value], eq=[value])
+            prompt = build_tax_prompt(obs)
+            assert f"were [ ({value!r})]: the past" in prompt
+            assert f"were [ ({value!r})](the higher" in prompt
+
+    @given(
+        histories=st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(
+                        [0.0, -0.0, 0, 1.0, 1, True, 0.004, -0.004, 0.005, 0.015, -0.015, 2.675]
+                    ),
+                    st.floats(),
+                    st.integers(-3, 3),
+                ),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_history_entries_match_inline_spelling(self, histories):
+        # Prompts in a row share values, as a run's later histories do.
+        for values in histories:
+            prompt = build_tax_prompt(observation(incomes=[1.0], prod=values, eq=values[::-1]))
+            prod = "[" + ", ".join(f" ({round(v, 2)})" for v in values) + "]"
+            eq = "[" + ", ".join(f" ({round(v, 2)})" for v in values[::-1]) + "]"
+            assert f"were {prod}: the past months' equality performances were {eq}(the" in prompt
+
     def test_non_worker_incomes_render_as_zero_point_zero(self):
         obs = observation(incomes=[0.0, 810.0, 0.0], wealth=[1.0, 2.0, 3.0],
                           schedules=[us_federal_schedule()])
