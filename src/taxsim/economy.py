@@ -3,13 +3,18 @@ taxation with even redistribution, inventory-bounded consumption, and the
 financial channel (Taylor-rule rate setting, mismatch-driven wage/price
 adjustment).
 
-The population is columnar: every household quantity is a numpy array
-indexed by household id, and each mechanism is one array pass per month.
-A 2-D array is an ensemble of runs, one run per row: then the fields of the
-``MarketState`` hold one value per run, taxes follow a ``ScheduleRows``, and
-stochastic operations take one numpy Generator per row instead of one
-explicit Generator. Functions return new arrays; the only mutation is of
-the ``MarketState`` passed in.
+The population is columnar: every household quantity is a (runs x N)
+numpy array, one row per run of an ensemble and one column per household,
+and each mechanism is one array pass per month. A single run is an ensemble
+of one. ``MarketState``, ``produce``, ``execute_consumption`` and
+``adjust_wages_and_price`` take that shape only: the market holds one value
+per run, and the stochastic kernels take one numpy Generator per row.
+``compute_tax`` and ``apply_taxation`` also take a scalar or a 1-D array
+with one ``TaxSchedule`` (the public API and single-household callers), and
+a 2-D array with a ``ScheduleRows``; ``quantize_fraction`` takes a scalar
+(one LLM reply) or an array; ``sequential_sum`` takes a vector or rows.
+Functions return new arrays; the only mutation is of the ``MarketState``
+passed in.
 
 Every total is a ``sequential_sum`` along its row and every kernel repeats
 the float operations of a per-household loop in the same order, so the
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -141,7 +146,7 @@ class TaxSchedule:
         if self.thresholds[0] != 0.0:
             raise ScheduleError("lowest bracket must start at 0")
         for lo, hi in zip(self.thresholds, self.thresholds[1:]):
-            if hi <= lo:
+            if not hi > lo:
                 raise ScheduleError("thresholds must be strictly increasing")
         for rate in self.rates:
             if not 0.0 <= rate <= 1.0:
@@ -196,33 +201,39 @@ class ScheduleRows:
 
 @dataclass
 class MarketState:
-    """Aggregate market state for the single consumption good. In an
-    ensemble, price, inventory and interest rate are arrays with one value
-    per run."""
+    """Aggregate market state for the single consumption good, one value per
+    run of the ensemble: price, inventory and interest rate are 1-D arrays
+    of equal length, element r for row r of the household arrays."""
 
-    price: float | np.ndarray
-    inventory: float | np.ndarray = 0.0
-    interest_rate: float | np.ndarray = 0.0
+    price: np.ndarray
+    inventory: np.ndarray
+    interest_rate: np.ndarray
     productivity: float = 1.0
 
     def __post_init__(self) -> None:
-        if np.any(np.less_equal(self.price, 0)):
+        runs = np.shape(self.price)
+        for name in ("price", "inventory", "interest_rate"):
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray) or value.ndim != 1 or value.shape != runs:
+                raise ValueError(f"{name} must be a 1-D array, one value per run")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not (self.price > 0).all():
             raise ValueError("price must be > 0")
-        if np.any(np.less(self.inventory, 0)):
+        if not (self.inventory >= 0).all():
             raise ValueError("inventory must be >= 0")
-        if np.any(np.less(self.interest_rate, 0)):
+        if not (self.interest_rate >= 0).all():
             raise ValueError("interest_rate must be >= 0")
-        if self.productivity <= 0:
+        if not self.productivity > 0:
             raise ValueError("productivity must be > 0")
 
 
 def produce(employed: np.ndarray, wages: np.ndarray, market: MarketState) -> np.ndarray:
-    """Run the month's production round.
+    """Run the month's production round of every run.
 
     Every employed household (``employed`` is 0 or 1) supplies 168 hours of
-    labor; output is hours times productivity, added to inventory. Returns
-    the pre-tax incomes: hours times the household's own wage, zero when
-    not working.
+    labor; output is hours times productivity, added to its run's
+    inventory. Returns the pre-tax incomes: hours times the household's own
+    wage, zero when not working.
     """
     hours = employed * HOURS_PER_MONTH
     market.inventory = market.inventory + sequential_sum(hours * market.productivity)
@@ -239,7 +250,7 @@ def compute_tax(schedule: TaxSchedule | ScheduleRows, income):
     bracket by bracket, plus the marginal rate on the part inside it.
     """
     incomes = np.asarray(income, dtype=float)
-    if (incomes < 0).any():
+    if not (incomes >= 0).all():  # NaN fails too
         raise ValueError("income must be >= 0")
     thresholds, rates, below = schedule.bracket_table
     # bracket j holds incomes in (thresholds[j], thresholds[j + 1]]; -1 is zero income
@@ -276,9 +287,10 @@ def execute_consumption(
     savings: np.ndarray,
     propensities: np.ndarray,
     market: MarketState,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Let households buy goods in a random order until inventory runs out.
+    rng: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Let the households of every run buy goods in a random order until
+    their run's inventory runs out.
 
     Intended demand is the consumption propensity applied to start-of-round
     wealth (post-tax income already credited), divided by the price. Each
@@ -287,18 +299,11 @@ def execute_consumption(
     what remains, and later buyers get nothing. Spending is further capped
     by the buyer's savings, which only binds at float rounding, so
     ``savings - spent`` is never negative. Inventory is updated in place.
-    In an ensemble each run shuffles its own row with its own Generator and
-    buys from its own inventory.
+    Each run (row) shuffles with its own Generator, ``rng[r]``, and buys
+    from its own inventory.
 
-    Returns (amount spent by household id, total intended demand).
+    Returns (amount spent, each run's total intended demand).
     """
-    if savings.ndim == 1:  # one run, as an ensemble of one
-        ensemble = replace(
-            market, price=np.array([market.price]), inventory=np.array([market.inventory])
-        )
-        spent, demand = execute_consumption(savings[None], propensities[None], ensemble, [rng])
-        market.inventory = float(ensemble.inventory[0])
-        return spent[0], float(demand[0])
     price = market.price[:, None]
     demands = propensities * savings / price
     n = savings.shape[1]
@@ -327,7 +332,7 @@ def compute_mismatch(demand: float, inventory: float) -> float:
 
     An empty market (D = G = 0) exerts no pressure and returns 0.
     """
-    if demand < 0 or inventory < 0:
+    if not (demand >= 0 and inventory >= 0):  # NaN fails too
         raise ValueError("demand and inventory must be >= 0")
     if demand == 0.0 and inventory == 0.0:
         return 0.0
@@ -337,26 +342,20 @@ def compute_mismatch(demand: float, inventory: float) -> float:
 def adjust_wages_and_price(
     wages: np.ndarray,
     market: MarketState,
-    mismatch: float | np.ndarray,
+    mismatch: np.ndarray,
     params: AdjustmentParams,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rng: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Nudge every wage and the price toward the mismatch sign.
+    """Nudge every wage and each run's price toward the sign of the run's
+    mismatch.
 
     Each multiplier is 1 + sign(mismatch) * U(0, cap * |mismatch|), drawn
     independently per wage and once for the price; wages draw first, in
     household order. Zero mismatch leaves everything unchanged (the draws
-    still occur, keeping the rng stream layout fixed). In an ensemble each
-    run draws from its own Generator with its own mismatch. Returns the new
-    wages; the price is updated in place.
+    still occur, keeping the rng stream layout fixed). Run r draws from
+    ``rng[r]`` with ``mismatch[r]``. Returns the new wages; the price is
+    updated in place.
     """
-    if wages.ndim == 1:  # one run, as an ensemble of one
-        ensemble = replace(market, price=np.array([market.price]))
-        (wages,) = adjust_wages_and_price(
-            wages[None], ensemble, np.array([mismatch]), params, [rng]
-        )
-        market.price = float(ensemble.price[0])
-        return wages
     direction = np.sign(mismatch)
     magnitude = np.abs(mismatch).tolist()
     wage_steps = np.array(

@@ -44,7 +44,7 @@ def gini(values: Sequence[float] | np.ndarray):
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("gini of an empty vector is undefined")
-    if np.any(arr < 0):
+    if not (arr >= 0).all():  # NaN fails too
         raise ValueError("gini requires nonnegative values")
     n = arr.shape[-1]
     total = arr.sum(axis=-1)

@@ -94,7 +94,6 @@ from taxsim.households import (
     DECREASED,
     INCREASED,
     UNCHANGED,
-    Decision,
     DecisionContext,
     DecisionMonth,
     LLMBackend,
@@ -397,6 +396,8 @@ def _simulate(
     notes = [""] * n
     previous_expected: list[float | None] = [None] * n
     previous_price: float | None = None
+    # Each LLM household's last decision, its fallback when a reply fails.
+    decisions = [DEFAULT_DECISION] * n if backend is not None else []
 
     def log(month: int, step: str) -> None:
         if event_log is not None:
@@ -461,13 +462,7 @@ def _simulate(
                     spent[0].tolist(),
                     notes,
                 )
-                decisions = list(
-                    runner.map(
-                        partial(decide, backend),
-                        contexts,
-                        list(map(Decision, work[0].tolist(), consumption[0].tolist())),
-                    )
-                )
+                decisions = list(runner.map(partial(decide, backend), contexts, decisions))
                 work = np.array([[d.work_propensity for d in decisions]])
                 consumption = np.array([[d.consumption_propensity for d in decisions]])
                 previous_expected = expected_list

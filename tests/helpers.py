@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles for the tax, gini, and
 optimal-rate computations, per-household reference loops for the columnar
-kernels, deterministic offline LLM stand-ins, and the golden-output cases."""
+kernels and a builder of their per-run market, deterministic offline LLM
+stand-ins, and the golden-output cases."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from taxsim.config import config_from_dict, load_config
-from taxsim.economy import TaxSchedule
+from taxsim.economy import MarketState, TaxSchedule
 from taxsim.gateway import ChatGateway, ChatRequest, GatewayError
 from taxsim.simulation import run
 
@@ -94,6 +95,32 @@ def sequential_consumption(savings, propensities, price, inventory, rng):
         inventory = float(max(inventory - filled, 0.0))
         spent[idx] = float(cost)
     return spent, savings, inventory, float(sum(demands))
+
+
+def sequential_adjustment(wages, price, mismatch, params, rng):
+    """Reference wage and price step: one U(0, max_wage_step * |m|) draw
+    per household in order, then one U(0, max_price_step * |m|) for the
+    price, each applied as x * (1 + sign(m) * step). Returns (wages after,
+    price after)."""
+    direction = float(np.sign(mismatch))
+    magnitude = abs(float(mismatch))
+    wages = [
+        float(w) * (1.0 + direction * rng.uniform(0.0, params.max_wage_step * magnitude))
+        for w in wages
+    ]
+    step = rng.uniform(0.0, params.max_price_step * magnitude)
+    return wages, float(price) * (1.0 + direction * step)
+
+
+def market_of(price, inventory=0.0, interest_rate=0.0, productivity=1.0) -> MarketState:
+    """A ``MarketState`` of one run per price (one run for a scalar price);
+    a scalar inventory or interest rate is every run's value."""
+    price = np.atleast_1d(np.array(price, dtype=float))
+    inventory, interest_rate = (
+        np.broadcast_to(np.asarray(x, dtype=float), price.shape).copy()
+        for x in (inventory, interest_rate)
+    )
+    return MarketState(price, inventory, interest_rate, productivity)
 
 
 def pairwise_gini(values) -> float:

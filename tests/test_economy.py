@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from helpers import (
     bracket_loop_tax,
     decimal_quantize,
+    market_of,
     random_cent_schedule,
+    sequential_adjustment,
     sequential_consumption,
     tax_by_cent_integration,
 )
@@ -54,6 +57,7 @@ class TestTaxSchedule:
             ([0.0, 100.0], [0.1]),  # length mismatch
             ([10.0, 100.0], [0.1, 0.2]),  # must start at 0
             ([0.0, 100.0, 100.0], [0.1, 0.2, 0.3]),  # not strictly increasing
+            ([0.0, math.nan], [0.1, 0.2]),  # NaN threshold
             ([0.0, 100.0], [0.1, 1.2]),  # rate above 1
             ([0.0, 100.0], [-0.1, 0.2]),  # negative rate
             ([], []),  # empty
@@ -64,34 +68,83 @@ class TestTaxSchedule:
             TaxSchedule(thresholds, rates)
 
 
-# --------------------------------------------------------------- production
+# ------------------------------------------------------------------- market
+
+
+def market_fields(**overrides) -> dict:
+    """Valid ``MarketState`` fields of three runs, with ``overrides``."""
+    fields = {
+        "price": np.array([1.0, 2.0, 3.0]),
+        "inventory": np.array([0.0, 5.0, 0.0]),
+        "interest_rate": np.array([0.0, 0.01, 0.02]),
+        "productivity": 1.0,
+    }
+    return {**fields, **overrides}
+
+
+def one_bad_run(field: str, value: float) -> dict:
+    """``field`` with ``value`` in its middle run and valid values elsewhere."""
+    array = market_fields()[field].copy()
+    array[1] = value
+    return {field: array}
+
+
+class TestMarketState:
+    def test_per_run_arrays_accepted(self):
+        market = MarketState(**market_fields())
+        assert market.price.tolist() == [1.0, 2.0, 3.0]
+        assert MarketState(np.empty(0), np.empty(0), np.empty(0)).productivity == 1.0
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (one_bad_run("price", 0.0), "price"),
+            (one_bad_run("price", -1.0), "price"),
+            (one_bad_run("price", math.nan), "price"),
+            (one_bad_run("inventory", -1e-9), "inventory"),
+            (one_bad_run("inventory", math.nan), "inventory"),
+            (one_bad_run("interest_rate", -1e-9), "interest_rate"),
+            (one_bad_run("interest_rate", math.nan), "interest_rate"),
+            ({"productivity": 0.0}, "productivity"),
+            ({"productivity": -1.0}, "productivity"),
+            ({"productivity": math.nan}, "productivity"),
+            ({"price": 100.0}, "price"),  # a scalar
+            ({"price": np.array(100.0)}, "price"),  # a 0-d array
+            ({"price": [1.0, 2.0, 3.0]}, "price"),  # a list
+            ({"inventory": 0.0}, "inventory"),
+            ({"interest_rate": np.float64(0.0)}, "interest_rate"),
+            ({"inventory": np.zeros(2)}, "inventory"),  # a mismatched length
+            ({"interest_rate": np.zeros(4)}, "interest_rate"),
+            ({"inventory": np.zeros((3, 1))}, "inventory"),  # two dimensions
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, overrides, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MarketState(**market_fields(**overrides))
 
 
 class TestProduce:
     def test_supply_from_two_of_three_workers(self):
-        employed = np.array([1, 0, 1])
-        market = MarketState(price=100.0, productivity=1.0)
-        before = market.inventory
-        incomes = produce(employed, np.full(3, 10.0), market)
-        supply = market.inventory - before
-        assert supply == 336.0
-        assert market.inventory == 336.0
-        assert incomes[1] == 0.0
+        market = market_of(100.0)
+        incomes = produce(np.array([[1, 0, 1]]), np.full((1, 3), 10.0), market)
+        assert market.inventory.tolist() == [336.0]
+        assert incomes[0, 1] == 0.0
 
     def test_no_workers_leaves_inventory_unchanged(self):
-        market = MarketState(price=100.0, inventory=5.0)
-        before = market.inventory
-        incomes = produce(np.zeros(3, dtype=int), np.full(3, 10.0), market)
-        supply = market.inventory - before
-        assert supply == 0.0
-        assert market.inventory == 5.0
-        assert incomes.tolist() == [0.0, 0.0, 0.0]
+        market = market_of(100.0, inventory=5.0)
+        incomes = produce(np.zeros((1, 3), dtype=int), np.full((1, 3), 10.0), market)
+        assert market.inventory.tolist() == [5.0]
+        assert incomes.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_monthly_income_is_hours_times_wage(self):
-        market = MarketState(price=100.0)
-        (income,) = produce(np.array([1]), np.array([3.376]), market)
+        ((income,),) = produce(np.array([[1]]), np.array([[3.376]]), market_of(100.0))
         assert income == pytest.approx(567.17, abs=0.01)
         assert income == pytest.approx(168 * 3.376)
+
+    def test_each_run_stocks_its_own_inventory(self):
+        market = market_of([100.0, 100.0], inventory=[0.0, 5.0], productivity=0.5)
+        produce(np.array([[1, 0, 1], [0, 0, 1]]), np.full((2, 3), 10.0), market)
+        assert market.inventory.tolist() == [168.0, 89.0]
 
 
 # ----------------------------------------------------------------- taxation
@@ -109,9 +162,10 @@ class TestComputeTax:
         assert compute_tax(federal_schedule, 1000.0) == pytest.approx(expected)
         assert compute_tax(federal_schedule, 1000.0) == pytest.approx(103.83, abs=0.01)
 
-    def test_negative_income_rejected(self, federal_schedule):
+    @pytest.mark.parametrize("income", [-1.0, math.nan])
+    def test_negative_income_rejected(self, federal_schedule, income):
         with pytest.raises(ValueError):
-            compute_tax(federal_schedule, -1.0)
+            compute_tax(federal_schedule, income)
 
     def test_matches_cent_integration_oracle(self):
         rng = np.random.default_rng(42)
@@ -193,13 +247,14 @@ class TestApplyTaxation:
 
 
 def consume(savings, propensities, price, inventory, seed=0):
-    """One consumption round; returns (spent, savings after, market, demand)."""
-    savings = np.asarray(savings, dtype=float)
-    market = MarketState(price=price, inventory=inventory)
+    """One consumption round of a one-run ensemble; returns its row's
+    (spent, savings after, inventory after, demand)."""
+    savings = np.array([savings], dtype=float)
+    market = market_of(price, inventory)
     spent, demand = execute_consumption(
-        savings, np.asarray(propensities, dtype=float), market, np.random.default_rng(seed)
+        savings, np.array([propensities], dtype=float), market, [np.random.default_rng(seed)]
     )
-    return spent, savings - spent, market, demand
+    return spent[0], (savings - spent)[0], market.inventory[0], demand[0]
 
 
 class TestDemandAndConsumption:
@@ -216,10 +271,10 @@ class TestDemandAndConsumption:
         assert demand == 0.0
 
     def test_consumption_bounded_by_inventory(self):
-        spent, savings, market, demand = consume([1000.0], [0.5], 126.78, 2.0)
+        spent, savings, inventory, demand = consume([1000.0], [0.5], 126.78, 2.0)
         assert demand == pytest.approx(3.9439, abs=1e-4)
         assert spent[0] == pytest.approx(253.56)
-        assert market.inventory == 0.0
+        assert inventory == 0.0
         assert savings[0] == pytest.approx(1000.0 - 253.56)
 
     def test_empty_inventory_changes_nothing(self):
@@ -234,13 +289,12 @@ class TestDemandAndConsumption:
 
     def test_total_consumed_never_exceeds_starting_inventory(self):
         rng = np.random.default_rng(3)
-        savings = rng.uniform(0, 5000, 20)
-        market = MarketState(price=50.0, inventory=30.0)
-        before = market.inventory
-        spent, _ = execute_consumption(savings, np.full(20, 0.9), market, rng)
-        assert market.inventory >= 0.0
-        assert sum(spent) / market.price <= before + 1e-9
-        assert all(s >= 0.0 for s in savings - spent)
+        savings = rng.uniform(0, 5000, (1, 20))
+        market = market_of(50.0, inventory=30.0)
+        spent, _ = execute_consumption(savings, np.full((1, 20), 0.9), market, [rng])
+        assert market.inventory[0] >= 0.0
+        assert sum(spent[0]) / 50.0 <= 30.0 + 1e-9
+        assert (savings - spent >= 0.0).all()
 
 
 class TestMismatch:
@@ -259,25 +313,37 @@ class TestMismatch:
     def test_always_within_unit_interval(self, demand, inventory):
         assert -1.0 <= compute_mismatch(demand, inventory) <= 1.0
 
+    @pytest.mark.parametrize(
+        "demand,inventory", [(-1.0, 5.0), (5.0, -1.0), (math.nan, 5.0), (5.0, math.nan)]
+    )
+    def test_negative_or_nan_rejected(self, demand, inventory):
+        with pytest.raises(ValueError):
+            compute_mismatch(demand, inventory)
+
 
 # -------------------------------------------------------------- adjustments
 
 
+def adjust(wages, price, mismatch, params, rng):
+    """One wage and price step of a one-run ensemble; returns its row's
+    (wages after, price after)."""
+    market = market_of(price)
+    new_wages = adjust_wages_and_price(
+        np.array([wages], dtype=float), market, np.array([mismatch]), params, [rng]
+    )
+    return new_wages[0], market.price[0]
+
+
 class TestAdjustWagesAndPrice:
     def test_zero_mismatch_changes_nothing(self):
-        market = MarketState(price=100.0)
-        wages = adjust_wages_and_price(
-            np.full(4, 12.0), market, 0.0, AdjustmentParams(), np.random.default_rng(0)
-        )
+        params = AdjustmentParams()
+        wages, price = adjust(np.full(4, 12.0), 100.0, 0.0, params, np.random.default_rng(0))
         assert all(w == 12.0 for w in wages)
-        assert market.price == 100.0
+        assert price == 100.0
 
     def test_wage_multipliers_bounded_over_many_draws(self):
         params = AdjustmentParams(max_wage_step=0.1)
-        market = MarketState(price=100.0)
-        wages = adjust_wages_and_price(
-            np.ones(10_000), market, 0.5, params, np.random.default_rng(1)
-        )
+        wages, _ = adjust(np.ones(10_000), 100.0, 0.5, params, np.random.default_rng(1))
         assert wages.min() >= 1.0
         assert wages.max() <= 1.05
 
@@ -285,17 +351,26 @@ class TestAdjustWagesAndPrice:
         params = AdjustmentParams(max_price_step=0.2)
         rng = np.random.default_rng(2)
         for _ in range(10_000):
-            market = MarketState(price=1.0)
-            adjust_wages_and_price(np.empty(0), market, -0.5, params, rng)
-            assert 0.9 <= market.price <= 1.0
+            _, price = adjust(np.empty(0), 1.0, -0.5, params, rng)
+            assert 0.9 <= price <= 1.0
 
     def test_sign_follows_mismatch(self):
         params = AdjustmentParams()
-        rng = np.random.default_rng(5)
-        market = MarketState(price=100.0)
-        wages = adjust_wages_and_price(np.full(50, 10.0), market, -0.8, params, rng)
+        wages, price = adjust(np.full(50, 10.0), 100.0, -0.8, params, np.random.default_rng(5))
         assert all(w <= 10.0 for w in wages)
-        assert market.price <= 100.0
+        assert price <= 100.0
+
+    @pytest.mark.parametrize("mismatch", [-0.8, -0.0, 0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_matches_sequential_loop(self, mismatch, n):
+        params = AdjustmentParams(max_wage_step=0.07, max_price_step=0.11)
+        start = np.random.default_rng(n).lognormal(np.log(25.0), 0.8, n)
+        wages, price = adjust(start, 123.4, mismatch, params, np.random.default_rng(9))
+        ref_wages, ref_price = sequential_adjustment(
+            start, 123.4, mismatch, params, np.random.default_rng(9)
+        )
+        assert_bits_equal(wages, ref_wages)
+        assert_bits_equal(price, ref_price)
 
 
 class TestTaylorRule:
@@ -437,20 +512,23 @@ class TestComputeTaxMatchesBracketLoop:
     def test_zero_income_in_an_array_pays_zero(self, federal_schedule):
         assert compute_tax(federal_schedule, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
-    def test_negative_income_in_an_array_rejected(self, federal_schedule):
+    @pytest.mark.parametrize("income", [-1.0, math.nan])
+    def test_negative_income_in_an_array_rejected(self, federal_schedule, income):
         with pytest.raises(ValueError):
-            compute_tax(federal_schedule, np.array([100.0, -1.0]))
+            compute_tax(federal_schedule, np.array([100.0, income]))
+        with pytest.raises(ValueError):
+            apply_taxation(federal_schedule, np.array([100.0, income]))
 
 
 class TestConsumptionMatchesSequentialLoop:
     def check(self, savings, propensities, price, inventory, seed):
-        spent, after, market, demand = consume(savings, propensities, price, inventory, seed)
+        spent, after, left, demand = consume(savings, propensities, price, inventory, seed)
         ref_spent, ref_after, ref_inventory, ref_demand = sequential_consumption(
             savings, propensities, price, inventory, np.random.default_rng(seed)
         )
         assert_bits_equal(spent, ref_spent)
         assert_bits_equal(after, ref_after)
-        assert_bits_equal(market.inventory, ref_inventory)
+        assert_bits_equal(left, ref_inventory)
         assert_bits_equal(demand, ref_demand)
         return spent
 

@@ -1,6 +1,10 @@
-"""The lockstep ensemble: the row kernels on (runs x N) arrays give each row
-the bits of the 1-D call on that row alone, and every row of a sweep equals
-``run()`` of its config alone."""
+"""The lockstep ensemble: on (runs x N) arrays, the kernels that also take
+one run's 1-D array (the metrics, ``sequential_sum``, ``compute_tax`` and
+``apply_taxation``) give each row the bits of the 1-D call on that row
+alone; the ensemble-only kernels (``execute_consumption`` and
+``adjust_wages_and_price``) give each row the bits of the per-household
+reference loop on that row; and every row of a sweep equals ``run()`` of
+its config alone."""
 
 from __future__ import annotations
 
@@ -11,11 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scripted_gateway
+from helpers import market_of, scripted_gateway, sequential_adjustment, sequential_consumption
 from taxsim.config import SimConfig
 from taxsim.economy import (
     AdjustmentParams,
-    MarketState,
     ScheduleError,
     ScheduleRows,
     TaxSchedule,
@@ -83,12 +86,24 @@ class TestRowKernelsMatchOneRowAlone:
             assert_bits_equal(sequential_sum(values), [sequential_sum(row) for row in values])
 
     def test_rows_without_households(self):
-        assert_bits_equal(sequential_sum(np.empty((3, 0))), [0.0, 0.0, 0.0])
-        market = MarketState(price=10.0, inventory=5.0)
-        spent, demand = execute_consumption(
-            np.empty(0), np.empty(0), market, np.random.default_rng(0)
-        )
-        assert (spent.size, demand, market.inventory) == (0, 0.0, 5.0)
+        empty = np.empty((3, 0))
+        assert_bits_equal(sequential_sum(empty), [0.0, 0.0, 0.0])
+        prices, inventories = [10.0, 20.0, 30.0], [5.0, 0.0, 7.0]
+        mismatches = np.array([0.5, 0.0, -1.0])
+        params = AdjustmentParams()
+        market = market_of(prices, inventories)
+        generators = [np.random.default_rng(r) for r in range(3)]
+        spent, demand = execute_consumption(empty, empty, market, generators)
+        wages = adjust_wages_and_price(empty, market, mismatches, params, generators)
+        assert spent.shape == wages.shape == (3, 0)
+        assert_bits_equal(demand, [0.0, 0.0, 0.0])
+        assert_bits_equal(market.inventory, inventories)
+        for r in range(3):
+            generator = np.random.default_rng(r)
+            sequential_consumption([], [], prices[r], inventories[r], generator)
+            _, price = sequential_adjustment([], prices[r], mismatches[r], params, generator)
+            assert_bits_equal(market.price[r], price)
+        assert market.price[1] == 20.0
 
     def test_compute_tax_and_taxation(self):
         rng = np.random.default_rng(5)
@@ -119,8 +134,9 @@ class TestRowKernelsMatchOneRowAlone:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_consumption_and_adjustment_draw_per_run(self, seed):
-        # Each row draws from its own Generator, as if it ran alone; some
-        # rows run short of inventory and some do not.
+        # Each row draws from its own Generator and matches the
+        # per-household loops on that row; some rows run short of
+        # inventory and some do not.
         rng = np.random.default_rng(50 + seed)
         runs, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
         savings = rng.lognormal(np.log(5e4), 0.6, (runs, n))
@@ -133,21 +149,25 @@ class TestRowKernelsMatchOneRowAlone:
         wages = rng.lognormal(np.log(25.0), 0.8, (runs, n))
         params = AdjustmentParams()
 
-        market = MarketState(price=prices.copy(), inventory=inventories.copy())
+        market = market_of(prices, inventories)
         generators = [np.random.default_rng([seed, r]) for r in range(runs)]
         spent, total_demand = execute_consumption(savings, propensities, market, generators)
         new_wages = adjust_wages_and_price(wages, market, mismatches, params, generators)
 
         for r in range(runs):
-            alone = MarketState(price=float(prices[r]), inventory=float(inventories[r]))
             generator = np.random.default_rng([seed, r])
-            spent_r, demand_r = execute_consumption(savings[r], propensities[r], alone, generator)
+            spent_r, savings_r, inventory_r, demand_r = sequential_consumption(
+                savings[r], propensities[r], prices[r], inventories[r], generator
+            )
             assert_bits_equal(spent[r], spent_r)
+            assert_bits_equal(savings[r] - spent[r], savings_r)
             assert_bits_equal(total_demand[r], demand_r)
-            assert_bits_equal(market.inventory[r], alone.inventory)
-            wages_r = adjust_wages_and_price(wages[r], alone, mismatches[r], params, generator)
+            assert_bits_equal(market.inventory[r], inventory_r)
+            wages_r, price_r = sequential_adjustment(
+                wages[r], prices[r], mismatches[r], params, generator
+            )
             assert_bits_equal(new_wages[r], wages_r)
-            assert_bits_equal(market.price[r], alone.price)
+            assert_bits_equal(market.price[r], price_r)
 
 
 def planner_replies(seed: int) -> list[str]:

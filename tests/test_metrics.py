@@ -35,9 +35,12 @@ class TestGini:
         with pytest.raises(ValueError):
             gini([])
 
-    def test_negative_values_rejected(self):
+    @pytest.mark.parametrize("bad", [-2.0, np.nan])
+    def test_negative_values_rejected(self, bad):
         with pytest.raises(ValueError):
-            gini([1.0, -2.0])
+            gini([1.0, bad])
+        with pytest.raises(ValueError):
+            gini([[1.0, 2.0], [1.0, bad]])
 
     @given(wealth_vectors)
     @example([0.0, 5e-324])
