@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles for the tax, gini, and
-optimal-rate computations, per-household reference loops for the columnar
-kernels and a builder of their per-run market, deterministic offline LLM
-stand-ins, and the golden-output cases."""
+optimal-rate computations, the loop form of the Saez schedule,
+per-household reference loops for the columnar kernels and a builder of
+their per-run market, deterministic offline LLM stand-ins, and the
+golden-output cases."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 from taxsim.config import config_from_dict, load_config
 from taxsim.economy import MarketState, TaxSchedule
 from taxsim.gateway import ChatGateway, ChatRequest, GatewayError
+from taxsim.policies import DegenerateIncomesError, EmptyTailError
 from taxsim.simulation import run
 
 
@@ -165,6 +167,69 @@ def oracle_saez_rates(incomes, brackets, elasticity, previous_top=None):
     return rates
 
 
+def reference_saez_schedule(incomes, brackets, params, previous=None) -> TaxSchedule:
+    """``policies.saez_schedule`` as a loop over the brackets with scalar
+    formulas: the CDF at each midpoint from its own ``searchsorted``, each
+    rate clamped with ``min``/``max``, and the tail mean a builtin ``sum``.
+    The array form must return the same schedule, bit for bit, or raise the
+    same exception type."""
+
+    def marginal(cdf_value, density_value, elasticity, income):
+        if not 0.0 <= cdf_value <= 1.0:
+            raise ValueError("cdf_value must lie in [0, 1]")
+        if density_value < 0:
+            raise ValueError("density_value must be >= 0")
+        if income < 0:
+            raise ValueError("income must be >= 0")
+        raw = ((1.0 - cdf_value) + elasticity * income * density_value) / (
+            1.0 + elasticity * density_value
+        )
+        return min(max(raw, 0.0), 1.0)
+
+    def pareto(values, tail_threshold):
+        tail = [z for z in values if z > tail_threshold]
+        if not tail:
+            raise EmptyTailError(f"no incomes above {tail_threshold}")
+        tail_mean = sum(tail) / len(tail)
+        if tail_mean <= tail_threshold:
+            raise EmptyTailError("tail mean does not exceed the threshold")
+        return tail_mean / (tail_mean - tail_threshold)
+
+    def top(pareto_param, elasticity):
+        if pareto_param <= 0:
+            raise ValueError("pareto parameter must be > 0")
+        if elasticity < 0:
+            raise ValueError("elasticity must be >= 0")
+        return 1.0 / (1.0 + pareto_param * elasticity)
+
+    brackets = tuple(float(b) for b in brackets)
+    positive = np.sort(np.asarray([z for z in incomes if z > 0], dtype=float))
+    if positive.size < 2:
+        raise DegenerateIncomesError("need at least two positive incomes")
+    count = positive.size
+    elasticity = params.elasticity
+    if positive[0] == positive[-1]:
+        elasticity = 0.0
+    edge_index = np.searchsorted(positive, brackets, side="left")
+    rates = []
+    for k in range(len(brackets) - 1):
+        width = brackets[k + 1] - brackets[k]
+        share = (edge_index[k + 1] - edge_index[k]) / count
+        midpoint = (brackets[k] + brackets[k + 1]) / 2.0
+        cdf_mid = np.searchsorted(positive, midpoint, side="right") / count
+        rates.append(marginal(cdf_mid, share / width, elasticity, midpoint))
+    tail_threshold = (
+        params.tail_threshold if params.tail_threshold is not None else brackets[-1]
+    )
+    try:
+        rates.append(top(pareto(positive, tail_threshold), elasticity))
+    except EmptyTailError:
+        if previous is None:
+            raise
+        rates.append(previous.rates[-1])
+    return TaxSchedule(brackets, tuple(rates))
+
+
 def deterministic_reply(request: ChatRequest) -> str:
     """Offline transport: a reply derived from the prompt hash, valid for
     whichever template produced the prompt."""
@@ -218,7 +283,9 @@ OUTPUT_FILES = ("monthly.csv", "annual.csv", "households.csv", "summary.json")
 REPLAY_CASE = "fixture_replay"
 # Config overrides per golden case; REPLAY_CASE replays the committed fixture.
 # The productivity-0.005 case is the one that reaches the partial fill of
-# execute_consumption (inventory below total demand).
+# execute_consumption (inventory below total demand). The tail-2000 case is
+# the one whose saez proposals estimate the top rate (30 of 39 at seed 0;
+# the other 9 find the tail empty and keep the previous top rate).
 GOLDEN_CASES = {
     "free_n50_m120_s0": {"tax_system": "free", "n_households": 50, "months": 120, "seed": 0},
     "us_federal_n50_m120_s0": {"tax_system": "us_federal", "n_households": 50, "months": 120, "seed": 0},
@@ -230,6 +297,13 @@ GOLDEN_CASES = {
         "months": 120,
         "seed": 0,
         "productivity": 0.005,
+    },
+    "saez_n50_m120_s0_tail2000": {
+        "tax_system": "saez",
+        "n_households": 50,
+        "months": 120,
+        "seed": 0,
+        "saez": {"tail_threshold": 2000.0},
     },
     REPLAY_CASE: None,
 }

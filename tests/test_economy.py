@@ -21,6 +21,7 @@ from taxsim.economy import (
     AdjustmentParams,
     MarketState,
     ScheduleError,
+    ScheduleRows,
     TaxSchedule,
     adjust_wages_and_price,
     apply_taxation,
@@ -518,6 +519,40 @@ class TestComputeTaxMatchesBracketLoop:
             compute_tax(federal_schedule, np.array([100.0, income]))
         with pytest.raises(ValueError):
             apply_taxation(federal_schedule, np.array([100.0, income]))
+
+
+# Threshold sets shared by the schedules of one ensemble: the policies'
+# brackets, a single bracket, and two brackets off the cent grid.
+THRESHOLD_SETS = (DEFAULT_BRACKETS, (0.0,), (0.0, 1.5, 2.25))
+
+
+@st.composite
+def schedule_rows_and_incomes(draw):
+    """Up to four schedules sharing one threshold set, and a (runs x N)
+    income matrix mixing 0.0, -0.0, each threshold, its neighbours one ulp
+    either side and arbitrary incomes."""
+    thresholds = draw(st.sampled_from(THRESHOLD_SETS))
+    runs = draw(st.integers(1, 4))
+    rates = st.lists(st.floats(0.0, 1.0), min_size=len(thresholds), max_size=len(thresholds))
+    schedules = [TaxSchedule(thresholds, draw(rates)) for _ in range(runs)]
+    edges = np.array(thresholds)
+    specials = [0.0, -0.0, *edges, *np.nextafter(edges, np.inf), *np.nextafter(edges[1:], 0.0)]
+    income = st.one_of(st.sampled_from(specials), st.floats(0.0, 1e6))
+    n = draw(st.integers(1, 12))
+    incomes = [draw(st.lists(income, min_size=n, max_size=n)) for _ in range(runs)]
+    return schedules, np.array(incomes)
+
+
+class TestScheduleRowsMatchBracketLoop:
+    @given(case=schedule_rows_and_incomes())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_per_row(self, case):
+        schedules, incomes = case
+        got = compute_tax(ScheduleRows(schedules), incomes)
+        want = np.array(
+            [[bracket_loop_tax(s, z) for z in row] for s, row in zip(schedules, incomes.tolist())]
+        )
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestConsumptionMatchesSequentialLoop:

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import CountingGateway, oracle_saez_rates, scripted_gateway
+from helpers import (
+    CountingGateway,
+    oracle_saez_rates,
+    reference_saez_schedule,
+    scripted_gateway,
+)
 from taxsim.economy import TaxSchedule
 from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.policies import (
@@ -201,6 +206,57 @@ class TestSaezSchedule:
             schedules=[us_federal_schedule()],
         )
         assert policy.propose(obs_low).rates != policy.propose(obs_high).rates
+
+
+# Incomes that sit on a bracket edge or midpoint, so that ties with the
+# edges, the midpoints and a tail threshold drawn from them are common.
+EDGE_INCOMES = sorted(
+    {*DEFAULT_BRACKETS}
+    | {(lo + hi) / 2.0 for lo, hi in zip(DEFAULT_BRACKETS, DEFAULT_BRACKETS[1:])}
+)
+
+
+@st.composite
+def saez_inputs(draw):
+    """Incomes with zeros, ties, a point mass, or a spread; a tail threshold
+    that is None, arbitrary, or one of the incomes; and a previous schedule
+    or None."""
+    kind = draw(st.sampled_from(("spread", "ties", "point_mass")))
+    if kind == "point_mass":
+        mass = draw(st.floats(1e-3, 1e5))
+        incomes = [mass] * draw(st.integers(0, 30)) + [0.0] * draw(st.integers(0, 5))
+    else:
+        value = st.sampled_from([0.0, -0.0, *EDGE_INCOMES]) if kind == "ties" else st.one_of(
+            st.just(0.0), st.sampled_from(EDGE_INCOMES), st.floats(-1e3, 1e5)
+        )
+        incomes = draw(st.lists(value, max_size=60))
+    tail = draw(
+        st.one_of(
+            st.none(),
+            st.floats(1e-3, 6e4),
+            st.sampled_from([z for z in incomes if z > 0] or [1.0]),
+        )
+    )
+    elasticity = draw(st.sampled_from((0.0, 0.25)) | st.floats(0.0, 3.0))
+    previous = draw(st.sampled_from((None, us_federal_schedule())))
+    container = draw(st.sampled_from((list, tuple)))
+    return container(incomes), SaezParams(elasticity=elasticity, tail_threshold=tail), previous
+
+
+def saez_outcome(fn, incomes, params, previous):
+    """The schedule's thresholds and rate bits, or the exception type."""
+    try:
+        schedule = fn(incomes, DEFAULT_BRACKETS, params, previous=previous)
+    except ValueError as exc:
+        return type(exc)
+    return schedule.thresholds, np.array(schedule.rates).view(np.int64).tolist()
+
+
+class TestSaezScheduleMatchesLoop:
+    @given(case=saez_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_same_schedule_or_same_exception(self, case):
+        assert saez_outcome(saez_schedule, *case) == saez_outcome(reference_saez_schedule, *case)
 
 
 # Rates on the 0.005 rounding boundaries of the 0.01 grid and one step of a
