@@ -11,10 +11,17 @@ of one. ``MarketState``, ``produce``, ``execute_consumption`` and
 per run, and the stochastic kernels take one numpy Generator per row.
 ``compute_tax`` and ``apply_taxation`` also take a scalar or a 1-D array
 with one ``TaxSchedule`` (the public API and single-household callers), and
-a 2-D array with a ``ScheduleRows``; ``quantize_fraction`` takes a scalar
-(one LLM reply) or an array; ``sequential_sum`` takes a vector or rows.
-Functions return new arrays; the only mutation is of the ``MarketState``
-passed in.
+a 2-D array with a ``ScheduleRows``; ``redistribute`` takes the incomes and
+their taxes in any of those shapes; ``quantize_fraction`` takes a scalar
+(one LLM reply) or an array; ``sequential_sum`` takes a vector or rows. A
+scalar gives a float. Functions return new arrays; the only mutation is of
+the ``MarketState`` passed in.
+
+The simulation taxes each household once a month: ``compute_tax`` on its
+full-time income before the decisions, which the rule-based decision reads,
+and taxation then charges that tax times employment (0 or 1), since a
+worker's pre-tax income is the same float. ``redistribute`` is the step
+that ``apply_taxation`` shares with it.
 
 Every total is a ``sequential_sum`` along its row and every kernel repeats
 the float operations of a per-household loop in the same order, so the
@@ -51,8 +58,8 @@ def sequential_sum(values):
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 2:
-        return np.cumsum(values, axis=1)[:, -1] if values.shape[1] else np.zeros(len(values))
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+        return values.cumsum(axis=1)[:, -1] if values.shape[1] else np.zeros(len(values))
+    return float(values.cumsum()[-1]) if values.size else 0.0
 
 
 @lru_cache(maxsize=None)
@@ -84,14 +91,19 @@ def quantize_fraction(value, step: str = "0.02"):
     An array (the rule-based population) is snapped in one numpy pass and
     gives an array; a scalar (one LLM reply) takes a bisect, which is
     several times cheaper than numpy's per-call overhead, and gives a float.
+    An infinite value, NaN, or an integer too large for a float raises
+    ``ValueError``.
     """
     midpoints, grid, midpoint_array, grid_array = _quantize_tables(step)
     if isinstance(value, np.ndarray):
         if not np.isfinite(value).all():
             raise ValueError(f"cannot quantize non-finite values in {value!r}")
-        ticks = np.searchsorted(midpoint_array, value, side="right")
-        return np.where(value == 0.0, value, grid_array[ticks])
-    value = float(value)
+        ticks = midpoint_array.searchsorted(value, side="right")
+        return np.where(value == 0.0, value, grid_array.take(ticks))
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"cannot quantize non-finite value {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"cannot quantize non-finite value {value!r}")
     return value if value == 0.0 else grid[bisect_right(midpoints, value)]
@@ -159,7 +171,7 @@ class TaxSchedule:
         and kept: a schedule changes at most once a proposal period."""
         thresholds = np.array(self.thresholds)
         rates = np.array(self.rates)
-        below = np.cumsum(np.concatenate(([0.0], rates[:-1] * np.diff(thresholds))))
+        below = np.concatenate(([0.0], rates[:-1] * np.diff(thresholds))).cumsum()
         return thresholds, rates, below
 
     @cached_property
@@ -186,17 +198,21 @@ class ScheduleRows:
     """The schedules in force in the runs of an ensemble, one per row of its
     (runs x N) arrays. They share thresholds, so ``compute_tax`` finds every
     bracket with one ``searchsorted`` and gathers each row's rates and
-    cumulative tax from ``bracket_table``."""
+    cumulative tax from ``bracket_table`` at the flat positions of its row,
+    bracket k of row r at ``k + row_offsets[r]``. Built once per schedule
+    change."""
 
     def __init__(self, schedules: Sequence[TaxSchedule]) -> None:
         if any(s.thresholds != schedules[0].thresholds for s in schedules):
             raise ScheduleError("the schedules of an ensemble must share thresholds")
         tables = [s.bracket_table for s in schedules]
+        thresholds = tables[0][0]
         self.bracket_table = (
-            tables[0][0],
+            thresholds,
             np.array([rates for _, rates, _ in tables]),
             np.array([below for _, _, below in tables]),
         )
+        self.row_offsets = len(thresholds) * np.arange(len(tables))[:, None]
 
 
 @dataclass
@@ -247,19 +263,20 @@ def compute_tax(schedule: TaxSchedule | ScheduleRows, income):
     (an ensemble) takes a ``ScheduleRows``, and row r pays schedule r.
 
     The tax is the full tax of every bracket below the income's, summed
-    bracket by bracket, plus the marginal rate on the part inside it.
+    bracket by bracket, plus the marginal rate on the part inside it. A zero
+    income (0.0 or -0.0) lies in bracket 0 and pays ``0.0 + rate * ±0.0``,
+    which is 0.0.
     """
     incomes = np.asarray(income, dtype=float)
     if not (incomes >= 0).all():  # NaN fails too
         raise ValueError("income must be >= 0")
     thresholds, rates, below = schedule.bracket_table
-    # bracket j holds incomes in (thresholds[j], thresholds[j + 1]]; -1 is zero income
-    j = np.searchsorted(thresholds, incomes, side="left") - 1
-    inside = np.maximum(j, 0)
-    lower = thresholds[inside]
-    if rates.ndim == 2:  # row r pays the schedule of run r, at its flat positions
-        inside = inside + rates.shape[1] * np.arange(len(rates))[:, None]
-    tax = np.where(j < 0, 0.0, below.take(inside) + rates.take(inside) * (incomes - lower))
+    # bracket k holds incomes in (thresholds[k], thresholds[k + 1]], and zero
+    k = thresholds[1:].searchsorted(incomes, side="left")
+    lower = thresholds.take(k)
+    if rates.ndim == 2:  # row r pays the schedule of run r
+        k = k + schedule.row_offsets
+    tax = below.take(k) + rates.take(k) * (incomes - lower)
     return float(tax) if tax.ndim == 0 else tax
 
 
@@ -277,7 +294,17 @@ def apply_taxation(
     pretax_incomes = np.asarray(pretax_incomes, dtype=float)
     if not pretax_incomes.size:
         raise ValueError("need at least one income")
-    taxes = compute_tax(schedule, pretax_incomes)
+    return redistribute(pretax_incomes, compute_tax(schedule, pretax_incomes))
+
+
+def redistribute(
+    pretax_incomes: np.ndarray, taxes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Credit every income net of its tax plus an even share of its run's
+    taxes: ``z - T + mean(T)``, the mean a ``sequential_sum`` over N.
+
+    Returns (posttax incomes, taxes, per-household redistribution).
+    """
     redistribution = sequential_sum(taxes) / taxes.shape[-1]
     posttax = pretax_incomes - taxes + np.asarray(redistribution)[..., None]
     return posttax, taxes, redistribution
@@ -306,18 +333,21 @@ def execute_consumption(
     """
     price = market.price[:, None]
     demands = propensities * savings / price
-    n = savings.shape[1]
-    # Each run's shuffle of its own row, as flat positions in the ensemble
-    order = np.array([generator.permutation(n) for generator in rng])
-    order += n * np.arange(len(savings))[:, None]
+    # Each run's shuffle of its own row, as flat positions in the ensemble:
+    # shuffling row r of the flat positions in place makes the draws of
+    # ``permutation(N)`` and gives its result plus r * N.
+    order = np.arange(demands.size).reshape(demands.shape)
+    for generator, row in zip(rng, order):
+        generator.shuffle(row)
     wanted = demands.take(order)
-    # remaining[:, k] is the inventory left before the k-th buyer in order
+    # remaining[:, k] is the inventory left before the k-th buyer in order;
+    # it never rises, so a run fell short iff its last entry is negative
     remaining = np.subtract.accumulate(
         np.concatenate((market.inventory[:, None], wanted), axis=1), axis=1
     )
     short = remaining[:, 1:] < 0
     filled_in_order = np.where(short, 0.0, wanted)
-    partial = short.any(axis=1)
+    partial = remaining[:, -1] < 0
     if partial.any():
         first = np.argmax(short[partial], axis=1)  # each partial run's first short buyer
         filled_in_order[partial, first] = remaining[partial, first]
@@ -357,16 +387,14 @@ def adjust_wages_and_price(
     updated in place.
     """
     direction = np.sign(mismatch)
-    magnitude = np.abs(mismatch).tolist()
-    wage_steps = np.array(
-        [
-            generator.uniform(0.0, params.max_wage_step * m, wages.shape[1])
-            for generator, m in zip(rng, magnitude)
-        ]
-    )
-    price_steps = np.array(
-        [generator.uniform(0.0, params.max_price_step * m) for generator, m in zip(rng, magnitude)]
-    )
+    magnitude = np.abs(mismatch)
+    # Row r: run r's N wage draws, then its price draw. ``uniform(0.0, c)``
+    # is ``0.0 + c * random()``, which is ``c * random()`` for c >= 0.
+    draws = np.empty((len(wages), wages.shape[1] + 1))
+    for generator, row in zip(rng, draws):
+        generator.random(out=row)
+    wage_steps = draws[:, :-1] * (params.max_wage_step * magnitude)[:, None]
+    price_steps = draws[:, -1] * (params.max_price_step * magnitude)
     market.price = market.price * (1.0 + direction * price_steps)
     return wages * (1.0 + direction[:, None] * wage_steps)
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from taxsim.config import HouseholdLLMConfig
-from taxsim.economy import Persona, TaxSchedule, compute_tax, quantize_fraction
+from taxsim.economy import Persona, TaxSchedule, quantize_fraction
 from taxsim.gateway import ChatGateway, ChatRequest, TransportError
 
 INCREASED = "increased"
@@ -72,7 +72,7 @@ class DecisionMonth:
     price_direction: str = UNCHANGED
 
     def __post_init__(self) -> None:
-        if self.average_price <= 0:
+        if not self.average_price > 0:  # NaN fails too
             raise ValueError("average_price must be > 0")
         if self.price_direction not in _PRICE_PHRASES:
             raise ValueError(f"unknown price_direction {self.price_direction!r}")
@@ -128,7 +128,10 @@ class DecisionContext:
     reflection_note: str = ""
 
     def __post_init__(self) -> None:
-        if self.expected_income < 0 or self.savings < 0 or self.last_consumption < 0:
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not (
+            self.expected_income >= 0 and self.savings >= 0 and self.last_consumption >= 0
+        ):
             raise ValueError("currency fields must be >= 0")
         if self.income_direction not in _INCOME_PHRASES:
             raise ValueError(f"unknown income_direction {self.income_direction!r}")
@@ -247,18 +250,17 @@ def parse_decision_reply(text: str) -> Decision:
     raise DecisionError("reply contains no work/consumption object")
 
 
-def rule_based_decide(
-    schedule: TaxSchedule, expected_income, savings, price: float
-) -> tuple:
+def rule_based_decide(tax, expected_income, savings, price: float) -> tuple:
     """Deterministic offline decision rule, for one household (scalars) or
     the whole population (arrays); returns (work, consumption) propensities
-    on the 0.02 grid.
+    on the 0.02 grid. ``tax`` is ``compute_tax`` of the expected income
+    under the schedule in force, which the month computes once and
+    taxation reuses.
 
     Work appetite falls linearly with the average tax rate on the expected
     income (floor 0.2 at full confiscation); the consumption share targets
     roughly three units of the good out of reachable wealth, capped at 0.95.
     """
-    tax = compute_tax(schedule, expected_income)
     average_rate = tax / np.maximum(expected_income, 1.0)
     work = quantize_fraction(0.2 + 0.8 * (1.0 - average_rate))
     reachable = savings + expected_income * (1.0 - average_rate)

@@ -12,6 +12,14 @@ the ``DEFAULT_BRACKETS`` thresholds; policies only move the rates.
   TaxAgentPolicy    - an LLM planner prompted with incomes, wealth, and the
                       metric history; replies are parsed and validated, and
                       any failure keeps the previous schedule in force.
+
+The Saez formulas take arrays: ``pareto_parameter`` a sequence or array of
+incomes, ``marginal_rate`` a scalar or an array in each argument (a scalar
+in gives a float out), so ``saez_schedule`` makes one sort, one
+``searchsorted`` for the bracket edges, one for the midpoints and one
+``marginal_rate`` call for every finite bracket. Each element repeats the
+float operations of the scalar formula in the same order, so the rates
+are bit-identical to a loop over the brackets.
 """
 
 from __future__ import annotations
@@ -82,14 +90,16 @@ class PolicyObservation:
         return self.schedule_history[-1]
 
 
-def pareto_parameter(incomes: Sequence[float], tail_threshold: float) -> float:
+def pareto_parameter(incomes, tail_threshold: float) -> float:
     """Tail-thickness statistic a = mean_tail / (mean_tail - z*) over incomes
-    strictly above the threshold z*. Raises EmptyTailError when nothing lies
-    above it."""
-    tail = [z for z in incomes if z > tail_threshold]
-    if not tail:
+    (a sequence or an array) strictly above the threshold z*, the tail mean
+    a left-to-right sum in input order over the tail's size. Raises
+    EmptyTailError when nothing lies above it."""
+    incomes = np.asarray(incomes, dtype=float)
+    tail = incomes[incomes > tail_threshold]
+    if not tail.size:
         raise EmptyTailError(f"no incomes above {tail_threshold}")
-    tail_mean = sum(tail) / len(tail)
+    tail_mean = float(tail.cumsum()[-1]) / tail.size
     if tail_mean <= tail_threshold:
         raise EmptyTailError("tail mean does not exceed the threshold")
     return tail_mean / (tail_mean - tail_threshold)
@@ -97,28 +107,38 @@ def pareto_parameter(incomes: Sequence[float], tail_threshold: float) -> float:
 
 def top_rate(pareto_param: float, elasticity: float) -> float:
     """Revenue-maximizing top marginal rate 1 / (1 + a * e), in (0, 1]."""
-    if pareto_param <= 0:
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not pareto_param > 0:
         raise ValueError("pareto parameter must be > 0")
-    if elasticity < 0:
+    if not elasticity >= 0:
         raise ValueError("elasticity must be >= 0")
     return 1.0 / (1.0 + pareto_param * elasticity)
 
 
-def marginal_rate(
-    cdf_value: float, density_value: float, elasticity: float, income: float
-) -> float:
+def marginal_rate(cdf_value, density_value, elasticity: float, income):
     """Optimal marginal rate ((1 - G) + e*z*g) / (1 + e*g) at income z, given
-    the income CDF value G and density g there, clamped into [0, 1]."""
-    if not 0.0 <= cdf_value <= 1.0:
+    the income CDF value G and density g there, clamped into [0, 1]. The
+    CDF value, density and income may be scalars (giving a float) or arrays
+    (giving an array, one rate per element).
+
+    The clamp keeps what ``min(max(raw, 0.0), 1.0)`` keeps, -0.0 and NaN
+    included; ``np.maximum(-0.0, 0.0)`` would give 0.0.
+    """
+    cdf_value, density_value, income = (
+        np.asarray(x, dtype=float) for x in (cdf_value, density_value, income)
+    )
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not ((cdf_value >= 0.0) & (cdf_value <= 1.0)).all():
         raise ValueError("cdf_value must lie in [0, 1]")
-    if density_value < 0:
+    if not (density_value >= 0).all():
         raise ValueError("density_value must be >= 0")
-    if income < 0:
+    if not (income >= 0).all():
         raise ValueError("income must be >= 0")
     raw = ((1.0 - cdf_value) + elasticity * income * density_value) / (
         1.0 + elasticity * density_value
     )
-    return min(max(raw, 0.0), 1.0)
+    rate = np.where(raw > 1.0, 1.0, np.where(raw < 0.0, 0.0, raw))
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def saez_schedule(
@@ -137,7 +157,10 @@ def saez_schedule(
     zero-elasticity reduction 1 - G(z).
     """
     brackets = tuple(float(b) for b in brackets)
-    positive = np.sort(np.asarray([z for z in incomes if z > 0], dtype=float))
+    edges = np.array(brackets)
+    incomes = np.asarray(incomes, dtype=float)
+    positive = incomes[incomes > 0]
+    positive.sort()
     if positive.size < 2:
         raise DegenerateIncomesError("need at least two positive incomes")
     count = positive.size
@@ -147,14 +170,12 @@ def saez_schedule(
 
     # Share of incomes in each half-open bracket [b_k, b_k+1); the top
     # bracket takes the remainder. Densities are share / width.
-    edge_index = np.searchsorted(positive, brackets, side="left")
-    rates: list[float] = []
-    for k in range(len(brackets) - 1):
-        width = brackets[k + 1] - brackets[k]
-        share = (edge_index[k + 1] - edge_index[k]) / count
-        midpoint = (brackets[k] + brackets[k + 1]) / 2.0
-        cdf_mid = np.searchsorted(positive, midpoint, side="right") / count
-        rates.append(marginal_rate(cdf_mid, share / width, elasticity, midpoint))
+    edge_index = positive.searchsorted(edges, side="left")
+    shares = (edge_index[1:] - edge_index[:-1]) / count
+    densities = shares / (edges[1:] - edges[:-1])
+    midpoints = (edges[:-1] + edges[1:]) / 2.0
+    cdf_mid = positive.searchsorted(midpoints, side="right") / count
+    rates = marginal_rate(cdf_mid, densities, elasticity, midpoints).tolist()
 
     tail_threshold = (
         params.tail_threshold if params.tail_threshold is not None else brackets[-1]

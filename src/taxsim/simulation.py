@@ -81,11 +81,11 @@ from taxsim.economy import (
     ScheduleRows,
     TaxSchedule,
     adjust_wages_and_price,
-    apply_taxation,
     compute_mismatch,
+    compute_tax,
     execute_consumption,
     produce,
-    sequential_sum,
+    redistribute,
     update_interest_rate,
 )
 from taxsim.gateway import ChatGateway, GatewaySettingError
@@ -377,6 +377,7 @@ def _simulate(
     consumption = np.full(shape, DEFAULT_DECISION.consumption_propensity)
     spent = np.zeros(shape)
     last_incomes = np.zeros(shape)
+    draws = np.empty(shape)  # each month's labor draws, row r from run r's Generator
     # Employment of the last 12 months, month m at [:, (m - 1) % 12]: at
     # each year end every run's 12 x N window is in month order.
     employment = np.empty((len(runs), 12, n))
@@ -432,11 +433,13 @@ def _simulate(
                 schedules = ScheduleRows([r.schedule for r in runs])
                 log(month, "propose")
 
-            # (2) household decisions from start-of-month state
+            # (2) household decisions from start-of-month state; the tax on
+            # full-time income is computed once, for the decision and (4)
             expected = HOURS_PER_MONTH * wage
+            full_time_tax = compute_tax(schedules, expected)
             if backend is None:
                 work, consumption = rule_based_decide(
-                    schedules, expected, savings, market.price[:, None]
+                    full_time_tax, expected, savings, market.price[:, None]
                 )
             else:
                 # LLM households: the ensemble is this one run, row 0
@@ -470,12 +473,17 @@ def _simulate(
             log(month, "decide")
 
             # (3) labor realization, then production
-            employed = (np.array([rng.random(n) for rng in rngs]) < work).astype(int)
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row)
+            employed = (draws < work).astype(int)
             pretax = produce(employed, wage, market)
             log(month, "produce")
 
-            # (4) taxation with even redistribution; credit post-tax income
-            posttax, tax, _ = apply_taxation(schedules, pretax)
+            # (4) taxation with even redistribution; credit post-tax income.
+            # A worker's pre-tax income is its full-time income, the same
+            # float, and a non-worker's is 0.0, which pays 0.0.
+            tax = full_time_tax * employed
+            posttax, _, _ = redistribute(pretax, tax)
             savings = savings + posttax
             log(month, "tax")
 
@@ -500,7 +508,8 @@ def _simulate(
                 market.price,
                 market.inventory,
                 market.interest_rate,
-                *map(sequential_sum, (pretax, tax, spent, savings)),
+                # one left-to-right sum along each row of the four
+                *np.stack((pretax, tax, spent, savings)).cumsum(axis=2)[:, :, -1],
                 gini,
                 equality,
                 productivity,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import CountingGateway, scripted_gateway
-from taxsim.economy import Persona, TaxSchedule
+from taxsim.economy import Persona, TaxSchedule, compute_tax
 from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.households import (
     _INCOME_PHRASES,
@@ -300,10 +300,9 @@ class TestParseDecisionReply:
 
 def rule_decision(ctx: DecisionContext) -> Decision:
     """The rule-based decision for one household's context."""
+    tax = compute_tax(ctx.month.current_schedule, ctx.expected_income)
     return Decision(
-        *rule_based_decide(
-            ctx.month.current_schedule, ctx.expected_income, ctx.savings, ctx.month.average_price
-        )
+        *rule_based_decide(tax, ctx.expected_income, ctx.savings, ctx.month.average_price)
     )
 
 
