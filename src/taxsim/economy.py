@@ -341,7 +341,8 @@ def execute_consumption(
         generator.shuffle(row)
     wanted = demands.take(order)
     # remaining[:, k] is the inventory left before the k-th buyer in order;
-    # it never rises, so a run fell short iff its last entry is negative
+    # demands are >= 0 (so are savings and propensities), so it never rises
+    # and a run fell short iff its last entry is negative
     remaining = np.subtract.accumulate(
         np.concatenate((market.inventory[:, None], wanted), axis=1), axis=1
     )

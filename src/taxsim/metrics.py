@@ -48,7 +48,8 @@ def gini(values: Sequence[float] | np.ndarray):
         raise ValueError("gini requires nonnegative values")
     n = arr.shape[-1]
     total = arr.sum(axis=-1)
-    ordered = np.sort(arr, axis=-1)
+    ordered = arr.copy()
+    ordered.sort(axis=-1)
     ranks = np.arange(1, n + 1)
     weighted = ((2 * ranks - n - 1) * ordered).sum(axis=-1)
     return _per_row(

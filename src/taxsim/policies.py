@@ -122,7 +122,8 @@ def marginal_rate(cdf_value, density_value, elasticity: float, income):
     (giving an array, one rate per element).
 
     The clamp keeps what ``min(max(raw, 0.0), 1.0)`` keeps, -0.0 and NaN
-    included; ``np.maximum(-0.0, 0.0)`` would give 0.0.
+    included (a negative elasticity can make ``raw`` -0.0), so its lower
+    bound is a ``where``: ``np.maximum(-0.0, 0.0)`` gives 0.0.
     """
     cdf_value, density_value, income = (
         np.asarray(x, dtype=float) for x in (cdf_value, density_value, income)
@@ -137,7 +138,7 @@ def marginal_rate(cdf_value, density_value, elasticity: float, income):
     raw = ((1.0 - cdf_value) + elasticity * income * density_value) / (
         1.0 + elasticity * density_value
     )
-    rate = np.where(raw > 1.0, 1.0, np.where(raw < 0.0, 0.0, raw))
+    rate = np.minimum(np.where(raw < 0.0, 0.0, raw), 1.0)
     return float(rate) if rate.ndim == 0 else rate
 
 

@@ -18,8 +18,10 @@ Shared: the population is columnar, one (runs x N) array per quantity
 r and column i for household i, and phases 2-7 and 9 are each one pass over
 those arrays. Every schedule uses the ``DEFAULT_BRACKETS`` thresholds, so a
 ``ScheduleRows`` lets one ``compute_tax`` call find every bracket with one
-``searchsorted`` and gather each run's rates. Totals and metrics reduce
-along the rows.
+``searchsorted`` and gather each run's rates. That call is made once a
+month, on every household's full-time income before (2): the rule-based
+decision reads it, and (4) charges it times employment. Totals and metrics
+reduce along the rows.
 
 Per run: a numpy Generator seeded from the run's config; a policy that
 proposes from an observation of the run's own row; the market scalars
@@ -38,7 +40,8 @@ the price step). Each array pass repeats the float operations of a
 per-household loop in the same order on every element, and every total is
 a left-to-right ``sequential_sum`` rather than numpy's pairwise sum. numpy
 reduces each row of a C-contiguous array as it would reduce that row alone,
-so the row reductions (``sequential_sum``, ``gini``, ``productivity``) give
+so the row reductions (``sequential_sum``, the row-wise ``cumsum`` of the
+month's four totals, ``gini``, ``productivity``) give
 each run the bits of its own 1-D reduction, and each annual unemployment
 reduces the run's contiguous 12 x N window as before. So the output bits of
 a run do not depend on how the work is vectorised, on which runs share its
@@ -504,12 +507,13 @@ def _simulate(
             gini = metrics.gini(savings)
             equality = metrics.equality(savings, gini)
             productivity = metrics.productivity(savings, per_capita=per_capita)
+            # the four totals of every run, each a left-to-right sum of its row
+            totals = np.concatenate((pretax, tax, spent, savings)).cumsum(axis=1)[:, -1]
             monthly[month - 1] = (
                 market.price,
                 market.inventory,
                 market.interest_rate,
-                # one left-to-right sum along each row of the four
-                *np.stack((pretax, tax, spent, savings)).cumsum(axis=2)[:, :, -1],
+                *totals.reshape(4, len(runs)),
                 gini,
                 equality,
                 productivity,

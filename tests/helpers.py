@@ -29,8 +29,25 @@ def tax_by_cent_integration(
     """Integrate marginal rates cent by cent over [0, income).
 
     Exact whenever the thresholds and the income sit on whole cents, since
-    the marginal rate is then constant inside every cent interval.
+    the marginal rate is then constant inside every cent interval. Cent i
+    (midpoint (i + 0.5) / 100) lies in bracket k exactly when
+    c_k <= i < c_k+1, with c_k the threshold in cents, so the per-cent
+    rates are each rate repeated over its bracket's cents: the array, and
+    so the pairwise sum, of ``tax_by_cent_midpoints``.
     """
+    n_cents = int(round(income * 100))
+    if n_cents <= 0:
+        return 0.0
+    cents = np.minimum(np.round(np.asarray(thresholds) * 100).astype(np.int64), n_cents)
+    per_cent = np.repeat(np.asarray(rates), np.diff(cents, append=n_cents))
+    return float(per_cent.sum() * 0.01)
+
+
+def tax_by_cent_midpoints(
+    thresholds: tuple[float, ...], rates: tuple[float, ...], income: float
+) -> float:
+    """``tax_by_cent_integration`` with each cent's bracket found from its
+    midpoint by ``searchsorted``: the reference for the repeat form."""
     n_cents = int(round(income * 100))
     if n_cents <= 0:
         return 0.0

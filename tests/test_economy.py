@@ -12,10 +12,12 @@ from helpers import (
     bracket_loop_tax,
     decimal_quantize,
     market_of,
+    random_cent_income,
     random_cent_schedule,
     sequential_adjustment,
     sequential_consumption,
     tax_by_cent_integration,
+    tax_by_cent_midpoints,
 )
 from taxsim.economy import (
     AdjustmentParams,
@@ -177,6 +179,14 @@ class TestComputeTax:
             assert compute_tax(schedule, income) == pytest.approx(
                 expected, rel=1e-9, abs=1e-12
             )
+
+    def test_cent_oracle_repeat_form_equals_midpoint_form(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            schedule = random_cent_schedule(rng)
+            income = random_cent_income(rng)
+            args = schedule.thresholds, schedule.rates, income
+            assert_bits_equal(tax_by_cent_integration(*args), tax_by_cent_midpoints(*args))
 
     @given(
         income=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
@@ -425,6 +435,11 @@ class TestQuantizeFraction:
         with pytest.raises(ValueError):
             quantize_fraction(float("nan"))
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_integer_beyond_float_range_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_fraction(value)
+
     @given(st.floats(min_value=-2, max_value=3, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_result_always_on_grid(self, raw):
@@ -553,6 +568,36 @@ class TestScheduleRowsMatchBracketLoop:
             [[bracket_loop_tax(s, z) for z in row] for s, row in zip(schedules, incomes.tolist())]
         )
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestGeneratorStreams:
+    """The draws the kernels and the month loop make into buffers are the
+    draws of the calls they replace, and leave each stream where those
+    calls leave it."""
+
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    def test_random_into_a_row_is_random_n(self, n):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        rows = np.empty((2, n))
+        b.random(out=rows[1])
+        assert_bits_equal(rows[1], a.random(n))
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("scale", [0.0, 5e-324, 0.0123, 0.5])
+    def test_scaled_random_is_uniform_from_zero(self, scale):
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        want = [*a.uniform(0.0, scale, 20), a.uniform(0.0, 2 * scale)]
+        draws = b.random(21)
+        assert_bits_equal(np.append(draws[:-1] * scale, draws[-1] * (2 * scale)), want)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_shuffled_offset_row_is_offset_permutation(self, n):
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        row = np.arange(3 * n, 4 * n)
+        b.shuffle(row)
+        assert row.tolist() == (a.permutation(n) + 3 * n).tolist()
+        assert a.random() == b.random()
 
 
 class TestConsumptionMatchesSequentialLoop:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import pytest
@@ -185,6 +186,17 @@ class TestBuildHouseholdPrompt:
             with pytest.raises(ValueError):
                 context(**overrides)
 
+    @pytest.mark.parametrize("price", [math.nan, 0.0, -1.0])
+    def test_month_rejects_nan_or_nonpositive_price(self, price):
+        with pytest.raises(ValueError, match="average_price"):
+            context(average_price=price)
+
+    @pytest.mark.parametrize("field", ["expected_income", "savings", "last_consumption"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_context_rejects_nan_or_negative_currency(self, field, value):
+        with pytest.raises(ValueError, match="currency"):
+            context(**{field: value})
+
     @given(
         persona=st.builds(
             Persona,
@@ -277,6 +289,11 @@ class TestParseDecisionReply:
         for copy in (text, "".join(list(text))):
             assert parse_decision_reply(copy) == first
 
+    @pytest.mark.parametrize("chatter", ["", "Sure! "])
+    def test_integer_beyond_float_range_rejected(self, chatter):
+        with pytest.raises(DecisionError):
+            parse_decision_reply(chatter + '{"work": 1' + "0" * 400 + ', "consumption": 0.5}')
+
     def test_malformed_reply_raises_on_every_call(self):
         for _ in range(3):
             with pytest.raises(DecisionError):
@@ -362,6 +379,12 @@ class TestDecide:
         backend = LLMBackend(
             scripted_gateway(["nonsense"]), HouseholdLLMConfig(max_retries=1)
         )
+        previous = Decision(0.44, 0.38)
+        assert decide(backend, context(), fallback=previous) == previous
+
+    def test_huge_integer_reply_returns_fallback(self):
+        reply = '{"work": 0.5, "consumption": 1' + "0" * 400 + "}"
+        backend = LLMBackend(scripted_gateway([reply]), HouseholdLLMConfig(max_retries=1))
         previous = Decision(0.44, 0.38)
         assert decide(backend, context(), fallback=previous) == previous
 

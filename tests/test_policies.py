@@ -92,6 +92,13 @@ class TestTopRate:
     def test_second_example(self):
         assert top_rate(1.5, 0.5) == pytest.approx(1.0 / 1.75)
 
+    @pytest.mark.parametrize(
+        "pareto_param,elasticity", [(math.nan, 0.25), (2.0, math.nan), (0.0, 0.25), (2.0, -0.1)]
+    )
+    def test_nan_or_out_of_range_rejected(self, pareto_param, elasticity):
+        with pytest.raises(ValueError):
+            top_rate(pareto_param, elasticity)
+
     @given(
         a=st.floats(min_value=1.0, max_value=100.0),
         e1=st.floats(min_value=0.0, max_value=2.0),
@@ -130,6 +137,38 @@ class TestMarginalRate:
     def test_clamp_boundaries(self):
         assert marginal_rate(1.0, 0.0, 0.7, 100.0) == 0.0  # 1 - G = 0
         assert marginal_rate(0.0, 0.0, 0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            ((math.nan, 1e-4, 0.25, 10.0), "cdf_value"),
+            ((1.5, 1e-4, 0.25, 10.0), "cdf_value"),
+            ((0.5, math.nan, 0.25, 10.0), "density_value"),
+            ((0.5, -1e-4, 0.25, 10.0), "density_value"),
+            ((0.5, 1e-4, 0.25, math.nan), "income"),
+            ((0.5, 1e-4, 0.25, -1.0), "income"),
+            (([0.5, math.nan], 1e-4, 0.25, 10.0), "cdf_value"),
+            ((0.5, [1e-4, math.nan], 0.25, 10.0), "density_value"),
+            ((0.5, 1e-4, 0.25, [10.0, math.nan]), "income"),
+        ],
+    )
+    def test_nan_or_out_of_range_rejected(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            marginal_rate(*args)
+
+    def test_arrays_give_the_scalar_rates(self):
+        cdf, density, income = [0.0, 0.4, 1.0, 0.9], [0.0, 2e-4, 0.3, 1e-4], [0.0, 500.0, 7.0, 1e4]
+        rates = marginal_rate(np.array(cdf), np.array(density), 0.25, np.array(income))
+        scalars = [marginal_rate(g, d, 0.25, z) for g, d, z in zip(cdf, density, income)]
+        assert type(scalars[0]) is float
+        assert rates.view(np.int64).tolist() == np.array(scalars).view(np.int64).tolist()
+
+    def test_clamp_keeps_negative_zero(self):
+        # a negative elasticity makes the denominator negative: raw is -0.0,
+        # which min(max(raw, 0.0), 1.0) keeps
+        assert math.copysign(1.0, marginal_rate(1.0, 1.0, -2.0, 0.0)) == -1.0
+        rate = marginal_rate(np.array([1.0]), np.array([1.0]), -2.0, np.array([0.0]))
+        assert math.copysign(1.0, rate[0]) == -1.0
 
 
 class TestSaezSchedule:
