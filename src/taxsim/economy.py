@@ -294,20 +294,21 @@ def apply_taxation(
     pretax_incomes = np.asarray(pretax_incomes, dtype=float)
     if not pretax_incomes.size:
         raise ValueError("need at least one income")
-    return redistribute(pretax_incomes, compute_tax(schedule, pretax_incomes))
+    taxes = compute_tax(schedule, pretax_incomes)
+    posttax, redistribution = redistribute(pretax_incomes, taxes)
+    return posttax, taxes, redistribution
 
 
 def redistribute(
     pretax_incomes: np.ndarray, taxes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Credit every income net of its tax plus an even share of its run's
     taxes: ``z - T + mean(T)``, the mean a ``sequential_sum`` over N.
 
-    Returns (posttax incomes, taxes, per-household redistribution).
+    Returns (posttax incomes, per-household redistribution).
     """
     redistribution = sequential_sum(taxes) / taxes.shape[-1]
-    posttax = pretax_incomes - taxes + np.asarray(redistribution)[..., None]
-    return posttax, taxes, redistribution
+    return pretax_incomes - taxes + np.asarray(redistribution)[..., None], redistribution
 
 
 def execute_consumption(

@@ -486,7 +486,7 @@ def _simulate(
             # A worker's pre-tax income is its full-time income, the same
             # float, and a non-worker's is 0.0, which pays 0.0.
             tax = full_time_tax * employed
-            posttax, _, _ = redistribute(pretax, tax)
+            posttax, _ = redistribute(pretax, tax)
             savings = savings + posttax
             log(month, "tax")
 
