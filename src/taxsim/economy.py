@@ -149,8 +149,8 @@ class TaxSchedule:
     rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "thresholds", tuple(float(b) for b in self.thresholds))
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        object.__setattr__(self, "thresholds", tuple(map(float, self.thresholds)))
+        object.__setattr__(self, "rates", tuple(map(float, self.rates)))
         if len(self.thresholds) != len(self.rates):
             raise ScheduleError("thresholds and rates must have equal length")
         if not self.thresholds:
@@ -165,14 +165,21 @@ class TaxSchedule:
                 raise ScheduleError("every rate must lie in [0, 1]")
 
     @cached_property
+    def tax_below(self) -> tuple[float, ...]:
+        """Full tax of the brackets below each threshold: each bracket's
+        ``rate * (hi - lo)`` added left to right in floats, the bits of
+        numpy's ``cumsum`` of them."""
+        below = [0.0]
+        for lo, hi, rate in zip(self.thresholds, self.thresholds[1:], self.rates):
+            below.append(below[-1] + rate * (hi - lo))
+        return tuple(below)
+
+    @cached_property
     def bracket_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(thresholds, rates, full tax of the brackets below each
-        threshold) as arrays, built on the schedule's first ``compute_tax``
-        and kept: a schedule changes at most once a proposal period."""
-        thresholds = np.array(self.thresholds)
-        rates = np.array(self.rates)
-        below = np.concatenate(([0.0], rates[:-1] * np.diff(thresholds))).cumsum()
-        return thresholds, rates, below
+        """(thresholds, rates, ``tax_below``) as arrays, built on the
+        schedule's first ``compute_tax`` and kept: a schedule changes at
+        most once a proposal period."""
+        return np.array(self.thresholds), np.array(self.rates), np.array(self.tax_below)
 
     @cached_property
     def prompt_texts(self) -> tuple[str, str, str]:
@@ -200,19 +207,18 @@ class ScheduleRows:
     bracket with one ``searchsorted`` and gathers each row's rates and
     cumulative tax from ``bracket_table`` at the flat positions of its row,
     bracket k of row r at ``k + row_offsets[r]``. Built once per schedule
-    change."""
+    change, from the schedules' float rows."""
 
     def __init__(self, schedules: Sequence[TaxSchedule]) -> None:
-        if any(s.thresholds != schedules[0].thresholds for s in schedules):
+        thresholds = schedules[0].thresholds
+        if any(s.thresholds != thresholds for s in schedules):
             raise ScheduleError("the schedules of an ensemble must share thresholds")
-        tables = [s.bracket_table for s in schedules]
-        thresholds = tables[0][0]
         self.bracket_table = (
-            thresholds,
-            np.array([rates for _, rates, _ in tables]),
-            np.array([below for _, _, below in tables]),
+            np.array(thresholds),
+            np.array([s.rates for s in schedules]),
+            np.array([s.tax_below for s in schedules]),
         )
-        self.row_offsets = len(thresholds) * np.arange(len(tables))[:, None]
+        self.row_offsets = len(thresholds) * np.arange(len(schedules))[:, None]
 
 
 @dataclass

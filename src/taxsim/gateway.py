@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -223,6 +224,15 @@ def http_chat_transport(
     return send
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _without_surrogates(text: str) -> str:
+    """``text`` with each surrogate code point replaced by U+FFFD; an
+    all-ASCII text, the common case, is returned after one ``isascii``."""
+    return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
+
+
 class ChatGateway:
     """Mode-switched chat access. Safe for concurrent ``complete`` calls:
     cache appends are serialized, replay lookups are read-only after load."""
@@ -281,17 +291,21 @@ class ChatGateway:
         return 1 if self.mode == "replay" else max_retries
 
     def complete(self, request: ChatRequest) -> str:
-        """Resolve one request to a response text according to the mode."""
+        """Resolve one request to a response text according to the mode.
+        Each lone surrogate code point of a reply (a reply cut inside an
+        escaped surrogate pair holds one) becomes U+FFFD, in every mode, so
+        the reply can be recorded and put into later prompts, and live,
+        record and replay return the same text."""
         if self.mode == "replay":
             key = exchange_key(request.model_id, request.prompt, request.temperature)
             try:
-                return self._replay_cache[key]
+                return _without_surrogates(self._replay_cache[key])
             except KeyError:
                 raise ReplayMissError(
                     f"no cached exchange for key {key}; the cache does not cover "
                     "this prompt"
                 ) from None
-        text = self._call_with_backoff(request)
+        text = _without_surrogates(self._call_with_backoff(request))
         if self.mode == "record":
             self._append_exchange(request, text)
         return text

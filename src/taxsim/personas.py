@@ -14,8 +14,9 @@ from taxsim.economy import Persona
 def load_personas(path: str | Path | None = None) -> list[Persona]:
     """Load persona records (name, age, city, occupation) from ``path``, or
     from the packaged roster when no path is given. A missing or malformed
-    file raises a ConfigError naming ``persona_path`` and, for a bad record,
-    the record's index."""
+    file raises a ConfigError naming ``persona_path`` and, for a bad record
+    (one holding a string that is not valid UTF-8 included), the record's
+    index."""
     if path:
         file_path = Path(path)
         source = f"persona_path {str(file_path)!r}"
@@ -38,14 +39,22 @@ def load_personas(path: str | Path | None = None) -> list[Persona]:
 
 def _persona(record, where: str) -> Persona:
     try:
-        return Persona(
+        persona = Persona(
             name=record["name"],
             age=int(record["age"]),
             city=record["city"],
             occupation=record["occupation"],
         )
+        # A JSON escape can spell a lone surrogate, which no prompt can
+        # carry into a cache or a request.
+        json.dumps(record, ensure_ascii=False).encode("utf-8")
+        return persona
     except KeyError as exc:
         raise ConfigError(f"{where} has no {exc.args[0]!r}") from None
+    except UnicodeEncodeError as exc:
+        raise ConfigError(
+            f"{where} holds a string that is not valid UTF-8 ({exc.object[exc.start]!r})"
+        ) from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -13,13 +13,13 @@ the ``DEFAULT_BRACKETS`` thresholds; policies only move the rates.
                       metric history; replies are parsed and validated, and
                       any failure keeps the previous schedule in force.
 
-The Saez formulas take arrays: ``pareto_parameter`` a sequence or array of
-incomes, ``marginal_rate`` a scalar or an array in each argument (a scalar
-in gives a float out), so ``saez_schedule`` makes one sort, one
-``searchsorted`` for the bracket edges, one for the midpoints and one
-``marginal_rate`` call for every finite bracket. Each element repeats the
-float operations of the scalar formula in the same order, so the rates
-are bit-identical to a loop over the brackets.
+``marginal_rate`` is the scalar formula, floats in and a float out.
+``saez_schedule`` uses numpy only for the work that grows with the number
+of households: the filter and sort of the positive incomes, the
+``searchsorted`` calls for the bracket edges and midpoints, and the Pareto
+tail; its six finite-bracket rates are ``marginal_rate`` calls on floats.
+An observation's incomes and wealth are read-only float arrays, copied
+from the run's rows, so a proposal never sees a later month.
 """
 
 from __future__ import annotations
@@ -60,27 +60,22 @@ def us_federal_schedule() -> TaxSchedule:
     return TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyObservation:
     """What a policy sees when asked for new rates: last month's pre-tax
-    incomes (zeros for non-workers), current wealth, and the full per-month
-    schedule/productivity/equality histories, aligned by month."""
+    incomes (zeros for non-workers) and current wealth, one read-only float
+    array each, and the full per-month schedule/productivity/equality
+    histories, aligned by month. Not comparable: arrays have no single
+    truth value, so the generated ``==`` could not work."""
 
     month: int
-    incomes: tuple[float, ...]
-    wealth: tuple[float, ...]
+    incomes: np.ndarray
+    wealth: np.ndarray
     schedule_history: tuple[TaxSchedule, ...]
     productivity_history: tuple[float, ...]
     equality_history: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "incomes", tuple(self.incomes))
-        object.__setattr__(self, "wealth", tuple(self.wealth))
-        object.__setattr__(self, "schedule_history", tuple(self.schedule_history))
-        object.__setattr__(
-            self, "productivity_history", tuple(self.productivity_history)
-        )
-        object.__setattr__(self, "equality_history", tuple(self.equality_history))
         if len(self.incomes) != len(self.wealth):
             raise ValueError("incomes and wealth must have equal length")
 
@@ -115,31 +110,24 @@ def top_rate(pareto_param: float, elasticity: float) -> float:
     return 1.0 / (1.0 + pareto_param * elasticity)
 
 
-def marginal_rate(cdf_value, density_value, elasticity: float, income):
+def marginal_rate(
+    cdf_value: float, density_value: float, elasticity: float, income: float
+) -> float:
     """Optimal marginal rate ((1 - G) + e*z*g) / (1 + e*g) at income z, given
-    the income CDF value G and density g there, clamped into [0, 1]. The
-    CDF value, density and income may be scalars (giving a float) or arrays
-    (giving an array, one rate per element).
-
-    The clamp keeps what ``min(max(raw, 0.0), 1.0)`` keeps, -0.0 and NaN
-    included (a negative elasticity can make ``raw`` -0.0), so its lower
-    bound is a ``where``: ``np.maximum(-0.0, 0.0)`` gives 0.0.
-    """
-    cdf_value, density_value, income = (
-        np.asarray(x, dtype=float) for x in (cdf_value, density_value, income)
-    )
+    the income CDF value G and density g there, clamped into [0, 1] by
+    ``min(max(raw, 0.0), 1.0)``, which keeps a ``raw`` of -0.0 (a negative
+    elasticity can give one) and NaN."""
     # Written so that NaN fails too: every comparison with NaN is false.
-    if not ((cdf_value >= 0.0) & (cdf_value <= 1.0)).all():
+    if not 0.0 <= cdf_value <= 1.0:
         raise ValueError("cdf_value must lie in [0, 1]")
-    if not (density_value >= 0).all():
+    if not density_value >= 0:
         raise ValueError("density_value must be >= 0")
-    if not (income >= 0).all():
+    if not income >= 0:
         raise ValueError("income must be >= 0")
     raw = ((1.0 - cdf_value) + elasticity * income * density_value) / (
         1.0 + elasticity * density_value
     )
-    rate = np.minimum(np.where(raw < 0.0, 0.0, raw), 1.0)
-    return float(rate) if rate.ndim == 0 else rate
+    return min(max(raw, 0.0), 1.0)
 
 
 def saez_schedule(
@@ -158,7 +146,6 @@ def saez_schedule(
     zero-elasticity reduction 1 - G(z).
     """
     brackets = tuple(float(b) for b in brackets)
-    edges = np.array(brackets)
     incomes = np.asarray(incomes, dtype=float)
     positive = incomes[incomes > 0]
     positive.sort()
@@ -171,12 +158,16 @@ def saez_schedule(
 
     # Share of incomes in each half-open bracket [b_k, b_k+1); the top
     # bracket takes the remainder. Densities are share / width.
-    edge_index = positive.searchsorted(edges, side="left")
-    shares = (edge_index[1:] - edge_index[:-1]) / count
-    densities = shares / (edges[1:] - edges[:-1])
-    midpoints = (edges[:-1] + edges[1:]) / 2.0
-    cdf_mid = positive.searchsorted(midpoints, side="right") / count
-    rates = marginal_rate(cdf_mid, densities, elasticity, midpoints).tolist()
+    edge_index = positive.searchsorted(brackets, side="left").tolist()
+    bounds = list(zip(brackets, brackets[1:]))
+    midpoints = [(lo + hi) / 2.0 for lo, hi in bounds]
+    below_mid = positive.searchsorted(midpoints, side="right").tolist()
+    rates = [
+        marginal_rate(below / count, (end - start) / count / (hi - lo), elasticity, mid)
+        for below, start, end, (lo, hi), mid in zip(
+            below_mid, edge_index, edge_index[1:], bounds, midpoints
+        )
+    ]
 
     tail_threshold = (
         params.tail_threshold if params.tail_threshold is not None else brackets[-1]
@@ -218,8 +209,8 @@ def build_tax_prompt(observation: PolicyObservation) -> str:
     current wealth, the past schedules, and the metric histories, ending
     with the JSON list-of-seven instruction."""
     bracket_text = "[" + ", ".join(f"{b:.2f}" for b in DEFAULT_BRACKETS) + "]"
-    income_text = "[" + ", ".join(str(round(z, 2)) for z in observation.incomes) + "]"
-    wealth_text = "[" + ", ".join(str(round(w, 2)) for w in observation.wealth) + "]"
+    income_text = "[" + ", ".join(str(round(z, 2)) for z in observation.incomes.tolist()) + "]"
+    wealth_text = "[" + ", ".join(str(round(w, 2)) for w in observation.wealth.tolist()) + "]"
     schedule_text = (
         "[([" + ", ".join(s.planner_text for s in observation.schedule_history) + "])]"
     )

@@ -227,15 +227,14 @@ _MONTH_VALUES = (
 )
 _PRICE = _MONTH_VALUES.index("price")
 _GINI = _MONTH_VALUES.index("gini")  # the metric scores follow, in MetricSnapshot order
-_EQUALITY = _MONTH_VALUES.index("equality")
-_PRODUCTIVITY = _MONTH_VALUES.index("productivity")
 
 
 @dataclass
 class _Run:
     """What one run of an ensemble keeps for itself: its Generator, its
-    policy and schedules, its annual records, and ``monthly``, its view of
-    the ensemble's month values (months x ``_MONTH_VALUES``)."""
+    policy and schedules, its annual records, ``monthly``, its view of the
+    ensemble's month values (months x ``_MONTH_VALUES``), and the metric
+    histories its policy observes."""
 
     config: SimConfig
     rng: np.random.Generator
@@ -245,18 +244,21 @@ class _Run:
     monthly: np.ndarray
     annual_records: list[AnnualRecord] = field(default_factory=list)
     households: dict[str, np.ndarray] = field(default_factory=dict)  # when kept
+    # The metric histories a policy observes: 0.0 for month 0, then one
+    # float a month, so that no observation converts ``monthly`` again.
+    productivity_history: list[float] = field(default_factory=lambda: [0.0])
+    equality_history: list[float] = field(default_factory=lambda: [0.0])
 
     def observation(
-        self, months_done: int, incomes: list[float], wealth: list[float]
+        self, months_done: int, incomes: np.ndarray, wealth: np.ndarray
     ) -> PolicyObservation:
-        past = self.monthly[:months_done]
         return PolicyObservation(
             month=months_done,
-            incomes=tuple(incomes),
-            wealth=tuple(wealth),
+            incomes=incomes,
+            wealth=wealth,
             schedule_history=tuple(self.schedule_history),
-            productivity_history=(0.0, *past[:, _PRODUCTIVITY].tolist()),
-            equality_history=(0.0, *past[:, _EQUALITY].tolist()),
+            productivity_history=tuple(self.productivity_history),
+            equality_history=tuple(self.equality_history),
         )
 
     def final_row(self) -> ComparisonRow:
@@ -411,12 +413,17 @@ def _simulate(
         runner: _Runner, months_done: int, incomes: np.ndarray, wealth: np.ndarray
     ) -> list[Callable] | None:
         """Each run's proposal for the next month, when there is a next
-        month and the cadence asks for one, submitted with a snapshot of
-        the run's observation of its own last month."""
+        month and the cadence asks for one, submitted with the run's
+        observation of its own last month. Its incomes and wealth are rows
+        of one read-only copy of the ensemble's, so a proposal in flight on
+        a pool thread never sees a later month."""
         if months_done == head.months or months_done % head.adjust_period_months:
             return None
+        incomes, wealth = incomes.copy(), wealth.copy()
+        incomes.setflags(write=False)
+        wealth.setflags(write=False)
         return [
-            runner.submit(r.policy.propose, r.observation(months_done, i.tolist(), w.tolist()))
+            runner.submit(r.policy.propose, r.observation(months_done, i, w))
             for r, i, w in zip(runs, incomes, wealth)
         ]
 
@@ -519,8 +526,12 @@ def _simulate(
                 productivity,
                 metrics.social_outcome(equality, productivity),
             )
-            for r in runs:
+            for r, run_productivity, run_equality in zip(
+                runs, productivity.tolist(), equality.tolist()
+            ):
                 r.schedule_history.append(r.schedule)
+                r.productivity_history.append(run_productivity)
+                r.equality_history.append(run_equality)
             if households:
                 columns = (wage, savings, work, consumption, employed, pretax, tax, posttax, spent)
                 for name, column in zip(HOUSEHOLD_COLUMNS, columns):

@@ -100,6 +100,13 @@ def bracket_loop_tax(schedule: TaxSchedule, income: float) -> float:
     return tax
 
 
+def reference_bracket_table(schedule: TaxSchedule) -> np.ndarray:
+    """Reference cumulative tax below each threshold, numpy's ``cumsum``
+    of each bracket's ``rate * (hi - lo)``."""
+    thresholds, rates = np.array(schedule.thresholds), np.array(schedule.rates)
+    return np.concatenate(([0.0], rates[:-1] * np.diff(thresholds))).cumsum()
+
+
 def sequential_consumption(savings, propensities, price, inventory, rng):
     """Reference consumption round: households buy one by one in the rng's
     shuffled order, each capped by the remaining inventory and by its
@@ -184,24 +191,27 @@ def oracle_saez_rates(incomes, brackets, elasticity, previous_top=None):
     return rates
 
 
+def reference_marginal_rate(cdf_value, density_value, elasticity, income):
+    """``policies.marginal_rate`` before its NaN-rejecting checks: a NaN
+    density or income gets through here, and must not there."""
+    if not 0.0 <= cdf_value <= 1.0:
+        raise ValueError("cdf_value must lie in [0, 1]")
+    if density_value < 0:
+        raise ValueError("density_value must be >= 0")
+    if income < 0:
+        raise ValueError("income must be >= 0")
+    raw = ((1.0 - cdf_value) + elasticity * income * density_value) / (
+        1.0 + elasticity * density_value
+    )
+    return min(max(raw, 0.0), 1.0)
+
+
 def reference_saez_schedule(incomes, brackets, params, previous=None) -> TaxSchedule:
     """``policies.saez_schedule`` as a loop over the brackets with scalar
     formulas: the CDF at each midpoint from its own ``searchsorted``, each
     rate clamped with ``min``/``max``, and the tail mean a builtin ``sum``.
-    The array form must return the same schedule, bit for bit, or raise the
-    same exception type."""
-
-    def marginal(cdf_value, density_value, elasticity, income):
-        if not 0.0 <= cdf_value <= 1.0:
-            raise ValueError("cdf_value must lie in [0, 1]")
-        if density_value < 0:
-            raise ValueError("density_value must be >= 0")
-        if income < 0:
-            raise ValueError("income must be >= 0")
-        raw = ((1.0 - cdf_value) + elasticity * income * density_value) / (
-            1.0 + elasticity * density_value
-        )
-        return min(max(raw, 0.0), 1.0)
+    ``saez_schedule`` must return the same schedule, bit for bit, or raise
+    the same exception type."""
 
     def pareto(values, tail_threshold):
         tail = [z for z in values if z > tail_threshold]
@@ -234,7 +244,7 @@ def reference_saez_schedule(incomes, brackets, params, previous=None) -> TaxSche
         share = (edge_index[k + 1] - edge_index[k]) / count
         midpoint = (brackets[k] + brackets[k + 1]) / 2.0
         cdf_mid = np.searchsorted(positive, midpoint, side="right") / count
-        rates.append(marginal(cdf_mid, share / width, elasticity, midpoint))
+        rates.append(reference_marginal_rate(cdf_mid, share / width, elasticity, midpoint))
     tail_threshold = (
         params.tail_threshold if params.tail_threshold is not None else brackets[-1]
     )

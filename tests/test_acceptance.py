@@ -183,8 +183,8 @@ def test_criterion_7_golden_prompts():
     data = json.loads((FIXTURES / "planner_observation.json").read_text())
     observation = PolicyObservation(
         month=data["month"],
-        incomes=tuple(data["incomes"]),
-        wealth=tuple(data["wealth"]),
+        incomes=np.array(data["incomes"]),
+        wealth=np.array(data["wealth"]),
         schedule_history=tuple(
             TaxSchedule(DEFAULT_BRACKETS, rates) for rates in data["schedule_rates_history"]
         ),

@@ -78,6 +78,22 @@ class TestRunCommand:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_lone_surrogate_persona_is_one_error_line(self, tmp_path, capsys):
+        roster = tmp_path / "roster.json"
+        record = {"name": "Ann\ud800", "age": 30, "city": "Reno", "occupation": "Baker"}
+        roster.write_text(json.dumps([record]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"persona_path": str(roster)}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"taxsim: error: persona_path {str(roster)!r}: record 0 holds a string that "
+            "is not valid UTF-8 ('\\ud800')\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_live_without_credential_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("TAXSIM_API_KEY", raising=False)
         config = tmp_path / "config.json"

@@ -14,6 +14,7 @@ from helpers import (
     market_of,
     random_cent_income,
     random_cent_schedule,
+    reference_bracket_table,
     sequential_adjustment,
     sequential_consumption,
     tax_by_cent_integration,
@@ -69,6 +70,36 @@ class TestTaxSchedule:
     def test_invalid_schedules_rejected(self, thresholds, rates):
         with pytest.raises(ScheduleError):
             TaxSchedule(thresholds, rates)
+
+
+# The default thresholds and one float step either side of each, so that
+# bracket widths differ from the defaults' in their last bits.
+NEAR_DEFAULT_THRESHOLDS = sorted(
+    {math.nextafter(b, toward) for b in DEFAULT_BRACKETS[1:] for toward in (0.0, b, math.inf)}
+)
+
+
+@st.composite
+def schedules_near_defaults(draw):
+    """Schedules whose thresholds lie on or one ulp beside the defaults,
+    with arbitrary ones mixed in, and rates of 0.0, 1.0 or in between."""
+    threshold = st.sampled_from(NEAR_DEFAULT_THRESHOLDS) | st.floats(1e-3, 1e6)
+    thresholds = draw(st.lists(threshold, max_size=9, unique=True))
+    thresholds = [0.0, *sorted(thresholds)]
+    rate = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+    rates = draw(st.lists(rate, min_size=len(thresholds), max_size=len(thresholds)))
+    return TaxSchedule(thresholds, rates)
+
+
+class TestBracketTableMatchesCumsum:
+    @given(schedule=schedules_near_defaults())
+    @settings(max_examples=300, deadline=None)
+    def test_float_sum_is_the_cumsum_bit_for_bit(self, schedule):
+        want = reference_bracket_table(schedule).view(np.int64).tolist()
+        assert np.array(schedule.tax_below).view(np.int64).tolist() == want
+        assert schedule.bracket_table[2].view(np.int64).tolist() == want
+        rows = ScheduleRows([schedule, schedule]).bracket_table[2]
+        assert rows.view(np.int64).tolist() == [want, want]
 
 
 # ------------------------------------------------------------------- market

@@ -128,6 +128,22 @@ class TestRecordReplay:
         replayer = ChatGateway("replay", cache_path=cache, transport=panicking_transport)
         assert replayer.complete(REQUEST) == text
 
+    def test_lone_surrogates_become_replacement_characters_in_every_mode(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        text = '{"work": 0.5} \ud800 é \udfff\ud83d\ude00 😀'
+        want = '{"work": 0.5} \ufffd é \ufffd\ufffd\ufffd 😀'
+        for mode in ("live", "record"):
+            gateway = ChatGateway(mode, cache_path=cache, transport=lambda req: text)
+            assert gateway.complete(REQUEST) == want
+        replayer = ChatGateway("replay", cache_path=cache, transport=panicking_transport)
+        assert replayer.complete(REQUEST) == want
+
+        # A cache whose reply spells a surrogate with a JSON escape.
+        key = exchange_key(REQUEST.model_id, REQUEST.prompt, REQUEST.temperature)
+        cache.write_text(json.dumps({"key": key, "response": "cut \ud800"}) + "\n")
+        replayer = ChatGateway("replay", cache_path=cache, transport=panicking_transport)
+        assert replayer.complete(REQUEST) == "cut \ufffd"
+
     def test_replay_uses_no_transport(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         ChatGateway("record", cache_path=cache, transport=lambda req: "ok").complete(REQUEST)

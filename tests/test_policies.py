@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     CountingGateway,
     oracle_saez_rates,
+    reference_marginal_rate,
     reference_saez_schedule,
     scripted_gateway,
 )
@@ -40,8 +41,8 @@ from taxsim.policies import (
 
 
 def observation(incomes=(), wealth=None, schedules=(), prod=(0.0,), eq=(0.0,), month=0):
-    incomes = tuple(incomes)
-    wealth = tuple(wealth) if wealth is not None else tuple(1000.0 for _ in incomes)
+    incomes = np.array(incomes, dtype=float)
+    wealth = np.array(wealth, dtype=float) if wealth is not None else np.full(incomes.size, 1000.0)
     return PolicyObservation(
         month=month,
         incomes=incomes,
@@ -147,28 +148,34 @@ class TestMarginalRate:
             ((0.5, -1e-4, 0.25, 10.0), "density_value"),
             ((0.5, 1e-4, 0.25, math.nan), "income"),
             ((0.5, 1e-4, 0.25, -1.0), "income"),
-            (([0.5, math.nan], 1e-4, 0.25, 10.0), "cdf_value"),
-            ((0.5, [1e-4, math.nan], 0.25, 10.0), "density_value"),
-            ((0.5, 1e-4, 0.25, [10.0, math.nan]), "income"),
         ],
     )
     def test_nan_or_out_of_range_rejected(self, args, name):
         with pytest.raises(ValueError, match=name):
             marginal_rate(*args)
 
-    def test_arrays_give_the_scalar_rates(self):
-        cdf, density, income = [0.0, 0.4, 1.0, 0.9], [0.0, 2e-4, 0.3, 1e-4], [0.0, 500.0, 7.0, 1e4]
-        rates = marginal_rate(np.array(cdf), np.array(density), 0.25, np.array(income))
-        scalars = [marginal_rate(g, d, 0.25, z) for g, d, z in zip(cdf, density, income)]
-        assert type(scalars[0]) is float
-        assert rates.view(np.int64).tolist() == np.array(scalars).view(np.int64).tolist()
-
     def test_clamp_keeps_negative_zero(self):
         # a negative elasticity makes the denominator negative: raw is -0.0,
         # which min(max(raw, 0.0), 1.0) keeps
-        assert math.copysign(1.0, marginal_rate(1.0, 1.0, -2.0, 0.0)) == -1.0
-        rate = marginal_rate(np.array([1.0]), np.array([1.0]), -2.0, np.array([0.0]))
-        assert math.copysign(1.0, rate[0]) == -1.0
+        rate = marginal_rate(1.0, 1.0, -2.0, 0.0)
+        assert math.copysign(1.0, rate) == -1.0
+        assert type(rate) is float
+
+    @given(
+        cdf=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+        density=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1e6),
+        elasticity=st.sampled_from((-2.0, -1.0, 0.0, 0.25)) | st.floats(-3.0, 3.0),
+        income=st.sampled_from((0.0, *DEFAULT_BRACKETS)) | st.floats(0.0, 1e9),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference_formula_bit_for_bit(self, cdf, density, elasticity, income):
+        def outcome(fn):
+            try:
+                return np.float64(fn(cdf, density, elasticity, income)).view(np.int64)
+            except ZeroDivisionError as exc:  # 1 + e*g is 0 for some e < 0
+                return type(exc)
+
+        assert outcome(marginal_rate) == outcome(reference_marginal_rate)
 
 
 class TestSaezSchedule:
@@ -315,8 +322,8 @@ class TestBuildTaxPrompt:
         data = json.loads((fixtures_dir / "planner_observation.json").read_text())
         obs = PolicyObservation(
             month=data["month"],
-            incomes=tuple(data["incomes"]),
-            wealth=tuple(data["wealth"]),
+            incomes=np.array(data["incomes"]),
+            wealth=np.array(data["wealth"]),
             schedule_history=tuple(
                 TaxSchedule(DEFAULT_BRACKETS, rates)
                 for rates in data["schedule_rates_history"]

@@ -231,6 +231,110 @@ class TestGatewayUsage:
         assert (result.households["consumption_propensity"] == 0.4).all()
 
 
+def surrogate_reply(request) -> str:
+    """A fixed reply of the prompt's kind, ending in a lone surrogate for a
+    decision or a reflection, as a reply cut inside an escaped pair does."""
+    if request.prompt.startswith("You are a tax planner"):
+        return "[0.1, 0.12, 0.22, 0.24, 0.32, 0.35, 0.37]"
+    if request.prompt.startswith("You are reviewing your household finances"):
+        return "Spend less. \ud800"
+    return '{"work": 0.5, "consumption": 0.3} \ud800'
+
+
+class PromptLoggingGateway(ChatGateway):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.prompts: list[str] = []
+
+    def complete(self, request):
+        self.prompts.append(request.prompt)
+        return super().complete(request)
+
+
+class TestLoneSurrogateReplies:
+    def test_live_record_and_replay_write_the_same_bytes(self, tmp_path):
+        config = replace(SMALL, months=4, tax_system="tax_agent", household_backend="llm")
+        cache = tmp_path / "cache.jsonl"
+        gateways = {
+            "live": PromptLoggingGateway("live", transport=surrogate_reply),
+            "record": ChatGateway("record", cache_path=cache, transport=surrogate_reply),
+        }
+        written = {}
+        for mode in ("live", "record", "replay"):
+            if mode == "replay":
+                gateways[mode] = ChatGateway("replay", cache_path=cache, transport=panicking_transport)
+            out = run(config, gateway=gateways[mode]).write_outputs(tmp_path / mode)
+            written[mode] = [(out / name).read_bytes() for name in OUTPUT_FILES]
+        assert written["live"] == written["record"] == written["replay"]
+
+        # Month 4's decision prompts carry month 3's notes, the surrogate
+        # replaced; the cache holds the replaced replies.
+        prompts = gateways["live"].prompts
+        assert sum("\ufffd" in prompt for prompt in prompts) == config.n_households
+        assert not any("\ud800" in prompt for prompt in prompts)
+        replies = [json.loads(line)["response"] for line in cache.read_text("utf-8").splitlines()]
+        assert sum(reply.endswith(" \ufffd") for reply in replies) == 4 * 6 + 6
+
+
+class TestPolicyObservations:
+    """Every observation a policy receives holds read-only copies of its
+    run's income and wealth rows of that month, unchanged after the run."""
+
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        import taxsim.simulation as simulation
+
+        kept: dict[tuple[str, int], list] = {}
+        build = simulation.build_policy
+
+        class KeepingPolicy:
+            def __init__(self, policy, observations):
+                self.policy, self.observations = policy, observations
+
+            def propose(self, observation):
+                copies = observation.incomes.copy(), observation.wealth.copy()
+                self.observations.append((observation, copies))
+                return self.policy.propose(observation)
+
+        def keeping(config, gateway):
+            observations = kept.setdefault((config.tax_system, config.seed), [])
+            return KeepingPolicy(build(config, gateway), observations)
+
+        monkeypatch.setattr(simulation, "build_policy", keeping)
+        return kept
+
+    @staticmethod
+    def assert_snapshots(observations, households, months):
+        # 11 months: no year end, whose interest accrues after the record.
+        assert [obs.month for obs, _ in observations] == list(range(0, months, 3))
+        for obs, (incomes, wealth) in observations:
+            assert not obs.incomes.flags.writeable and not obs.wealth.flags.writeable
+            assert obs.incomes.tobytes() == incomes.tobytes()
+            assert obs.wealth.tobytes() == wealth.tobytes()
+            if obs.month == 0:
+                assert not obs.incomes.any()
+                continue
+            assert incomes.tobytes() == households["pretax_income"][obs.month - 1].tobytes()
+            assert wealth.tobytes() == households["savings"][obs.month - 1].tobytes()
+
+    def test_rule_based_saez_ensemble(self, kept):
+        base = replace(SMALL, months=11, tax_system="saez")
+        seeds = (3, 4, 5)
+        sweep(base, ["saez"], seeds)
+        ensemble = {seed: kept.pop(("saez", seed)) for seed in seeds}
+        for seed in seeds:
+            households = run(replace(base, seed=seed, write_households=True)).households
+            self.assert_snapshots(ensemble[seed], households, base.months)
+
+    def test_tax_agent_fanned_out_over_a_live_transport(self, kept):
+        config = replace(
+            SMALL, months=11, tax_system="tax_agent", household_backend="llm",
+            write_households=True,
+        )
+        result = run(config, gateway=ChatGateway("live", transport=deterministic_reply))
+        self.assert_snapshots(kept[("tax_agent", SMALL.seed)], result.households, config.months)
+
+
 class TestCompare:
     def test_mismatched_seed_rejected(self):
         with pytest.raises(ValueError, match="share"):
@@ -335,6 +439,10 @@ class TestConfigErrors:
         [
             ({"name": "Sam Roe", "age": 41, "city": "Reno"}, "has no 'occupation'"),
             ({"name": "Sam", "age": "thirty", "city": "Reno", "occupation": "Baker"}, "thirty"),
+            (
+                {"name": "Ann\ud800", "age": 30, "city": "Reno", "occupation": "Baker"},
+                "not valid UTF-8",
+            ),
         ],
     )
     def test_bad_persona_record_fails_before_month_1(self, tmp_path, record, problem):
@@ -345,6 +453,19 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=rf"persona_path .*: record 1\b.*{problem}"):
             run(replace(SMALL, persona_path=str(path)), event_log=events)
         assert events == []
+
+    def test_lone_surrogate_persona_fails_a_record_run_before_its_first_call(self, tmp_path):
+        good = {"name": "Pat Doe", "age": 30, "city": "Reno", "occupation": "Baker"}
+        path = tmp_path / "roster.json"
+        path.write_text(json.dumps([good, {**good, "name": "Ann\ud800"}]))
+        config = replace(SMALL, household_backend="llm", persona_path=str(path))
+        cache = tmp_path / "cache.jsonl"
+        gateway = PromptLoggingGateway("record", cache_path=cache, transport=surrogate_reply)
+        events: list[tuple[int, str]] = []
+        with pytest.raises(ConfigError, match=r"persona_path .*: record 1 .*not valid UTF-8"):
+            run(config, gateway=gateway, event_log=events)
+        assert events == [] and gateway.prompts == []
+        assert not cache.exists() or cache.read_bytes() == b""
 
     @pytest.mark.parametrize("cache_path", ["", "missing.jsonl"])
     def test_replay_without_a_cache_file_fails_before_month_1(self, tmp_path, cache_path):
