@@ -294,14 +294,16 @@ def panicking_transport(request: ChatRequest) -> str:
 
 
 class CountingGateway(ChatGateway):
-    """A gateway that counts its ``complete`` calls."""
+    """A gateway that counts its ``complete`` calls and keeps their prompts."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.calls = 0
+        self.prompts: list[str] = []
 
     def complete(self, request: ChatRequest) -> str:
         self.calls += 1
+        self.prompts.append(request.prompt)
         return super().complete(request)
 
 

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from helpers import OUTPUT_FILES, deterministic_reply, panicking_transport, scripted_gateway
+from helpers import (
+    OUTPUT_FILES,
+    CountingGateway,
+    deterministic_reply,
+    panicking_transport,
+    scripted_gateway,
+)
 from taxsim import metrics
 from taxsim.config import ConfigError, GatewayConfig, SimConfig, load_config
 from taxsim.gateway import GATEWAY_MODES, ChatGateway
@@ -241,39 +247,29 @@ def surrogate_reply(request) -> str:
     return '{"work": 0.5, "consumption": 0.3} \ud800'
 
 
-class PromptLoggingGateway(ChatGateway):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.prompts: list[str] = []
-
-    def complete(self, request):
-        self.prompts.append(request.prompt)
-        return super().complete(request)
-
-
 class TestLoneSurrogateReplies:
     def test_live_record_and_replay_write_the_same_bytes(self, tmp_path):
         config = replace(SMALL, months=4, tax_system="tax_agent", household_backend="llm")
         cache = tmp_path / "cache.jsonl"
-        gateways = {
-            "live": PromptLoggingGateway("live", transport=surrogate_reply),
-            "record": ChatGateway("record", cache_path=cache, transport=surrogate_reply),
-        }
-        written = {}
-        for mode in ("live", "record", "replay"):
-            if mode == "replay":
-                gateways[mode] = ChatGateway("replay", cache_path=cache, transport=panicking_transport)
-            out = run(config, gateway=gateways[mode]).write_outputs(tmp_path / mode)
-            written[mode] = [(out / name).read_bytes() for name in OUTPUT_FILES]
-        assert written["live"] == written["record"] == written["replay"]
+
+        def written(gateway) -> list[bytes]:
+            out = run(config, gateway=gateway).write_outputs(tmp_path / gateway.mode)
+            return [(out / name).read_bytes() for name in OUTPUT_FILES]
+
+        live = CountingGateway("live", transport=surrogate_reply)
+        assert written(live) == written(
+            ChatGateway("record", cache_path=cache, transport=surrogate_reply)
+        ) == written(ChatGateway("replay", cache_path=cache, transport=panicking_transport))
 
         # Month 4's decision prompts carry month 3's notes, the surrogate
         # replaced; the cache holds the replaced replies.
-        prompts = gateways["live"].prompts
+        prompts = live.prompts
         assert sum("\ufffd" in prompt for prompt in prompts) == config.n_households
         assert not any("\ud800" in prompt for prompt in prompts)
         replies = [json.loads(line)["response"] for line in cache.read_text("utf-8").splitlines()]
-        assert sum(reply.endswith(" \ufffd") for reply in replies) == 4 * 6 + 6
+        # four months of decisions and one quarter's reflections
+        want = (config.months + 1) * config.n_households
+        assert sum(reply.endswith(" \ufffd") for reply in replies) == want
 
 
 class TestPolicyObservations:
@@ -460,7 +456,7 @@ class TestConfigErrors:
         path.write_text(json.dumps([good, {**good, "name": "Ann\ud800"}]))
         config = replace(SMALL, household_backend="llm", persona_path=str(path))
         cache = tmp_path / "cache.jsonl"
-        gateway = PromptLoggingGateway("record", cache_path=cache, transport=surrogate_reply)
+        gateway = CountingGateway("record", cache_path=cache, transport=surrogate_reply)
         events: list[tuple[int, str]] = []
         with pytest.raises(ConfigError, match=r"persona_path .*: record 1 .*not valid UTF-8"):
             run(config, gateway=gateway, event_log=events)
