@@ -334,6 +334,30 @@ GOLDEN_CASES = {
         "seed": 0,
         "saez": {"tail_threshold": 2000.0},
     },
+    # The proposal period against the run's length: a last period cut short
+    # (13 months, period 5), a proposal every month, and a period longer than
+    # the run, so that only the month-0 proposal is made.
+    "saez_n20_m13_s7_period5": {
+        "tax_system": "saez",
+        "n_households": 20,
+        "months": 13,
+        "seed": 7,
+        "adjust_period_months": 5,
+    },
+    "saez_n20_m14_s3_period1": {
+        "tax_system": "saez",
+        "n_households": 20,
+        "months": 14,
+        "seed": 3,
+        "adjust_period_months": 1,
+    },
+    "free_n10_m7_s2_period12": {
+        "tax_system": "free",
+        "n_households": 10,
+        "months": 7,
+        "seed": 2,
+        "adjust_period_months": 12,
+    },
     REPLAY_CASE: None,
 }
 
