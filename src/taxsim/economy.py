@@ -8,7 +8,9 @@ numpy array, one row per run of an ensemble and one column per household,
 and each mechanism is one array pass per month. A single run is an ensemble
 of one. ``MarketState``, ``produce``, ``execute_consumption`` and
 ``adjust_wages_and_price`` take that shape only: the market holds one value
-per run, and the stochastic kernels take one numpy Generator per row.
+per run, ``execute_consumption`` takes one numpy Generator per row, and
+``adjust_wages_and_price`` takes each row's uniform draws, made by the
+caller.
 ``compute_tax`` and ``apply_taxation`` also take a scalar or a 1-D array
 with one ``TaxSchedule`` (the public API and single-household callers), and
 a 2-D array with a ``ScheduleRows``; ``redistribute`` takes the incomes and
@@ -382,25 +384,22 @@ def adjust_wages_and_price(
     market: MarketState,
     mismatch: np.ndarray,
     params: AdjustmentParams,
-    rng: Sequence[np.random.Generator],
+    draws: np.ndarray,
 ) -> np.ndarray:
     """Nudge every wage and each run's price toward the sign of the run's
     mismatch.
 
     Each multiplier is 1 + sign(mismatch) * U(0, cap * |mismatch|), drawn
-    independently per wage and once for the price; wages draw first, in
-    household order. Zero mismatch leaves everything unchanged (the draws
-    still occur, keeping the rng stream layout fixed). Run r draws from
-    ``rng[r]`` with ``mismatch[r]``. Returns the new wages; the price is
-    updated in place.
+    independently per wage and once for the price. Row r of ``draws`` holds
+    run r's N + 1 ``random()`` draws, its wage draws in household order and
+    then its price draw; they are drawn even at zero mismatch, which leaves
+    everything unchanged, so the rng stream layout stays fixed. Run r uses
+    ``mismatch[r]``. Returns the new wages; the price is updated in place.
     """
     direction = np.sign(mismatch)
     magnitude = np.abs(mismatch)
-    # Row r: run r's N wage draws, then its price draw. ``uniform(0.0, c)``
-    # is ``0.0 + c * random()``, which is ``c * random()`` for c >= 0.
-    draws = np.empty((len(wages), wages.shape[1] + 1))
-    for generator, row in zip(rng, draws):
-        generator.random(out=row)
+    # ``uniform(0.0, c)`` is ``0.0 + c * random()``, which is
+    # ``c * random()`` for c >= 0.
     wage_steps = draws[:, :-1] * (params.max_wage_step * magnitude)[:, None]
     price_steps = draws[:, -1] * (params.max_price_step * magnitude)
     market.price = market.price * (1.0 + direction * price_steps)

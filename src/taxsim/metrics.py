@@ -2,10 +2,11 @@
 per-capita productivity, their product as the social outcome, and the annual
 inflation/unemployment series.
 
-``gini``, ``equality`` and ``productivity`` also take a 2-D array, the
-wealth of an ensemble of runs, and give each row's value. numpy reduces each
-row of a C-contiguous array exactly as it reduces that row alone, so a row's
-value has the bits of the 1-D call on it."""
+``gini``, ``equality`` and ``productivity`` also take any stack of rows,
+such as the wealth of an ensemble of runs (runs x N) or of several months of
+it (months x runs x N), and give each row's value. numpy reduces along the
+last axis, where each row is contiguous, exactly as it reduces that row
+alone, so a row's value has the bits of the 1-D call on it."""
 
 from __future__ import annotations
 

@@ -7,6 +7,13 @@ and income crediting, (5) consumption in a shuffled order, (6) mismatch-driven
 wage/price adjustment, (7) recording, (8) quarterly reflection, (9) annual
 inflation/unemployment, Taylor-rule update, and interest accrual.
 
+(7) records each month's price, inventory and interest rate, which the
+annual inflation and the LLM households' month read, and keeps the month's
+pretax, tax, spent and savings rows. The totals and the metrics over wealth
+are one pass over the kept rows of a proposal period, made at its end,
+before the next proposal observes them, and at the last month. A run whose
+policy is a ``FixedPolicy`` makes no proposal: its schedule never changes.
+
 One loop advances an ensemble of runs in lockstep. ``run(config)`` is the
 ensemble of one. ``sweep`` and ``compare`` put every rule-based config into
 one ensemble with the others that differ from it only in tax system, seed
@@ -36,14 +43,19 @@ unemployment reads a 12 x N employment window per run instead.
 Determinism: a run's Generator drives every draw of that run, and no other,
 in a fixed order (initial wages, initial savings, then per month: labor in
 household order, the consumption shuffle, wage steps in household order,
-the price step). Each array pass repeats the float operations of a
-per-household loop in the same order on every element, and every total is
-a left-to-right ``sequential_sum`` rather than numpy's pairwise sum. numpy
-reduces each row of a C-contiguous array as it would reduce that row alone,
-so the row reductions (``sequential_sum``, the row-wise ``cumsum`` of the
-month's four totals, ``gini``, ``productivity``) give
-each run the bits of its own 1-D reduction, and each annual unemployment
-reduces the run's contiguous 12 x N window as before. So the output bits of
+the price step). A month's wage and price draws and the next month's labor
+draws are adjacent in that order, so they are one ``random`` call into a
+row of 2N + 1 values; month 1's labor draws are made before the loop, and
+the last month's go unused. Each array pass repeats the float operations
+of a per-household loop in the same order on every element, and every
+total is a left-to-right ``sequential_sum`` rather than numpy's pairwise
+sum. numpy reduces along the last axis of an array whose rows are each
+contiguous as it would reduce that row alone, so the row reductions
+(``sequential_sum``, the ``cumsum`` of the four totals, ``gini``,
+``productivity``) give each run's month the bits of its own 1-D reduction,
+whether over one month's rows or a proposal period's stack of them, and
+each annual unemployment reduces the run's contiguous 12 x N window as
+before. So the output bits of
 a run do not depend on how the work is vectorised, on which runs share its
 ensemble, or on the interpreter's ``sum``. With the rule-based backend, or
 an LLM backend in replay mode, two runs produce byte-identical outputs.
@@ -226,6 +238,7 @@ _MONTH_VALUES = (
     "social_outcome",
 )
 _PRICE = _MONTH_VALUES.index("price")
+_TOTALS = _MONTH_VALUES.index("total_pretax_income")  # the four totals follow
 _GINI = _MONTH_VALUES.index("gini")  # the metric scores follow, in MetricSnapshot order
 
 
@@ -382,7 +395,19 @@ def _simulate(
     consumption = np.full(shape, DEFAULT_DECISION.consumption_propensity)
     spent = np.zeros(shape)
     last_incomes = np.zeros(shape)
-    draws = np.empty(shape)  # each month's labor draws, row r from run r's Generator
+    # Row r, from run r's Generator: its N wage draws and price draw of
+    # month m, then its N labor draws of month m + 1, which follow them in
+    # the stream. Month 1's labor draws are made here.
+    draws = np.empty((len(runs), 2 * n + 1))
+    labor_draws = draws[:, n + 1 :]
+    for rng, row in zip(rngs, labor_draws):
+        rng.random(out=row)
+    # The rows the metrics read, (pretax, tax, spent, savings) of every run,
+    # month m at [(m - 1) % span]: the metrics of a proposal period are one
+    # pass over its months, made at its end, before the next proposal reads
+    # them, and at the last month.
+    span = min(head.adjust_period_months, head.months)
+    metric_rows = np.empty((span, 4, len(runs), n))
     # Employment of the last 12 months, month m at [:, (m - 1) % 12]: at
     # each year end every run's 12 x N window is in month order.
     employment = np.empty((len(runs), 12, n))
@@ -409,23 +434,51 @@ def _simulate(
         if event_log is not None:
             event_log.append((month, step))
 
+    # A fixed schedule's proposal is the schedule in force, so only the
+    # other runs propose.
+    proposers = [i for i, r in enumerate(runs) if not isinstance(r.policy, FixedPolicy)]
+
     def submit_proposals(
         runner: _Runner, months_done: int, incomes: np.ndarray, wealth: np.ndarray
-    ) -> list[Callable] | None:
-        """Each run's proposal for the next month, when there is a next
-        month and the cadence asks for one, submitted with the run's
-        observation of its own last month. Its incomes and wealth are rows
-        of one read-only copy of the ensemble's, so a proposal in flight on
-        a pool thread never sees a later month."""
+    ) -> list[tuple[_Run, Callable]] | None:
+        """Each proposing run's proposal for the next month, when there is a
+        next month and the cadence asks for one (None otherwise), submitted
+        with the run's observation of its own last month. Its incomes and
+        wealth are rows of one read-only copy of the proposers' rows, so a
+        proposal in flight on a pool thread never sees a later month."""
         if months_done == head.months or months_done % head.adjust_period_months:
             return None
-        incomes, wealth = incomes.copy(), wealth.copy()
+        if not proposers:
+            return []
+        incomes, wealth = incomes[proposers], wealth[proposers]
         incomes.setflags(write=False)
         wealth.setflags(write=False)
+        proposing = (runs[k] for k in proposers)
         return [
-            runner.submit(r.policy.propose, r.observation(months_done, i, w))
-            for r, i, w in zip(runs, incomes, wealth)
+            (r, runner.submit(r.policy.propose, r.observation(months_done, i, w)))
+            for r, i, w in zip(proposing, incomes, wealth)
         ]
+
+    def record_metrics(month: int, rows: np.ndarray) -> None:
+        """The totals and metrics of the months up to ``month`` whose rows
+        ``rows`` holds, one (4 x runs x N) block a month, into ``monthly``
+        and each run's metric histories."""
+        wealth = rows[:, 3]
+        gini = metrics.gini(wealth)
+        equality = metrics.equality(wealth, gini)
+        productivity = metrics.productivity(wealth, per_capita=per_capita)
+        block = monthly[month - len(rows) : month]
+        # the four totals of every run, each a left-to-right sum of its row
+        block[:, _TOTALS:_GINI] = rows.cumsum(axis=-1)[..., -1]
+        block[:, _GINI:] = np.stack(
+            (gini, equality, productivity, metrics.social_outcome(equality, productivity)),
+            axis=1,
+        )
+        for r, run_productivity, run_equality in zip(
+            runs, productivity.T.tolist(), equality.T.tolist()
+        ):
+            r.productivity_history.extend(run_productivity)
+            r.equality_history.extend(run_equality)
 
     # Only live and record gateways wait on a transport, so only they gain
     # from overlapping calls.
@@ -438,9 +491,10 @@ def _simulate(
             # (1) on the cadence, each run's proposal, submitted at the end
             # of the month before, takes force
             if proposals is not None:
-                for r, proposal in zip(runs, proposals):
+                for r, proposal in proposals:
                     r.schedule = proposal()
-                schedules = ScheduleRows([r.schedule for r in runs])
+                if proposals:
+                    schedules = ScheduleRows([r.schedule for r in runs])
                 log(month, "propose")
 
             # (2) household decisions from start-of-month state; the tax on
@@ -483,9 +537,7 @@ def _simulate(
             log(month, "decide")
 
             # (3) labor realization, then production
-            for rng, row in zip(rngs, draws):
-                rng.random(out=row)
-            employed = (draws < work).astype(int)
+            employed = (labor_draws < work).astype(int)
             pretax = produce(employed, wage, market)
             log(month, "produce")
 
@@ -507,31 +559,20 @@ def _simulate(
             mismatch = np.array(
                 list(map(compute_mismatch, total_demand.tolist(), available_supply.tolist()))
             )
-            wage = adjust_wages_and_price(wage, market, mismatch, params, rngs)
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row)
+            wage = adjust_wages_and_price(wage, market, mismatch, params, draws[:, : n + 1])
             log(month, "adjust")
 
-            # (7) record end-of-month state and metrics over wealth
-            gini = metrics.gini(savings)
-            equality = metrics.equality(savings, gini)
-            productivity = metrics.productivity(savings, per_capita=per_capita)
-            # the four totals of every run, each a left-to-right sum of its row
-            totals = np.concatenate((pretax, tax, spent, savings)).cumsum(axis=1)[:, -1]
-            monthly[month - 1] = (
-                market.price,
-                market.inventory,
-                market.interest_rate,
-                *totals.reshape(4, len(runs)),
-                gini,
-                equality,
-                productivity,
-                metrics.social_outcome(equality, productivity),
-            )
-            for r, run_productivity, run_equality in zip(
-                runs, productivity.tolist(), equality.tolist()
-            ):
+            # (7) record end-of-month state; the totals and the metrics over
+            # wealth at the end of a proposal period and at the last month
+            monthly[month - 1, :_TOTALS] = market.price, market.inventory, market.interest_rate
+            for r in runs:
                 r.schedule_history.append(r.schedule)
-                r.productivity_history.append(run_productivity)
-                r.equality_history.append(run_equality)
+            slot = (month - 1) % span
+            np.concatenate((pretax, tax, spent, savings), out=metric_rows[slot].reshape(-1, n))
+            if slot == span - 1 or month == head.months:
+                record_metrics(month, metric_rows[: slot + 1])
             if households:
                 columns = (wage, savings, work, consumption, employed, pretax, tax, posttax, spent)
                 for name, column in zip(HOUSEHOLD_COLUMNS, columns):

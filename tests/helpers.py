@@ -138,6 +138,12 @@ def sequential_adjustment(wages, price, mismatch, params, rng):
     return wages, float(price) * (1.0 + direction * step)
 
 
+def adjustment_draws(generators, n: int) -> np.ndarray:
+    """The wage and price draws of one adjustment step, one row per
+    Generator: its N wage draws, then its price draw."""
+    return np.array([generator.random(n + 1) for generator in generators]).reshape(-1, n + 1)
+
+
 def market_of(price, inventory=0.0, interest_rate=0.0, productivity=1.0) -> MarketState:
     """A ``MarketState`` of one run per price (one run for a scalar price);
     a scalar inventory or interest rate is every run's value."""

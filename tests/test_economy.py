@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    adjustment_draws,
     bracket_loop_tax,
     decimal_quantize,
     market_of,
@@ -370,9 +371,9 @@ def adjust(wages, price, mismatch, params, rng):
     """One wage and price step of a one-run ensemble; returns its row's
     (wages after, price after)."""
     market = market_of(price)
-    new_wages = adjust_wages_and_price(
-        np.array([wages], dtype=float), market, np.array([mismatch]), params, [rng]
-    )
+    wages = np.array([wages], dtype=float)
+    draws = adjustment_draws([rng], wages.shape[1])
+    new_wages = adjust_wages_and_price(wages, market, np.array([mismatch]), params, draws)
     return new_wages[0], market.price[0]
 
 
@@ -612,6 +613,16 @@ class TestGeneratorStreams:
         rows = np.empty((2, n))
         b.random(out=rows[1])
         assert_bits_equal(rows[1], a.random(n))
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    def test_adjustment_and_next_labor_in_one_call(self, n):
+        # The month loop makes a month's N + 1 wage and price draws and the
+        # next month's N labor draws with one call into a row.
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        rows = np.empty((2, 2 * n + 1))
+        b.random(out=rows[1])
+        assert_bits_equal(rows[1], np.concatenate((a.random(n + 1), a.random(n))))
         assert a.random() == b.random()
 
     @pytest.mark.parametrize("scale", [0.0, 5e-324, 0.0123, 0.5])

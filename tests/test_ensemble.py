@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import market_of, scripted_gateway, sequential_adjustment, sequential_consumption
+from helpers import (
+    adjustment_draws,
+    market_of,
+    scripted_gateway,
+    sequential_adjustment,
+    sequential_consumption,
+)
 from taxsim.config import SimConfig
 from taxsim.economy import (
     AdjustmentParams,
@@ -79,6 +85,31 @@ class TestRowKernelsMatchOneRowAlone:
                     [productivity(row, per_capita=per_capita) for row in rows],
                 )
 
+    def test_gini_equality_productivity_of_a_stack(self):
+        # The month loop hands the metrics k months of (runs x N) wealth
+        # rows at once, a strided view of its (k x 4 x runs x N) buffer, and
+        # takes the four totals of each row as the last of a cumsum.
+        rng = np.random.default_rng(7)
+        for runs, n in random_shapes(60, seed=8):
+            k = int(rng.integers(1, 6))
+            buffer = wealth_rows(rng, (k * 4 * runs, n)).reshape(k, 4, runs, n)
+            stack = buffer[:, 3]
+            months = [list(month) for month in stack]
+            assert_bits_equal(gini(stack), [[gini(row) for row in m] for m in months])
+            assert_bits_equal(equality(stack), [[equality(row) for row in m] for m in months])
+            assert_bits_equal(
+                equality(stack, gini(stack)), [[equality(row) for row in m] for m in months]
+            )
+            for per_capita in (True, False):
+                assert_bits_equal(
+                    productivity(stack, per_capita=per_capita),
+                    [[productivity(row, per_capita=per_capita) for row in m] for m in months],
+                )
+            assert_bits_equal(
+                buffer.cumsum(axis=-1)[..., -1],
+                [[sequential_sum(total) for total in month] for month in buffer],
+            )
+
     def test_sequential_sum(self):
         rng = np.random.default_rng(3)
         for shape in random_shapes(300, seed=4):
@@ -94,7 +125,8 @@ class TestRowKernelsMatchOneRowAlone:
         market = market_of(prices, inventories)
         generators = [np.random.default_rng(r) for r in range(3)]
         spent, demand = execute_consumption(empty, empty, market, generators)
-        wages = adjust_wages_and_price(empty, market, mismatches, params, generators)
+        draws = adjustment_draws(generators, 0)
+        wages = adjust_wages_and_price(empty, market, mismatches, params, draws)
         assert spent.shape == wages.shape == (3, 0)
         assert_bits_equal(demand, [0.0, 0.0, 0.0])
         assert_bits_equal(market.inventory, inventories)
@@ -152,7 +184,8 @@ class TestRowKernelsMatchOneRowAlone:
         market = market_of(prices, inventories)
         generators = [np.random.default_rng([seed, r]) for r in range(runs)]
         spent, total_demand = execute_consumption(savings, propensities, market, generators)
-        new_wages = adjust_wages_and_price(wages, market, mismatches, params, generators)
+        draws = adjustment_draws(generators, n)
+        new_wages = adjust_wages_and_price(wages, market, mismatches, params, draws)
 
         for r in range(runs):
             generator = np.random.default_rng([seed, r])

@@ -24,7 +24,7 @@ from taxsim import metrics
 from taxsim.config import ConfigError, GatewayConfig, SimConfig, load_config
 from taxsim.gateway import GATEWAY_MODES, ChatGateway
 from taxsim.personas import load_personas, roster_for
-from taxsim.policies import US_FEDERAL_RATES
+from taxsim.policies import US_FEDERAL_RATES, FixedPolicy, PolicyObservation
 from taxsim.simulation import (
     ComparisonResult,
     ComparisonRow,
@@ -274,7 +274,8 @@ class TestLoneSurrogateReplies:
 
 class TestPolicyObservations:
     """Every observation a policy receives holds read-only copies of its
-    run's income and wealth rows of that month, unchanged after the run."""
+    run's income and wealth rows of that month, unchanged after the run,
+    and the run's metric histories through that month."""
 
     @pytest.fixture
     def kept(self, monkeypatch):
@@ -293,20 +294,31 @@ class TestPolicyObservations:
                 return self.policy.propose(observation)
 
         def keeping(config, gateway):
-            observations = kept.setdefault((config.tax_system, config.seed), [])
-            return KeepingPolicy(build(config, gateway), observations)
+            policy = build(config, gateway)
+            if isinstance(policy, FixedPolicy):  # it makes no proposal
+                return policy
+            return KeepingPolicy(policy, kept.setdefault((config.tax_system, config.seed), []))
 
         monkeypatch.setattr(simulation, "build_policy", keeping)
         return kept
 
     @staticmethod
-    def assert_snapshots(observations, households, months):
+    def assert_snapshots(observations, result):
         # 11 months: no year end, whose interest accrues after the record.
-        assert [obs.month for obs, _ in observations] == list(range(0, months, 3))
+        config, households = result.config, result.households
+        months = range(0, config.months, config.adjust_period_months)
+        assert [obs.month for obs, _ in observations] == list(months)
+        records = [record.metrics for record in result.month_records]
         for obs, (incomes, wealth) in observations:
             assert not obs.incomes.flags.writeable and not obs.wealth.flags.writeable
             assert obs.incomes.tobytes() == incomes.tobytes()
             assert obs.wealth.tobytes() == wealth.tobytes()
+            for history, name in (
+                (obs.productivity_history, "productivity"),
+                (obs.equality_history, "equality"),
+            ):
+                want = [0.0, *(getattr(m, name) for m in records[: obs.month])]
+                assert np.array(history).tobytes() == np.array(want).tobytes()
             if obs.month == 0:
                 assert not obs.incomes.any()
                 continue
@@ -319,8 +331,22 @@ class TestPolicyObservations:
         sweep(base, ["saez"], seeds)
         ensemble = {seed: kept.pop(("saez", seed)) for seed in seeds}
         for seed in seeds:
-            households = run(replace(base, seed=seed, write_households=True)).households
-            self.assert_snapshots(ensemble[seed], households, base.months)
+            result = run(replace(base, seed=seed, write_households=True))
+            self.assert_snapshots(ensemble[seed], result)
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 5])
+    def test_metric_histories_over_proposal_periods(self, kept, period):
+        # The metrics of a period are recorded at its end, before the next
+        # proposal; the fixed-schedule runs between the saez runs of the
+        # ensemble make no proposal.
+        base = replace(SMALL, months=11, adjust_period_months=period)
+        seeds = (3, 4)
+        sweep(base, ["free", "saez", "us_federal"], seeds)
+        ensemble = {seed: kept.pop(("saez", seed)) for seed in seeds}
+        assert not kept
+        for seed in seeds:
+            result = run(replace(base, tax_system="saez", seed=seed, write_households=True))
+            self.assert_snapshots(ensemble[seed], result)
 
     def test_tax_agent_fanned_out_over_a_live_transport(self, kept):
         config = replace(
@@ -328,7 +354,46 @@ class TestPolicyObservations:
             write_households=True,
         )
         result = run(config, gateway=ChatGateway("live", transport=deterministic_reply))
-        self.assert_snapshots(kept[("tax_agent", SMALL.seed)], result.households, config.months)
+        self.assert_snapshots(kept[("tax_agent", SMALL.seed)], result)
+
+
+class TestFixedSchedules:
+    """A fixed schedule's proposal is the schedule in force, so its run
+    makes none: no observation is built and its policy is never asked."""
+
+    def test_only_saez_is_observed(self, monkeypatch):
+        import taxsim.simulation as simulation
+
+        months: list[int] = []
+
+        def counting(**fields):
+            months.append(fields["month"])
+            return PolicyObservation(**fields)
+
+        monkeypatch.setattr(simulation, "PolicyObservation", counting)
+        sweep(SMALL, ["free", "us_federal", "saez"], [SMALL.seed])
+        assert months == [0, 3, 6, 9, 12]
+
+    def test_rows_unchanged_when_fixed_policies_cannot_propose(self, monkeypatch):
+        def refuse(self, observation):
+            raise AssertionError("a fixed schedule makes no proposal")
+
+        monkeypatch.setattr(FixedPolicy, "propose", refuse)
+        rows = sweep(SMALL, ["free", "us_federal"], [11, 12])
+        # The rows of this sweep when every fixed schedule still proposed.
+        assert rows == [
+            ComparisonRow(*values)
+            for values in (
+                ("free", 11, 0.24199213323527463, 0.6316732223039379,
+                 139807.1666356406, 88312.44344991869),
+                ("us_federal", 11, 0.21616620912903722, 0.6531948257258023,
+                 129907.55353938293, 84854.94179462257),
+                ("free", 12, 0.20358852514968775, 0.6636762290419269,
+                 143286.9816942997, 95096.16368167243),
+                ("us_federal", 12, 0.15232204141754385, 0.7063982988187134,
+                 126603.04970378744, 89432.17893601647),
+            )
+        ]
 
 
 class TestCompare:
