@@ -448,8 +448,6 @@ def _simulate(
         proposal in flight on a pool thread never sees a later month."""
         if months_done == head.months or months_done % head.adjust_period_months:
             return None
-        if not proposers:
-            return []
         incomes, wealth = incomes[proposers], wealth[proposers]
         incomes.setflags(write=False)
         wealth.setflags(write=False)
@@ -468,8 +466,9 @@ def _simulate(
         equality = metrics.equality(wealth, gini)
         productivity = metrics.productivity(wealth, per_capita=per_capita)
         block = monthly[month - len(rows) : month]
-        # the four totals of every run, each a left-to-right sum of its row
-        block[:, _TOTALS:_GINI] = rows.cumsum(axis=-1)[..., -1]
+        # the four totals of every run, each a left-to-right sum of its row,
+        # summed in place: the rows are not read again
+        block[:, _TOTALS:_GINI] = rows.cumsum(axis=-1, out=rows)[..., -1]
         block[:, _GINI:] = np.stack(
             (gini, equality, productivity, metrics.social_outcome(equality, productivity)),
             axis=1,
