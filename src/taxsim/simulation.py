@@ -487,8 +487,8 @@ def _simulate(
         for month in range(1, head.months + 1):
             date = month_label(month)
 
-            # (1) on the cadence, each run's proposal, submitted at the end
-            # of the month before, takes force
+            # (1) on the cadence, each proposing run's proposal, submitted at
+            # the end of the month before, takes force
             if proposals is not None:
                 for r, proposal in proposals:
                     r.schedule = proposal()
