@@ -154,6 +154,66 @@ class TestStepOrder:
         reflect_months = [m for m, step in events if step == "reflect"]
         assert reflect_months == [3, 6, 9]
 
+    @pytest.mark.parametrize(
+        "name,months",
+        [
+            # tax_agent planner, LLM households, both cadences 3, 14 months:
+            # "reflect" follows "annual" at month 12
+            (
+                "replay_fixture",
+                [
+                    "propose decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record reflect",
+                    "propose decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record reflect",
+                    "propose decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record reflect",
+                    "propose decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record annual reflect",
+                    "propose decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record",
+                ],
+            ),
+            # a FixedPolicy proposes nothing, yet "propose" is logged on the
+            # cadence; the cadence falls on month 7, the last, and nothing
+            # follows it
+            (
+                "us_federal_n6_m7",
+                [
+                    "propose decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record",
+                    "propose decide produce tax consume adjust record reflect",
+                    "decide produce tax consume adjust record",
+                    "propose decide produce tax consume adjust record",
+                    "decide produce tax consume adjust record reflect",
+                    "propose decide produce tax consume adjust record",
+                ],
+            ),
+        ],
+    )
+    def test_whole_step_sequence(self, name, months):
+        events: list[tuple[int, str]] = []
+        if name == "replay_fixture":
+            gateway = ChatGateway(
+                "replay", cache_path=FIXTURES / "replay_cache.jsonl", transport=panicking_transport
+            )
+            run(load_config(FIXTURES / "replay_config.json"), gateway, event_log=events)
+        else:
+            config = replace(
+                SMALL,
+                months=7,
+                tax_system="us_federal",
+                adjust_period_months=2,
+                reflection_period_months=3,
+            )
+            run(config, event_log=events)
+        expected = [(m, step) for m, steps in enumerate(months, 1) for step in steps.split()]
+        assert events == expected
+
 
 class TestInvariants:
     def test_run_invariants(self):
