@@ -1,44 +1,16 @@
 """Monthly simulation loop, result records, CSV outputs, and the
 multi-system comparison harness.
 
-Each month runs, in order: (1) policy proposal on the adjustment cadence,
-(2) household decisions, (3) labor realization and production, (4) taxation
-and income crediting, (5) consumption in a shuffled order, (6) mismatch-driven
-wage/price adjustment, (7) recording, (8) quarterly reflection, (9) annual
-inflation/unemployment, Taylor-rule update, and interest accrual.
-
-(7) records each month's price, inventory and interest rate, which the
-annual inflation and the LLM households' month read, and keeps the month's
-pretax, tax, spent and savings rows. The totals and the metrics over wealth
-are one pass over the kept rows of a proposal period, made at its end,
-before the next proposal observes them, and at the last month. A run whose
-policy is a ``FixedPolicy`` makes no proposal: its schedule never changes.
-
-One loop advances an ensemble of runs in lockstep. ``run(config)`` is the
-ensemble of one. ``sweep`` and ``compare`` put every rule-based config into
-one ensemble with the others that differ from it only in tax system, seed
-and the policy sections (``saez``, ``tax_agent``, ``gateway``); a config
-with LLM households is an ensemble of one.
-
-Shared: the population is columnar, one (runs x N) array per quantity
-(wage, savings, propensities, employment, the month's flows), row r for run
-r and column i for household i, and phases 2-7 and 9 are each one pass over
-those arrays. Every schedule uses the ``DEFAULT_BRACKETS`` thresholds, so a
-``ScheduleRows`` lets one ``compute_tax`` call find every bracket with one
-``searchsorted`` and gather each run's rates. That call is made once a
-month, on every household's full-time income before (2): the rule-based
-decision reads it, and (4) charges it times employment. Totals and metrics
-reduce along the rows.
-
-Per run: a numpy Generator seeded from the run's config; a policy that
-proposes from an observation of the run's own row; the market scalars
-(price, inventory and interest rate, one array element each); and the
-schedule, metric and price histories and the records. LLM households ask
-their backend one household at a time from their row's elements, and only
-they keep a memory and a reflection note, since the note feeds prompts
-alone. The months x N household arrays (``SimulationResult.households``)
-are kept only when ``households.csv`` is to be written; the annual
-unemployment reads a 12 x N employment window per run instead.
+``_simulate`` advances an ensemble of runs in lockstep. ``run(config)`` is
+the ensemble of one; ``sweep`` and ``compare`` put every rule-based config
+into one ensemble with the others that differ from it only in
+``_PER_RUN_FIELDS``, and a config with LLM households is an ensemble of
+one. ``_Ensemble`` holds the state, one (runs x N) array per household
+quantity, and each month calls its phases in order: ``propose``,
+``decide``, ``produce``, ``tax``, ``consume``, ``adjust``, ``record``,
+``annual`` and ``reflect``. The households are ``_RuleBasedHouseholds``,
+one array pass, or ``_LLMHouseholds``, one call per household, which alone
+keep memories and notes.
 
 Determinism: a run's Generator drives every draw of that run, and no other,
 in a fixed order (initial wages, initial savings, then per month: labor in
@@ -48,23 +20,21 @@ draws are adjacent in that order, so they are one ``random`` call into a
 row of 2N + 1 values; month 1's labor draws are made before the loop, and
 the last month's go unused. Each array pass repeats the float operations
 of a per-household loop in the same order on every element, and every
-total is a left-to-right ``sequential_sum`` rather than numpy's pairwise
-sum. numpy reduces along the last axis of an array whose rows are each
-contiguous as it would reduce that row alone, so the row reductions
-(``sequential_sum``, the ``cumsum`` of the four totals, ``gini``,
-``productivity``) give each run's month the bits of its own 1-D reduction,
-whether over one month's rows or a proposal period's stack of them, and
-each annual unemployment reduces the run's contiguous 12 x N window as
-before. So the output bits of
-a run do not depend on how the work is vectorised, on which runs share its
+total is a left-to-right sum rather than numpy's pairwise sum. numpy
+reduces along the last axis of an array whose rows are each contiguous as
+it would reduce that row alone, so the row reductions (``sequential_sum``,
+the ``cumsum`` of the four totals, ``gini``, ``productivity``) give each
+run's month the bits of its own 1-D reduction, whether over one month's
+rows or a proposal period's stack of them. So the output bits of a run do
+not depend on how the work is vectorised, on which runs share its
 ensemble, or on the interpreter's ``sum``. With the rule-based backend, or
 an LLM backend in replay mode, two runs produce byte-identical outputs.
 
-Each proposal is submitted at the end of the month before it, after (9):
-it observes that month's incomes and the wealth after interest, which is
-what step (1) would see, and no reflection note. So it can overlap the
-reflections of (8), whose notes are collected only after the proposal is
-submitted; no proposal is made after the last month.
+Each proposal is submitted at the end of the month before it, after
+``annual``: it observes that month's incomes and the wealth after interest,
+which is what ``propose`` would see, and no reflection note. So it overlaps
+the reflections, whose notes are collected only after it is submitted; no
+proposal is made after the last month.
 
 When LLM households reach a transport (live or record mode), a month's
 decisions, and a quarter's reflections together with the next proposal,
@@ -168,14 +138,6 @@ def build_policy(config: SimConfig, gateway: ChatGateway | None) -> TaxPolicy:
     if config.tax_system == "tax_agent":
         return TaxAgentPolicy(gateway, config.tax_agent)
     return FixedPolicy(initial_schedule(config.tax_system))
-
-
-def build_backend(config: SimConfig, gateway: ChatGateway | None) -> LLMBackend | None:
-    """The LLM backend, or None for rule-based households, whose decisions
-    ``run`` computes for the whole population at once."""
-    if config.household_backend == "rule_based":
-        return None
-    return LLMBackend(gateway, config.household_llm)
 
 
 def build_gateway(config: GatewayConfig) -> ChatGateway:
@@ -356,268 +318,306 @@ def run(
     return only.result()
 
 
-def _simulate(
-    configs: Sequence[SimConfig],
-    gateways: Sequence[ChatGateway | None],
-    keep_households: bool,
-    event_log: list[tuple[int, str]] | None = None,
-) -> list[_Run]:
-    """Advance an ensemble of validated runs in lockstep and return the
-    runs in order; see the module docstring. ``configs`` differ at most in
-    ``_PER_RUN_FIELDS``, and LLM households run alone.
-    ``keep_households`` keeps the months x N household arrays."""
-    head = configs[0]
-    n = head.n_households
-    personas = roster_for(n, load_personas(head.persona_path or None))
-    backend = build_backend(head, gateways[0])
-    params = head.adjustment
-    per_capita = head.productivity_metric == "per_capita"
+class _RuleBasedHouseholds:
+    """Households that decide by ``rule_based_decide`` over the ensemble's
+    arrays; they keep no memory and write no note."""
 
-    # Month m's values of run r are monthly[m - 1, :, r].
-    monthly = np.empty((head.months, len(_MONTH_VALUES), len(configs)))
-    runs: list[_Run] = []
-    initial_wages, initial_savings = [], []
-    for i, (config, gateway) in enumerate(zip(configs, gateways)):
-        rng = np.random.default_rng(config.seed)
-        init = config.initial
-        initial_wages.append(rng.lognormal(math.log(init.wage_median), init.wage_sigma, n))
-        initial_savings.append(rng.lognormal(math.log(init.savings_median), init.savings_sigma, n))
-        schedule = initial_schedule(config.tax_system)
-        policy = build_policy(config, gateway)
-        runs.append(_Run(config, rng, policy, schedule, [schedule], monthly[:, :, i]))
-    rngs = [r.rng for r in runs]
+    fan_out = False
 
-    # The population, one (runs x N) array per quantity: row r is run r,
-    # column i household i.
-    shape = (len(runs), n)
-    wage, savings = np.array(initial_wages), np.array(initial_savings)
-    work = np.full(shape, DEFAULT_DECISION.work_propensity)
-    consumption = np.full(shape, DEFAULT_DECISION.consumption_propensity)
-    spent = np.zeros(shape)
-    last_incomes = np.zeros(shape)
-    # Row r, from run r's Generator: its N wage draws and price draw of
-    # month m, then its N labor draws of month m + 1, which follow them in
-    # the stream. Month 1's labor draws are made here.
-    draws = np.empty((len(runs), 2 * n + 1))
-    labor_draws = draws[:, n + 1 :]
-    for rng, row in zip(rngs, labor_draws):
-        rng.random(out=row)
-    # The rows the metrics read, (pretax, tax, spent, savings) of every run,
-    # month m at [(m - 1) % span]: the metrics of a proposal period are one
-    # pass over its months, made at its end, before the next proposal reads
-    # them, and at the last month.
-    span = min(head.adjust_period_months, head.months)
-    metric_rows = np.empty((span, 4, len(runs), n))
-    # Employment of the last 12 months, month m at [:, (m - 1) % 12]: at
-    # each year end every run's 12 x N window is in month order.
-    employment = np.empty((len(runs), 12, n))
-    market = MarketState(
-        price=np.full(len(runs), head.initial.price),
-        inventory=np.full(len(runs), head.initial.inventory),
-        interest_rate=np.full(len(runs), head.initial.interest_rate),
-        productivity=head.productivity,
-    )
-    schedules = ScheduleRows([r.schedule for r in runs])
-    households = {
-        name: np.empty((head.months, *shape), dtype=int if name == "employed" else float)
-        for name in HOUSEHOLD_COLUMNS
-    } if keep_households else {}
-    # Only LLM households keep memories and notes: they feed prompts alone.
-    memories = [MemoryPool() for _ in range(n)] if backend is not None else []
-    notes = [""] * n
-    previous_expected: list[float | None] = [None] * n
-    previous_price: float | None = None
-    # Each LLM household's last decision, its fallback when a reply fails.
-    decisions = [DEFAULT_DECISION] * n if backend is not None else []
+    def decide(self, state: _Ensemble, month: int) -> tuple[np.ndarray, np.ndarray]:
+        price = state.market.price[:, None]
+        return rule_based_decide(state.full_time_tax, state.expected, state.savings, price)
 
-    def log(month: int, step: str) -> None:
-        if event_log is not None:
-            event_log.append((month, step))
+    def remember(self, *_) -> None:
+        pass
 
-    # A fixed schedule's proposal is the schedule in force, so only the
-    # other runs propose.
-    proposers = [i for i, r in enumerate(runs) if not isinstance(r.policy, FixedPolicy)]
+    submit_reflections = collect_reflections = remember
 
-    def submit_proposals(
-        runner: _Runner, months_done: int, incomes: np.ndarray, wealth: np.ndarray
-    ) -> list[tuple[_Run, Callable]] | None:
+
+class _LLMHouseholds:
+    """What only LLM households keep, since it feeds their prompts alone:
+    the backend, the personas, memories and reflection notes, each
+    household's last decision, and last month's expected incomes and price,
+    which the prompts compare against. Their ensemble is one run, row 0."""
+
+    def __init__(self, config: SimConfig, gateway: ChatGateway, personas: list) -> None:
+        n = config.n_households
+        self.backend = LLMBackend(gateway, config.household_llm)
+        # Only live and record gateways wait on a transport, so only they
+        # gain from overlapping calls.
+        self.fan_out = gateway.mode != "replay"
+        self.personas = roster_for(n, personas)
+        self.memories = [MemoryPool() for _ in range(n)]
+        self.notes = [""] * n
+        self.previous_expected: list[float | None] = [None] * n
+        self.previous_price: float | None = None
+        # Each household's last decision, its fallback when a reply fails.
+        self.decisions = [DEFAULT_DECISION] * n
+
+    def decide(self, state: _Ensemble, month: int) -> tuple[np.ndarray, np.ndarray]:
+        (only,) = state.runs
+        price, interest_rate = state.market.price.item(), state.market.interest_rate.item()
+        expected = state.expected[0].tolist()
+        # What every household sees alike this month, checked and rendered
+        # once for all of them.
+        shared = DecisionMonth(
+            date=month_label(month),
+            previous_schedule=only.schedule_history[-1],
+            current_schedule=only.schedule,
+            average_price=price,
+            interest_rate=interest_rate,
+            price_direction=_direction(price, self.previous_price),
+        )
+        contexts = map(
+            partial(DecisionContext, shared),
+            self.personas,
+            expected,
+            state.savings[0].tolist(),
+            map(_direction, expected, self.previous_expected),
+            state.spent[0].tolist(),
+            self.notes,
+        )
+        decisions = list(state.runner.map(partial(decide, self.backend), contexts, self.decisions))
+        self.decisions, self.previous_expected, self.previous_price = decisions, expected, price
+        work = np.array([[d.work_propensity for d in decisions]])
+        return work, np.array([[d.consumption_propensity for d in decisions]])
+
+    def remember(self, state: _Ensemble, month: int) -> None:
+        rows = state.work, state.consumption, state.pretax, state.posttax, state.spent
+        entries = map(partial(MemoryEntry, month_label(month)), *(row[0].tolist() for row in rows))
+        for memory, entry in zip(self.memories, entries):
+            memory.add(entry)
+
+    def submit_reflections(self, runner: _Runner) -> None:
+        self.next_notes = runner.map(partial(reflect, self.backend), self.memories, self.notes)
+
+    def collect_reflections(self) -> None:
+        self.notes = list(self.next_notes)
+
+
+class _Ensemble:
+    """The state of an ensemble of runs that advance in lockstep, and the
+    nine phases of its month, each a method of the month."""
+
+    def __init__(self, configs, gateways, keep_households, event_log) -> None:
+        head = self.head = configs[0]
+        self.n = n = head.n_households
+        k = len(configs)
+        personas = load_personas(head.persona_path or None)
+        self.event_log = event_log
+        # Month m's values of run r are monthly[m - 1, :, r].
+        monthly = self.monthly = np.empty((head.months, len(_MONTH_VALUES), k))
+        runs: list[_Run] = []
+        wages, savings = [], []
+        for i, (config, gateway) in enumerate(zip(configs, gateways)):
+            rng = np.random.default_rng(config.seed)
+            init = config.initial
+            wages.append(rng.lognormal(math.log(init.wage_median), init.wage_sigma, n))
+            savings.append(rng.lognormal(math.log(init.savings_median), init.savings_sigma, n))
+            schedule = initial_schedule(config.tax_system)
+            policy = build_policy(config, gateway)
+            runs.append(_Run(config, rng, policy, schedule, [schedule], monthly[:, :, i]))
+        self.runs, self.rngs = runs, [r.rng for r in runs]
+        # A fixed schedule's proposal is the schedule in force: only the others propose.
+        self.proposers = [i for i, r in enumerate(runs) if not isinstance(r.policy, FixedPolicy)]
+        # The population, one (runs x N) array per quantity: row r is run r,
+        # column i household i.
+        self.wage, self.savings = np.array(wages), np.array(savings)
+        self.spent = np.zeros((k, n))
+        self.pretax = np.zeros((k, n))  # last month's incomes, which proposals observe
+        # Row r, from run r's Generator: its N wage draws and price draw of
+        # month m, then its N labor draws of month m + 1, which follow them in
+        # the stream. Month 1's labor draws are made here.
+        self.draws = np.empty((k, 2 * n + 1))
+        self.labor_draws = self.draws[:, n + 1 :]
+        for rng, row in zip(self.rngs, self.labor_draws):
+            rng.random(out=row)
+        # The rows the metrics read, (pretax, tax, spent, savings) of every
+        # run, month m at [(m - 1) % span]: the metrics of a proposal period
+        # are one pass over its months, made at its end, before the next
+        # proposal reads them, and at the last month.
+        self.span = min(head.adjust_period_months, head.months)
+        self.metric_rows = np.empty((self.span, 4, k, n))
+        # Employment of the last 12 months, month m at [:, (m - 1) % 12]: at
+        # each year end every run's 12 x N window is in month order.
+        self.employment = np.empty((k, 12, n))
+        init = head.initial
+        prices = np.full(k, init.price), np.full(k, init.inventory), np.full(k, init.interest_rate)
+        self.market = MarketState(*prices, head.productivity)
+        self.schedules = ScheduleRows([r.schedule for r in runs])
+        self.columns = {
+            name: np.empty((head.months, k, n), dtype=int if name == "employed" else float)
+            for name in HOUSEHOLD_COLUMNS
+        } if keep_households else {}
+        llm = head.household_backend == "llm"
+        self.households = (
+            _LLMHouseholds(head, gateways[0], personas) if llm else _RuleBasedHouseholds()
+        )
+
+    def log(self, month: int, step: str) -> None:
+        if self.event_log is not None:
+            self.event_log.append((month, step))
+
+    def submit_proposals(self, months_done: int) -> None:
         """Each proposing run's proposal for the next month, when there is a
         next month and the cadence asks for one (None otherwise), submitted
         with the run's observation of its own last month. Its incomes and
         wealth are rows of one read-only copy of the proposers' rows, so a
         proposal in flight on a pool thread never sees a later month."""
-        if months_done == head.months or months_done % head.adjust_period_months:
-            return None
-        incomes, wealth = incomes[proposers], wealth[proposers]
+        self.proposals = None
+        if months_done == self.head.months or months_done % self.head.adjust_period_months:
+            return
+        incomes, wealth = self.pretax[self.proposers], self.savings[self.proposers]
         incomes.setflags(write=False)
         wealth.setflags(write=False)
-        proposing = (runs[k] for k in proposers)
-        return [
-            (r, runner.submit(r.policy.propose, r.observation(months_done, i, w)))
+        proposing = (self.runs[k] for k in self.proposers)
+        self.proposals = [
+            (r, self.runner.submit(r.policy.propose, r.observation(months_done, i, w)))
             for r, i, w in zip(proposing, incomes, wealth)
         ]
 
-    def record_metrics(month: int, rows: np.ndarray) -> None:
+    def propose(self, month: int) -> None:
+        """On the cadence, the proposals submitted last month take force."""
+        if self.proposals is None:
+            return
+        for r, proposal in self.proposals:
+            r.schedule = proposal()
+        if self.proposals:
+            self.schedules = ScheduleRows([r.schedule for r in self.runs])
+        self.log(month, "propose")
+
+    def decide(self, month: int) -> None:
+        """Decisions from start-of-month state. The tax on full-time income
+        is computed once, for the decision and ``tax``."""
+        self.expected = HOURS_PER_MONTH * self.wage
+        self.full_time_tax = compute_tax(self.schedules, self.expected)
+        self.work, self.consumption = self.households.decide(self, month)
+        self.log(month, "decide")
+
+    def produce(self, month: int) -> None:
+        """Labor realization, then production."""
+        self.employed = (self.labor_draws < self.work).astype(int)
+        self.pretax = produce(self.employed, self.wage, self.market)
+        self.log(month, "produce")
+
+    def tax(self, month: int) -> None:
+        """Taxation with even redistribution; post-tax income is credited. A
+        worker pays the tax on its full-time income, a non-worker 0.0."""
+        self.tax_paid = self.full_time_tax * self.employed
+        self.posttax, _ = redistribute(self.pretax, self.tax_paid)
+        self.savings = self.savings + self.posttax
+        self.log(month, "tax")
+
+    def consume(self, month: int) -> None:
+        """Consumption against the post-production inventory, and the
+        mismatch of the intended demand with that inventory."""
+        supply = self.market.inventory
+        spent, demand = execute_consumption(self.savings, self.consumption, self.market, self.rngs)
+        self.spent, self.savings = spent, self.savings - spent
+        self.mismatch = np.array(list(map(compute_mismatch, demand.tolist(), supply.tolist())))
+        self.log(month, "consume")
+
+    def adjust(self, month: int) -> None:
+        """Wage and price steps, drawn with the next month's labor."""
+        for rng, row in zip(self.rngs, self.draws):
+            rng.random(out=row)
+        params, steps = self.head.adjustment, self.draws[:, : self.n + 1]
+        self.wage = adjust_wages_and_price(self.wage, self.market, self.mismatch, params, steps)
+        self.log(month, "adjust")
+
+    def record(self, month: int) -> None:
+        """End-of-month state; the totals and the metrics over wealth at the
+        end of a proposal period and at the last month."""
+        market = self.market
+        self.monthly[month - 1, :_TOTALS] = market.price, market.inventory, market.interest_rate
+        for r in self.runs:
+            r.schedule_history.append(r.schedule)
+        slot = (month - 1) % self.span
+        flows = self.pretax, self.tax_paid, self.spent, self.savings
+        np.concatenate(flows, out=self.metric_rows[slot].reshape(-1, self.n))
+        if slot == self.span - 1 or month == self.head.months:
+            self.record_metrics(month, self.metric_rows[: slot + 1])
+        if self.columns:
+            columns = self.wage, self.savings, self.work, self.consumption, self.employed
+            columns += (*flows[:2], self.posttax, self.spent)
+            for name, column in zip(HOUSEHOLD_COLUMNS, columns):
+                self.columns[name][month - 1] = column
+        self.employment[:, (month - 1) % 12] = self.employed
+        self.households.remember(self, month)
+        self.log(month, "record")
+
+    def record_metrics(self, month: int, rows: np.ndarray) -> None:
         """The totals and metrics of the months up to ``month`` whose rows
         ``rows`` holds, one (4 x runs x N) block a month, into ``monthly``
         and each run's metric histories."""
         wealth = rows[:, 3]
         gini = metrics.gini(wealth)
         equality = metrics.equality(wealth, gini)
+        per_capita = self.head.productivity_metric == "per_capita"
         productivity = metrics.productivity(wealth, per_capita=per_capita)
-        block = monthly[month - len(rows) : month]
+        block = self.monthly[month - len(rows) : month]
         # the four totals of every run, each a left-to-right sum of its row,
         # summed in place: the rows are not read again
         block[:, _TOTALS:_GINI] = rows.cumsum(axis=-1, out=rows)[..., -1]
-        block[:, _GINI:] = np.stack(
-            (gini, equality, productivity, metrics.social_outcome(equality, productivity)),
-            axis=1,
-        )
-        for r, run_productivity, run_equality in zip(
-            runs, productivity.T.tolist(), equality.T.tolist()
-        ):
+        scores = gini, equality, productivity, metrics.social_outcome(equality, productivity)
+        block[:, _GINI:] = np.stack(scores, axis=1)
+        histories = zip(self.runs, productivity.T.tolist(), equality.T.tolist())
+        for r, run_productivity, run_equality in histories:
             r.productivity_history.extend(run_productivity)
             r.equality_history.extend(run_equality)
 
-    # Only live and record gateways wait on a transport, so only they gain
-    # from overlapping calls.
-    fan_out = backend is not None and backend.gateway.mode != "replay"
-    with _household_map(fan_out) as runner:
-        proposals = submit_proposals(runner, 0, last_incomes, savings)
-        for month in range(1, head.months + 1):
-            date = month_label(month)
+    def annual(self, month: int) -> None:
+        """At a year end, each run's annual metrics and Taylor-rule update,
+        then one interest accrual over the ensemble."""
+        if month % 12:
+            return
+        rates, params = self.market.interest_rate, self.head.adjustment
+        for i, r in enumerate(self.runs):
+            inflation = metrics.annual_inflation(r.monthly[:month, _PRICE].tolist())
+            unemployment = metrics.annual_unemployment(self.employment[i])
+            rates[i] = update_interest_rate(params, inflation, unemployment)
+            r.annual_records.append(AnnualRecord(month // 12, inflation, unemployment))
+        self.savings = self.savings * (1.0 + rates[:, None])
+        self.log(month, "annual")
 
-            # (1) on the cadence, each proposing run's proposal, submitted at
-            # the end of the month before, takes force
-            if proposals is not None:
-                for r, proposal in proposals:
-                    r.schedule = proposal()
-                if proposals:
-                    schedules = ScheduleRows([r.schedule for r in runs])
-                log(month, "propose")
+    def reflect(self, month: int) -> None:
+        """On the cadence, the reflections are submitted, then the next
+        month's proposals, which read no note and so overlap them, and then
+        the notes are collected."""
+        reflecting = month % self.head.reflection_period_months == 0
+        if reflecting:
+            self.households.submit_reflections(self.runner)
+        self.submit_proposals(month)
+        if reflecting:
+            self.households.collect_reflections()
+            self.log(month, "reflect")
 
-            # (2) household decisions from start-of-month state; the tax on
-            # full-time income is computed once, for the decision and (4)
-            expected = HOURS_PER_MONTH * wage
-            full_time_tax = compute_tax(schedules, expected)
-            if backend is None:
-                work, consumption = rule_based_decide(
-                    full_time_tax, expected, savings, market.price[:, None]
-                )
-            else:
-                # LLM households: the ensemble is this one run, row 0
-                (only,) = runs
-                price, interest_rate = market.price.item(), market.interest_rate.item()
-                expected_list = expected[0].tolist()
-                # What every household sees alike this month, checked and
-                # rendered once for all of them.
-                shared = DecisionMonth(
-                    date=date,
-                    previous_schedule=only.schedule_history[-1],
-                    current_schedule=only.schedule,
-                    average_price=price,
-                    interest_rate=interest_rate,
-                    price_direction=_direction(price, previous_price),
-                )
-                contexts = map(
-                    partial(DecisionContext, shared),
-                    personas,
-                    expected_list,
-                    savings[0].tolist(),
-                    map(_direction, expected_list, previous_expected),
-                    spent[0].tolist(),
-                    notes,
-                )
-                decisions = list(runner.map(partial(decide, backend), contexts, decisions))
-                work = np.array([[d.work_propensity for d in decisions]])
-                consumption = np.array([[d.consumption_propensity for d in decisions]])
-                previous_expected = expected_list
-                previous_price = price
-            log(month, "decide")
 
-            # (3) labor realization, then production
-            employed = (labor_draws < work).astype(int)
-            pretax = produce(employed, wage, market)
-            log(month, "produce")
-
-            # (4) taxation with even redistribution; credit post-tax income.
-            # A worker's pre-tax income is its full-time income, the same
-            # float, and a non-worker's is 0.0, which pays 0.0.
-            tax = full_time_tax * employed
-            posttax, _ = redistribute(pretax, tax)
-            savings = savings + posttax
-            log(month, "tax")
-
-            # (5) consumption against post-production inventory
-            available_supply = market.inventory
-            spent, total_demand = execute_consumption(savings, consumption, market, rngs)
-            savings = savings - spent
-            log(month, "consume")
-
-            # (6) mismatch uses intended demand vs the pre-consumption inventory
-            mismatch = np.array(
-                list(map(compute_mismatch, total_demand.tolist(), available_supply.tolist()))
-            )
-            for rng, row in zip(rngs, draws):
-                rng.random(out=row)
-            wage = adjust_wages_and_price(wage, market, mismatch, params, draws[:, : n + 1])
-            log(month, "adjust")
-
-            # (7) record end-of-month state; the totals and the metrics over
-            # wealth at the end of a proposal period and at the last month
-            monthly[month - 1, :_TOTALS] = market.price, market.inventory, market.interest_rate
-            for r in runs:
-                r.schedule_history.append(r.schedule)
-            slot = (month - 1) % span
-            np.concatenate((pretax, tax, spent, savings), out=metric_rows[slot].reshape(-1, n))
-            if slot == span - 1 or month == head.months:
-                record_metrics(month, metric_rows[: slot + 1])
-            if households:
-                columns = (wage, savings, work, consumption, employed, pretax, tax, posttax, spent)
-                for name, column in zip(HOUSEHOLD_COLUMNS, columns):
-                    households[name][month - 1] = column
-            employment[:, (month - 1) % 12] = employed
-            if backend is not None:
-                entries = map(
-                    partial(MemoryEntry, date),
-                    work[0].tolist(),
-                    consumption[0].tolist(),
-                    pretax[0].tolist(),
-                    posttax[0].tolist(),
-                    spent[0].tolist(),
-                )
-                for memory, entry in zip(memories, entries):
-                    memory.add(entry)
-            last_incomes = pretax
-            log(month, "record")
-
-            # (8) quarterly reflection, submitted now and collected after
-            # the next month's proposal is submitted
-            reflecting = month % head.reflection_period_months == 0
-            if reflecting and backend is not None:
-                next_notes = runner.map(partial(reflect, backend), memories, notes)
-
-            # (9) annual metrics and Taylor-rule update per run, then one
-            # interest accrual over the ensemble
-            if month % 12 == 0:
-                for i, r in enumerate(runs):
-                    inflation = metrics.annual_inflation(r.monthly[:month, _PRICE].tolist())
-                    unemployment = metrics.annual_unemployment(employment[i])
-                    market.interest_rate[i] = update_interest_rate(params, inflation, unemployment)
-                    r.annual_records.append(AnnualRecord(month // 12, inflation, unemployment))
-                savings = savings * (1.0 + market.interest_rate[:, None])
-                log(month, "annual")
-
-            # The next month's proposal reads no note, so it overlaps (8).
-            proposals = submit_proposals(runner, month, last_incomes, savings)
-            if reflecting:
-                if backend is not None:
-                    notes = list(next_notes)
-                log(month, "reflect")
-
-    for i, r in enumerate(runs):
-        r.households = {name: column[:, i] for name, column in households.items()}
-    return runs
+def _simulate(
+    configs: Sequence[SimConfig],
+    gateways: Sequence[ChatGateway | None],
+    keep_households: bool,
+    event_log: list[tuple[int, str]] | None = None,
+) -> list[_Run]:
+    """Advance validated runs that differ at most in ``_PER_RUN_FIELDS`` (LLM
+    households run alone) in lockstep, and return them in order.
+    ``keep_households`` keeps the months x N household arrays."""
+    state = _Ensemble(configs, gateways, keep_households, event_log)
+    with _household_map(state.households.fan_out) as state.runner:
+        state.submit_proposals(0)
+        for month in range(1, state.head.months + 1):
+            state.propose(month)
+            state.decide(month)
+            state.produce(month)
+            state.tax(month)
+            state.consume(month)
+            state.adjust(month)
+            state.record(month)
+            state.annual(month)
+            state.reflect(month)
+    for i, r in enumerate(state.runs):
+        r.households = {name: column[:, i] for name, column in state.columns.items()}
+    return state.runs
 
 
 def _comparison_rows(
