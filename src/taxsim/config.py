@@ -106,8 +106,9 @@ class InitialConditions:
 
 @dataclass
 class SimConfig:
-    n_households: int = _checked(50, ge=1)
-    months: int = _checked(120, ge=1)
+    # The caps keep every array of a run within 4 x months x N floats (README).
+    n_households: int = _checked(50, ge=1, le=1_000_000)
+    months: int = _checked(120, ge=1, le=1_200)
     productivity: float = _checked(1.0, gt=0)
     seed: int = _checked(0, ge=0)
     tax_system: str = _checked("us_federal", choices=TAX_SYSTEMS)

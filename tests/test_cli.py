@@ -55,6 +55,11 @@ class TestRunCommand:
         assert capsys.readouterr().err == "taxsim: error: months must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_size_beyond_the_cap_is_one_error_line(self, tmp_path, capsys):
+        assert main(["run", "--months", str(10**30), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "taxsim: error: months must be <= 1200\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_section_value_is_one_error_line(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"household_llm": {"temperature": -1}}))

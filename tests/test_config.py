@@ -73,6 +73,11 @@ class TestValidation:
             ("household_llm.max_tokens", {"household_llm": {"max_tokens": -5}}),
             ("gateway.timeout_seconds", {"gateway": {"timeout_seconds": 0}}),
             ("gateway.timeout_seconds", {"gateway": {"timeout_seconds": -1}}),
+            # sizes no array can take: rejected by validate, never run
+            ("months", {"months": 10**30}),
+            ("months", {"months": 1_201}),
+            ("n_households", {"n_households": 10**12}),
+            ("n_households", {"n_households": 1_000_001}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):
@@ -84,6 +89,8 @@ class TestValidation:
         for temperature in (0, 2.0):
             config_from_dict(
                 {
+                    "n_households": 1_000_000,
+                    "months": 1_200,
                     "adjustment": {"max_wage_step": 1.0},
                     "saez": {"elasticity": 0, "tail_threshold": None},
                     "tax_agent": {"temperature": temperature, "max_tokens": 1, "model_id": "m"},
