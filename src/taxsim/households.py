@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Collection
 
 import numpy as np
 
@@ -48,10 +49,6 @@ class Decision:
 
     work_propensity: float
     consumption_propensity: float
-
-    @classmethod
-    def snapped(cls, work: float, consumption: float) -> "Decision":
-        return cls(quantize_fraction(work), quantize_fraction(consumption))
 
 
 DEFAULT_DECISION = Decision(0.6, 0.4)  # month-0 fallback before any history
@@ -141,7 +138,8 @@ class MemoryEntry:
     """One month's summary kept for the quarterly self-review: the month's
     date and its line of the review prompt, which is all the review reads.
     The line is rendered once, on creation: an entry stays in memory for up
-    to four reviews and nearly every entry reaches one."""
+    to four reviews and nearly every entry reaches one. A household's memory
+    is a ``deque(maxlen=12)`` of its entries, oldest first."""
 
     __slots__ = ("date", "line")
 
@@ -163,28 +161,6 @@ class MemoryEntry:
         )
 
 
-@dataclass
-class MemoryPool:
-    """Bounded chronological record of a household's months."""
-
-    capacity: int = 12
-    entries: list[MemoryEntry] = field(default_factory=list)
-
-    def add(self, entry: MemoryEntry) -> None:
-        self.entries.append(entry)
-        if len(self.entries) > self.capacity:
-            del self.entries[: len(self.entries) - self.capacity]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-
 def build_household_prompt(context: DecisionContext) -> str:
     """Render the monthly decision prompt, field for field: persona, date,
     expected income and its direction, last consumption, old and new tax
@@ -203,7 +179,7 @@ def build_household_prompt(context: DecisionContext) -> str:
     )
 
 
-def build_reflection_prompt(memory: MemoryPool) -> str:
+def build_reflection_prompt(memory: Collection[MemoryEntry]) -> str:
     """Render the quarterly self-review prompt from the memory entries."""
     return (
         "You are reviewing your household finances. Here is your record of "
@@ -244,7 +220,7 @@ def parse_decision_reply(text: str) -> Decision:
         ):
             continue
         try:
-            return Decision.snapped(work, consumption)
+            return Decision(quantize_fraction(work), quantize_fraction(consumption))
         except ValueError:
             continue  # non-finite numbers
     raise DecisionError("reply contains no work/consumption object")
@@ -302,7 +278,7 @@ class LLMBackend:
                 continue
         raise DecisionError("no parsable decision after retries")
 
-    def reflect(self, memory: MemoryPool) -> str:
+    def reflect(self, memory: Collection[MemoryEntry]) -> str:
         request = self._request(build_reflection_prompt(memory))
         return self.gateway.complete(request).strip()
 
@@ -322,7 +298,7 @@ def decide(
         return fallback
 
 
-def reflect(backend: LLMBackend, memory: MemoryPool, previous: str = "") -> str:
+def reflect(backend: LLMBackend, memory: Collection[MemoryEntry], previous: str = "") -> str:
     """Total reflection step: empty memory yields an empty note, and any
     transport failure keeps the previous note."""
     if not memory:

@@ -51,6 +51,7 @@ decisions.
 from __future__ import annotations
 
 import math
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -83,7 +84,6 @@ from taxsim.households import (
     DecisionMonth,
     LLMBackend,
     MemoryEntry,
-    MemoryPool,
     decide,
     reflect,
     rule_based_decide,
@@ -347,7 +347,7 @@ class _LLMHouseholds:
         # gain from overlapping calls.
         self.fan_out = gateway.mode != "replay"
         self.personas = roster_for(n, personas)
-        self.memories = [MemoryPool() for _ in range(n)]
+        self.memories = [deque(maxlen=12) for _ in range(n)]  # the last 12 months
         self.notes = [""] * n
         self.previous_expected: list[float | None] = [None] * n
         self.previous_price: float | None = None
@@ -386,7 +386,7 @@ class _LLMHouseholds:
         rows = state.work, state.consumption, state.pretax, state.posttax, state.spent
         entries = map(partial(MemoryEntry, month_label(month)), *(row[0].tolist() for row in rows))
         for memory, entry in zip(self.memories, entries):
-            memory.add(entry)
+            memory.append(entry)
 
     def submit_reflections(self, runner: _Runner) -> None:
         self.next_notes = runner.map(partial(reflect, self.backend), self.memories, self.notes)

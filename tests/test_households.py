@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CountingGateway, scripted_gateway
+from helpers import CountingGateway, deterministic_reply, scripted_gateway
+from taxsim.config import SimConfig
 from taxsim.economy import Persona, TaxSchedule, compute_tax
 from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.households import (
@@ -24,7 +26,6 @@ from taxsim.households import (
     HouseholdLLMConfig,
     LLMBackend,
     MemoryEntry,
-    MemoryPool,
     build_household_prompt,
     build_reflection_prompt,
     decide,
@@ -33,6 +34,7 @@ from taxsim.households import (
     rule_based_decide,
 )
 from taxsim.policies import DEFAULT_BRACKETS, US_FEDERAL_RATES, free_market_schedule
+from taxsim.simulation import month_label, run
 
 ADAM = Persona("Adam Mills", 58, "San Antonio, Texas", "Newspaper Delivery")
 FEDERAL = TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES)
@@ -439,32 +441,30 @@ GOLDEN_MEMORY_ROWS = [
 ]
 
 
-def golden_memory() -> MemoryPool:
-    pool = MemoryPool()
-    for month, row in enumerate(GOLDEN_MEMORY_ROWS, 1):
-        pool.add(MemoryEntry(f"2001.{month:02d}", *row))
-    return pool
+def golden_memory() -> deque[MemoryEntry]:
+    return deque(
+        MemoryEntry(f"2001.{month:02d}", *row)
+        for month, row in enumerate(GOLDEN_MEMORY_ROWS, 1)
+    )
 
 
-def make_memory(months=3) -> MemoryPool:
-    pool = MemoryPool()
-    for m in range(1, months + 1):
-        pool.add(
-            MemoryEntry(
-                date=f"2001.{m:02d}",
-                work_propensity=0.6,
-                consumption_propensity=0.4,
-                pretax_income=4000.0,
-                posttax_income=3600.0,
-                consumption=1500.0,
-            )
+def make_memory(months=3) -> deque[MemoryEntry]:
+    return deque(
+        MemoryEntry(
+            date=f"2001.{m:02d}",
+            work_propensity=0.6,
+            consumption_propensity=0.4,
+            pretax_income=4000.0,
+            posttax_income=3600.0,
+            consumption=1500.0,
         )
-    return pool
+        for m in range(1, months + 1)
+    )
 
 
 class TestReflect:
     def test_empty_memory_gives_empty_note(self):
-        assert reflect(LLMBackend(scripted_gateway([])), MemoryPool()) == ""
+        assert reflect(LLMBackend(scripted_gateway([])), deque()) == ""
 
     def test_scripted_note_passes_through_verbatim(self):
         backend = LLMBackend(scripted_gateway(["save more when prices rise"]))
@@ -494,15 +494,16 @@ class TestReflect:
         assert build_reflection_prompt(golden_memory()) == expected
 
 
-class TestMemoryPool:
-    def test_capacity_trims_oldest(self):
-        pool = make_memory(15)
-        assert len(pool) == 12
-        assert pool.entries[0].date == "2001.04"
-        assert pool.entries[-1].date == "2001.15"
-
-    def test_bool_and_iter(self):
-        assert not MemoryPool()
-        pool = make_memory(2)
-        assert bool(pool)
-        assert [e.date for e in pool] == ["2001.01", "2001.02"]
+class TestMemory:
+    def test_review_reads_the_last_twelve_months(self):
+        # Month 15's reviews are the run's last calls; each household's
+        # memory then holds 2001.04 through 2002.03, its oldest trimmed.
+        gateway = CountingGateway("live", transport=deterministic_reply)
+        run(SimConfig(n_households=2, months=15, household_backend="llm"), gateway=gateway)
+        reviews = [p for p in gateway.prompts if p.startswith("You are reviewing")]
+        assert len(reviews) == 2 * 5
+        want = [month_label(m) for m in range(4, 16)]
+        for prompt in reviews[-2:]:
+            dates = [line.split(":")[0] for line in prompt.splitlines()[1:-1]]
+            assert dates == want
+            assert "2001.03:" not in prompt
