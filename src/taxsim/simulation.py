@@ -244,15 +244,12 @@ class _Run:
     def result(self) -> SimulationResult:
         """The run's result, its month records built from ``monthly``."""
         config, annual = self.config, self.annual_records
-        year_ends = {12 * a.year: a for a in annual}
+        year_ends = {12 * a.year: (a.inflation, a.unemployment) for a in annual}
         month_records = []
         rows = zip(self.monthly.tolist(), self.schedule_history[1:])
         for month, (values, schedule) in enumerate(rows, start=1):
             price, inventory, interest_rate, *totals = values[:_GINI]
-            snapshot = MetricSnapshot(month, *values[_GINI:])
-            if month in year_ends:
-                snapshot.inflation = year_ends[month].inflation
-                snapshot.unemployment = year_ends[month].unemployment
+            snapshot = MetricSnapshot(month, *values[_GINI:], *year_ends.get(month, ()))
             month_records.append(
                 MonthRecord(
                     month, price, inventory, interest_rate, schedule.rates, *totals, snapshot
