@@ -298,6 +298,11 @@ def apply_taxation(
     balances the budget exactly, so total post-tax equals total pre-tax.
 
     Returns (posttax incomes, taxes, per-household redistribution).
+
+    The month loop does not call this: it computes each tax once, on the
+    full-time income before the decisions, with ``compute_tax``, and then
+    credits it with ``redistribute``. This function stays as the documented
+    one-call API for a schedule and a set of incomes.
     """
     pretax_incomes = np.asarray(pretax_incomes, dtype=float)
     if not pretax_incomes.size:
