@@ -263,6 +263,15 @@ class TestGatewayUsage:
         result = run(SMALL)
         assert len(result.month_records) == SMALL.months
 
+    def test_rule_based_run_builds_no_persona_roster(self, monkeypatch):
+        import taxsim.simulation as simulation
+
+        def refuse(*args):
+            raise AssertionError("rule-based households read no persona")
+
+        monkeypatch.setattr(simulation, "roster_for", refuse)
+        assert len(run(SMALL).month_records) == SMALL.months
+
     def test_llm_config_without_gateway_config_fails_cleanly(self):
         config = replace(SMALL, household_backend="llm")  # replay mode, no cache path
         with pytest.raises(ConfigError, match="gateway.cache_path"):
