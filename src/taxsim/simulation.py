@@ -25,7 +25,8 @@ reduces along the last axis of an array whose rows are each contiguous as
 it would reduce that row alone, so the row reductions (``sequential_sum``,
 the ``cumsum`` of the four totals, ``gini``, ``productivity``) give each
 run's month the bits of its own 1-D reduction, whether over one month's
-rows or a proposal period's stack of them. So the output bits of a run do
+rows or a proposal period's stack of them, and each annual unemployment
+reduces the run's contiguous 12 x N window. So the output bits of a run do
 not depend on how the work is vectorised, on which runs share its
 ensemble, or on the interpreter's ``sum``. With the rule-based backend, or
 an LLM backend in replay mode, two runs produce byte-identical outputs.
