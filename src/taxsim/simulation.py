@@ -2,15 +2,14 @@
 multi-system comparison harness.
 
 ``_simulate`` advances an ensemble of runs in lockstep. ``run(config)`` is
-the ensemble of one; ``sweep`` and ``compare`` put every rule-based config
-into one ensemble with the others that differ from it only in
-``_PER_RUN_FIELDS``, and a config with LLM households is an ensemble of
-one. ``_Ensemble`` holds the state, one (runs x N) array per household
-quantity, and each month calls its phases in order: ``propose``,
-``decide``, ``produce``, ``tax``, ``consume``, ``adjust``, ``record``,
-``annual`` and ``reflect``. The households are ``_RuleBasedHouseholds``,
-one array pass, or ``_LLMHouseholds``, one call per household, which alone
-keep memories and notes.
+the ensemble of one; ``sweep`` and ``compare`` put every config into one
+ensemble with the others that differ from it only in ``_PER_RUN_FIELDS``,
+whatever its household backend. ``_Ensemble`` holds the state, one
+(runs x N) array per household quantity, and each month calls its phases
+in order: ``propose``, ``decide``, ``produce``, ``tax``, ``consume``,
+``adjust``, ``record``, ``annual`` and ``reflect``. The households are
+``_RuleBasedHouseholds``, one array pass, or ``_LLMHouseholds``, one call
+per household of every run, which alone keep memories and notes.
 
 Determinism: a run's Generator drives every draw of that run, and no other,
 in a fixed order (initial wages, initial savings, then per month: labor in
@@ -37,16 +36,16 @@ which is what ``propose`` would see, and no reflection note. So it overlaps
 the reflections, whose notes are collected only after it is submitted; no
 proposal is made after the last month.
 
-When LLM households reach a transport (live or record mode), a month's
-decisions, and a quarter's reflections together with the next proposal,
-each depend only on state that is fixed before they start, so they run
-concurrently on up to ``FAN_OUT_WORKERS`` threads. Their results are
-applied in a fixed order (household order, then the proposal), so no output
-depends on the order in which calls complete; only the record cache's line
-order does. Every other run (rule-based or replay) makes each call on the
-calling thread when its result is read, which keeps the serial order: a
-quarter's reflections, then the next proposal, then the next month's
-decisions.
+Every LLM call goes through the one ``map`` that ``_llm_map`` yields. When
+LLM households reach a transport (live or record mode), a month's decisions
+of every run, and a quarter's reflections together with the next
+proposals, each depend only on state that is fixed before they start, so
+they run concurrently on up to ``FAN_OUT_WORKERS`` threads. Their results
+are applied in a fixed order (run by run, households in order, then the
+proposals), so no output depends on the order in which calls complete;
+only the record cache's line order does. Every other ensemble (rule-based
+or replay) makes each call on the calling thread when its result is read,
+keeping the serial order: reflections, proposals, then decisions.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -157,33 +156,25 @@ def build_gateway(config: GatewayConfig) -> ChatGateway:
         raise ConfigError(f"gateway.{exc.setting} {value!r}: {exc}") from None
 
 
-class _Runner(NamedTuple):
-    """How a run makes its LLM calls: ``map(fn, *iterables)`` yields
-    ``fn``'s results in input order, and ``submit(fn, *args)`` returns a
-    callable that returns ``fn(*args)``. Reading a result re-raises its
-    call's exception."""
-
-    map: Callable
-    submit: Callable
-
-
 @contextmanager
-def _household_map(fan_out: bool) -> Iterator[_Runner]:
-    """Yield the runner of the LLM calls of one household step or one
-    proposal. Serially, ``map`` is the builtin and ``submit`` is ``partial``:
-    each call runs on the calling thread when its result is read, so calls
-    happen in the order their results are read. Fanned out, both hand their
-    calls at once to a pool of ``FAN_OUT_WORKERS`` threads that are all
-    joined when the block exits, even on error."""
+def _llm_map(fan_out: bool) -> Iterator[Callable]:
+    """Yield the ``map(fn, *iterables)`` that makes an ensemble's LLM calls:
+    it yields ``fn``'s results in input order, and reading a result
+    re-raises its call's exception. Serially it is the builtin, which is
+    lazy: each call runs on the calling thread when its result is read, so
+    calls happen in the order their results are read. Fanned out it is the
+    ``map`` of a pool of ``FAN_OUT_WORKERS`` threads, which hands all its
+    calls to the pool at once; the threads are all joined when the block
+    exits, even on error."""
     if not fan_out:
-        yield _Runner(map, partial)
+        yield map
         return
     # Imported here: concurrent.futures pulls in logging, about 10 ms of
     # imports that runs which never fan out should not pay.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=FAN_OUT_WORKERS) as pool:
-        yield _Runner(pool.map, lambda fn, *args: pool.submit(fn, *args).result)
+        yield pool.map
 
 
 # A month's scalars of each run, in the order of the rows of ``_Run.monthly``.
@@ -237,6 +228,9 @@ class _Run:
             equality_history=tuple(self.equality_history),
         )
 
+    def propose(self, observation: PolicyObservation) -> TaxSchedule:
+        return self.policy.propose(observation)
+
     def final_row(self) -> ComparisonRow:
         """The run's final metrics, read from its last month's values."""
         scores = self.monthly[-1, _GINI:].tolist()
@@ -288,14 +282,17 @@ def _shared_settings(config: SimConfig) -> list:
     return [getattr(config, name) for name in _SHARED_FIELDS]
 
 
-def _prepared(config: SimConfig, gateway: ChatGateway | None):
+def _prepared(config: SimConfig, gateway: ChatGateway | None, built: dict):
     """Validate ``config`` and pair it with its gateway: the one passed in,
-    or, when the run makes LLM calls, one built from the gateway section."""
+    or, when the run makes LLM calls, the one ``built`` keeps per section."""
     config.validate()
     if gateway is None and (
         config.tax_system == "tax_agent" or config.household_backend == "llm"
     ):
-        gateway = build_gateway(config.gateway)
+        key = astuple(config.gateway)
+        if key not in built:
+            built[key] = build_gateway(config.gateway)
+        gateway = built[key]
     return config, gateway
 
 
@@ -311,7 +308,7 @@ def run(
     gateway section. ``event_log`` (for tests) receives (month, step) pairs
     in execution order.
     """
-    config, gateway = _prepared(config, gateway)
+    config, gateway = _prepared(config, gateway, {})
     (only,) = _simulate([config], [gateway], config.write_households, event_log)
     return only.result()
 
@@ -334,60 +331,60 @@ class _RuleBasedHouseholds:
 
 class _LLMHouseholds:
     """What only LLM households keep, since it feeds their prompts alone:
-    the backend, the personas, memories and reflection notes, each
-    household's last decision, and last month's expected incomes and price,
-    which the prompts compare against. Their ensemble is one run, row 0."""
+    the backends, personas, memories, reflection notes and last decisions,
+    and last month's expected incomes and prices, which the prompts compare
+    against: one entry per household of every run, run by run, as in the
+    ensemble's raveled (runs x N) arrays, and one price per run."""
 
-    def __init__(self, config: SimConfig, gateway: ChatGateway, personas: list) -> None:
-        n = config.n_households
-        self.backend = LLMBackend(gateway, config.household_llm)
+    def __init__(self, config: SimConfig, gateways: Sequence[ChatGateway], personas: list) -> None:
+        n, k = config.n_households, len(gateways)
+        backends = [LLMBackend(gateway, config.household_llm) for gateway in gateways]
+        self.backends = [b for b in backends for _ in range(n)]  # each run's, per household
         # Only live and record gateways wait on a transport, so only they
         # gain from overlapping calls.
-        self.fan_out = gateway.mode != "replay"
-        self.personas = roster_for(n, personas)
-        self.memories = [deque(maxlen=12) for _ in range(n)]  # the last 12 months
-        self.notes = [""] * n
-        self.previous_expected: list[float | None] = [None] * n
-        self.previous_price: float | None = None
+        self.fan_out = any(gateway.mode != "replay" for gateway in gateways)
+        self.personas = roster_for(n, personas) * k
+        self.memories = [deque(maxlen=12) for _ in range(k * n)]  # the last 12 months
+        self.notes = [""] * (k * n)
+        self.previous_expected: list[float | None] = [None] * (k * n)
+        self.previous_price: list[float | None] = [None] * k
         # Each household's last decision, its fallback when a reply fails.
-        self.decisions = [DEFAULT_DECISION] * n
+        self.decisions = [DEFAULT_DECISION] * (k * n)
 
     def decide(self, state: _Ensemble, month: int) -> tuple[np.ndarray, np.ndarray]:
-        (only,) = state.runs
-        price, interest_rate = state.market.price.item(), state.market.interest_rate.item()
-        expected = state.expected[0].tolist()
-        # What every household sees alike this month, checked and rendered
-        # once for all of them.
-        shared = DecisionMonth(
-            date=month_label(month),
-            previous_schedule=only.schedule_history[-1],
-            current_schedule=only.schedule,
-            average_price=price,
-            interest_rate=interest_rate,
-            price_direction=_direction(price, self.previous_price),
-        )
+        prices, rates = state.market.price.tolist(), state.market.interest_rate.tolist()
+        expected, date = state.expected.ravel().tolist(), month_label(month)
+        # What every household of a run sees alike this month, in
+        # ``DecisionMonth``'s field order, checked and rendered once.
+        shared = [
+            DecisionMonth(date, r.schedule_history[-1], r.schedule, p, rate, _direction(p, last))
+            for r, p, rate, last in zip(state.runs, prices, rates, self.previous_price)
+        ]
         contexts = map(
-            partial(DecisionContext, shared),
+            DecisionContext,
+            [view for view in shared for _ in range(state.n)],
             self.personas,
             expected,
-            state.savings[0].tolist(),
+            state.savings.ravel().tolist(),
             map(_direction, expected, self.previous_expected),
-            state.spent[0].tolist(),
+            state.spent.ravel().tolist(),
             self.notes,
         )
-        decisions = list(state.runner.map(partial(decide, self.backend), contexts, self.decisions))
-        self.decisions, self.previous_expected, self.previous_price = decisions, expected, price
-        work = np.array([[d.work_propensity for d in decisions]])
-        return work, np.array([[d.consumption_propensity for d in decisions]])
+        decisions = list(state.map(decide, self.backends, contexts, self.decisions))
+        self.decisions, self.previous_expected, self.previous_price = decisions, expected, prices
+        work = np.array([d.work_propensity for d in decisions])
+        consumption = np.array([d.consumption_propensity for d in decisions])
+        return work.reshape(state.wage.shape), consumption.reshape(state.wage.shape)
 
     def remember(self, state: _Ensemble, month: int) -> None:
         rows = state.work, state.consumption, state.pretax, state.posttax, state.spent
-        entries = map(partial(MemoryEntry, month_label(month)), *(row[0].tolist() for row in rows))
+        columns = [row.ravel().tolist() for row in rows]
+        entries = map(partial(MemoryEntry, month_label(month)), *columns)
         for memory, entry in zip(self.memories, entries):
             memory.append(entry)
 
-    def submit_reflections(self, runner: _Runner) -> None:
-        self.next_notes = runner.map(partial(reflect, self.backend), self.memories, self.notes)
+    def submit_reflections(self, state: _Ensemble) -> None:
+        self.next_notes = state.map(reflect, self.backends, self.memories, self.notes)
 
     def collect_reflections(self) -> None:
         self.notes = list(self.next_notes)
@@ -449,7 +446,7 @@ class _Ensemble:
         } if keep_households else {}
         llm = head.household_backend == "llm"
         self.households = (
-            _LLMHouseholds(head, gateways[0], personas) if llm else _RuleBasedHouseholds()
+            _LLMHouseholds(head, gateways, personas) if llm else _RuleBasedHouseholds()
         )
 
     def log(self, month: int, step: str) -> None:
@@ -468,19 +465,19 @@ class _Ensemble:
         incomes, wealth = self.pretax[self.proposers], self.savings[self.proposers]
         incomes.setflags(write=False)
         wealth.setflags(write=False)
-        proposing = (self.runs[k] for k in self.proposers)
-        self.proposals = [
-            (r, self.runner.submit(r.policy.propose, r.observation(months_done, i, w)))
-            for r, i, w in zip(proposing, incomes, wealth)
+        proposing = [self.runs[k] for k in self.proposers]
+        observations = [
+            r.observation(months_done, i, w) for r, i, w in zip(proposing, incomes, wealth)
         ]
+        self.proposals = zip(proposing, self.map(_Run.propose, proposing, observations))
 
     def propose(self, month: int) -> None:
         """On the cadence, the proposals submitted last month take force."""
         if self.proposals is None:
             return
-        for r, proposal in self.proposals:
-            r.schedule = proposal()
-        if self.proposals:
+        for r, schedule in self.proposals:
+            r.schedule = schedule
+        if self.proposers:
             self.schedules = ScheduleRows([r.schedule for r in self.runs])
         self.log(month, "propose")
 
@@ -584,7 +581,7 @@ class _Ensemble:
         the notes are collected."""
         reflecting = month % self.head.reflection_period_months == 0
         if reflecting:
-            self.households.submit_reflections(self.runner)
+            self.households.submit_reflections(self)
         self.submit_proposals(month)
         if reflecting:
             self.households.collect_reflections()
@@ -597,11 +594,11 @@ def _simulate(
     keep_households: bool,
     event_log: list[tuple[int, str]] | None = None,
 ) -> list[_Run]:
-    """Advance validated runs that differ at most in ``_PER_RUN_FIELDS`` (LLM
-    households run alone) in lockstep, and return them in order.
-    ``keep_households`` keeps the months x N household arrays."""
+    """Advance validated runs that differ at most in ``_PER_RUN_FIELDS`` in
+    lockstep, and return them in order. ``keep_households`` keeps the
+    months x N household arrays."""
     state = _Ensemble(configs, gateways, keep_households, event_log)
-    with _household_map(state.households.fan_out) as state.runner:
+    with _llm_map(state.households.fan_out) as state.map:
         state.submit_proposals(0)
         for month in range(1, state.head.months + 1):
             state.propose(month)
@@ -622,20 +619,20 @@ def _comparison_rows(
     configs: Sequence[SimConfig],
     gateway_factory: Callable[[SimConfig], ChatGateway | None] | None,
 ) -> list[ComparisonRow]:
-    """One row of final metrics per config, in order. Rule-based configs
-    that differ only in ``_PER_RUN_FIELDS`` run as one ensemble; LLM
-    households run alone. Every config is validated, and its gateway built,
-    before any month runs; no household arrays are kept."""
+    """One row of final metrics per config, in order. Configs that differ
+    only in ``_PER_RUN_FIELDS`` run as one ensemble. Every config is
+    validated, and its gateway built (once per gateway section), before any
+    month runs; no household arrays are kept."""
+    built: dict[tuple, ChatGateway] = {}
     prepared = [
-        _prepared(cfg, gateway_factory(cfg) if gateway_factory else None) for cfg in configs
+        _prepared(cfg, gateway_factory(cfg) if gateway_factory else None, built)
+        for cfg in configs
     ]
     ensembles: list[list[int]] = []
     for i, (cfg, _) in enumerate(prepared):
         shared = _shared_settings(cfg)
         for members in ensembles:
-            if cfg.household_backend == "rule_based" and shared == _shared_settings(
-                prepared[members[0]][0]
-            ):
+            if shared == _shared_settings(prepared[members[0]][0]):
                 members.append(i)
                 break
         else:
