@@ -79,7 +79,7 @@ class TaxAgentConfig:
 
     model_id: str = _checked("qwen-turbo-2024-09-19", nonempty=True)
     temperature: float = _checked(0.2, ge=0, le=2)
-    max_retries: int = _checked(3, ge=1)
+    max_retries: int = _checked(3, ge=1, le=10)
     max_tokens: int = _checked(256, ge=1)
 
 
@@ -87,7 +87,7 @@ class TaxAgentConfig:
 class HouseholdLLMConfig:
     model_id: str = _checked("qwen-turbo-2024-09-19", nonempty=True)
     temperature: float = _checked(0.7, ge=0, le=2)
-    max_retries: int = _checked(3, ge=1)
+    max_retries: int = _checked(3, ge=1, le=10)
     max_tokens: int = _checked(128, ge=1)
 
 

@@ -78,6 +78,11 @@ class TestValidation:
             ("months", {"months": 1_201}),
             ("n_households", {"n_households": 10**12}),
             ("n_households", {"n_households": 1_000_001}),
+            # retry counts past the cap: rejected by validate, never retried
+            ("tax_agent.max_retries", {"tax_agent": {"max_retries": 10**9}}),
+            ("household_llm.max_retries", {"household_llm": {"max_retries": 10**9}}),
+            ("tax_agent.max_retries", {"tax_agent": {"max_retries": 11}}),
+            ("household_llm.max_retries", {"household_llm": {"max_retries": 11}}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):
@@ -93,8 +98,12 @@ class TestValidation:
                     "months": 1_200,
                     "adjustment": {"max_wage_step": 1.0},
                     "saez": {"elasticity": 0, "tail_threshold": None},
-                    "tax_agent": {"temperature": temperature, "max_tokens": 1, "model_id": "m"},
-                    "household_llm": {"temperature": temperature, "max_tokens": 1, "model_id": "m"},
+                    "tax_agent": {
+                        "temperature": temperature, "max_tokens": 1, "model_id": "m", "max_retries": 10
+                    },
+                    "household_llm": {
+                        "temperature": temperature, "max_tokens": 1, "model_id": "m", "max_retries": 10
+                    },
                 }
             ).validate()
 
