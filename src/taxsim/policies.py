@@ -64,9 +64,9 @@ def us_federal_schedule() -> TaxSchedule:
 class PolicyObservation:
     """What a policy sees when asked for new rates: last month's pre-tax
     incomes (zeros for non-workers) and current wealth, one read-only float
-    array each, and the full per-month schedule/productivity/equality
-    histories, aligned by month. Not comparable: arrays have no single
-    truth value, so the generated ``==`` could not work."""
+    array each, and the per-month schedule (ending with the one in force),
+    productivity and equality histories, aligned by month. Not comparable:
+    arrays have no single truth value, so ``==`` could not work."""
 
     month: int
     incomes: np.ndarray
@@ -78,10 +78,10 @@ class PolicyObservation:
     def __post_init__(self) -> None:
         if len(self.incomes) != len(self.wealth):
             raise ValueError("incomes and wealth must have equal length")
+        if not self.schedule_history:
+            raise ValueError("schedule_history must end with the schedule in force")
 
     def previous_schedule(self) -> TaxSchedule:
-        if not self.schedule_history:
-            return us_federal_schedule()
         return self.schedule_history[-1]
 
 

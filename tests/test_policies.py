@@ -40,7 +40,10 @@ from taxsim.policies import (
 )
 
 
-def observation(incomes=(), wealth=None, schedules=(), prod=(0.0,), eq=(0.0,), month=0):
+def observation(incomes=(), wealth=None, schedules=None, prod=(0.0,), eq=(0.0,), month=0):
+    """An observation whose schedule history defaults to the federal
+    schedule alone, the one in force before a run's first proposal."""
+    schedules = (us_federal_schedule(),) if schedules is None else schedules
     incomes = np.array(incomes, dtype=float)
     wealth = np.array(wealth, dtype=float) if wealth is not None else np.full(incomes.size, 1000.0)
     return PolicyObservation(
@@ -51,6 +54,18 @@ def observation(incomes=(), wealth=None, schedules=(), prod=(0.0,), eq=(0.0,), m
         productivity_history=tuple(prod),
         equality_history=tuple(eq),
     )
+
+
+class TestPolicyObservation:
+    def test_empty_schedule_history_rejected(self):
+        # A history always ends with the schedule in force, so no policy
+        # needs a bootstrap of its own.
+        with pytest.raises(ValueError, match="schedule_history"):
+            observation(incomes=[1.0], schedules=())
+
+    def test_previous_schedule_is_the_last_of_the_history(self):
+        history = (us_federal_schedule(), free_market_schedule())
+        assert observation(incomes=[1.0], schedules=history).previous_schedule() == history[-1]
 
 
 class TestFixedPolicies:
@@ -340,7 +355,7 @@ class TestBuildTaxPrompt:
             min_size=1,
             max_size=4,
         ),
-        months=st.lists(st.integers(0, 3), max_size=40),
+        months=st.lists(st.integers(0, 3), min_size=1, max_size=40),
     )
     @settings(max_examples=200, deadline=None)
     def test_history_text_matches_nested_list_spelling(self, rates, months):
