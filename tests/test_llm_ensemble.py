@@ -84,13 +84,13 @@ def ensemble_sizes(monkeypatch) -> list[int]:
 def test_llm_household_sweep_rows_equal_lone_runs(mode, lone_runs, ensemble_sizes, tmp_path):
     cache = tmp_path / "ensemble.jsonl"
     transport = ThreadNotingTransport()
-    if mode == "live":
-        # A gateway of its own for every run.
-        factory = lambda cfg: ChatGateway("live", transport=transport)  # noqa: E731
-        rows = sweep(BASE, SYSTEMS, SEEDS, gateway_factory=factory)
-    else:
-        shared = ChatGateway("record", cache_path=cache, transport=transport)
-        rows = sweep(BASE, SYSTEMS, SEEDS, gateway_factory=lambda cfg: shared)
+    recorder = ChatGateway("record", cache_path=cache, transport=transport)
+
+    def gateway_of(cfg):
+        # Live: a gateway of its own for every run. Record: one for all.
+        return ChatGateway("live", transport=transport) if mode == "live" else recorder
+
+    rows = sweep(BASE, SYSTEMS, SEEDS, gateway_factory=gateway_of)
     # The calls fanned out over the pool.
     assert transport.threads - {threading.get_ident()}
     if mode == "replay":
