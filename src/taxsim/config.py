@@ -68,7 +68,7 @@ class SaezParams:
     top-bracket uncompensated elasticity. ``tail_threshold`` of None means
     the schedule's own top threshold."""
 
-    elasticity: float = _checked(0.25, ge=0)
+    elasticity: float = _checked(0.25, ge=0, le=100)
     tail_threshold: float | None = _checked(None, gt=0)
 
 

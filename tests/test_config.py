@@ -83,6 +83,9 @@ class TestValidation:
             ("household_llm.max_retries", {"household_llm": {"max_retries": 10**9}}),
             ("tax_agent.max_retries", {"tax_agent": {"max_retries": 11}}),
             ("household_llm.max_retries", {"household_llm": {"max_retries": 11}}),
+            # elasticities whose e * z overflows to inf: rejected, not a ScheduleError
+            ("saez.elasticity", {"saez": {"elasticity": 1e305}}),
+            ("saez.elasticity", {"saez": {"elasticity": 100.5}}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):
@@ -91,13 +94,13 @@ class TestValidation:
             run(config)
 
     def test_bounds_themselves_accepted(self):
-        for temperature in (0, 2.0):
+        for temperature, elasticity in ((0, 0), (2.0, 100)):
             config_from_dict(
                 {
                     "n_households": 1_000_000,
                     "months": 1_200,
                     "adjustment": {"max_wage_step": 1.0},
-                    "saez": {"elasticity": 0, "tail_threshold": None},
+                    "saez": {"elasticity": elasticity, "tail_threshold": None},
                     "tax_agent": {
                         "temperature": temperature, "max_tokens": 1, "model_id": "m", "max_retries": 10
                     },
