@@ -23,13 +23,17 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 GATEWAY_MODES = ("live", "record", "replay")
 
-DEFAULT_MAX_ATTEMPTS = 5
-DEFAULT_BACKOFF_BASE = 1.0
-DEFAULT_BACKOFF_FACTOR = 2.0
+# How often a live or record ``complete`` tries the transport, and the
+# exponential backoff between tries: 1, 2, 4 and 8 seconds.
+TRANSPORT_ATTEMPTS = 5
+BACKOFF_BASE = 1.0
+BACKOFF_FACTOR = 2.0
+
+T = TypeVar("T")
 
 
 class GatewayError(Exception):
@@ -47,6 +51,10 @@ class GatewaySettingError(GatewayError):
 
 class TransportError(GatewayError):
     """All transport attempts failed; callers may fall back."""
+
+
+class ReplyParseError(ValueError):
+    """A reply holds no answer; what the parse function of an ``ask`` raises."""
 
 
 class ReplayMissError(GatewayError):
@@ -72,6 +80,12 @@ class ChatRequest:
             raise ValueError("prompt must be non-empty")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+
+    @classmethod
+    def of(cls, section, prompt: str) -> ChatRequest:
+        """``prompt`` under the model id, temperature and token cap of an
+        LLM config section (``tax_agent`` or ``household_llm``)."""
+        return cls(section.model_id, prompt, section.temperature, section.max_tokens)
 
 
 # Every byte but the 32 control bytes, which a JSON string must escape.
@@ -246,9 +260,6 @@ class ChatGateway:
         endpoint: str = "",
         api_key_env: str = "TAXSIM_API_KEY",
         timeout: float = 30.0,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         if mode not in GATEWAY_MODES:
@@ -256,9 +267,6 @@ class ChatGateway:
         self.mode = mode
         self._cache_path = Path(cache_path) if cache_path else None
         self._transport = transport
-        self._max_attempts = max_attempts
-        self._backoff_base = backoff_base
-        self._backoff_factor = backoff_factor
         self._sleep = sleeper
         self._lock = threading.Lock()
         self._replay_cache: dict[str, str] = {}
@@ -284,11 +292,20 @@ class ChatGateway:
         if mode == "record":
             _end_torn_tail(self._cache_path)
 
-    def attempts(self, max_retries: int) -> int:
-        """How many times a caller should ask for a reply that does not
-        parse: ``max_retries``, except in replay, where the same request
-        always gets the same cached reply back and asking again cannot help."""
-        return 1 if self.mode == "replay" else max_retries
+    def ask(self, section, prompt: str, parse: Callable[[str], T]) -> T | None:
+        """``parse`` of the first reply to ``prompt`` under an LLM config
+        section that parses, or None when none does, after
+        ``section.max_retries`` attempts, or one in replay, where the same
+        request always gets the same cached reply back. An attempt is one
+        ``complete``; a ``ReplyParseError`` or a ``TransportError`` ends
+        it, and every other error, a replay miss included, propagates."""
+        request = ChatRequest.of(section, prompt)
+        for _ in range(1 if self.mode == "replay" else section.max_retries):
+            try:
+                return parse(self.complete(request))
+            except (ReplyParseError, TransportError):
+                continue
+        return None
 
     def complete(self, request: ChatRequest) -> str:
         """Resolve one request to a response text according to the mode.
@@ -312,21 +329,19 @@ class ChatGateway:
 
     def _call_with_backoff(self, request: ChatRequest) -> str:
         assert self._transport is not None
-        delay = self._backoff_base
+        delay = BACKOFF_BASE
         last_error: Exception | None = None
-        for attempt in range(self._max_attempts):
+        for attempt in range(TRANSPORT_ATTEMPTS):
             try:
                 return self._transport(request)
             except GatewayError:
                 raise
             except Exception as exc:
                 last_error = exc
-                if attempt < self._max_attempts - 1:
+                if attempt < TRANSPORT_ATTEMPTS - 1:
                     self._sleep(delay)
-                    delay *= self._backoff_factor
-        raise TransportError(
-            f"transport failed after {self._max_attempts} attempts"
-        ) from last_error
+                    delay *= BACKOFF_FACTOR
+        raise TransportError(f"transport failed after {TRANSPORT_ATTEMPTS} attempts") from last_error
 
     def _append_exchange(self, request: ChatRequest, response_text: str) -> None:
         record = {

@@ -21,7 +21,7 @@ import numpy as np
 
 from taxsim.config import HouseholdLLMConfig
 from taxsim.economy import Persona, TaxSchedule, quantize_fraction
-from taxsim.gateway import ChatGateway, ChatRequest, TransportError
+from taxsim.gateway import ChatGateway, ChatRequest, ReplyParseError, TransportError
 
 INCREASED = "increased"
 DECREASED = "decreased"
@@ -39,7 +39,7 @@ _PRICE_PHRASES = {
 }
 
 
-class DecisionError(ValueError):
+class DecisionError(ReplyParseError):
     """The backend could not produce a usable decision."""
 
 
@@ -135,13 +135,13 @@ class DecisionContext:
 
 
 class MemoryEntry:
-    """One month's summary kept for the quarterly self-review: the month's
-    date and its line of the review prompt, which is all the review reads.
-    The line is rendered once, on creation: an entry stays in memory for up
-    to four reviews and nearly every entry reaches one. A household's memory
-    is a ``deque(maxlen=12)`` of its entries, oldest first."""
+    """One month's summary kept for the quarterly self-review: its line of
+    the review prompt, which is all the review reads. The line is rendered
+    once, on creation: an entry stays in memory for up to four reviews and
+    nearly every entry reaches one. A household's memory is a
+    ``deque(maxlen=12)`` of its entries, oldest first."""
 
-    __slots__ = ("date", "line")
+    __slots__ = ("line",)
 
     def __init__(
         self,
@@ -152,7 +152,6 @@ class MemoryEntry:
         posttax_income: float,
         consumption: float,
     ) -> None:
-        self.date = date
         self.line = (
             f"{date}: work propensity {work_propensity:.2f}, consumption "
             f"propensity {consumption_propensity:.2f}, pre-tax income "
@@ -249,10 +248,10 @@ def rule_based_decide(tax, expected_income, savings, price: float) -> tuple:
 class LLMBackend:
     """LLM-driven decisions and reflections through a chat gateway.
 
-    Parse and transport failures are retried up to ``max_retries`` total
-    attempts (one in replay, whose replies are fixed) and then surface as
-    DecisionError/TransportError for the caller's fallback; a replay cache
-    miss always propagates.
+    A decision is the gateway's ``ask``; when no reply parses it raises
+    DecisionError for the caller's fallback. A reflection is one
+    ``complete``, whose TransportError the caller falls back from. A replay
+    cache miss always propagates.
     """
 
     def __init__(
@@ -261,25 +260,15 @@ class LLMBackend:
         self.gateway = gateway
         self.config = config or HouseholdLLMConfig()
 
-    def _request(self, prompt: str) -> ChatRequest:
-        return ChatRequest(
-            model_id=self.config.model_id,
-            prompt=prompt,
-            temperature=self.config.temperature,
-            max_tokens=self.config.max_tokens,
-        )
-
     def decide(self, context: DecisionContext) -> Decision:
-        request = self._request(build_household_prompt(context))
-        for _ in range(self.gateway.attempts(self.config.max_retries)):
-            try:
-                return parse_decision_reply(self.gateway.complete(request))
-            except (DecisionError, TransportError):
-                continue
-        raise DecisionError("no parsable decision after retries")
+        prompt = build_household_prompt(context)
+        decision = self.gateway.ask(self.config, prompt, parse_decision_reply)
+        if decision is None:
+            raise DecisionError("no parsable decision after retries")
+        return decision
 
     def reflect(self, memory: Collection[MemoryEntry]) -> str:
-        request = self._request(build_reflection_prompt(memory))
+        request = ChatRequest.of(self.config, build_reflection_prompt(memory))
         return self.gateway.complete(request).strip()
 
 
@@ -288,13 +277,13 @@ def decide(
     context: DecisionContext,
     fallback: Decision = DEFAULT_DECISION,
 ) -> Decision:
-    """Total decision step: the backend's parsed decision, or on any
-    decision/transport failure the fallback (the household's previous
-    decision, or the documented month-0 default). Both are on the grid
-    already: the parser snaps every reply."""
+    """Total decision step: the backend's parsed decision, or when no reply
+    parses, transport failures included, the fallback (the household's
+    previous decision, or the documented month-0 default). Both are on the
+    grid already: the parser snaps every reply."""
     try:
         return backend.decide(context)
-    except (DecisionError, TransportError):
+    except DecisionError:
         return fallback
 
 

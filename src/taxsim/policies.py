@@ -32,7 +32,7 @@ import numpy as np
 
 from taxsim.config import SaezParams, TaxAgentConfig
 from taxsim.economy import TaxSchedule, quantize_fraction
-from taxsim.gateway import ChatGateway, ChatRequest, TransportError
+from taxsim.gateway import ChatGateway, ReplyParseError
 
 # Monthly income bracket thresholds shared by every policy, and the federal
 # marginal rates used both as a baseline system and as the bootstrap schedule.
@@ -48,7 +48,7 @@ class DegenerateIncomesError(ValueError):
     """Too few positive incomes to estimate a distribution."""
 
 
-class TaxReplyParseError(ValueError):
+class TaxReplyParseError(ReplyParseError):
     """The planner reply contained no well-formed list of seven rates."""
 
 
@@ -293,25 +293,17 @@ class SaezOptimalPolicy:
 
 
 class TaxAgentPolicy:
-    """LLM-backed planner. Retries up to ``max_retries`` total attempts (one
-    in replay, whose replies are fixed) on parse or transport failures, then
-    keeps the previous schedule; a replay cache miss is fatal and propagates."""
+    """LLM-backed planner: the gateway's ``ask``, which retries a reply
+    that does not parse or a failed transport; when no reply parses the
+    previous schedule stays in force. A replay cache miss is fatal and
+    propagates."""
 
     def __init__(self, gateway: ChatGateway, config: TaxAgentConfig | None = None) -> None:
         self.gateway = gateway
         self.config = config or TaxAgentConfig()
 
     def propose(self, observation: PolicyObservation) -> TaxSchedule:
-        request = ChatRequest(
-            model_id=self.config.model_id,
-            prompt=build_tax_prompt(observation),
-            temperature=self.config.temperature,
-            max_tokens=self.config.max_tokens,
-        )
-        for _ in range(self.gateway.attempts(self.config.max_retries)):
-            try:
-                rates = parse_tax_reply(self.gateway.complete(request))
-            except (TaxReplyParseError, TransportError):
-                continue
-            return TaxSchedule(DEFAULT_BRACKETS, rates)
-        return observation.previous_schedule()
+        rates = self.gateway.ask(self.config, build_tax_prompt(observation), parse_tax_reply)
+        if rates is None:
+            return observation.previous_schedule()
+        return TaxSchedule(DEFAULT_BRACKETS, rates)

@@ -36,16 +36,18 @@ which is what ``propose`` would see, and no reflection note. So it overlaps
 the reflections, whose notes are collected only after it is submitted; no
 proposal is made after the last month.
 
-Every LLM call goes through the one ``map`` that ``_llm_map`` yields. When
-LLM households reach a transport (live or record mode), a month's decisions
-of every run, and a quarter's reflections together with the next
-proposals, each depend only on state that is fixed before they start, so
-they run concurrently on up to ``FAN_OUT_WORKERS`` threads. Their results
-are applied in a fixed order (run by run, households in order, then the
-proposals), so no output depends on the order in which calls complete;
-only the record cache's line order does. Every other ensemble (rule-based
-or replay) makes each call on the calling thread when its result is read,
-keeping the serial order: reflections, proposals, then decisions.
+Every LLM call goes through the one ``map`` that ``_llm_map`` yields, and
+the gateways alone decide how: an ensemble fans out when any of its runs
+makes LLM calls through a live or record gateway, whatever its household
+backend. A month's decisions of every run, and a quarter's reflections
+together with the next proposals, each depend only on state that is fixed
+before they start, so they then run concurrently on up to
+``FAN_OUT_WORKERS`` threads. Their results are applied in a fixed order
+(run by run, households in order, then the proposals), so no output
+depends on the order in which calls complete; only the record cache's line
+order does. An ensemble whose calls are all replayed makes each call on
+the calling thread when its result is read, keeping the serial order:
+reflections, proposals, then decisions.
 """
 
 from __future__ import annotations
@@ -194,38 +196,36 @@ _MONTH_VALUES = (
 _PRICE = _MONTH_VALUES.index("price")
 _TOTALS = _MONTH_VALUES.index("total_pretax_income")  # the four totals follow
 _GINI = _MONTH_VALUES.index("gini")  # the metric scores follow, in MetricSnapshot order
+_EQUALITY = _MONTH_VALUES.index("equality")  # productivity follows
 
 
 @dataclass
 class _Run:
-    """What one run of an ensemble keeps for itself: its Generator, its
-    policy and schedules, its annual records, ``monthly``, its view of the
-    ensemble's month values (months x ``_MONTH_VALUES``), and the metric
-    histories its policy observes."""
+    """What one run of an ensemble keeps for itself: its policy and
+    schedules, its annual records, and ``monthly``, its view of the
+    ensemble's month values (months x ``_MONTH_VALUES``)."""
 
     config: SimConfig
-    rng: np.random.Generator
     policy: TaxPolicy
     schedule: TaxSchedule  # in force this month
     schedule_history: list[TaxSchedule]  # one per past month, after the month-0 bootstrap
     monthly: np.ndarray
     annual_records: list[AnnualRecord] = field(default_factory=list)
     households: dict[str, np.ndarray] = field(default_factory=dict)  # when kept
-    # The metric histories a policy observes: 0.0 for month 0, then one
-    # float a month, so that no observation converts ``monthly`` again.
-    productivity_history: list[float] = field(default_factory=lambda: [0.0])
-    equality_history: list[float] = field(default_factory=lambda: [0.0])
 
     def observation(
         self, months_done: int, incomes: np.ndarray, wealth: np.ndarray
     ) -> PolicyObservation:
+        """What the policy sees after ``months_done`` months; each metric
+        history is 0.0 for month 0, then one value a month."""
+        equality, productivity = self.monthly[:months_done, _EQUALITY : _EQUALITY + 2].T.tolist()
         return PolicyObservation(
             month=months_done,
             incomes=incomes,
             wealth=wealth,
             schedule_history=tuple(self.schedule_history),
-            productivity_history=tuple(self.productivity_history),
-            equality_history=tuple(self.equality_history),
+            productivity_history=(0.0, *productivity),
+            equality_history=(0.0, *equality),
         )
 
     def propose(self, observation: PolicyObservation) -> TaxSchedule:
@@ -283,12 +283,13 @@ def _shared_settings(config: SimConfig) -> list:
 
 
 def _prepared(config: SimConfig, gateway: ChatGateway | None, built: dict):
-    """Validate ``config`` and pair it with its gateway: the one passed in,
-    or, when the run makes LLM calls, the one ``built`` keeps per section."""
+    """Validate ``config`` and pair it with its gateway when the run makes
+    LLM calls: the one passed in, or the one ``built`` keeps per section.
+    A run that makes none gets None."""
     config.validate()
-    if gateway is None and (
-        config.tax_system == "tax_agent" or config.household_backend == "llm"
-    ):
+    if config.tax_system != "tax_agent" and config.household_backend != "llm":
+        return config, None
+    if gateway is None:
         key = astuple(config.gateway)
         if key not in built:
             built[key] = build_gateway(config.gateway)
@@ -317,8 +318,6 @@ class _RuleBasedHouseholds:
     """Households that decide by ``rule_based_decide`` over the ensemble's
     arrays; they keep no memory and write no note."""
 
-    fan_out = False
-
     def decide(self, state: _Ensemble, month: int) -> tuple[np.ndarray, np.ndarray]:
         price = state.market.price[:, None]
         return rule_based_decide(state.full_time_tax, state.expected, state.savings, price)
@@ -340,9 +339,6 @@ class _LLMHouseholds:
         n, k = config.n_households, len(gateways)
         backends = [LLMBackend(gateway, config.household_llm) for gateway in gateways]
         self.backends = [b for b in backends for _ in range(n)]  # each run's, per household
-        # Only live and record gateways wait on a transport, so only they
-        # gain from overlapping calls.
-        self.fan_out = any(gateway.mode != "replay" for gateway in gateways)
         self.personas = roster_for(n, personas) * k
         self.memories = [deque(maxlen=12) for _ in range(k * n)]  # the last 12 months
         self.notes = [""] * (k * n)
@@ -404,15 +400,15 @@ class _Ensemble:
         monthly = self.monthly = np.empty((head.months, len(_MONTH_VALUES), k))
         runs: list[_Run] = []
         wages, savings = [], []
-        for i, (config, gateway) in enumerate(zip(configs, gateways)):
-            rng = np.random.default_rng(config.seed)
+        self.rngs = [np.random.default_rng(config.seed) for config in configs]
+        for i, (config, gateway, rng) in enumerate(zip(configs, gateways, self.rngs)):
             init = config.initial
             wages.append(rng.lognormal(math.log(init.wage_median), init.wage_sigma, n))
             savings.append(rng.lognormal(math.log(init.savings_median), init.savings_sigma, n))
             schedule = initial_schedule(config.tax_system)
             policy = build_policy(config, gateway)
-            runs.append(_Run(config, rng, policy, schedule, [schedule], monthly[:, :, i]))
-        self.runs, self.rngs = runs, [r.rng for r in runs]
+            runs.append(_Run(config, policy, schedule, [schedule], monthly[:, :, i]))
+        self.runs = runs
         # A fixed schedule's proposal is the schedule in force: only the others propose.
         self.proposers = [i for i, r in enumerate(runs) if not isinstance(r.policy, FixedPolicy)]
         # The population, one (runs x N) array per quantity: row r is run r,
@@ -543,8 +539,7 @@ class _Ensemble:
 
     def record_metrics(self, month: int, rows: np.ndarray) -> None:
         """The totals and metrics of the months up to ``month`` whose rows
-        ``rows`` holds, one (4 x runs x N) block a month, into ``monthly``
-        and each run's metric histories."""
+        ``rows`` holds, one (4 x runs x N) block a month, into ``monthly``."""
         wealth = rows[:, 3]
         gini = metrics.gini(wealth)
         equality = metrics.equality(wealth, gini)
@@ -556,10 +551,6 @@ class _Ensemble:
         block[:, _TOTALS:_GINI] = rows.cumsum(axis=-1, out=rows)[..., -1]
         scores = gini, equality, productivity, metrics.social_outcome(equality, productivity)
         block[:, _GINI:] = np.stack(scores, axis=1)
-        histories = zip(self.runs, productivity.T.tolist(), equality.T.tolist())
-        for r, run_productivity, run_equality in histories:
-            r.productivity_history.extend(run_productivity)
-            r.equality_history.extend(run_equality)
 
     def annual(self, month: int) -> None:
         """At a year end, each run's annual metrics and Taylor-rule update,
@@ -595,10 +586,12 @@ def _simulate(
     event_log: list[tuple[int, str]] | None = None,
 ) -> list[_Run]:
     """Advance validated runs that differ at most in ``_PER_RUN_FIELDS`` in
-    lockstep, and return them in order. ``keep_households`` keeps the
-    months x N household arrays."""
+    lockstep, and return them in order; a run that makes no LLM call has no
+    gateway. ``keep_households`` keeps the months x N household arrays."""
     state = _Ensemble(configs, gateways, keep_households, event_log)
-    with _llm_map(state.households.fan_out) as state.map:
+    # Only live and record gateways wait on a transport, so only they gain from fanning out.
+    fan_out = any(gateway is not None and gateway.mode != "replay" for gateway in gateways)
+    with _llm_map(fan_out) as state.map:
         state.submit_proposals(0)
         for month in range(1, state.head.months + 1):
             state.propose(month)

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import threading
-from collections import deque
+from collections import Counter, deque
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -293,6 +293,45 @@ def scripted_gateway(replies) -> ChatGateway:
         return queue.popleft()
 
     return ChatGateway("live", transport=send)
+
+
+class PromptedGateway(ChatGateway):
+    """A live gateway whose transport answers ``reply(prompt, attempt)``,
+    ``attempt`` being how many times the prompt was asked before. Its
+    replies follow from the prompt, not from the order of the calls, so a
+    fanned-out run may use it. ``asked`` counts the calls per prompt."""
+
+    def __init__(self, reply) -> None:
+        self._reply = reply
+        self._lock = threading.Lock()
+        self.asked: Counter = Counter()
+        super().__init__("live", transport=self._send)
+
+    @property
+    def calls(self) -> int:
+        return sum(self.asked.values())
+
+    def _send(self, request: ChatRequest) -> str:
+        with self._lock:
+            attempt = self.asked[request.prompt]
+            self.asked[request.prompt] += 1
+        return self._reply(request.prompt, attempt)
+
+
+class FlakyTransport:
+    """Raises a ConnectionError on its first ``failures`` calls, then
+    answers ``reply``; ``calls`` counts every call."""
+
+    def __init__(self, reply: str, failures: int) -> None:
+        self.reply = reply
+        self.failures = failures
+        self.calls = 0
+
+    def __call__(self, request: ChatRequest) -> str:
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise ConnectionError("down")
+        return self.reply
 
 
 def panicking_transport(request: ChatRequest) -> str:

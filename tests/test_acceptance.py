@@ -19,8 +19,8 @@ from helpers import (
     pairwise_gini,
     panicking_transport,
     random_cent_income,
+    PromptedGateway,
     random_cent_schedule,
-    scripted_gateway,
     tax_by_cent_integration,
 )
 from taxsim.config import SimConfig, load_config
@@ -286,18 +286,24 @@ def test_criterion_9_structural_invariants():
 
 
 def test_criterion_10_directional_desk_scale():
+    planners = []
+
+    def planner(cfg):
+        if cfg.tax_system != "tax_agent":
+            return None
+        planners.append(PromptedGateway(lambda prompt, attempt: "[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]"))
+        return planners[-1]
+
     start = time.perf_counter()
     rows = sweep(
         SimConfig(),
         systems=("free", "us_federal", "saez", "tax_agent"),
         seeds=(1, 2, 3, 4, 5),
-        gateway_factory=lambda cfg: (
-            scripted_gateway(["[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]"] * 40)
-            if cfg.tax_system == "tax_agent"
-            else None
-        ),
+        gateway_factory=planner,
     )
     elapsed = time.perf_counter() - start
+    # one proposal every 3 of the 120 months, per seed
+    assert [gateway.calls for gateway in planners] == [40] * 5
     final_gini = {(r.tax_system, r.seed): r.final_gini for r in rows}
     wins = sum(
         final_gini[("free", seed)] >= final_gini[("us_federal", seed)]

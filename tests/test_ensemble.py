@@ -8,6 +8,7 @@ its config alone."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     adjustment_draws,
+    PromptedGateway,
     market_of,
-    scripted_gateway,
     sequential_adjustment,
     sequential_consumption,
 )
@@ -203,19 +204,24 @@ class TestRowKernelsMatchOneRowAlone:
             assert_bits_equal(market.price[r], price_r)
 
 
-def planner_replies(seed: int) -> list[str]:
+def planner_reply(seed: int):
     """Scripted planner replies for a tax_agent run: rate lists drawn from
-    the seed, every fourth reply junk (a retry), enough for 30 months."""
-    rng = np.random.default_rng(seed)
-    return [
-        "no rates this time" if k % 4 == 3 else str(np.round(rng.uniform(0, 0.6, 7), 2).tolist())
-        for k in range(40)
-    ]
+    the seed and the prompt, and the first reply to about every fourth
+    prompt junk (a retry)."""
+
+    def reply(prompt: str, attempt: int) -> str:
+        digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+        if attempt == 0 and digest[0] % 4 == 3:
+            return "no rates this time"
+        rng = np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
+        return str(np.round(rng.uniform(0, 0.6, 7), 2).tolist())
+
+    return reply
 
 
 def scripted_planner(config: SimConfig):
     if config.tax_system == "tax_agent":
-        return scripted_gateway(planner_replies(config.seed))
+        return PromptedGateway(planner_reply(config.seed))
     return None
 
 
@@ -249,9 +255,20 @@ class TestEnsembleEqualsSingleRuns:
         # Productivity 0.005 reaches the partial consumption fill and the
         # Saez fallbacks.
         base = SimConfig(n_households=n, months=months, productivity=productivity)
-        rows = sweep(base, systems, seeds, gateway_factory=scripted_planner)
+        planners = []
+
+        def planner(config):
+            planners.append(scripted_planner(config))
+            return planners[-1]
+
+        rows = sweep(base, systems, seeds, gateway_factory=planner)
         configs = [replace(base, tax_system=s, seed=seed) for seed in seeds for s in systems]
         assert rows == [row_of_run_alone(config) for config in configs]
+        # One prompt a proposal, every 3 months before the last; a junk
+        # first reply asks once more.
+        for gateway in filter(None, planners):
+            assert len(gateway.asked) == len(range(0, months, 3))
+            assert set(gateway.asked.values()) <= {1, 2}
 
     def test_configs_that_differ_elsewhere_run_apart(self):
         # A different productivity puts a config in an ensemble of its own;

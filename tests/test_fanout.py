@@ -21,7 +21,8 @@ from helpers import deterministic_reply, panicking_transport
 from taxsim.config import SimConfig, load_config
 from taxsim.gateway import ChatGateway, GatewayError
 from taxsim.personas import load_personas, roster_for
-from taxsim.simulation import FAN_OUT_WORKERS, run
+import taxsim.simulation as simulation
+from taxsim.simulation import FAN_OUT_WORKERS, run, sweep
 
 CONFIG = SimConfig(
     n_households=6,
@@ -131,16 +132,23 @@ class RefusingTransport:
 
 class PeakTransport:
     """Answers like ``deterministic_reply`` and tracks the most requests in
-    flight at once. Each household request waits (up to ``timeout``) until
-    that peak has reached ``width``, so every worker the pool allows is in
-    flight together, then lingers ``hold`` seconds more, so a worker past
-    ``width`` would be seen. Planner requests do not wait: month 1's runs
-    alone."""
+    flight at once. Each request of a kind in ``waiting`` waits (up to
+    ``timeout``) until that peak has reached ``width``, so every worker the
+    pool allows is in flight together, then lingers ``hold`` seconds more,
+    so a worker past ``width`` would be seen. By default planner requests do
+    not wait: month 1's runs alone in an LLM-household run."""
 
-    def __init__(self, width: int, hold: float = 0.01, timeout: float = 5.0) -> None:
+    def __init__(
+        self,
+        width: int,
+        hold: float = 0.01,
+        timeout: float = 5.0,
+        waiting: tuple[str, ...] = ("decision", "reflection"),
+    ) -> None:
         self._width = width
         self._hold = hold
         self._timeout = timeout
+        self._waiting = waiting
         self._cond = threading.Condition()
         self._in_flight = 0
         self.peak = 0
@@ -150,7 +158,7 @@ class PeakTransport:
             self._in_flight += 1
             self.peak = max(self.peak, self._in_flight)
             self._cond.notify_all()
-            if kind_of(request.prompt) != "planner":
+            if kind_of(request.prompt) in self._waiting:
                 self._cond.wait_for(lambda: self.peak >= self._width, self._timeout)
         try:
             time.sleep(self._hold)
@@ -300,3 +308,37 @@ def test_replay_runs_stay_on_the_calling_thread():
     quarter = [("planner", 1), ("decision", 3 * n), ("reflection", n)]
     assert runs_of(gateway.kinds) == [*quarter * 4, ("planner", 1), ("decision", 2 * n)]
     assert gateway.threads and set(gateway.threads) == {threading.get_ident()}
+
+
+def test_planner_calls_of_rule_based_runs_fan_out():
+    # A live planner fans out whatever the household backend.
+    config = replace(CONFIG, household_backend="rule_based")
+    seeds = (0, 1, 2)
+    transport = PeakTransport(len(seeds), timeout=1.0, waiting=("planner",))
+    gateway = ThreadLoggingGateway("live", transport=transport)
+    sweep(config, ["tax_agent"], seeds, gateway_factory=lambda cfg: gateway)
+    assert transport.peak == len(seeds)
+    # Months 1 and 4's proposals of each run, all on pool threads.
+    assert gateway.kinds == ["planner"] * 2 * len(seeds)
+    assert threading.get_ident() not in gateway.threads
+
+
+def test_only_runs_that_make_llm_calls_get_a_gateway_and_fan_out(monkeypatch):
+    log: list[tuple[list[bool], bool]] = []  # (which runs have a gateway, fan-out)
+    simulate, llm_map = simulation._simulate, simulation._llm_map
+
+    def noting_simulate(configs, gateways, *args, **kwargs):
+        log.append(([g is not None for g in gateways], None))
+        return simulate(configs, gateways, *args, **kwargs)
+
+    def noting_map(fan_out):
+        log[-1] = (log[-1][0], fan_out)
+        return llm_map(fan_out)
+
+    monkeypatch.setattr(simulation, "_simulate", noting_simulate)
+    monkeypatch.setattr(simulation, "_llm_map", noting_map)
+    gateway = ChatGateway("live", transport=deterministic_reply)
+    base = replace(CONFIG, household_backend="rule_based")
+    sweep(base, ["free", "us_federal", "saez"], [0], gateway_factory=lambda cfg: gateway)
+    sweep(base, ["us_federal", "tax_agent"], [0], gateway_factory=lambda cfg: gateway)
+    assert log == [([False] * 3, False), ([False, True], True)]

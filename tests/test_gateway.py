@@ -8,8 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import panicking_transport
+from helpers import CountingGateway, FlakyTransport, panicking_transport
+from taxsim.config import HouseholdLLMConfig, TaxAgentConfig
 from taxsim.gateway import (
+    TRANSPORT_ATTEMPTS,
     CacheCorruptError,
     ChatGateway,
     ChatRequest,
@@ -489,3 +491,30 @@ class TestModeValidation:
         with pytest.raises(GatewaySettingError):
             ChatGateway("record", cache_path=cache, endpoint=URL, api_key_env="UNSET_KEY")
         assert cache.read_bytes() == GOOD_LINE + TORN_TAILS["mid_record"]
+
+
+class TestAsk:
+    def test_request_comes_from_the_section(self):
+        requests: list[ChatRequest] = []
+
+        def answering(request):
+            requests.append(request)
+            return "reply"
+
+        section = TaxAgentConfig(model_id="m", temperature=0.3, max_tokens=9)
+        assert ChatGateway("live", transport=answering).ask(section, "p", str.upper) == "REPLY"
+        assert requests == [ChatRequest("m", "p", 0.3, 9)]
+        assert ChatRequest.of(section, "p") == requests[0]
+
+    def test_failed_complete_costs_an_attempt(self):
+        transport = FlakyTransport("answer", TRANSPORT_ATTEMPTS)
+        gateway = ChatGateway("live", transport=transport, sleeper=lambda _: None)
+        assert gateway.ask(HouseholdLLMConfig(max_retries=1), "p", str) is None
+        assert transport.calls == TRANSPORT_ATTEMPTS
+
+    def test_other_parse_errors_propagate(self):
+        # Only a ReplyParseError asks again.
+        gateway = CountingGateway("live", transport=lambda request: "reply")
+        with pytest.raises(ValueError, match="invalid literal"):
+            gateway.ask(HouseholdLLMConfig(max_retries=3), "p", int)
+        assert gateway.calls == 1

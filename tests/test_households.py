@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CountingGateway, deterministic_reply, scripted_gateway
+import taxsim.households as households_module
+from helpers import CountingGateway, FlakyTransport, deterministic_reply, scripted_gateway
 from taxsim.config import SimConfig
 from taxsim.economy import Persona, TaxSchedule, compute_tax
-from taxsim.gateway import ChatGateway, ReplayMissError
+from taxsim.gateway import TRANSPORT_ATTEMPTS, ChatGateway, ReplayMissError
 from taxsim.households import (
     _INCOME_PHRASES,
     _PRICE_PHRASES,
@@ -403,6 +404,27 @@ class TestDecide:
         )
         assert decide(backend, context()) == Decision(0.5, 0.5)
 
+    def test_failed_complete_is_retried(self):
+        # The transport fails all the attempts of one complete, then answers.
+        transport = FlakyTransport('{"work": 0.8, "consumption": 0.6}', TRANSPORT_ATTEMPTS)
+        gateway = CountingGateway("live", transport=transport, sleeper=lambda _: None)
+        assert decide(LLMBackend(gateway), context()) == Decision(0.8, 0.6)
+        assert gateway.calls == 2
+        assert transport.calls == TRANSPORT_ATTEMPTS + 1
+
+    def test_parse_function_is_looked_up_when_called(self, monkeypatch):
+        # What lets a tracer replace it in the module's namespace.
+        seen = []
+
+        def parse(text):
+            seen.append(text)
+            return parse_decision_reply(text)
+
+        monkeypatch.setattr(households_module, "parse_decision_reply", parse)
+        reply = '{"work": 0.8, "consumption": 0.6}'
+        assert LLMBackend(scripted_gateway([reply])).decide(context()) == Decision(0.8, 0.6)
+        assert seen == [reply]
+
     def test_replayed_malformed_reply_is_asked_for_once(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         previous = Decision(0.44, 0.38)
@@ -474,15 +496,11 @@ class TestReflect:
         def broken(request):
             raise ConnectionError("down")
 
-        gateway = ChatGateway(
-            "live",
-            transport=broken,
-            endpoint="http://example.invalid",
-            max_attempts=2,
-            sleeper=lambda _: None,
-        )
+        gateway = CountingGateway("live", transport=broken, sleeper=lambda _: None)
         backend = LLMBackend(gateway)
         assert reflect(backend, make_memory(), previous="old note") == "old note"
+        # A review makes one call, with no attempts of its own.
+        assert gateway.calls == 1
 
     def test_reflection_prompt_includes_every_month(self):
         prompt = build_reflection_prompt(make_memory(3))

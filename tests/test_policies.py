@@ -8,15 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import taxsim.policies as policies_module
 from helpers import (
     CountingGateway,
+    FlakyTransport,
     oracle_saez_rates,
     reference_marginal_rate,
     reference_saez_schedule,
     scripted_gateway,
 )
 from taxsim.economy import TaxSchedule
-from taxsim.gateway import ChatGateway, ReplayMissError
+from taxsim.gateway import TRANSPORT_ATTEMPTS, ChatGateway, ReplayMissError
 from taxsim.policies import (
     DEFAULT_BRACKETS,
     US_FEDERAL_RATES,
@@ -489,6 +491,29 @@ class TestTaxAgentPolicy:
         policy = TaxAgentPolicy(gateway, TaxAgentConfig(max_retries=2))
         obs = observation(incomes=[1.0], wealth=[1.0], schedules=[us_federal_schedule()])
         assert policy.propose(obs).rates == (0.2,) * 7
+
+    def test_failed_complete_is_retried(self):
+        # The transport fails all the attempts of one complete, then answers.
+        transport = FlakyTransport("[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]", TRANSPORT_ATTEMPTS)
+        gateway = CountingGateway("live", transport=transport, sleeper=lambda _: None)
+        obs = observation(incomes=[1.0], wealth=[1.0], schedules=[us_federal_schedule()])
+        assert TaxAgentPolicy(gateway).propose(obs).rates == (0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45)
+        assert gateway.calls == 2
+        assert transport.calls == TRANSPORT_ATTEMPTS + 1
+
+    def test_parse_function_is_looked_up_when_called(self, monkeypatch):
+        # What lets a tracer replace it in the module's namespace.
+        seen = []
+
+        def parse(text):
+            seen.append(text)
+            return parse_tax_reply(text)
+
+        monkeypatch.setattr(policies_module, "parse_tax_reply", parse)
+        reply = "[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]"
+        obs = observation(incomes=[1.0], wealth=[1.0], schedules=[us_federal_schedule()])
+        assert TaxAgentPolicy(scripted_gateway([reply])).propose(obs).rates[0] == 0.1
+        assert seen == [reply]
 
     def test_replayed_malformed_reply_is_asked_for_once(self, tmp_path):
         cache = tmp_path / "cache.jsonl"

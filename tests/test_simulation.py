@@ -16,9 +16,9 @@ from conftest import FIXTURES
 from helpers import (
     OUTPUT_FILES,
     CountingGateway,
+    PromptedGateway,
     deterministic_reply,
     panicking_transport,
-    scripted_gateway,
 )
 from taxsim import metrics
 from taxsim.config import ConfigError, GatewayConfig, SimConfig, load_config
@@ -119,9 +119,10 @@ class TestSystems:
 
     def test_tax_agent_with_scripted_gateway(self):
         config = replace(SMALL, tax_system="tax_agent", months=6)
-        gateway = scripted_gateway(["[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]"] * 2)
+        gateway = PromptedGateway(lambda prompt, attempt: "[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]")
         result = run(config, gateway=gateway)
         # proposals at months 1 and 4; the scripted schedule is in force throughout
+        assert gateway.calls == 2
         for record in result.month_records:
             assert record.rates == (0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45)
 
@@ -481,16 +482,22 @@ class TestCompare:
 
     def test_four_system_sweep_shape(self):
         config = replace(SMALL, months=8)
+        planners = []
+
+        def planner(cfg):
+            if cfg.tax_system != "tax_agent":
+                return None
+            planners.append(PromptedGateway(lambda prompt, attempt: "[0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.4]"))
+            return planners[-1]
+
         rows = sweep(
             config,
             systems=("free", "us_federal", "saez", "tax_agent"),
             seeds=(1, 2),
-            gateway_factory=lambda cfg: (
-                scripted_gateway(["[0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.4]"] * 3)
-                if cfg.tax_system == "tax_agent"
-                else None
-            ),
+            gateway_factory=planner,
         )
+        # proposals at months 1, 4 and 7 of each seed
+        assert [gateway.calls for gateway in planners] == [3, 3]
         assert len(rows) == 8
         means = {}
         for row in rows:
