@@ -341,7 +341,9 @@ class ChatGateway:
                 if attempt < TRANSPORT_ATTEMPTS - 1:
                     self._sleep(delay)
                     delay *= BACKOFF_FACTOR
-        raise TransportError(f"transport failed after {TRANSPORT_ATTEMPTS} attempts") from last_error
+        raise TransportError(
+            f"transport failed after {TRANSPORT_ATTEMPTS} attempts"
+        ) from last_error
 
     def _append_exchange(self, request: ChatRequest, response_text: str) -> None:
         record = {

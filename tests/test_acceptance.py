@@ -15,11 +15,11 @@ import pytest
 
 from conftest import FIXTURES
 from helpers import (
+    PromptedGateway,
     oracle_saez_rates,
     pairwise_gini,
     panicking_transport,
     random_cent_income,
-    PromptedGateway,
     random_cent_schedule,
     tax_by_cent_integration,
 )
@@ -286,24 +286,16 @@ def test_criterion_9_structural_invariants():
 
 
 def test_criterion_10_directional_desk_scale():
-    planners = []
-
-    def planner(cfg):
-        if cfg.tax_system != "tax_agent":
-            return None
-        planners.append(PromptedGateway(lambda prompt, attempt: "[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]"))
-        return planners[-1]
-
+    planner = PromptedGateway(lambda prompt, attempt: "[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]")
     start = time.perf_counter()
     rows = sweep(
         SimConfig(),
         systems=("free", "us_federal", "saez", "tax_agent"),
         seeds=(1, 2, 3, 4, 5),
-        gateway_factory=planner,
+        gateway_factory=lambda cfg: planner if cfg.tax_system == "tax_agent" else None,
     )
     elapsed = time.perf_counter() - start
-    # one proposal every 3 of the 120 months, per seed
-    assert [gateway.calls for gateway in planners] == [40] * 5
+    assert planner.calls == 5 * 40  # one proposal every 3 of the 120 months, per seed
     final_gini = {(r.tax_system, r.seed): r.final_gini for r in rows}
     wins = sum(
         final_gini[("free", seed)] >= final_gini[("us_federal", seed)]

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    adjustment_draws,
     PromptedGateway,
+    adjustment_draws,
     market_of,
     sequential_adjustment,
     sequential_consumption,

@@ -16,12 +16,12 @@ from dataclasses import replace
 
 import pytest
 
+import taxsim.simulation as simulation
 from conftest import FIXTURES
 from helpers import deterministic_reply, panicking_transport
 from taxsim.config import SimConfig, load_config
 from taxsim.gateway import ChatGateway, GatewayError
 from taxsim.personas import load_personas, roster_for
-import taxsim.simulation as simulation
 from taxsim.simulation import FAN_OUT_WORKERS, run, sweep
 
 CONFIG = SimConfig(

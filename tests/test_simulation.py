@@ -482,22 +482,14 @@ class TestCompare:
 
     def test_four_system_sweep_shape(self):
         config = replace(SMALL, months=8)
-        planners = []
-
-        def planner(cfg):
-            if cfg.tax_system != "tax_agent":
-                return None
-            planners.append(PromptedGateway(lambda prompt, attempt: "[0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.4]"))
-            return planners[-1]
-
+        planner = PromptedGateway(lambda prompt, attempt: "[0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.4]")
         rows = sweep(
             config,
             systems=("free", "us_federal", "saez", "tax_agent"),
             seeds=(1, 2),
-            gateway_factory=planner,
+            gateway_factory=lambda cfg: planner if cfg.tax_system == "tax_agent" else None,
         )
-        # proposals at months 1, 4 and 7 of each seed
-        assert [gateway.calls for gateway in planners] == [3, 3]
+        assert planner.calls == 2 * 3  # proposals at months 1, 4 and 7 of each seed
         assert len(rows) == 8
         means = {}
         for row in rows:
