@@ -293,10 +293,11 @@ class ChatGateway:
             _end_torn_tail(self._cache_path)
 
     def ask(self, section, prompt: str, parse: Callable[[str], T]) -> T | None:
-        """``parse`` of the first reply to ``prompt`` under an LLM config
-        section that parses, or None when none does, after
-        ``section.max_retries`` attempts, or one in replay, where the same
-        request always gets the same cached reply back. An attempt is one
+        """``parse`` of the first reply to ``prompt`` that it accepts, or
+        None when none does. ``section``, an LLM config section, sets the
+        request's model id, temperature and token cap, and its
+        ``max_retries`` attempts; replay makes one, since the same request
+        always gets the same cached reply back. An attempt is one
         ``complete``; a ``ReplyParseError`` or a ``TransportError`` ends
         it, and every other error, a replay miss included, propagates."""
         request = ChatRequest.of(section, prompt)
