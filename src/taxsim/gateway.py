@@ -3,7 +3,8 @@
 Modes:
   live     - HTTP round trip with exponential backoff, or a constructor-
              injected ``transport`` in its place (tests, offline runs).
-  record   - live, plus every exchange is appended to a JSONL cache.
+  record   - live, plus every exchange is appended to a JSONL cache, which
+             is opened once, when the gateway is built.
   replay   - answers come from the cache only; any network use is a bug.
 
 The cache key is a sha256 over (model_id, prompt, temperature), so a recorded
@@ -20,6 +21,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -290,7 +292,23 @@ class ChatGateway:
         if mode == "replay":
             self._replay_cache = load_cache(self._cache_path)
         if mode == "record":
-            _end_torn_tail(self._cache_path)
+            self._fd = self._open_for_appends(self._cache_path)
+
+    def _open_for_appends(self, path: Path) -> int:
+        """Repair a torn tail of the cache at ``path``, make its missing
+        parent directories and open it for appends, once: every exchange
+        is then one ``os.write`` through the returned descriptor, which is
+        closed when the gateway is collected. A cache that cannot be
+        opened is a setting error before any transport call."""
+        try:
+            _end_torn_tail(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+            fd = os.open(path, flags)
+        except OSError as exc:
+            raise GatewaySettingError("cache_path", f"cannot open the cache: {exc}") from None
+        weakref.finalize(self, os.close, fd)
+        return fd
 
     def ask(self, section, prompt: str, parse: Callable[[str], T]) -> T | None:
         """``parse`` of the first reply to ``prompt`` that it accepts, or
@@ -356,9 +374,7 @@ class ChatGateway:
             "response": response_text,
             "timestamp": time.time(),
         }
-        line = json.dumps(record, ensure_ascii=False)
-        assert self._cache_path is not None
-        with self._lock:
-            self._cache_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self._cache_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        data = memoryview((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
+        with self._lock:  # one whole line at a time, short writes retried
+            while data:
+                data = data[os.write(self._fd, data) :]

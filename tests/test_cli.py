@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import taxsim.gateway as gateway_module
 from conftest import FIXTURES
 from taxsim.cli import main
 
@@ -81,6 +82,26 @@ class TestRunCommand:
         assert captured.err.startswith("taxsim: error: gateway.cache_path")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_record_cache_under_a_file_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TAXSIM_API_KEY", "secret")
+        calls = []
+        monkeypatch.setattr(gateway_module, "http_chat_transport", lambda *args: calls.append)
+        (tmp_path / "f").write_text("a file, not a directory")
+        config = tmp_path / "config.json"
+        gateway = {
+            "mode": "record",
+            "endpoint": "http://example.invalid",
+            "cache_path": str(tmp_path / "f" / "cache.jsonl"),
+        }
+        config.write_text(json.dumps({"tax_system": "tax_agent", "gateway": gateway}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("taxsim: error: gateway.cache_path")
+        assert captured.err.count("\n") == 1
+        assert calls == []
         assert not (tmp_path / "out").exists()
 
     def test_lone_surrogate_persona_is_one_error_line(self, tmp_path, capsys):

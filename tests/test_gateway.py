@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import taxsim.gateway as gateway_module
 from helpers import CountingGateway, FlakyTransport, panicking_transport
 from taxsim.config import HouseholdLLMConfig, TaxAgentConfig
 from taxsim.gateway import (
@@ -449,6 +452,83 @@ class TestConcurrency:
         records = [json.loads(line) for line in cache.read_text().splitlines()]
         assert len(records) == 20
         assert {r["prompt"] for r in records} == {f"p{i}" for i in range(20)}
+
+
+class _SyscallLog:
+    """The ``os`` module as ``taxsim.gateway`` sees it, counting ``open``,
+    ``write`` and ``close``; ``write`` writes at most ``max_write`` bytes a
+    call, as a short write may."""
+
+    def __init__(self, max_write: int | None = None) -> None:
+        self.calls = {"open": 0, "write": 0, "close": 0}
+        self.max_write = max_write
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def open(self, *args, **kwargs):
+        self.calls["open"] += 1
+        return os.open(*args, **kwargs)
+
+    def write(self, fd, data):
+        self.calls["write"] += 1
+        return os.write(fd, data[: self.max_write])
+
+    def close(self, fd):
+        self.calls["close"] += 1
+        return os.close(fd)
+
+
+def _complete_on_threads(gateway, requests, threads: int) -> None:
+    with ThreadPoolExecutor(threads) as pool:
+        list(pool.map(gateway.complete, requests))
+
+
+class TestRecordCacheDescriptor:
+    def test_cache_opened_once_and_written_once_per_exchange(self, tmp_path, monkeypatch):
+        syscalls = _SyscallLog()
+        monkeypatch.setattr(gateway_module, "os", syscalls)
+        opened: list[tuple] = []  # what the module opens through the builtin
+
+        def logged_open(*args, **kwargs):
+            opened.append(args)
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(gateway_module, "open", logged_open, raising=False)
+        cache = tmp_path / "cache.jsonl"
+        gateway = ChatGateway("record", cache_path=cache, transport=lambda req: req.prompt)
+        requests = [ChatRequest(model_id="m", prompt=f"p{i}") for i in range(20)]
+        _complete_on_threads(gateway, requests, threads=8)
+        assert syscalls.calls == {"open": 1, "write": 20, "close": 0}
+        assert opened == []
+        assert load_cache(cache) == {exchange_key("m", f"p{i}", 0.7): f"p{i}" for i in range(20)}
+
+    def test_short_writes_are_retried_into_whole_lf_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gateway_module, "os", _SyscallLog(max_write=1_000))
+        cache = tmp_path / "cache.jsonl"
+        reply = "\u00e9" * 100_000  # 200 KB of UTF-8
+        gateway = ChatGateway("record", cache_path=cache, transport=lambda req: req.prompt + reply)
+        requests = [ChatRequest(model_id="m", prompt=f"p{i}") for i in range(4)]
+        _complete_on_threads(gateway, requests, threads=4)
+        data = cache.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        prompts = [json.loads(line)["prompt"] for line in data.splitlines()]
+        assert sorted(prompts) == ["p0", "p1", "p2", "p3"]
+        want = {exchange_key("m", f"p{i}", 0.7): f"p{i}" + reply for i in range(4)}
+        assert load_cache(cache) == want
+
+    def test_construction_makes_the_cache_and_its_directories(self, tmp_path):
+        cache = tmp_path / "new" / "dirs" / "cache.jsonl"
+        ChatGateway("record", cache_path=cache, transport=panicking_transport)
+        assert cache.read_bytes() == b""
+
+    def test_cache_that_cannot_be_opened_fails_before_any_call(self, tmp_path):
+        (tmp_path / "f").write_text("a file, not a directory")
+        calls: list[ChatRequest] = []
+        with pytest.raises(GatewaySettingError) as caught:
+            ChatGateway("record", cache_path=tmp_path / "f" / "cache.jsonl", transport=calls.append)
+        assert caught.value.setting == "cache_path"
+        assert calls == []
 
 
 class TestModeValidation:
