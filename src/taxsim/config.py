@@ -55,11 +55,13 @@ class AdjustmentParams:
 
     max_wage_step: float = _checked(0.05, gt=0, le=1)
     max_price_step: float = _checked(0.10, gt=0, le=1)
-    natural_rate: float = 0.01
-    target_inflation: float = 0.02
-    inflation_response: float = 0.5
-    unemployment_response: float = 0.5
-    natural_unemployment: float = 0.04
+    # The bounds lie far beyond any plausible economy; past them the annual
+    # interest accrual could overflow the savings to inf (README).
+    natural_rate: float = _checked(0.01, ge=-1, le=1)
+    target_inflation: float = _checked(0.02, ge=-1, le=1)
+    inflation_response: float = _checked(0.5, ge=-10, le=10)
+    unemployment_response: float = _checked(0.5, ge=-10, le=10)
+    natural_unemployment: float = _checked(0.04, ge=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -93,12 +95,14 @@ class HouseholdLLMConfig:
 
 @dataclass
 class InitialConditions:
-    """Month-0 state: log-normal wage/savings draws plus market scalars."""
+    """Month-0 state: log-normal wage/savings draws plus market scalars.
+    The draws' upper bounds lie far beyond any plausible population; past
+    them a draw or the incomes and demand built on it could overflow."""
 
-    wage_median: float = _checked(25.0, gt=0)
-    wage_sigma: float = _checked(0.8, ge=0)
-    savings_median: float = _checked(50_000.0, gt=0)
-    savings_sigma: float = _checked(0.6, ge=0)
+    wage_median: float = _checked(25.0, gt=0, le=1e6)
+    wage_sigma: float = _checked(0.8, ge=0, le=10)
+    savings_median: float = _checked(50_000.0, gt=0, le=1e9)
+    savings_sigma: float = _checked(0.6, ge=0, le=10)
     price: float = _checked(126.78, gt=0)
     interest_rate: float = _checked(0.03, ge=0)
     inventory: float = _checked(0.0, ge=0)
@@ -109,7 +113,7 @@ class SimConfig:
     # The caps keep every array of a run within 4 x months x N floats (README).
     n_households: int = _checked(50, ge=1, le=1_000_000)
     months: int = _checked(120, ge=1, le=1_200)
-    productivity: float = _checked(1.0, gt=0)
+    productivity: float = _checked(1.0, gt=0, le=1e6)
     seed: int = _checked(0, ge=0)
     tax_system: str = _checked("us_federal", choices=TAX_SYSTEMS)
     household_backend: str = _checked("rule_based", choices=HOUSEHOLD_BACKENDS)

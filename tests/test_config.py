@@ -16,6 +16,26 @@ from taxsim.simulation import run
 
 URL = "http://example.invalid"
 
+# Each bound of the draws, the productivity and the Taylor rule, alone.
+BOUND_VALUES = [
+    {"productivity": 1e6},
+    {"initial": {"wage_median": 1e6}},
+    {"initial": {"wage_sigma": 10}},
+    {"initial": {"savings_median": 1e9}},
+    {"initial": {"savings_sigma": 10}},
+    *(
+        {"adjustment": {key: value}}
+        for key, low, high in (
+            ("natural_rate", -1, 1),
+            ("target_inflation", -1, 1),
+            ("inflation_response", -10, 10),
+            ("unemployment_response", -10, 10),
+            ("natural_unemployment", 0, 1),
+        )
+        for value in (low, high)
+    ),
+]
+
 
 class TestValidation:
     def test_defaults_are_valid(self):
@@ -86,6 +106,18 @@ class TestValidation:
             # elasticities whose e * z overflows to inf: rejected, not a ScheduleError
             ("saez.elasticity", {"saez": {"elasticity": 1e305}}),
             ("saez.elasticity", {"saez": {"elasticity": 100.5}}),
+            # values whose draws, incomes, demand or interest accrual overflow
+            ("initial.wage_sigma", {"initial": {"wage_sigma": 1e6}}),
+            ("initial.wage_median", {"initial": {"wage_median": 1e308}}),
+            ("initial.savings_median", {"initial": {"savings_median": 1e308}}),
+            ("productivity", {"productivity": 1e308}),
+            ("adjustment.natural_rate", {"adjustment": {"natural_rate": 1e308}}),
+            ("adjustment.inflation_response", {"adjustment": {"inflation_response": -1e308}}),
+            ("initial.savings_sigma", {"initial": {"savings_sigma": 1e6}}),
+            ("adjustment.target_inflation", {"adjustment": {"target_inflation": 1e308}}),
+            ("adjustment.natural_unemployment", {"adjustment": {"natural_unemployment": 1e308}}),
+            ("adjustment.unemployment_response", {"adjustment": {"unemployment_response": 1e308}}),
+            ("adjustment.unemployment_response", {"adjustment": {"unemployment_response": -1e308}}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):
@@ -109,6 +141,10 @@ class TestValidation:
                     },
                 }
             ).validate()
+        for data in BOUND_VALUES:
+            for tax_system in ("free", "us_federal", "saez"):
+                size = {"n_households": 5, "months": 24, "tax_system": tax_system}
+                run(config_from_dict({**data, **size}))
 
     @pytest.mark.parametrize(
         "key,gateway,credential",

@@ -160,9 +160,9 @@ class TestWriter:
         out = result.write_outputs(tmp_path)
         assert (out / "households.csv").read_bytes() == percent_households_csv(result.households)
 
-    def test_savings_median_of_1e300_is_written_by_percent(self, tmp_path):
-        config = SimConfig(n_households=4, months=3, seed=1)
-        config.initial = replace(config.initial, savings_median=1e300)
+    def test_savings_drawn_at_the_bounds_are_written_by_percent(self, tmp_path):
+        config = SimConfig(n_households=50, months=3, seed=2)
+        config.initial = replace(config.initial, savings_median=1e9, savings_sigma=10.0)
         result = run(config)
         assert result.households["savings"].max() >= 2.0**63
         out = result.write_outputs(tmp_path)
