@@ -267,18 +267,18 @@ class ChatGateway:
         if mode not in GATEWAY_MODES:
             raise ValueError(f"unknown gateway mode {mode!r}")
         self.mode = mode
-        self._cache_path = Path(cache_path) if cache_path else None
+        path = Path(cache_path) if cache_path else None
         self._transport = transport
         self._sleep = sleeper
         self._lock = threading.Lock()
         self._replay_cache: dict[str, str] = {}
 
         # Every setting is checked before the cache is read or repaired.
-        if mode in ("replay", "record") and self._cache_path is None:
+        if mode in ("replay", "record") and path is None:
             raise GatewaySettingError("cache_path", f"{mode} mode requires a cache path")
-        if mode == "replay" and not self._cache_path.is_file():
+        if mode == "replay" and not path.is_file():
             raise GatewaySettingError("cache_path", "replay needs an existing cache file")
-        if mode == "record" and self._cache_path.is_dir():
+        if mode == "record" and path.is_dir():
             raise GatewaySettingError("cache_path", "record needs a cache file, not a directory")
         if mode in ("live", "record") and self._transport is None:
             if not endpoint:
@@ -290,25 +290,18 @@ class ChatGateway:
                 )
             self._transport = http_chat_transport(endpoint, api_key, timeout)
         if mode == "replay":
-            self._replay_cache = load_cache(self._cache_path)
+            self._replay_cache = load_cache(path)
         if mode == "record":
-            self._fd = self._open_for_appends(self._cache_path)
-
-    def _open_for_appends(self, path: Path) -> int:
-        """Repair a torn tail of the cache at ``path``, make its missing
-        parent directories and open it for appends, once: every exchange
-        is then one ``os.write`` through the returned descriptor, which is
-        closed when the gateway is collected. A cache that cannot be
-        opened is a setting error before any transport call."""
-        try:
-            _end_torn_tail(path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
-            fd = os.open(path, flags)
-        except OSError as exc:
-            raise GatewaySettingError("cache_path", f"cannot open the cache: {exc}") from None
-        weakref.finalize(self, os.close, fd)
-        return fd
+            # Opened once, so that each exchange is one os.write with no
+            # mkdir, open or close; the descriptor lives as long as the gateway.
+            try:
+                _end_torn_tail(path)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+                self._fd = os.open(path, flags)
+            except OSError as exc:
+                raise GatewaySettingError("cache_path", f"cannot open the cache: {exc}") from None
+            weakref.finalize(self, os.close, self._fd)
 
     def ask(self, section, prompt: str, parse: Callable[[str], T]) -> T | None:
         """``parse`` of the first reply to ``prompt`` that it accepts, or
