@@ -13,7 +13,7 @@ import numpy as np
 from taxsim.config import SimConfig
 from taxsim.economy import sequential_sum
 from taxsim.metrics import MetricSnapshot
-from taxsim.tables import write_records, write_rows, write_tuples
+from taxsim.tables import word_tables, write_records, write_rows, write_tuples
 
 
 @dataclass
@@ -72,6 +72,7 @@ class SimulationResult:
         households.csv under ``out_dir``; numbers carry six decimals."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        tables = word_tables()
         # monthly.csv flattens each record's rates and metrics; it leaves out
         # the month's totals.
         n_rates = len(self.month_records[0].rates)
@@ -89,8 +90,9 @@ class SimulationResult:
                 )
                 for r in self.month_records
             ],
+            tables,
         )
-        write_records(out / "annual.csv", AnnualRecord, self.annual_records)
+        write_records(out / "annual.csv", AnnualRecord, self.annual_records, tables)
         if self.config.write_households:
             months, n = self.households["savings"].shape
             flat = [self.households[c].ravel() for c in HOUSEHOLD_COLUMNS]
@@ -106,6 +108,7 @@ class SimulationResult:
                 ["%d", "%d", *("%d" if c == "employed" else "%.6f" for c in HOUSEHOLD_COLUMNS)],
                 months * n,
                 household_block,
+                tables,
             )
         (out / "summary.json").write_text(
             json.dumps(self.summary, indent=2) + "\n", encoding="utf-8"
@@ -140,4 +143,4 @@ class ComparisonResult:
 
     def write_csv(self, path: str | Path) -> None:
         """Write comparison.csv: one row per run, numbers with six decimals."""
-        write_records(Path(path), ComparisonRow, self.rows)
+        write_records(Path(path), ComparisonRow, self.rows, word_tables())
