@@ -23,6 +23,7 @@ BOUND_VALUES = [
     {"initial": {"wage_sigma": 10}},
     {"initial": {"savings_median": 1e9}},
     {"initial": {"savings_sigma": 10}},
+    {"initial": {"price": 1e9}},
     *(
         {"adjustment": {key: value}}
         for key, low, high in (
@@ -118,6 +119,9 @@ class TestValidation:
             ("adjustment.natural_unemployment", {"adjustment": {"natural_unemployment": 1e308}}),
             ("adjustment.unemployment_response", {"adjustment": {"unemployment_response": 1e308}}),
             ("adjustment.unemployment_response", {"adjustment": {"unemployment_response": -1e308}}),
+            # a price whose demand overflows: the run ended with a NaN inflation
+            ("initial.price", {"initial": {"price": 1e308}}),
+            ("initial.price", {"initial": {"price": 2e9}}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):
