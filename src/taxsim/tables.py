@@ -25,8 +25,8 @@ _FORMATS = {"int": "%d", "float": "%.6f", "str": "%s"}
 
 # Rows formatted in one numpy pass. A block's temporaries peak at about 570
 # bytes a row of households.csv (tracemalloc, saez at N=500), and peak RSS
-# grows with them: at 500 x 120, 4096 rows a block raised peak RSS by 2 to
-# 4 MiB (at 700 bytes a row) and now formats no faster than 512; 1024 rows
+# grows with them. At 500 x 120, 4096 rows a block format no faster than 512
+# (and raised peak RSS by 2 to 4 MiB when a row took 700 bytes); 1024 rows
 # format about 15 % faster than 512, with twice the temporaries.
 _BLOCK_ROWS = 512
 

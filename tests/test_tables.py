@@ -30,13 +30,7 @@ def percent(formats, columns) -> bytes:
 
 def numpy_text(formats, columns) -> bytes:
     """The block's text, which must come from the numpy path."""
-    words = _format_numbers(formats, columns, TABLES)
-    assert words is not None, "numpy declined a block it should format"
-    return _format_block(formats, columns, TABLES)
-
-
-def block_text(formats, columns) -> bytes:
-    """The block's text, from either path."""
+    assert _format_numbers(formats, columns, TABLES) is not None, "numpy declined it"
     return _format_block(formats, columns, TABLES)
 
 
@@ -76,7 +70,7 @@ class TestFloatsMatchPercent:
         formable = np.abs(x) < 2.0**63  # False for NaN
         if formable.any():
             assert_floats_match(x[formable])
-        assert block_text(["%.6f"], [x]) == percent(["%.6f"], [x])
+        assert _format_block(["%.6f"], [x], TABLES) == percent(["%.6f"], [x])
 
     def test_decimal_midpoints_and_neighbours(self):
         # (k + 0.5) / 1e6 lies within an ulp of a rounding boundary: a naive
