@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from taxsim.config import TAX_SYSTEMS, ConfigError, SimConfig, load_config
+from taxsim.gateway import GatewayError
 from taxsim.simulation import ComparisonResult, run, sweep
 
 
@@ -103,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a bad config or argument prints one error line and
-    returns 2, as argparse does for a malformed command line."""
+    """Run one command; a bad config, argument or cache prints one error
+    line and returns 2, as argparse does for a malformed command line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, GatewayError) as exc:
         print(f"taxsim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,7 +104,7 @@ class InitialConditions:
     savings_median: float = _checked(50_000.0, gt=0, le=1e9)
     savings_sigma: float = _checked(0.6, ge=0, le=10)
     price: float = _checked(126.78, gt=0, le=1e9)
-    interest_rate: float = _checked(0.03, ge=0)
+    interest_rate: float = _checked(0.03, ge=0, le=1)
     inventory: float = _checked(0.0, ge=0)
 
 

@@ -1,8 +1,11 @@
 """Uniform chat-completion access with retries and a record/replay cache.
 
+Every LLM call is a ``ChatGateway.ask``, the one retry loop; each of its
+attempts is one ``complete``, which is one transport call outside replay.
+
 Modes:
-  live     - HTTP round trip with exponential backoff, or a constructor-
-             injected ``transport`` in its place (tests, offline runs).
+  live     - HTTP round trip, or a constructor-injected ``transport`` in its
+             place (tests, offline runs).
   record   - live, plus every exchange is appended to a JSONL cache, which
              is opened once, when the gateway is built.
   replay   - answers come from the cache only; any network use is a bug.
@@ -29,9 +32,8 @@ from typing import Callable, Iterator, TypeVar
 
 GATEWAY_MODES = ("live", "record", "replay")
 
-# How often a live or record ``complete`` tries the transport, and the
-# exponential backoff between tries: 1, 2, 4 and 8 seconds.
-TRANSPORT_ATTEMPTS = 5
+# ``ask`` sleeps BACKOFF_BASE * BACKOFF_FACTOR**k seconds (1, 2, 4, ...) when
+# the transport fails on its attempt k, counted from 0, and another follows.
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
 
@@ -52,7 +54,7 @@ class GatewaySettingError(GatewayError):
 
 
 class TransportError(GatewayError):
-    """All transport attempts failed; callers may fall back."""
+    """A transport call failed or returned no text; ``ask`` tries again."""
 
 
 class ReplyParseError(ValueError):
@@ -250,7 +252,7 @@ def _without_surrogates(text: str) -> str:
 
 
 class ChatGateway:
-    """Mode-switched chat access. Safe for concurrent ``complete`` calls:
+    """Mode-switched chat access. Safe for concurrent ``ask`` calls:
     cache appends are serialized, replay lookups are read-only after load."""
 
     def __init__(
@@ -309,18 +311,25 @@ class ChatGateway:
         request's model id, temperature and token cap, and its
         ``max_retries`` attempts; replay makes one, since the same request
         always gets the same cached reply back. An attempt is one
-        ``complete``; a ``ReplyParseError`` or a ``TransportError`` ends
-        it, and every other error, a replay miss included, propagates."""
+        ``complete``; a ``ReplyParseError`` or a ``TransportError`` ends it,
+        the latter followed by the backoff unless it was the last, and every
+        other error, a replay miss included, propagates."""
         request = ChatRequest.of(section, prompt)
-        for _ in range(1 if self.mode == "replay" else section.max_retries):
+        attempts = 1 if self.mode == "replay" else section.max_retries
+        for attempt in range(attempts):
             try:
                 return parse(self.complete(request))
-            except (ReplyParseError, TransportError):
+            except ReplyParseError:
                 continue
+            except TransportError:
+                if attempt < attempts - 1:
+                    self._sleep(BACKOFF_BASE * BACKOFF_FACTOR**attempt)
         return None
 
     def complete(self, request: ChatRequest) -> str:
-        """Resolve one request to a response text according to the mode.
+        """Resolve one request to a response text according to the mode:
+        outside replay, one transport call, whose error (other than a
+        ``GatewayError``) or non-``str`` reply is a ``TransportError``.
         Each lone surrogate code point of a reply (a reply cut inside an
         escaped surrogate pair holds one) becomes U+FFFD, in every mode, so
         the reply can be recorded and put into later prompts, and live,
@@ -334,28 +343,18 @@ class ChatGateway:
                     f"no cached exchange for key {key}; the cache does not cover "
                     "this prompt"
                 ) from None
-        text = _without_surrogates(self._call_with_backoff(request))
+        try:
+            text = self._transport(request)
+        except GatewayError:
+            raise
+        except Exception as exc:
+            raise TransportError(f"transport failed: {exc!r}") from exc
+        if not isinstance(text, str):
+            raise TransportError(f"transport returned {type(text).__name__}, not text")
+        text = _without_surrogates(text)
         if self.mode == "record":
             self._append_exchange(request, text)
         return text
-
-    def _call_with_backoff(self, request: ChatRequest) -> str:
-        assert self._transport is not None
-        delay = BACKOFF_BASE
-        last_error: Exception | None = None
-        for attempt in range(TRANSPORT_ATTEMPTS):
-            try:
-                return self._transport(request)
-            except GatewayError:
-                raise
-            except Exception as exc:
-                last_error = exc
-                if attempt < TRANSPORT_ATTEMPTS - 1:
-                    self._sleep(delay)
-                    delay *= BACKOFF_FACTOR
-        raise TransportError(
-            f"transport failed after {TRANSPORT_ATTEMPTS} attempts"
-        ) from last_error
 
     def _append_exchange(self, request: ChatRequest, response_text: str) -> None:
         record = {

@@ -21,7 +21,7 @@ import numpy as np
 
 from taxsim.config import HouseholdLLMConfig
 from taxsim.economy import Persona, TaxSchedule, quantize_fraction
-from taxsim.gateway import ChatGateway, ChatRequest, ReplyParseError, TransportError
+from taxsim.gateway import ChatGateway, ReplyParseError
 
 INCREASED = "increased"
 DECREASED = "decreased"
@@ -248,10 +248,9 @@ def rule_based_decide(tax, expected_income, savings, price: float) -> tuple:
 class LLMBackend:
     """LLM-driven decisions and reflections through a chat gateway.
 
-    A decision is the gateway's ``ask``; when no reply parses it raises
-    DecisionError for the caller's fallback. A reflection is one
-    ``complete``, whose TransportError the caller falls back from. A replay
-    cache miss always propagates.
+    Each is the gateway's ``ask``. A decision raises DecisionError for the
+    caller's fallback when no reply parses; a reflection takes any text and
+    returns None when no attempt gets one. A replay cache miss propagates.
     """
 
     def __init__(
@@ -267,9 +266,8 @@ class LLMBackend:
             raise DecisionError("no parsable decision after retries")
         return decision
 
-    def reflect(self, memory: Collection[MemoryEntry]) -> str:
-        request = ChatRequest.of(self.config, build_reflection_prompt(memory))
-        return self.gateway.complete(request).strip()
+    def reflect(self, memory: Collection[MemoryEntry]) -> str | None:
+        return self.gateway.ask(self.config, build_reflection_prompt(memory), str.strip)
 
 
 def decide(
@@ -288,11 +286,9 @@ def decide(
 
 
 def reflect(backend: LLMBackend, memory: Collection[MemoryEntry], previous: str = "") -> str:
-    """Total reflection step: empty memory yields an empty note, and any
-    transport failure keeps the previous note."""
+    """Total reflection step: empty memory yields an empty note, and a
+    reflection that gets no reply keeps the previous note."""
     if not memory:
         return ""
-    try:
-        return backend.reflect(memory)
-    except TransportError:
-        return previous
+    note = backend.reflect(memory)
+    return previous if note is None else note

@@ -224,3 +224,22 @@ class TestReplayCommand:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cache_text,error",
+        [
+            ("", "no cached exchange for key"),
+            ('not json\n{"key": "k", "response": "r"}\n', "bad record on line 1"),
+        ],
+        ids=["replay_miss", "corrupt_cache"],
+    )
+    def test_bad_cache_is_one_error_line(self, tmp_path, capsys, cache_text, error):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(cache_text)
+        out = tmp_path / "out"
+        argv = ["replay", "--config", str(FIXTURES / "replay_config.json")]
+        assert main(argv + ["--cache", str(cache), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("taxsim: error: ") and error in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (out / "monthly.csv").exists()

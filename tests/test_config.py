@@ -24,6 +24,7 @@ BOUND_VALUES = [
     {"initial": {"savings_median": 1e9}},
     {"initial": {"savings_sigma": 10}},
     {"initial": {"price": 1e9}},
+    {"initial": {"interest_rate": 1}},
     *(
         {"adjustment": {key: value}}
         for key, low, high in (
@@ -122,6 +123,8 @@ class TestValidation:
             # a price whose demand overflows: the run ended with a NaN inflation
             ("initial.price", {"initial": {"price": 1e308}}),
             ("initial.price", {"initial": {"price": 2e9}}),
+            # a rate the household prompt spelled as inf%
+            ("initial.interest_rate", {"initial": {"interest_rate": 1e308}}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):

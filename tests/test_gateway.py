@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -14,13 +15,13 @@ import taxsim.gateway as gateway_module
 from helpers import CountingGateway, FlakyTransport, panicking_transport
 from taxsim.config import HouseholdLLMConfig, TaxAgentConfig
 from taxsim.gateway import (
-    TRANSPORT_ATTEMPTS,
     CacheCorruptError,
     ChatGateway,
     ChatRequest,
     GatewayError,
     GatewaySettingError,
     ReplayMissError,
+    ReplyParseError,
     TransportError,
     _end_torn_tail,
     _TAIL_BLOCK,
@@ -338,24 +339,27 @@ class TestRecordAfterInterruption:
 
 
 class TestLiveMode:
-    def test_backoff_then_failure(self):
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_one_complete_is_one_transport_call(self, mode, tmp_path):
         sleeps: list[float] = []
-        calls = {"n": 0}
-
-        def always_down(request):
-            calls["n"] += 1
-            raise ConnectionError("down")
-
+        transport = FlakyTransport("answer", 1)
         gateway = ChatGateway(
-            "live",
-            transport=always_down,
-            endpoint="http://example.invalid",
-            sleeper=sleeps.append,
+            mode, cache_path=tmp_path / "cache.jsonl", transport=transport, sleeper=sleeps.append
         )
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError) as caught:
             gateway.complete(REQUEST)
-        assert calls["n"] == 5
-        assert sleeps == [1.0, 2.0, 4.0, 8.0]
+        assert isinstance(caught.value.__cause__, ConnectionError)
+        assert transport.calls == 1 and sleeps == []
+        assert gateway.complete(REQUEST) == "answer"
+        assert transport.calls == 2
+
+    @pytest.mark.parametrize("reply", [None, b"bytes", 7])
+    def test_reply_that_is_not_text_is_a_transport_error(self, reply, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        gateway = ChatGateway("record", cache_path=cache, transport=lambda request: reply)
+        with pytest.raises(TransportError, match="not text"):
+            gateway.complete(REQUEST)
+        assert cache.read_bytes() == b""
 
     def test_transport_gateway_error_is_raised_at_once(self):
         # What lets a test transport fail loudly, e.g. when its replies run out.
@@ -368,25 +372,8 @@ class TestLiveMode:
 
         gateway = ChatGateway("live", transport=refusing, sleeper=sleeps.append)
         with pytest.raises(GatewayError, match="no replies left"):
-            gateway.complete(REQUEST)
+            gateway.ask(HouseholdLLMConfig(max_retries=3), "p", str)
         assert calls["n"] == 1 and sleeps == []
-
-    def test_recovers_after_transient_failures(self):
-        attempts = {"n": 0}
-
-        def flaky(request):
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                raise ConnectionError("blip")
-            return "finally"
-
-        gateway = ChatGateway(
-            "live",
-            transport=flaky,
-            endpoint="http://example.invalid",
-            sleeper=lambda _: None,
-        )
-        assert gateway.complete(REQUEST) == "finally"
 
     def test_live_without_credential_rejected(self, monkeypatch):
         monkeypatch.delenv("TAXSIM_API_KEY", raising=False)
@@ -587,10 +574,41 @@ class TestAsk:
         assert ChatRequest.of(section, "p") == requests[0]
 
     def test_failed_complete_costs_an_attempt(self):
-        transport = FlakyTransport("answer", TRANSPORT_ATTEMPTS)
-        gateway = ChatGateway("live", transport=transport, sleeper=lambda _: None)
+        sleeps: list[float] = []
+        transport = FlakyTransport("answer", 1)
+        gateway = ChatGateway("live", transport=transport, sleeper=sleeps.append)
+        # No backoff follows the last attempt.
         assert gateway.ask(HouseholdLLMConfig(max_retries=1), "p", str) is None
-        assert transport.calls == TRANSPORT_ATTEMPTS
+        assert transport.calls == 1 and sleeps == []
+
+    def test_always_down_transport_backs_off_between_attempts(self):
+        sleeps: list[float] = []
+        transport = FlakyTransport("answer", 10**9)
+        gateway = ChatGateway("live", transport=transport, sleeper=sleeps.append)
+        assert gateway.ask(HouseholdLLMConfig(max_retries=5), "p", str) is None
+        assert transport.calls == 5
+        assert sleeps == [1.0, 2.0, 4.0, 8.0]
+
+    def test_recovers_after_transient_failures(self):
+        sleeps: list[float] = []
+        transport = FlakyTransport("finally", 2)
+        gateway = ChatGateway("live", transport=transport, sleeper=sleeps.append)
+        assert gateway.ask(HouseholdLLMConfig(max_retries=3), "p", str) == "finally"
+        assert transport.calls == 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_unparsable_reply_is_asked_again_at_once(self):
+        sleeps: list[float] = []
+        replies = iter(["bad", "bad", "7"])
+        gateway = ChatGateway("live", transport=lambda r: next(replies), sleeper=sleeps.append)
+
+        def parse(text):
+            if not text.isdigit():
+                raise ReplyParseError(text)
+            return int(text)
+
+        assert gateway.ask(HouseholdLLMConfig(max_retries=3), "p", parse) == 7
+        assert sleeps == []
 
     def test_other_parse_errors_propagate(self):
         # Only a ReplyParseError asks again.
@@ -598,3 +616,36 @@ class TestAsk:
         with pytest.raises(ValueError, match="invalid literal"):
             gateway.ask(HouseholdLLMConfig(max_retries=3), "p", int)
         assert gateway.calls == 1
+
+
+def complete_callers(path: Path) -> list[str]:
+    """The qualified name of the function around each ``.complete(`` call
+    in a module's source."""
+    found = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "complete"
+            ):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_only_ask_calls_complete():
+    # Every LLM call goes through ask, the one retry loop.
+    package = Path(gateway_module.__file__).parent
+    callers = {
+        path.name: complete_callers(path) for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in callers.items() if found} == {
+        "gateway.py": ["ChatGateway.ask"]
+    }

@@ -12,7 +12,7 @@ import taxsim.households as households_module
 from helpers import CountingGateway, FlakyTransport, deterministic_reply, scripted_gateway
 from taxsim.config import SimConfig
 from taxsim.economy import Persona, TaxSchedule, compute_tax
-from taxsim.gateway import TRANSPORT_ATTEMPTS, ChatGateway, ReplayMissError
+from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.households import (
     _INCOME_PHRASES,
     _PRICE_PHRASES,
@@ -405,12 +405,40 @@ class TestDecide:
         assert decide(backend, context()) == Decision(0.5, 0.5)
 
     def test_failed_complete_is_retried(self):
-        # The transport fails all the attempts of one complete, then answers.
-        transport = FlakyTransport('{"work": 0.8, "consumption": 0.6}', TRANSPORT_ATTEMPTS)
+        # One attempt is one transport call: the first fails, the second answers.
+        transport = FlakyTransport('{"work": 0.8, "consumption": 0.6}', 1)
         gateway = CountingGateway("live", transport=transport, sleeper=lambda _: None)
         assert decide(LLMBackend(gateway), context()) == Decision(0.8, 0.6)
-        assert gateway.calls == 2
-        assert transport.calls == TRANSPORT_ATTEMPTS + 1
+        assert gateway.calls == transport.calls == 2
+
+    def test_reply_that_is_not_text_returns_fallback(self):
+        sleeps: list[float] = []
+        gateway = CountingGateway("live", transport=lambda request: None, sleeper=sleeps.append)
+        previous = Decision(0.44, 0.38)
+        assert decide(LLMBackend(gateway), context(), fallback=previous) == previous
+        assert gateway.calls == HouseholdLLMConfig().max_retries
+        assert sleeps == [1.0, 2.0]
+
+    def test_null_http_content_returns_fallback(self, monkeypatch):
+        # An OpenAI-style reply whose message content is null.
+        import requests
+
+        class NullContent:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"choices": [{"message": {"role": "assistant", "content": None}}]}
+
+        posts = []
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: posts.append(kw) or NullContent())
+        monkeypatch.setenv("TAXSIM_API_KEY", "key")
+        sleeps: list[float] = []
+        gateway = ChatGateway("live", endpoint="http://example.invalid", sleeper=sleeps.append)
+        previous = Decision(0.44, 0.38)
+        assert decide(LLMBackend(gateway), context(), fallback=previous) == previous
+        assert len(posts) == HouseholdLLMConfig().max_retries
+        assert sleeps == [1.0, 2.0]
 
     def test_parse_function_is_looked_up_when_called(self, monkeypatch):
         # What lets a tracer replace it in the module's namespace.
@@ -493,14 +521,21 @@ class TestReflect:
         assert reflect(backend, make_memory()) == "save more when prices rise"
 
     def test_transport_failure_keeps_previous_note(self):
-        def broken(request):
-            raise ConnectionError("down")
-
-        gateway = CountingGateway("live", transport=broken, sleeper=lambda _: None)
+        sleeps: list[float] = []
+        transport = FlakyTransport("never read", 10**9)
+        gateway = CountingGateway("live", transport=transport, sleeper=sleeps.append)
         backend = LLMBackend(gateway)
         assert reflect(backend, make_memory(), previous="old note") == "old note"
-        # A review makes one call, with no attempts of its own.
-        assert gateway.calls == 1
+        # A review asks like a decision: max_retries attempts, with backoff.
+        assert gateway.calls == transport.calls == HouseholdLLMConfig().max_retries
+        assert sleeps == [1.0, 2.0]
+
+    def test_failed_complete_is_retried(self):
+        transport = FlakyTransport("  save more when prices rise\n", 1)
+        gateway = CountingGateway("live", transport=transport, sleeper=lambda _: None)
+        note = reflect(LLMBackend(gateway), make_memory(), previous="old note")
+        assert note == "save more when prices rise"
+        assert gateway.calls == 2
 
     def test_reflection_prompt_includes_every_month(self):
         prompt = build_reflection_prompt(make_memory(3))

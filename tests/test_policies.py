@@ -18,7 +18,7 @@ from helpers import (
     scripted_gateway,
 )
 from taxsim.economy import TaxSchedule
-from taxsim.gateway import TRANSPORT_ATTEMPTS, ChatGateway, ReplayMissError
+from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.policies import (
     DEFAULT_BRACKETS,
     US_FEDERAL_RATES,
@@ -493,13 +493,12 @@ class TestTaxAgentPolicy:
         assert policy.propose(obs).rates == (0.2,) * 7
 
     def test_failed_complete_is_retried(self):
-        # The transport fails all the attempts of one complete, then answers.
-        transport = FlakyTransport("[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]", TRANSPORT_ATTEMPTS)
+        # One attempt is one transport call: the first fails, the second answers.
+        transport = FlakyTransport("[0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45]", 1)
         gateway = CountingGateway("live", transport=transport, sleeper=lambda _: None)
         obs = observation(incomes=[1.0], wealth=[1.0], schedules=[us_federal_schedule()])
         assert TaxAgentPolicy(gateway).propose(obs).rates == (0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45)
-        assert gateway.calls == 2
-        assert transport.calls == TRANSPORT_ATTEMPTS + 1
+        assert gateway.calls == transport.calls == 2
 
     def test_parse_function_is_looked_up_when_called(self, monkeypatch):
         # What lets a tracer replace it in the module's namespace.

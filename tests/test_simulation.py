@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -305,6 +306,47 @@ class TestGatewayUsage:
             assert record.rates == US_FEDERAL_RATES  # fallback keeps the bootstrap
         assert (result.households["work_propensity"] == 0.6).all()  # documented fallback
         assert (result.households["consumption_propensity"] == 0.4).all()
+
+    def test_dead_endpoint_costs_max_retries_calls_per_household(self):
+        config = SimConfig(n_households=4, months=1, household_backend="llm")
+        calls, sleeps = [], []
+
+        def down(request):
+            calls.append(request)
+            raise ConnectionError("down")
+
+        gateway = ChatGateway("live", transport=down, sleeper=sleeps.append)
+        result = run(config, gateway=gateway)
+        retries = config.household_llm.max_retries
+        assert len(calls) == config.n_households * retries
+        assert sorted(sleeps) == sorted([1.0, 2.0] * config.n_households)
+        assert (result.households["work_propensity"] == 0.6).all()  # documented fallback
+        assert (result.households["consumption_propensity"] == 0.4).all()
+
+    def test_transport_failing_every_third_call_completes_the_run(self):
+        config = SimConfig(
+            n_households=4, months=6, tax_system="tax_agent", household_backend="llm"
+        )
+        lock = threading.Lock()
+        calls = []
+
+        def flaky(request):
+            with lock:
+                calls.append(request)
+                if len(calls) % 3 == 0:
+                    raise ConnectionError("blip")
+            return deterministic_reply(request)
+
+        asks = []
+
+        def answering(request):
+            asks.append(request)  # every reply parses: one call an ask
+            return deterministic_reply(request)
+
+        run(config, gateway=ChatGateway("live", transport=answering))
+        gateway = ChatGateway("live", transport=flaky, sleeper=lambda _: None)
+        assert len(run(config, gateway=gateway).month_records) == config.months
+        assert len(calls) > len(asks)
 
 
 def surrogate_reply(request) -> str:
