@@ -13,20 +13,23 @@ from taxsim.gateway import GatewayError
 from taxsim.simulation import ComparisonResult, run, sweep
 
 
-def _load_or_default(config_path: str | None) -> SimConfig:
-    return load_config(config_path) if config_path else SimConfig()
+def _config(args: argparse.Namespace, **flags) -> SimConfig:
+    """The ``--config`` file (or the defaults) with each flag given applied.
+    An output directory that is a file or lies under one is a ConfigError
+    before any month runs; nothing is created here."""
+    config = load_config(args.config) if args.config else SimConfig()
+    config = replace(config, **{key: value for key, value in flags.items() if value is not None})
+    out = Path(config.output_dir)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir {str(out)!r}: {str(existing)!r} is not a directory")
+    return config
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_or_default(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.system is not None:
-        config = replace(config, tax_system=args.system)
-    if args.months is not None:
-        config = replace(config, months=args.months)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
+    config = _config(
+        args, seed=args.seed, tax_system=args.system, months=args.months, output_dir=args.out
+    )
     result = run(config)
     out = result.write_outputs(config.output_dir)
     print(f"wrote {out / 'monthly.csv'}")
@@ -36,7 +39,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _load_or_default(args.config)
+    config = _config(args, output_dir=args.out)
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -45,7 +48,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not systems or not seeds:
         raise ConfigError("compare needs at least one system and one seed")
     result = ComparisonResult(sweep(config, systems, seeds))
-    out = Path(args.out or config.output_dir)
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     result.write_csv(out / "comparison.csv")
     print(f"{'system':<12} {'seed':>6} {'social_outcome':>16}")
@@ -59,13 +62,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    config = _load_or_default(args.config)
+    config = _config(args, output_dir=args.out)
     config = replace(
         config,
         gateway=replace(config.gateway, mode="replay", cache_path=args.cache),
     )
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
     result = run(config)
     out = result.write_outputs(config.output_dir)
     print(f"replayed {config.months} months from {args.cache}")

@@ -209,16 +209,23 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
     return _build_dataclass(SimConfig, data, where="")
 
 
+def read_json(path: str | Path, key: str) -> Any:
+    """The parsed JSON of the UTF-8 file at ``path``, which the setting
+    ``key`` names; a file that cannot be read or parsed is a ConfigError
+    that starts with ``key``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{key}: file not found") from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"{key}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ConfigError(f"{key} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | Path) -> SimConfig:
     """Read a JSON config whose keys mirror SimConfig field names."""
-    file_path = Path(path)
-    if not file_path.exists():
-        raise ConfigError(f"config file not found: {file_path}")
-    try:
-        data = json.loads(file_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {file_path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, f"config file {str(path)!r}"))
 
 
 def save_config(config: SimConfig, path: str | Path) -> None:

@@ -82,7 +82,7 @@ class ChatRequest:
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN fails too
             raise ValueError("temperature must be >= 0")
 
     @classmethod
@@ -138,13 +138,19 @@ def exchange_key(model_id: str, prompt: str, temperature: float) -> str:
 
 
 # What a cache line that is not a whole record raises; ValueError covers
-# JSONDecodeError and the UnicodeDecodeError of a write torn inside a character.
-_BAD_RECORD = (ValueError, KeyError, TypeError)
+# JSONDecodeError and the UnicodeDecodeError of a write torn inside a character,
+# and RecursionError a line nested deeper than the parser goes.
+_BAD_RECORD = (ValueError, KeyError, TypeError, RecursionError)
 
 
 def _parse_record(line: str | bytes) -> tuple[str, str]:
+    """The key and response of a cache line; raises one of ``_BAD_RECORD``
+    unless the line is a JSON object whose two are strings."""
     record = json.loads(line)
-    return record["key"], record["response"]
+    key, response = record["key"], record["response"]
+    if not (isinstance(key, str) and isinstance(response, str)):
+        raise TypeError("a record's key and response must be strings")
+    return key, response
 
 
 def _lines(fh) -> Iterator[bytes]:

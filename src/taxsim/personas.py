@@ -7,31 +7,24 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from taxsim.config import ConfigError
+from taxsim.config import ConfigError, read_json
 from taxsim.economy import Persona
 
 
 def load_personas(path: str | Path | None = None) -> list[Persona]:
     """Load persona records (name, age, city, occupation) from ``path``, or
-    from the packaged roster when no path is given. A missing or malformed
-    file raises a ConfigError naming ``persona_path`` and, for a bad record
-    (one holding a string that is not valid UTF-8 included), the record's
-    index."""
+    from the packaged roster when no path is given. A file that cannot be
+    read or parsed (see ``read_json``) raises a ConfigError naming
+    ``persona_path`` and, for a bad record (one holding a string that is
+    not valid UTF-8 included), the record's index."""
     if path:
-        file_path = Path(path)
-        source = f"persona_path {str(file_path)!r}"
-        if not file_path.exists():
-            raise ConfigError(f"{source}: file not found")
-        text = file_path.read_text(encoding="utf-8")
+        source = f"persona_path {str(path)!r}"
+        records = read_json(path, source)
     else:
         source = "packaged persona roster"
-        text = (
+        records = json.loads(
             resources.files("taxsim").joinpath("data/personas.json").read_text("utf-8")
         )
-    try:
-        records = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source} is not valid JSON: {exc}") from None
     if not isinstance(records, list) or not records:
         raise ConfigError(f"{source} must be a non-empty JSON list")
     return [_persona(record, f"{source}: record {i}") for i, record in enumerate(records)]

@@ -1,5 +1,6 @@
-"""Monthly simulation loop, result records, CSV outputs, and the
-multi-system comparison harness.
+"""Monthly simulation loop and the multi-system comparison harness. The
+records a run returns, and the files written from them, live in
+``results.py``, and the CSV writer in ``tables.py``.
 
 ``_simulate`` advances an ensemble of runs in lockstep. ``run(config)`` is
 the ensemble of one; ``sweep`` and ``compare`` put every config into one

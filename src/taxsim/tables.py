@@ -1,6 +1,8 @@
 """The CSV writer of every output table (monthly.csv, annual.csv,
 households.csv, comparison.csv): ints in full, floats with six decimals,
-lines ending in "\r\n", byte for byte what ``%`` formatting gives.
+lines ending in "\r\n", byte for byte what ``%`` formatting gives. Each
+caller names its columns and their formats; ``write_rows`` alone builds
+the word tables it formats with.
 
 Numbers are formatted by numpy a block of rows at a time: each field is
 spelled in four-byte words looked up in ``word_tables``, as many as the
@@ -12,16 +14,11 @@ float of magnitude 2**63 or more, or the int -2**63.
 
 from __future__ import annotations
 
-from dataclasses import astuple, fields
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-# Column format of a record field by its annotation, which dataclasses keep as
-# a string here (postponed evaluation): ints in full, floats six decimals.
-_FORMATS = {"int": "%d", "float": "%.6f", "str": "%s"}
 
 # Rows formatted in one numpy pass. A block's temporaries peak at about 570
 # bytes a row of households.csv (tracemalloc, saez at N=500), and peak RSS
@@ -43,24 +40,22 @@ _VELTKAMP = 2.0**27 + 1  # splits a float64 into halves of at most 26 significan
 
 
 def write_rows(
-    path: Path,
-    header: Sequence[str],
-    formats: Sequence[str],
-    n_rows: int,
+    path: Path, header: Sequence[str], formats: Sequence[str], n_rows: int,
     block: Callable[[int, int], Sequence],
-    tables: WordTables,
 ) -> None:
     """Write a CSV table: ``header``, then ``n_rows`` rows, every line
     ending in "\\r\\n". Column j is formatted as ``formats[j]`` ("%d",
     "%.6f" or "%s"), so row r reads ``",".join(formats) % row``.
     ``block(start, stop)`` returns the columns of rows start..stop-1, each
-    a sequence or a numpy array. ``tables`` is ``word_tables()``.
+    a sequence or a numpy array.
 
     Rows go _BLOCK_ROWS at a time through ``_format_numbers``, which gives
     the bytes of ``%`` from numpy arithmetic; a block it declines (a string
     column, a float that is not finite or reaches 2**63 in magnitude, the
     int -2**63) goes through ``%`` itself. No value needs quoting: the only
-    strings are tax system names."""
+    strings are tax system names. The word tables are built here, once a
+    file and only when no column is "%s", and dropped with the file."""
+    tables = None if "%s" in formats else word_tables()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
@@ -68,7 +63,7 @@ def write_rows(
             fh.write(_format_block(formats, columns, tables))
 
 
-def _format_block(formats: Sequence[str], columns: Sequence, tables: WordTables) -> bytes:
+def _format_block(formats: Sequence[str], columns: Sequence, tables: WordTables | None) -> bytes:
     """The text of the rows whose columns are given, by numpy when
     ``_format_numbers`` takes them, else by ``%``."""
     words = _format_numbers(formats, columns, tables)
@@ -80,28 +75,11 @@ def _format_block(formats: Sequence[str], columns: Sequence, tables: WordTables)
 
 
 def write_tuples(
-    path: Path,
-    header: Sequence[str],
-    formats: Sequence[str],
-    rows: Sequence[tuple],
-    tables: WordTables,
+    path: Path, header: Sequence[str], formats: Sequence[str], rows: Sequence[tuple]
 ) -> None:
     """Write a table given as a list of row tuples."""
     columns = list(zip(*rows))
-    write_rows(path, header, formats, len(rows), lambda a, b: [c[a:b] for c in columns], tables)
-
-
-def write_records(path: Path, record_type: type, records: Iterable, tables: WordTables) -> None:
-    """Write dataclass records, one column per field of ``record_type``,
-    each formatted by the field's type."""
-    columns = fields(record_type)
-    write_tuples(
-        path,
-        [f.name for f in columns],
-        [_FORMATS[f.type] for f in columns],
-        [astuple(r) for r in records],
-        tables,
-    )
+    write_rows(path, header, formats, len(rows), lambda a, b: [c[a:b] for c in columns])
 
 
 def word_tables() -> WordTables:
@@ -112,10 +90,10 @@ def word_tables() -> WordTables:
     separator ("000," to "999,", then the same without the separator of a
     row's last field).
 
-    Built by each caller that writes, once for all the tables it writes,
-    and dropped after: held for the life of the process, these 92 KiB made
-    the C heap keep a second copy (4 MiB) of the household arrays of
-    ``run_large`` resident in the benchmark."""
+    Built by ``write_rows``, once for each file it writes, and dropped
+    after: held for the life of the process, these 92 KiB made the C heap
+    keep a second copy (4 MiB) of the household arrays of ``run_large``
+    resident in the benchmark."""
     # Row n spells n: digit k of n repeats 10**(3 - k) times over.
     ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digits = np.stack(
@@ -135,13 +113,13 @@ def word_tables() -> WordTables:
 
 
 def _format_numbers(
-    formats: Sequence[str], columns: Sequence, tables: WordTables
+    formats: Sequence[str], columns: Sequence, tables: WordTables | None
 ) -> np.ndarray | None:
     """The text that ``%`` gives for these rows as a words x rows array of
     uint32 words: row r's column, its words in order, holds row r's text in
     its nonzero bytes (so the array's bytes in Fortran order are the text);
     or None when a column is "%s" or ``_float_words`` or ``_int_words``
-    declines a value.
+    declines a value. ``tables`` is ``word_tables()``, or None with a "%s".
 
     Float fields and int fields are spelled apart, each kind in a number
     of words of its own (see those two), and each row ends in one more

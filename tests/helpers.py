@@ -338,6 +338,23 @@ def panicking_transport(request: ChatRequest) -> str:
     raise AssertionError("transport must not be touched in this mode")
 
 
+# JSON file paths that cannot be read: a directory, a file that is not UTF-8,
+# and one nested deeper than the parser's recursion limit.
+UNREADABLE_JSON = ("directory", "not_utf8", "too_deep")
+
+
+def unreadable_json(tmp_path: Path, kind: str) -> Path:
+    """A path of one of the ``UNREADABLE_JSON`` kinds under ``tmp_path``."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b'["\xff"]')
+    else:
+        path.write_text("[" * 100_000)
+    return path
+
+
 class CountingGateway(ChatGateway):
     """A gateway that counts its ``complete`` calls and keeps their prompts."""
 
@@ -353,6 +370,9 @@ class CountingGateway(ChatGateway):
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# The sha256 of comparison.csv for free, us_federal and saez x seeds 0 and 1
+# at N=50 x 120; never re-bless it to make a change pass.
+COMPARISON_CSV_SHA256 = "ea8e3733ee7de4c57372e03c5f040908354a4bbbe219b85f179999c5ecb2c7ee"
 OUTPUT_FILES = ("monthly.csv", "annual.csv", "households.csv", "summary.json")
 REPLAY_CASE = "fixture_replay"
 # Config overrides per golden case; REPLAY_CASE replays the committed fixture.

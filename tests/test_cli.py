@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+import taxsim.cli as cli_module
 import taxsim.gateway as gateway_module
 from conftest import FIXTURES
+from helpers import COMPARISON_CSV_SHA256
 from taxsim.cli import main
 
 
@@ -133,6 +135,15 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_config_directory_is_one_error_line(self, tmp_path, capsys):
+        argv = ["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"taxsim: error: config file {str(tmp_path)!r}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_without_config(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--months", "3", "--out", str(out)])
@@ -164,16 +175,15 @@ class TestCompareCommand:
         assert "per-system mean final social outcome" in printed
 
     def test_comparison_csv_matches_golden_digest(self, tmp_path, capsys):
-        # The sha256 of comparison.csv and the printed means for three
-        # systems x two seeds at N=50 x 120; never re-bless them to make a
-        # change pass.
+        # The printed means for three systems x two seeds at N=50 x 120;
+        # never re-bless them to make a change pass.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_households": 50, "months": 120}))
         out = tmp_path / "cmp"
         argv = ["compare", "--config", str(config), "--systems", "free,us_federal,saez"]
         assert main(argv + ["--seeds", "0,1", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest()
-        assert digest == "ea8e3733ee7de4c57372e03c5f040908354a4bbbe219b85f179999c5ecb2c7ee"
+        assert digest == COMPARISON_CSV_SHA256
         printed = capsys.readouterr().out.splitlines()
         means = printed[printed.index("per-system mean final social outcome:") + 1 :][:3]
         assert means == [
@@ -230,8 +240,12 @@ class TestReplayCommand:
         [
             ("", "no cached exchange for key"),
             ('not json\n{"key": "k", "response": "r"}\n', "bad record on line 1"),
+            (
+                '{"key": "k", "response": 5}\n{"key": "k", "response": "r"}\n',
+                "bad record on line 1",
+            ),
         ],
-        ids=["replay_miss", "corrupt_cache"],
+        ids=["replay_miss", "corrupt_cache", "non_text_response"],
     )
     def test_bad_cache_is_one_error_line(self, tmp_path, capsys, cache_text, error):
         cache = tmp_path / "cache.jsonl"
@@ -243,3 +257,37 @@ class TestReplayCommand:
         assert captured.err.startswith("taxsim: error: ") and error in captured.err
         assert captured.err.count("\n") == 1
         assert not (out / "monthly.csv").exists()
+
+
+# Each command that writes, with every argument but --out.
+OUT_COMMANDS = {
+    "run": ["run", "--months", "1"],
+    "compare": ["compare", "--systems", "free", "--seeds", "1"],
+    "replay": [
+        "replay",
+        "--config",
+        str(FIXTURES / "replay_config.json"),
+        "--cache",
+        str(FIXTURES / "replay_cache.jsonl"),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_out_naming_a_file_is_one_error_line(tmp_path, capsys, monkeypatch, argv, under):
+    def no_month(*args, **kwargs):
+        raise AssertionError("no month may run")
+
+    monkeypatch.setattr(cli_module, "run", no_month)
+    monkeypatch.setattr(cli_module, "sweep", no_month)
+    file = tmp_path / "f"
+    file.write_text("a file, not a directory")
+    out = file / "out" if under else file
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"taxsim: error: output_dir {str(out)!r}: {str(file)!r} is not a directory\n"
+    )
+    assert captured.out == ""
+    assert file.read_text() == "a file, not a directory"

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from helpers import UNREADABLE_JSON, unreadable_json
 from taxsim.config import (
     ConfigError,
     SimConfig,
@@ -231,4 +232,10 @@ class TestSerialization:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize("kind", UNREADABLE_JSON)
+    def test_unreadable_file_rejected_naming_it(self, tmp_path, kind):
+        path = unreadable_json(tmp_path, kind)
+        with pytest.raises(ConfigError, match=f"^config file {re.escape(repr(str(path)))}"):
             load_config(path)

@@ -39,8 +39,9 @@ class TestChatRequest:
             ChatRequest(model_id="m", prompt="")
 
     def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            ChatRequest(model_id="m", prompt="p", temperature=-0.1)
+        for temperature in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                ChatRequest(model_id="m", prompt="p", temperature=temperature)
 
 
 def json_dumps_key(model_id: str, prompt: str, temperature: float) -> str:
@@ -183,6 +184,14 @@ class TestRecordReplay:
         assert "timestamp" in record
 
 
+# Whole JSON records whose key or response is not text: bad records.
+NON_TEXT_RECORDS = [
+    b'{"key": "k5", "response": 5}',
+    b'{"key": "k5", "response": null}',
+    b'{"key": "k5", "response": ["r"]}',
+    b'{"key": ["k5"], "response": "r"}',
+]
+
 TORN_TAILS = {
     "mid_record": b'{"key": "k2", "resp',
     "mid_character": '{"key": "k2", "response": "中'.encode()[:-1],
@@ -199,6 +208,8 @@ CACHE_LINES = [
     b"not json",
     b'{"key": "k4"}',
     b"[1, 2]",
+    b"[" * 100_000,  # deeper than the parser's recursion limit
+    *NON_TEXT_RECORDS,
     *TORN_TAILS.values(),
 ]
 LINE_ENDS = [b"\n", b"\r\n", b"\r", b""]
@@ -247,6 +258,16 @@ class TestCacheLoading:
         with pytest.raises(CacheCorruptError, match="line 2$"):
             load_cache(cache)
 
+    @pytest.mark.parametrize("record", NON_TEXT_RECORDS, ids=["int", "null", "list", "list_key"])
+    def test_non_text_record_is_a_bad_record(self, tmp_path, record):
+        cache = tmp_path / "cache.jsonl"
+        good = b'{"key": "k1", "response": "r1"}\n'
+        cache.write_bytes(record + b"\n" + good)
+        with pytest.raises(CacheCorruptError, match="bad record on line 1$"):
+            load_cache(cache)
+        cache.write_bytes(good + record + b"\n")
+        assert load_cache(cache) == {"k1": "r1"}
+
     def test_crlf_cache_loads(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         records = [{"key": f"k{i}", "response": f"r\u2028{i}"} for i in range(3)]
@@ -275,7 +296,9 @@ def whole_file_load_cache(path: Path) -> dict[str, str]:
         try:
             record = json.loads(line)
             key, response = record["key"], record["response"]
-        except (ValueError, KeyError, TypeError) as exc:
+            if not (isinstance(key, str) and isinstance(response, str)):
+                raise TypeError("not text")
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             if i == len(lines) - 1:
                 break
             raise CacheCorruptError(f"{path}: bad record on line {i + 1}") from exc
@@ -301,6 +324,7 @@ TAIL_REPAIRS = {
     "long_no_newline": (GOOD_LINE + LONG_RECORD, GOOD_LINE + LONG_RECORD + b"\n"),
     "torn_after_a_long_line": (LONG_RECORD + b"\n" + TORN_TAILS["mid_record"], LONG_RECORD + b"\n"),
     "long_torn_fragment": (GOOD_LINE + LONG_RECORD[:-5], GOOD_LINE),
+    "non_text_record": (GOOD_LINE + NON_TEXT_RECORDS[0], GOOD_LINE),
 }
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from helpers import UNREADABLE_JSON, unreadable_json
 from taxsim.config import ConfigError
 from taxsim.economy import Persona
 from taxsim.personas import load_personas, roster_for
@@ -30,6 +32,12 @@ class TestLoadPersonas:
         missing = tmp_path / "nope.json"
         with pytest.raises(ConfigError, match=r"persona_path .*nope\.json"):
             load_personas(missing)
+
+    @pytest.mark.parametrize("kind", UNREADABLE_JSON)
+    def test_unreadable_file_raises_with_path(self, tmp_path, kind):
+        path = unreadable_json(tmp_path, kind)
+        with pytest.raises(ConfigError, match=f"^persona_path {re.escape(repr(str(path)))}"):
+            load_personas(path)
 
     def test_record_without_occupation_names_its_index(self, tmp_path):
         path = tmp_path / "roster.json"

@@ -4,6 +4,8 @@ written by ``%``."""
 
 from __future__ import annotations
 
+import hashlib
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import COMPARISON_CSV_SHA256
 from taxsim.config import SimConfig
-from taxsim.simulation import HOUSEHOLD_COLUMNS, run
+from taxsim.simulation import HOUSEHOLD_COLUMNS, ComparisonResult, run, sweep
 from taxsim.tables import _format_block, _format_numbers, word_tables, write_rows
 
 TABLES = word_tables()
@@ -201,7 +204,7 @@ class TestWriter:
         ids = np.arange(n_rows)
         x = rng.lognormal(8.0, 3.0, n_rows) * rng.choice([-1.0, 1.0], n_rows)
         path = tmp_path / "t.csv"
-        write_rows(path, ["id", "x"], ["%d", "%.6f"], n_rows, lambda a, b: [ids[a:b], x[a:b]], TABLES)
+        write_rows(path, ["id", "x"], ["%d", "%.6f"], n_rows, lambda a, b: [ids[a:b], x[a:b]])
         assert path.read_bytes() == b"id,x\r\n" + percent(["%d", "%.6f"], [ids, x])
 
     def test_string_column_goes_through_percent(self, tmp_path):
@@ -209,7 +212,7 @@ class TestWriter:
         rows = [("free", 0, 1.25), ("saez", 12, -0.5)]
         columns = list(zip(*rows))
         formats = ["%s", "%d", "%.6f"]
-        write_rows(path, ["s", "i", "f"], formats, 2, lambda a, b: [c[a:b] for c in columns], TABLES)
+        write_rows(path, ["s", "i", "f"], formats, 2, lambda a, b: [c[a:b] for c in columns])
         assert path.read_bytes() == b"s,i,f\r\nfree,0,1.250000\r\nsaez,12,-0.500000\r\n"
 
     def test_households_csv_with_huge_and_nan_values(self, tmp_path):
@@ -250,6 +253,33 @@ def test_households_block_memory_peak():
             tracemalloc.stop()
     assert text == percent(formats, columns)
     assert peak <= 400_000
+
+
+def patch_word_tables(monkeypatch, replacement) -> None:
+    """Replace ``word_tables`` in every taxsim module that holds the name."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("taxsim") and hasattr(module, "word_tables"):
+            monkeypatch.setattr(module, "word_tables", replacement)
+
+
+def test_word_tables_built_once_a_numeric_file(tmp_path, monkeypatch):
+    built = []
+    patch_word_tables(monkeypatch, lambda: built.append(1) or TABLES)
+    run(SimConfig(n_households=3, months=24, seed=1)).write_outputs(tmp_path)
+    assert len(built) == 3  # monthly.csv, annual.csv, households.csv
+
+
+def test_comparison_csv_builds_no_word_tables(tmp_path, monkeypatch):
+    # Its string column sends every block through ``%``.
+    rows = sweep(SimConfig(n_households=50, months=120), ("free", "us_federal", "saez"), (0, 1))
+
+    def refuse():
+        raise AssertionError("comparison.csv needs no word tables")
+
+    patch_word_tables(monkeypatch, refuse)
+    ComparisonResult(rows).write_csv(tmp_path / "comparison.csv")
+    digest = hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest()
+    assert digest == COMPARISON_CSV_SHA256
 
 
 def percent_households_csv(households) -> bytes:
