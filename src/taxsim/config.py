@@ -211,10 +211,21 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
 
 def read_json(path: str | Path, key: str) -> Any:
     """The parsed JSON of the UTF-8 file at ``path``, which the setting
-    ``key`` names; a file that cannot be read or parsed is a ConfigError
-    that starts with ``key``."""
+    ``key`` names; a file that cannot be read or parsed, or whose object
+    repeats a key, is a ConfigError that starts with ``key``."""
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj: dict[str, Any] = {}
+        for name, value in pairs:
+            if name in obj:
+                raise ConfigError(f"{key} repeats the key {name!r}")
+            obj[name] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
+    except ConfigError:
+        raise
     except FileNotFoundError:
         raise ConfigError(f"{key}: file not found") from None
     except OSError as exc:  # a directory, say

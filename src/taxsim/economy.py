@@ -122,10 +122,11 @@ class Persona:
 
     def __post_init__(self) -> None:
         for attr in ("name", "city", "occupation"):
-            if not getattr(self, attr):
-                raise ValueError(f"persona {attr} must be non-empty")
-        if self.age <= 0:
-            raise ValueError("persona age must be a positive integer")
+            value = getattr(self, attr)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"persona {attr} must be a non-empty string, not {value!r}")
+        if type(self.age) is not int or self.age <= 0:  # a bool is no age
+            raise ValueError(f"persona age must be a positive integer, not {self.age!r}")
 
     @cached_property
     def prompt_texts(self) -> tuple[str, str]:

@@ -10,24 +10,9 @@ alone, so a row's value has the bits of the 1-D call on it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass
-class MetricSnapshot:
-    """One month's metric row; inflation/unemployment are filled only on
-    year boundaries."""
-
-    month: int
-    gini: float
-    equality: float
-    productivity: float
-    social_outcome: float
-    inflation: float | None = None
-    unemployment: float | None = None
 
 
 def _per_row(values: np.ndarray):

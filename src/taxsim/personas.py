@@ -32,12 +32,7 @@ def load_personas(path: str | Path | None = None) -> list[Persona]:
 
 def _persona(record, where: str) -> Persona:
     try:
-        persona = Persona(
-            name=record["name"],
-            age=int(record["age"]),
-            city=record["city"],
-            occupation=record["occupation"],
-        )
+        persona = Persona(record["name"], record["age"], record["city"], record["occupation"])
         # A JSON escape can spell a lone surrogate, which no prompt can
         # carry into a cache or a request.
         json.dumps(record, ensure_ascii=False).encode("utf-8")

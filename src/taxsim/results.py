@@ -12,25 +12,23 @@ import numpy as np
 
 from taxsim.config import SimConfig
 from taxsim.economy import sequential_sum
-from taxsim.metrics import MetricSnapshot
 from taxsim.tables import write_rows, write_tuples
 
 
 @dataclass
 class MonthRecord:
-    """End-of-month snapshot of the market, the schedule in force, and the
-    aggregate flows of the month."""
+    """One row of monthly.csv: the end-of-month market, the schedule in
+    force, and the metrics over the wealth at the month's end."""
 
     month: int
     price: float
     inventory: float
     interest_rate: float
     rates: tuple[float, ...]
-    total_pretax_income: float
-    total_tax: float
-    total_consumption: float
-    total_wealth: float
-    metrics: MetricSnapshot
+    gini: float
+    equality: float
+    productivity: float
+    social_outcome: float
 
 
 @dataclass
@@ -72,8 +70,7 @@ class SimulationResult:
         households.csv under ``out_dir``; numbers carry six decimals."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        # monthly.csv flattens each record's rates and metrics; it leaves out
-        # the month's totals.
+        # monthly.csv is one row per record, its rates flattened.
         n_rates = len(self.month_records[0].rates)
         write_tuples(
             out / "monthly.csv",
@@ -84,8 +81,7 @@ class SimulationResult:
             [
                 (
                     r.month, r.price, r.inventory, r.interest_rate, *r.rates,
-                    r.metrics.gini, r.metrics.equality,
-                    r.metrics.productivity, r.metrics.social_outcome,
+                    r.gini, r.equality, r.productivity, r.social_outcome,
                 )
                 for r in self.month_records
             ],

@@ -23,13 +23,13 @@ of a per-household loop in the same order on every element, and every
 total is a left-to-right sum rather than numpy's pairwise sum. numpy
 reduces along the last axis of an array whose rows are each contiguous as
 it would reduce that row alone, so the row reductions (``sequential_sum``,
-the ``cumsum`` of the four totals, ``gini``, ``productivity``) give each
-run's month the bits of its own 1-D reduction, whether over one month's
-rows or a proposal period's stack of them, and each annual unemployment
-reduces the run's contiguous 12 x N window. So the output bits of a run do
-not depend on how the work is vectorised, on which runs share its
-ensemble, or on the interpreter's ``sum``. With the rule-based backend, or
-an LLM backend in replay mode, two runs produce byte-identical outputs.
+``gini``, ``productivity``) give each run's month the bits of its own 1-D
+reduction, whether over one month's rows or a proposal period's stack of
+them, and each annual unemployment reduces the run's contiguous 12 x N
+window. So the output bits of a run do not depend on how the work is
+vectorised, on which runs share its ensemble, or on the interpreter's
+``sum``. With the rule-based backend, or an LLM backend in replay mode, two
+runs produce byte-identical outputs.
 
 Each proposal is submitted at the end of the month before it, after
 ``annual``: it observes that month's incomes and the wealth after interest,
@@ -91,7 +91,6 @@ from taxsim.households import (
     reflect,
     rule_based_decide,
 )
-from taxsim.metrics import MetricSnapshot
 from taxsim.personas import load_personas, roster_for
 from taxsim.policies import (
     FixedPolicy,
@@ -180,23 +179,19 @@ def _llm_map(fan_out: bool) -> Iterator[Callable]:
         yield pool.map
 
 
-# A month's scalars of each run, in the order of the rows of ``_Run.monthly``.
+# A month's scalars of each run, in the order of the rows of ``_Run.monthly``:
+# the fields of its ``MonthRecord`` but the month and the rates.
 _MONTH_VALUES = (
     "price",
     "inventory",
     "interest_rate",
-    "total_pretax_income",
-    "total_tax",
-    "total_consumption",
-    "total_wealth",
     "gini",
     "equality",
     "productivity",
     "social_outcome",
 )
 _PRICE = _MONTH_VALUES.index("price")
-_TOTALS = _MONTH_VALUES.index("total_pretax_income")  # the four totals follow
-_GINI = _MONTH_VALUES.index("gini")  # the metric scores follow, in MetricSnapshot order
+_GINI = _MONTH_VALUES.index("gini")  # the metric scores follow, in MonthRecord order
 _EQUALITY = _MONTH_VALUES.index("equality")  # productivity follows
 
 
@@ -240,18 +235,13 @@ class _Run:
     def result(self) -> SimulationResult:
         """The run's result, its month records built from ``monthly``."""
         config, annual = self.config, self.annual_records
-        year_ends = {12 * a.year: (a.inflation, a.unemployment) for a in annual}
-        month_records = []
-        rows = zip(self.monthly.tolist(), self.schedule_history[1:])
-        for month, (values, schedule) in enumerate(rows, start=1):
-            price, inventory, interest_rate, *totals = values[:_GINI]
-            snapshot = MetricSnapshot(month, *values[_GINI:], *year_ends.get(month, ()))
-            month_records.append(
-                MonthRecord(
-                    month, price, inventory, interest_rate, schedule.rates, *totals, snapshot
-                )
+        month_records = [
+            MonthRecord(month, *values[:_GINI], schedule.rates, *values[_GINI:])
+            for month, (values, schedule) in enumerate(
+                zip(self.monthly.tolist(), self.schedule_history[1:]), start=1
             )
-        final = month_records[-1].metrics
+        ]
+        final = month_records[-1]
         summary = {
             "tax_system": config.tax_system,
             "household_backend": config.household_backend,
@@ -424,12 +414,12 @@ class _Ensemble:
         self.labor_draws = self.draws[:, n + 1 :]
         for rng, row in zip(self.rngs, self.labor_draws):
             rng.random(out=row)
-        # The rows the metrics read, (pretax, tax, spent, savings) of every
-        # run, month m at [(m - 1) % span]: the metrics of a proposal period
-        # are one pass over its months, made at its end, before the next
-        # proposal reads them, and at the last month.
+        # The wealth the metrics read, every run's savings, month m at
+        # [(m - 1) % span]: the metrics of a proposal period are one pass
+        # over its months, made at its end, before the next proposal reads
+        # them, and at the last month.
         self.span = min(head.adjust_period_months, head.months)
-        self.metric_rows = np.empty((self.span, 4, k, n))
+        self.wealth_rows = np.empty((self.span, k, n))
         # Employment of the last 12 months, month m at [:, (m - 1) % 12]: at
         # each year end every run's 12 x N window is in month order.
         self.employment = np.empty((k, 12, n))
@@ -518,40 +508,34 @@ class _Ensemble:
         self.log(month, "adjust")
 
     def record(self, month: int) -> None:
-        """End-of-month state; the totals and the metrics over wealth at the
-        end of a proposal period and at the last month."""
+        """End-of-month state; the metrics over wealth at the end of a
+        proposal period and at the last month."""
         market = self.market
-        self.monthly[month - 1, :_TOTALS] = market.price, market.inventory, market.interest_rate
+        self.monthly[month - 1, :_GINI] = market.price, market.inventory, market.interest_rate
         for r in self.runs:
             r.schedule_history.append(r.schedule)
         slot = (month - 1) % self.span
-        flows = self.pretax, self.tax_paid, self.spent, self.savings
-        np.concatenate(flows, out=self.metric_rows[slot].reshape(-1, self.n))
+        self.wealth_rows[slot] = self.savings
         if slot == self.span - 1 or month == self.head.months:
-            self.record_metrics(month, self.metric_rows[: slot + 1])
+            self.record_metrics(month, self.wealth_rows[: slot + 1])
         if self.columns:
             columns = self.wage, self.savings, self.work, self.consumption, self.employed
-            columns += (*flows[:2], self.posttax, self.spent)
+            columns += (self.pretax, self.tax_paid, self.posttax, self.spent)
             for name, column in zip(HOUSEHOLD_COLUMNS, columns):
                 self.columns[name][month - 1] = column
         self.employment[:, (month - 1) % 12] = self.employed
         self.households.remember(self, month)
         self.log(month, "record")
 
-    def record_metrics(self, month: int, rows: np.ndarray) -> None:
-        """The totals and metrics of the months up to ``month`` whose rows
-        ``rows`` holds, one (4 x runs x N) block a month, into ``monthly``."""
-        wealth = rows[:, 3]
+    def record_metrics(self, month: int, wealth: np.ndarray) -> None:
+        """The metrics of the months up to ``month``, whose wealth ``wealth``
+        holds as one (runs x N) block a month, into ``monthly``."""
         gini = metrics.gini(wealth)
         equality = metrics.equality(wealth, gini)
         per_capita = self.head.productivity_metric == "per_capita"
         productivity = metrics.productivity(wealth, per_capita=per_capita)
-        block = self.monthly[month - len(rows) : month]
-        # the four totals of every run, each a left-to-right sum of its row,
-        # summed in place: the rows are not read again
-        block[:, _TOTALS:_GINI] = rows.cumsum(axis=-1, out=rows)[..., -1]
         scores = gini, equality, productivity, metrics.social_outcome(equality, productivity)
-        block[:, _GINI:] = np.stack(scores, axis=1)
+        self.monthly[month - len(wealth) : month, _GINI:] = np.stack(scores, axis=1)
 
     def annual(self, month: int) -> None:
         """At a year end, each run's annual metrics and Taylor-rule update,

@@ -278,7 +278,7 @@ def test_criterion_9_structural_invariants():
         n = result.config.n_households
         for record in result.month_records:
             ok = ok and record.inventory >= 0.0
-            ok = ok and 0.0 <= record.metrics.equality <= (n - 1) / n + 1e-12
+            ok = ok and 0.0 <= record.equality <= (n - 1) / n + 1e-12
         ok = ok and bool((result.households["savings"] >= 0.0).all())
         for annual in result.annual_records:
             ok = ok and 0.0 <= annual.unemployment <= 1.0

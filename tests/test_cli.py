@@ -144,6 +144,18 @@ class TestRunCommand:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_config_key_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"months": 1200, "months": 2}')
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"taxsim: error: config file {str(config)!r} repeats the key 'months'\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_without_config(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--months", "3", "--out", str(out)])

@@ -234,6 +234,22 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text,repeated",
+        [
+            ('{"months": 1200, "months": 2}', "months"),
+            ('{"seed": 3, "gateway": {"mode": "record", "mode": "replay"}}', "mode"),
+        ],
+    )
+    def test_repeated_key_rejected_naming_it(self, tmp_path, text, repeated):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(
+            ConfigError,
+            match=f"^config file {re.escape(repr(str(path)))} repeats the key '{repeated}'$",
+        ):
+            load_config(path)
+
     @pytest.mark.parametrize("kind", UNREADABLE_JSON)
     def test_unreadable_file_rejected_naming_it(self, tmp_path, kind):
         path = unreadable_json(tmp_path, kind)

@@ -226,7 +226,7 @@ def scripted_planner(config: SimConfig):
 
 
 def row_of_run_alone(config: SimConfig) -> ComparisonRow:
-    final = run(config, gateway=scripted_planner(config)).month_records[-1].metrics
+    final = run(config, gateway=scripted_planner(config)).month_records[-1]
     return ComparisonRow(
         config.tax_system,
         config.seed,

@@ -30,7 +30,7 @@ CONFIGS = [replace(BASE, tax_system=system, seed=seed) for seed in SEEDS for sys
 
 
 def row_of(result) -> ComparisonRow:
-    final = result.month_records[-1].metrics
+    final = result.month_records[-1]
     config = result.config
     return ComparisonRow(
         config.tax_system,

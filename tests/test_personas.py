@@ -53,6 +53,36 @@ class TestLoadPersonas:
         with pytest.raises(ConfigError, match=r"persona_path .*: record 0: .*'thirty'"):
             load_personas(path)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("name", 5),
+            ("name", ""),
+            ("age", True),
+            ("age", 30.9),
+            ("age", "41"),
+            ("city", ["Reno"]),
+            ("occupation", {"a": 1}),
+            ("occupation", None),
+        ],
+    )
+    def test_field_of_the_wrong_type_names_its_index(self, tmp_path, field, value):
+        good = {"name": "Pat Doe", "age": 30, "city": "Reno", "occupation": "Baker"}
+        path = tmp_path / "roster.json"
+        path.write_text(json.dumps([good, {**good, field: value}]))
+        with pytest.raises(
+            ConfigError, match=rf"^persona_path .*: record 1: persona {field} must be .*, not "
+        ):
+            load_personas(path)
+
+    def test_repeated_key_names_it(self, tmp_path):
+        path = tmp_path / "roster.json"
+        path.write_text(
+            '[{"name": "Pat", "age": 30, "age": 31, "city": "Reno", "occupation": "Baker"}]'
+        )
+        with pytest.raises(ConfigError, match=r"^persona_path .* repeats the key 'age'$"):
+            load_personas(path)
+
     def test_empty_roster_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")

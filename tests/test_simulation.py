@@ -5,7 +5,7 @@ import itertools
 import json
 import tempfile
 import threading
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +23,11 @@ from helpers import (
 )
 from taxsim import metrics
 from taxsim.config import ConfigError, GatewayConfig, SimConfig, load_config
+from taxsim.economy import sequential_sum
 from taxsim.gateway import GATEWAY_MODES, ChatGateway
 from taxsim.personas import load_personas, roster_for
 from taxsim.policies import US_FEDERAL_RATES, FixedPolicy, PolicyObservation
+from taxsim.results import MonthRecord
 from taxsim.simulation import (
     ComparisonResult,
     ComparisonRow,
@@ -109,8 +111,8 @@ class TestSystems:
 
     def test_free_market_collects_no_tax(self):
         result = run(replace(SMALL, tax_system="free"))
+        assert not result.households["tax_paid"].any()
         for record in result.month_records:
-            assert record.total_tax == 0.0
             assert record.rates == (0.0,) * 7
 
     def test_saez_runs_and_stays_valid(self):
@@ -224,7 +226,7 @@ class TestInvariants:
         for record in result.month_records:
             assert record.inventory >= 0.0
             assert record.interest_rate >= 0.0
-            assert 0.0 <= record.metrics.equality <= (n - 1) / n + 1e-12
+            assert 0.0 <= record.equality <= (n - 1) / n + 1e-12
         assert (result.households["savings"] >= 0.0).all()
         for annual in result.annual_records:
             assert 0.0 <= annual.unemployment <= 1.0
@@ -233,25 +235,23 @@ class TestInvariants:
         result = run(SMALL)
         for record in result.month_records:
             wealth = result.households["savings"][record.month - 1].tolist()
-            assert metrics.gini(wealth) == record.metrics.gini
-            assert metrics.equality(wealth) == record.metrics.equality
-            assert metrics.productivity(wealth) == record.metrics.productivity
+            assert metrics.gini(wealth) == record.gini
+            assert metrics.equality(wealth) == record.equality
+            assert metrics.productivity(wealth) == record.productivity
 
     def test_annual_records_on_year_boundaries(self):
         result = run(replace(SMALL, months=26))
         assert [a.year for a in result.annual_records] == [1, 2]
         assert result.annual_records[0].inflation == 0.0  # no prior year
-        year_snapshot = result.month_records[11].metrics
-        assert year_snapshot.inflation is not None
-        assert year_snapshot.unemployment is not None
-        assert result.month_records[10].metrics.inflation is None
 
     def test_budget_balance_every_month(self):
-        result = run(replace(SMALL, months=12))
-        for record in result.month_records:
-            # redistribution returns all taxes, so net flow into savings is pretax
-            assert record.total_tax >= 0.0
-            assert record.total_pretax_income >= 0.0
+        # redistribution returns all taxes, so each month's post-tax incomes
+        # add up to its pretax incomes
+        households = run(replace(SMALL, months=12)).households
+        pretax = sequential_sum(households["pretax_income"])
+        posttax = sequential_sum(households["posttax_income"])
+        assert pretax.shape == (12,)
+        np.testing.assert_allclose(posttax, pretax, rtol=1e-12, atol=0.0)
 
 
 class TestGatewayUsage:
@@ -420,7 +420,7 @@ class TestPolicyObservations:
         config, households = result.config, result.households
         months = range(0, config.months, config.adjust_period_months)
         assert [obs.month for obs, _ in observations] == list(months)
-        records = [record.metrics for record in result.month_records]
+        records = result.month_records
         for obs, (incomes, wealth) in observations:
             assert not obs.incomes.flags.writeable and not obs.wealth.flags.writeable
             assert obs.incomes.tobytes() == incomes.tobytes()
@@ -572,6 +572,19 @@ class TestOutputs:
         rows = (out / "monthly.csv").read_text().splitlines()[1:]
         assert len(rows) == SMALL.months
 
+    def test_month_record_is_a_monthly_csv_row(self, tmp_path):
+        result = run(SMALL)
+        lines = (result.write_outputs(tmp_path) / "monthly.csv").read_text().splitlines()
+        names = [f.name for f in fields(MonthRecord)]
+        at = names.index("rates")
+        rates = [f"rate_{k + 1}" for k in range(len(result.month_records[0].rates))]
+        assert lines[0].split(",") == names[:at] + rates + names[at + 1 :]
+        assert len(lines) == len(result.month_records) + 1
+        for line, record in zip(lines[1:], result.month_records):
+            month, *values = astuple(record)
+            values[at - 1 : at] = record.rates
+            assert line == ",".join([f"{month:d}", *(f"{v:.6f}" for v in values)])
+
     def test_annual_csv_columns(self, tmp_path):
         out = run(SMALL).write_outputs(tmp_path)
         lines = (out / "annual.csv").read_text().splitlines()
@@ -587,7 +600,7 @@ class TestOutputs:
     def test_summary_contents(self, tmp_path):
         result = run(SMALL)
         summary = result.summary
-        final = result.month_records[-1].metrics
+        final = result.month_records[-1]
         assert summary["final_equality"] == round(final.equality, 6)
         assert summary["final_social_outcome"] == round(final.social_outcome, 6)
         assert summary["months"] == SMALL.months
