@@ -1,8 +1,8 @@
 """taxsim: a deterministic agent-based income-tax simulator.
 
-Households earn, pay bracketed taxes, consume, and save; a pluggable
-government policy (free market, fixed federal rates, elasticity-based
-optimal rates, or an LLM planner) periodically resets the bracket rates.
+Households earn, pay bracketed taxes, consume, and save under fixed rates
+(free market, federal) or a government policy (elasticity-based optimal
+rates or an LLM planner) that periodically resets the bracket rates.
 The social outcome is equality times per-capita wealth.
 """
 
@@ -28,7 +28,6 @@ from taxsim.metrics import equality, gini, productivity, social_outcome
 from taxsim.policies import (
     DEFAULT_BRACKETS,
     US_FEDERAL_RATES,
-    FixedPolicy,
     PolicyObservation,
     SaezOptimalPolicy,
     TaxAgentPolicy,
@@ -46,7 +45,6 @@ __all__ = [
     "Decision",
     "DecisionContext",
     "DecisionMonth",
-    "FixedPolicy",
     "GatewayConfig",
     "InitialConditions",
     "LLMBackend",

@@ -4,8 +4,8 @@ field-for-field, with validation and (de)serialization.
 ``SimConfig.validate`` checks every field of the tree the same way: its
 value must match the field's annotation, and a field declared with
 ``_checked`` must also satisfy that field's rule: a bound ``gt``, ``ge`` or
-``le``, ``choices``, or ``nonempty``. The ``None`` of an optional field
-skips its rule.
+``le``, ``choices``, ``nonempty``, or ``encode``. The ``None`` of an
+optional field skips its rule.
 No section checks itself on construction, so every bad value is reported
 by ``validate`` under its dotted key.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -33,8 +34,10 @@ class ConfigError(ValueError):
 def _checked(default, **rule):
     """A field whose value ``validate`` also checks against ``rule``: a
     lower bound ``gt`` (exclusive) or ``ge`` (inclusive), an upper bound
-    ``le`` (inclusive), ``choices``, or ``nonempty=True`` for a string that
-    must not be empty."""
+    ``le`` (inclusive), ``choices``, ``nonempty=True`` for a string that
+    must not be empty, or ``encode``, the name in ``_ENCODERS`` of the
+    encoder a string must pass: ``"UTF-8"`` for text sent in a request,
+    ``"os.fsencode"`` for a path or an environment variable's name."""
     return field(default=default, metadata=rule)
 
 
@@ -43,9 +46,9 @@ class GatewayConfig:
     """How LLM calls are satisfied."""
 
     mode: str = _checked("replay", choices=GATEWAY_MODES)
-    endpoint: str = ""
-    cache_path: str = ""
-    api_key_env: str = "TAXSIM_API_KEY"
+    endpoint: str = _checked("", encode="UTF-8")
+    cache_path: str = _checked("", encode="os.fsencode")
+    api_key_env: str = _checked("TAXSIM_API_KEY", encode="os.fsencode")
     timeout_seconds: float = _checked(30.0, gt=0)
 
 
@@ -79,7 +82,7 @@ class TaxAgentConfig:
     """LLM planner settings; the model id stands in for whatever policy
     knowledge the model carries."""
 
-    model_id: str = _checked("qwen-turbo-2024-09-19", nonempty=True)
+    model_id: str = _checked("qwen-turbo-2024-09-19", nonempty=True, encode="UTF-8")
     temperature: float = _checked(0.2, ge=0, le=2)
     max_retries: int = _checked(3, ge=1, le=10)
     max_tokens: int = _checked(256, ge=1)
@@ -87,7 +90,7 @@ class TaxAgentConfig:
 
 @dataclass(frozen=True)
 class HouseholdLLMConfig:
-    model_id: str = _checked("qwen-turbo-2024-09-19", nonempty=True)
+    model_id: str = _checked("qwen-turbo-2024-09-19", nonempty=True, encode="UTF-8")
     temperature: float = _checked(0.7, ge=0, le=2)
     max_retries: int = _checked(3, ge=1, le=10)
     max_tokens: int = _checked(128, ge=1)
@@ -126,8 +129,8 @@ class SimConfig:
     household_llm: HouseholdLLMConfig = field(default_factory=HouseholdLLMConfig)
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     initial: InitialConditions = field(default_factory=InitialConditions)
-    persona_path: str = ""
-    output_dir: str = "out"
+    persona_path: str = _checked("", encode="os.fsencode")
+    output_dir: str = _checked("out", encode="os.fsencode")
     write_households: bool = True
 
     def validate(self) -> None:
@@ -164,7 +167,23 @@ def _problems(section, where: str) -> list[str]:
             problems.append(f"{key} must be one of {rule['choices']}")
         elif "nonempty" in rule and not value:
             problems.append(f"{key} must be non-empty")
+        elif "encode" in rule and not _encodes(_ENCODERS[rule["encode"]], value):
+            problems.append(f"{key} {value!r} does not encode with {rule['encode']}")
     return problems
+
+
+# A lone surrogate, such as a JSON "\ud800" escape, is valid in a str but
+# encodes to no bytes; os.fsencode still takes the "\udc80".."\udcff" that
+# stand for the undecodable bytes of a command-line path.
+_ENCODERS = {"UTF-8": str.encode, "os.fsencode": os.fsencode}
+
+
+def _encodes(encode, text: str) -> bool:
+    try:
+        encode(text)
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 # The resolved annotations and the fields of each config class; resolving

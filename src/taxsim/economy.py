@@ -125,8 +125,8 @@ class Persona:
             value = getattr(self, attr)
             if not isinstance(value, str) or not value:
                 raise ValueError(f"persona {attr} must be a non-empty string, not {value!r}")
-        if type(self.age) is not int or self.age <= 0:  # a bool is no age
-            raise ValueError(f"persona age must be a positive integer, not {self.age!r}")
+        if type(self.age) is not int or not 1 <= self.age <= 150:  # a bool is no age
+            raise ValueError(f"persona age must be an integer from 1 to 150, not {self.age!r}")
 
     @cached_property
     def prompt_texts(self) -> tuple[str, str]:

@@ -1,17 +1,18 @@
 """Government-side tax policies.
 
-Three implementations of one ``TaxPolicy`` protocol: propose a full
-bracketed schedule from an observation of the economy. Every policy uses
-the ``DEFAULT_BRACKETS`` thresholds; policies only move the rates.
+Two policies, each with a ``propose`` method that maps an observation of
+the economy to a full bracketed schedule. Every schedule uses the
+``DEFAULT_BRACKETS`` thresholds; policies only move the rates.
 
-  FixedPolicy       - one schedule, never adjusted: zero rates for the free
-                      market (``free_market_schedule``), the seven federal
-                      marginal rates (``us_federal_schedule``).
   SaezOptimalPolicy - elasticity-based optimal rates re-estimated from the
                       current income distribution each period.
   TaxAgentPolicy    - an LLM planner prompted with incomes, wealth, and the
                       metric history; replies are parsed and validated, and
                       any failure keeps the previous schedule in force.
+
+The two fixed systems are schedules, not policies, since they never
+propose: zero rates for the free market (``free_market_schedule``) and the
+seven federal marginal rates (``us_federal_schedule``).
 
 ``marginal_rate`` is the scalar formula, floats in and a float out.
 ``saez_schedule`` uses numpy only for the work that grows with the number
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,9 +81,6 @@ class PolicyObservation:
             raise ValueError("incomes and wealth must have equal length")
         if not self.schedule_history:
             raise ValueError("schedule_history must end with the schedule in force")
-
-    def previous_schedule(self) -> TaxSchedule:
-        return self.schedule_history[-1]
 
 
 def pareto_parameter(incomes, tail_threshold: float) -> float:
@@ -258,23 +256,6 @@ def parse_tax_reply(text: str) -> tuple[float, ...]:
     raise TaxReplyParseError("reply contains no list of seven rates")
 
 
-class TaxPolicy(Protocol):
-    """Maps an observation to a full, valid TaxSchedule over
-    ``DEFAULT_BRACKETS``."""
-
-    def propose(self, observation: PolicyObservation) -> TaxSchedule: ...
-
-
-@dataclass(frozen=True)
-class FixedPolicy:
-    """One schedule, proposed every period and never adjusted."""
-
-    schedule: TaxSchedule
-
-    def propose(self, observation: PolicyObservation) -> TaxSchedule:
-        return self.schedule
-
-
 class SaezOptimalPolicy:
     """Re-derives optimal rates from the observed income distribution; any
     estimation failure keeps the previous schedule."""
@@ -283,7 +264,7 @@ class SaezOptimalPolicy:
         self.params = params or SaezParams()
 
     def propose(self, observation: PolicyObservation) -> TaxSchedule:
-        previous = observation.previous_schedule()
+        previous = observation.schedule_history[-1]
         try:
             return saez_schedule(
                 observation.incomes, DEFAULT_BRACKETS, self.params, previous=previous
@@ -305,5 +286,5 @@ class TaxAgentPolicy:
     def propose(self, observation: PolicyObservation) -> TaxSchedule:
         rates = self.gateway.ask(self.config, build_tax_prompt(observation), parse_tax_reply)
         if rates is None:
-            return observation.previous_schedule()
+            return observation.schedule_history[-1]
         return TaxSchedule(DEFAULT_BRACKETS, rates)

@@ -93,11 +93,9 @@ from taxsim.households import (
 )
 from taxsim.personas import load_personas, roster_for
 from taxsim.policies import (
-    FixedPolicy,
     PolicyObservation,
     SaezOptimalPolicy,
     TaxAgentPolicy,
-    TaxPolicy,
     free_market_schedule,
     us_federal_schedule,
 )
@@ -132,14 +130,16 @@ def initial_schedule(tax_system: str) -> TaxSchedule:
     return free_market_schedule() if tax_system == "free" else us_federal_schedule()
 
 
-def build_policy(config: SimConfig, gateway: ChatGateway | None) -> TaxPolicy:
-    """The policy of a validated config; ``_prepared`` has supplied the
-    gateway when the system needs one."""
+def build_policy(
+    config: SimConfig, gateway: ChatGateway | None
+) -> SaezOptimalPolicy | TaxAgentPolicy | None:
+    """The policy of a validated config (None for a fixed schedule);
+    ``_prepared`` has supplied the gateway when the system needs one."""
     if config.tax_system == "saez":
         return SaezOptimalPolicy(config.saez)
     if config.tax_system == "tax_agent":
         return TaxAgentPolicy(gateway, config.tax_agent)
-    return FixedPolicy(initial_schedule(config.tax_system))
+    return None
 
 
 def build_gateway(config: GatewayConfig) -> ChatGateway:
@@ -202,7 +202,7 @@ class _Run:
     ensemble's month values (months x ``_MONTH_VALUES``)."""
 
     config: SimConfig
-    policy: TaxPolicy
+    policy: SaezOptimalPolicy | TaxAgentPolicy | None  # None for a fixed schedule
     schedule: TaxSchedule  # in force this month
     schedule_history: list[TaxSchedule]  # one per past month, after the month-0 bootstrap
     monthly: np.ndarray
@@ -400,8 +400,7 @@ class _Ensemble:
             policy = build_policy(config, gateway)
             runs.append(_Run(config, policy, schedule, [schedule], monthly[:, :, i]))
         self.runs = runs
-        # A fixed schedule's proposal is the schedule in force: only the others propose.
-        self.proposers = [i for i, r in enumerate(runs) if not isinstance(r.policy, FixedPolicy)]
+        self.proposers = [i for i, r in enumerate(runs) if r.policy is not None]
         # The population, one (runs x N) array per quantity: row r is run r,
         # column i household i.
         self.wage, self.savings = np.array(wages), np.array(savings)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +157,36 @@ class TestRunCommand:
         )
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key,data,encoder",
+        [
+            ("tax_agent.model_id", {"tax_agent": {"model_id": "q\ud800"}}, "UTF-8"),
+            ("output_dir", {"output_dir": "q\ud800"}, "os.fsencode"),
+        ],
+    )
+    def test_string_that_cannot_be_encoded_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, key, data, encoder
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))  # the surrogate as a "\ud800" escape
+        argv = ["run", "--config", str(config), "--months", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"taxsim: error: {key} 'q\\ud800' does not encode with {encoder}\n"
+        )
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["config.json"]  # not even the default "out"
+
+    def test_out_with_an_undecodable_byte_still_runs(self, tmp_path):
+        # Python decodes the byte 0xff of a command-line argument to "\udcff",
+        # and os.fsencode turns it back into that byte.
+        out = os.fsencode(tmp_path) + b"/out\xff"
+        assert main(["run", "--months", "1", "--out", os.fsdecode(out)]) == 0
+        assert (Path(os.fsdecode(out)) / "monthly.csv").exists()
+        assert os.listdir(os.fsencode(tmp_path)) == [b"out\xff"]
 
     def test_defaults_without_config(self, tmp_path):
         out = tmp_path / "out"

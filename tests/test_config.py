@@ -126,6 +126,20 @@ class TestValidation:
             ("initial.price", {"initial": {"price": 2e9}}),
             # a rate the household prompt spelled as inf%
             ("initial.interest_rate", {"initial": {"interest_rate": 1e308}}),
+            # a lone surrogate (a JSON "\ud800" escape), which no request
+            # body, path or environment lookup can encode
+            *(
+                (f"{section}.{name}", {section: {name: "q\ud800"}})
+                for section, name in (
+                    ("tax_agent", "model_id"),
+                    ("household_llm", "model_id"),
+                    ("gateway", "endpoint"),
+                    ("gateway", "api_key_env"),
+                    ("gateway", "cache_path"),
+                )
+            ),
+            ("persona_path", {"persona_path": "q\ud800"}),
+            ("output_dir", {"output_dir": "q\ud800"}),
         ],
     )
     def test_bad_file_values_rejected_before_running(self, key, data):

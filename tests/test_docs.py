@@ -1,5 +1,6 @@
-"""The README and the example config against the code: the example config
-and README's config sample validate, and README's python blocks run."""
+"""The README, the example config and the package's exports against the
+code: the example config and README's config sample validate, README's
+python blocks run, and every name in ``taxsim.__all__`` exists."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import re
 from pathlib import Path
 
+import taxsim
 from taxsim.config import config_from_dict, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,3 +35,7 @@ def test_readme_python_blocks_run_in_one_namespace():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_every_exported_name_exists():
+    assert [name for name in taxsim.__all__ if not hasattr(taxsim, name)] == []

@@ -61,6 +61,8 @@ class TestLoadPersonas:
             ("age", True),
             ("age", 30.9),
             ("age", "41"),
+            ("age", 151),
+            ("age", 10**30),
             ("city", ["Reno"]),
             ("occupation", {"a": 1}),
             ("occupation", None),

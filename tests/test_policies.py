@@ -24,7 +24,6 @@ from taxsim.policies import (
     US_FEDERAL_RATES,
     DegenerateIncomesError,
     EmptyTailError,
-    FixedPolicy,
     PolicyObservation,
     SaezOptimalPolicy,
     SaezParams,
@@ -65,21 +64,15 @@ class TestPolicyObservation:
         with pytest.raises(ValueError, match="schedule_history"):
             observation(incomes=[1.0], schedules=())
 
-    def test_previous_schedule_is_the_last_of_the_history(self):
-        history = (us_federal_schedule(), free_market_schedule())
-        assert observation(incomes=[1.0], schedules=history).previous_schedule() == history[-1]
-
 
 class TestFixedPolicies:
     def test_free_market_rates_are_all_zero(self):
-        policy = FixedPolicy(free_market_schedule())
-        schedule = policy.propose(observation(incomes=[1.0], wealth=[1.0]))
+        schedule = free_market_schedule()
         assert schedule.rates == (0.0,) * 7
         assert schedule.thresholds == DEFAULT_BRACKETS
 
     def test_us_federal_rates(self):
-        policy = FixedPolicy(us_federal_schedule())
-        schedule = policy.propose(observation(incomes=[1.0], wealth=[1.0]))
+        schedule = us_federal_schedule()
         assert schedule.rates == US_FEDERAL_RATES
         assert schedule.thresholds == DEFAULT_BRACKETS
 
@@ -543,11 +536,6 @@ class TestScheduleInvariants:
         incomes = rng.lognormal(8.0, 1.5, 30).tolist()
         obs = observation(incomes=incomes, wealth=incomes,
                           schedules=[us_federal_schedule()])
-        for policy in (
-            FixedPolicy(free_market_schedule()),
-            FixedPolicy(us_federal_schedule()),
-            SaezOptimalPolicy(),
-        ):
-            schedule = policy.propose(obs)
-            assert schedule.thresholds == DEFAULT_BRACKETS
-            assert all(0.0 <= r <= 1.0 for r in schedule.rates)
+        schedule = SaezOptimalPolicy().propose(obs)
+        assert schedule.thresholds == DEFAULT_BRACKETS
+        assert all(0.0 <= r <= 1.0 for r in schedule.rates)

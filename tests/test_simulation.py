@@ -26,12 +26,13 @@ from taxsim.config import ConfigError, GatewayConfig, SimConfig, load_config
 from taxsim.economy import sequential_sum
 from taxsim.gateway import GATEWAY_MODES, ChatGateway
 from taxsim.personas import load_personas, roster_for
-from taxsim.policies import US_FEDERAL_RATES, FixedPolicy, PolicyObservation
+from taxsim.policies import US_FEDERAL_RATES, PolicyObservation
 from taxsim.results import MonthRecord
 from taxsim.simulation import (
     ComparisonResult,
     ComparisonRow,
     build_gateway,
+    build_policy,
     compare,
     initial_schedule,
     month_label,
@@ -129,6 +130,23 @@ class TestSystems:
         for record in result.month_records:
             assert record.rates == (0.1, 0.15, 0.25, 0.3, 0.35, 0.4, 0.45)
 
+    @pytest.mark.parametrize("tax_system", ["saez", "us_federal", "free"])
+    def test_total_productivity_is_n_times_per_capita(self, tax_system):
+        # The metric is read only by the records (and a planner's prompt), so
+        # the dynamics are those of a per-capita run: total / N is its
+        # productivity bit for bit, and the social outcome follows.
+        base = replace(SMALL, months=14, seed=3, tax_system=tax_system)
+        per_capita = run(base)
+        total = run(replace(base, productivity_metric="total"))
+        assert total.annual_records == per_capita.annual_records
+        n = base.n_households
+        for got, want in zip(total.month_records, per_capita.month_records, strict=True):
+            assert replace(got, productivity=0.0, social_outcome=0.0) == replace(
+                want, productivity=0.0, social_outcome=0.0
+            )
+            assert (got.productivity / n).hex() == want.productivity.hex()
+            assert got.social_outcome == got.equality * got.productivity
+
 
 class TestStepOrder:
     def test_monthly_pipeline_order(self):
@@ -182,7 +200,7 @@ class TestStepOrder:
                     "decide produce tax consume adjust record",
                 ],
             ),
-            # a FixedPolicy proposes nothing, yet "propose" is logged on the
+            # a fixed schedule proposes nothing, yet "propose" is logged on the
             # cadence; the cadence falls on month 7, the last, and nothing
             # follows it
             (
@@ -407,8 +425,8 @@ class TestPolicyObservations:
 
         def keeping(config, gateway):
             policy = build(config, gateway)
-            if isinstance(policy, FixedPolicy):  # it makes no proposal
-                return policy
+            if policy is None:  # a fixed schedule makes no proposal
+                return None
             return KeepingPolicy(policy, kept.setdefault((config.tax_system, config.seed), []))
 
         monkeypatch.setattr(simulation, "build_policy", keeping)
@@ -470,8 +488,8 @@ class TestPolicyObservations:
 
 
 class TestFixedSchedules:
-    """A fixed schedule's proposal is the schedule in force, so its run
-    makes none: no observation is built and its policy is never asked."""
+    """A fixed schedule's proposal would be the schedule in force, so its
+    run has no policy and makes none: no observation is built."""
 
     def test_only_saez_is_observed(self, monkeypatch):
         import taxsim.simulation as simulation
@@ -486,11 +504,9 @@ class TestFixedSchedules:
         sweep(SMALL, ["free", "us_federal", "saez"], [SMALL.seed])
         assert months == [0, 3, 6, 9, 12]
 
-    def test_rows_unchanged_when_fixed_policies_cannot_propose(self, monkeypatch):
-        def refuse(self, observation):
-            raise AssertionError("a fixed schedule makes no proposal")
-
-        monkeypatch.setattr(FixedPolicy, "propose", refuse)
+    def test_rows_unchanged_when_fixed_policies_cannot_propose(self):
+        for system in ("free", "us_federal"):
+            assert build_policy(replace(SMALL, tax_system=system), None) is None
         rows = sweep(SMALL, ["free", "us_federal"], [11, 12])
         # The rows of this sweep when every fixed schedule still proposed.
         assert rows == [
