@@ -23,7 +23,7 @@ from taxsim.economy import (
     compute_tax,
 )
 from taxsim.gateway import ChatGateway, ChatRequest
-from taxsim.households import Decision, DecisionContext, DecisionMonth, LLMBackend
+from taxsim.households import Decision, DecisionMonth, LLMBackend
 from taxsim.metrics import equality, gini, productivity, social_outcome
 from taxsim.policies import (
     DEFAULT_BRACKETS,
@@ -43,7 +43,6 @@ __all__ = [
     "ChatRequest",
     "DEFAULT_BRACKETS",
     "Decision",
-    "DecisionContext",
     "DecisionMonth",
     "GatewayConfig",
     "InitialConditions",

@@ -37,7 +37,8 @@ def _checked(default, **rule):
     ``le`` (inclusive), ``choices``, ``nonempty=True`` for a string that
     must not be empty, or ``encode``, the name in ``_ENCODERS`` of the
     encoder a string must pass: ``"UTF-8"`` for text sent in a request,
-    ``"os.fsencode"`` for a path or an environment variable's name."""
+    ``"os.fsencode"`` for a path or an environment variable's name, which
+    must also hold no NUL."""
     return field(default=default, metadata=rule)
 
 
@@ -172,16 +173,24 @@ def _problems(section, where: str) -> list[str]:
     return problems
 
 
+def _fsencode(text: str) -> bytes:
+    """``os.fsencode`` of a path or an environment variable's name, neither
+    of which can hold a NUL: the OS would take ``text`` only up to it."""
+    if "\x00" in text:
+        raise ValueError("embedded null character")
+    return os.fsencode(text)
+
+
 # A lone surrogate, such as a JSON "\ud800" escape, is valid in a str but
 # encodes to no bytes; os.fsencode still takes the "\udc80".."\udcff" that
 # stand for the undecodable bytes of a command-line path.
-_ENCODERS = {"UTF-8": str.encode, "os.fsencode": os.fsencode}
+_ENCODERS = {"UTF-8": str.encode, "os.fsencode": _fsencode}
 
 
 def _encodes(encode, text: str) -> bool:
     try:
         encode(text)
-    except UnicodeEncodeError:
+    except ValueError:  # UnicodeEncodeError, or a NUL in a path
         return False
     return True
 

@@ -3,8 +3,11 @@
 Each month a household picks a work propensity and a consumption propensity,
 both on a 0.02 grid. The LLM backend renders a persona-grounded prompt over
 the household's economic situation and parses a two-key JSON reply, one
-household at a time. The rule-based decision is a deterministic offline
-stand-in computed for the whole population in one array pass. Quarterly, LLM
+household at a time. A reply spelled exactly as ``json.dumps`` writes the
+object the prompt asks for is read by one regular expression; any other
+reply goes through the general parser, which looks for such an object in
+the text. The rule-based decision is a deterministic offline stand-in
+computed for the whole population in one array pass. Quarterly, LLM
 households distill their memory of past months into a free-text reflection
 note that is appended to later prompts.
 """
@@ -58,7 +61,7 @@ DEFAULT_DECISION = Decision(0.6, 0.4)  # month-0 fallback before any history
 class DecisionMonth:
     """What every household observes alike in one month: the date, last
     month's and this month's schedules, the average price and its direction,
-    and the interest rate. ``_simulate`` builds one a month, so its checks
+    and the interest rate. An LLM run builds one a month, so its checks
     run and its prompt texts render once a month, not once a household."""
 
     date: str  # "YYYY.MM"
@@ -111,29 +114,6 @@ class DecisionMonth:
         )
 
 
-@dataclass(frozen=True)
-class DecisionContext:
-    """Everything one household observes when deciding for a month: the
-    month's shared view and its own situation."""
-
-    month: DecisionMonth
-    persona: Persona
-    expected_income: float
-    savings: float
-    income_direction: str = UNCHANGED
-    last_consumption: float = 0.0
-    reflection_note: str = ""
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails too: every comparison with NaN is false.
-        if not (
-            self.expected_income >= 0 and self.savings >= 0 and self.last_consumption >= 0
-        ):
-            raise ValueError("currency fields must be >= 0")
-        if self.income_direction not in _INCOME_PHRASES:
-            raise ValueError(f"unknown income_direction {self.income_direction!r}")
-
-
 class MemoryEntry:
     """One month's summary kept for the quarterly self-review: its line of
     the review prompt, which is all the review reads. The line is rendered
@@ -160,20 +140,34 @@ class MemoryEntry:
         )
 
 
-def build_household_prompt(context: DecisionContext) -> str:
-    """Render the monthly decision prompt, field for field: persona, date,
-    expected income and its direction, last consumption, old and new tax
-    schedules, price, savings, interest rate, and the two-key JSON
-    instruction on the 0.02 grid. A non-empty reflection note is appended.
-    The persona's and the month's texts are rendered once each; only the
-    household's own values are rendered here."""
-    month, note = context.month, context.reflection_note
-    head, occupation = context.persona.prompt_texts
+def build_household_prompt(
+    month: DecisionMonth,
+    persona: Persona,
+    expected_income: float,
+    savings: float,
+    income_direction: str,
+    last_consumption: float,
+    reflection_note: str = "",
+) -> str:
+    """Render the monthly decision prompt of one household, field for
+    field: persona, date, expected income and its direction, last
+    consumption, old and new tax schedules, price, savings, interest rate,
+    and the two-key JSON instruction on the 0.02 grid. A non-empty
+    reflection note is appended. The persona's and the month's texts are
+    rendered once each; only the household's own values are rendered here.
+    The amounts are not checked: the month checks them for every household
+    at once (``_LLMHouseholds.decide``)."""
+    try:
+        income = _INCOME_PHRASES[income_direction]
+    except KeyError:
+        raise ValueError(f"unknown income_direction {income_direction!r}") from None
+    head, occupation = persona.prompt_texts
     taxes, interest = month.prompt_texts
+    note = reflection_note
     return (
-        f"{head}{month.date}{occupation}{context.expected_income:.2f}, which "
-        f"{_INCOME_PHRASES[context.income_direction]}. Besides, your consumption "
-        f"was ${context.last_consumption:.2f}. {taxes}{context.savings:.2f}{interest}"
+        f"{head}{month.date}{occupation}{expected_income:.2f}, which {income}. "
+        f"Besides, your consumption was ${last_consumption:.2f}. "
+        f"{taxes}{savings:.2f}{interest}"
         f"{f' Your reflection on your earlier decisions: {note}' if note else ''}"
     )
 
@@ -191,22 +185,54 @@ def build_reflection_prompt(memory: Collection[MemoryEntry]) -> str:
 
 _JSON_OBJECT = re.compile(r"\{[^{}]*\}", re.DOTALL)
 
+# A JSON number with a fraction or an exponent, as ``json.dumps`` spells a
+# finite float. ASCII digits only: ``float`` also reads other scripts'
+# digits, which JSON does not. A JSON integer is left to the general path,
+# which reads ``-0`` as the int 0, not as -0.0.
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+# The reply the prompt asks for, exactly as ``json.dumps`` writes it.
+_CANONICAL_REPLY = re.compile(f'{{"work": {_FLOAT}, "consumption": {_FLOAT}}}')
+
 
 def parse_decision_reply(text: str) -> Decision:
     """Parse a {"work": x, "consumption": y} reply into a grid-valid
     Decision; values are clamped and snapped, anything unparsable raises
-    DecisionError."""
+    DecisionError.
+
+    A reply spelled exactly as ``json.dumps`` writes that object with two
+    float values, nearly every reply a model gives, is read by one regular
+    expression and ``float``, which is what the JSON decoder would do with
+    those tokens. Any other text, and a number beyond the float range, goes
+    through the general parser, so both paths end alike."""
+    match = _CANONICAL_REPLY.fullmatch(text)
+    if match is not None:
+        try:
+            return Decision(quantize_fraction(float(match[1])), quantize_fraction(float(match[2])))
+        except ValueError:
+            pass  # a non-finite number
+    return _parse_any_reply(text)
+
+
+# What ``json.loads`` raises on a text that is no JSON (JSONDecodeError is a
+# ValueError), and on one nested deeper than the decoder goes.
+_NOT_JSON = (ValueError, RecursionError)
+
+
+def _parse_any_reply(text: str) -> Decision:
+    """The general parser: the whole text as JSON, or else each brace pair
+    in it with no brace inside, the first that holds a numeric "work" and
+    "consumption" wins."""
     candidates = []
     try:
         candidates.append(json.loads(text))
-    except (json.JSONDecodeError, ValueError):
+    except _NOT_JSON:
         candidates.extend(_JSON_OBJECT.findall(text))
     for candidate in candidates:
         payload = candidate
         if isinstance(payload, str):
             try:
                 payload = json.loads(payload)
-            except (json.JSONDecodeError, ValueError):
+            except _NOT_JSON:
                 continue
         if not isinstance(payload, dict):
             continue
@@ -248,9 +274,10 @@ def rule_based_decide(tax, expected_income, savings, price: float) -> tuple:
 class LLMBackend:
     """LLM-driven decisions and reflections through a chat gateway.
 
-    Each is the gateway's ``ask``. A decision raises DecisionError for the
-    caller's fallback when no reply parses; a reflection takes any text and
-    returns None when no attempt gets one. A replay cache miss propagates.
+    Each is the gateway's ``ask``. A decision asks a rendered prompt and
+    raises DecisionError for the caller's fallback when no reply parses; a
+    reflection takes any text and returns None when no attempt gets one. A
+    replay cache miss propagates.
     """
 
     def __init__(
@@ -259,8 +286,7 @@ class LLMBackend:
         self.gateway = gateway
         self.config = config or HouseholdLLMConfig()
 
-    def decide(self, context: DecisionContext) -> Decision:
-        prompt = build_household_prompt(context)
+    def decide(self, prompt: str) -> Decision:
         decision = self.gateway.ask(self.config, prompt, parse_decision_reply)
         if decision is None:
             raise DecisionError("no parsable decision after retries")
@@ -272,15 +298,15 @@ class LLMBackend:
 
 def decide(
     backend: LLMBackend,
-    context: DecisionContext,
+    prompt: str,
     fallback: Decision = DEFAULT_DECISION,
 ) -> Decision:
-    """Total decision step: the backend's parsed decision, or when no reply
-    parses, transport failures included, the fallback (the household's
-    previous decision, or the documented month-0 default). Both are on the
-    grid already: the parser snaps every reply."""
+    """Total decision step: the backend's parsed decision on a rendered
+    prompt, or when no reply parses, transport failures included, the
+    fallback (the household's previous decision, or the documented month-0
+    default). Both are on the grid already: the parser snaps every reply."""
     try:
-        return backend.decide(context)
+        return backend.decide(prompt)
     except DecisionError:
         return fallback
 

@@ -83,10 +83,10 @@ from taxsim.households import (
     DECREASED,
     INCREASED,
     UNCHANGED,
-    DecisionContext,
     DecisionMonth,
     LLMBackend,
     MemoryEntry,
+    build_household_prompt,
     decide,
     reflect,
     rule_based_decide,
@@ -339,6 +339,12 @@ class _LLMHouseholds:
         self.decisions = [DEFAULT_DECISION] * (k * n)
 
     def decide(self, state: _Ensemble, month: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each household's decision on its rendered prompt. The amounts a
+        prompt shows are checked for the whole ensemble at once; written so
+        that NaN fails too, as every comparison with NaN is false."""
+        amounts = state.expected, state.savings, state.spent
+        if not all((amount >= 0).all() for amount in amounts):
+            raise ValueError("currency fields must be >= 0")
         prices, rates = state.market.price.tolist(), state.market.interest_rate.tolist()
         expected, date = state.expected.ravel().tolist(), month_label(month)
         # What every household of a run sees alike this month, in
@@ -347,8 +353,8 @@ class _LLMHouseholds:
             DecisionMonth(date, r.schedule_history[-1], r.schedule, p, rate, _direction(p, last))
             for r, p, rate, last in zip(state.runs, prices, rates, self.previous_price)
         ]
-        contexts = map(
-            DecisionContext,
+        prompts = map(
+            build_household_prompt,
             [view for view in shared for _ in range(state.n)],
             self.personas,
             expected,
@@ -357,7 +363,7 @@ class _LLMHouseholds:
             state.spent.ravel().tolist(),
             self.notes,
         )
-        decisions = list(state.map(decide, self.backends, contexts, self.decisions))
+        decisions = list(state.map(decide, self.backends, prompts, self.decisions))
         self.decisions, self.previous_expected, self.previous_price = decisions, expected, prices
         work = np.array([d.work_propensity for d in decisions])
         consumption = np.array([d.consumption_propensity for d in decisions])

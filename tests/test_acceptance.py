@@ -31,7 +31,7 @@ from taxsim.economy import (
     update_interest_rate,
 )
 from taxsim.gateway import ChatGateway
-from taxsim.households import DecisionContext, DecisionMonth, build_household_prompt
+from taxsim.households import DecisionMonth, build_household_prompt
 from taxsim.metrics import equality, gini
 from taxsim.policies import (
     DEFAULT_BRACKETS,
@@ -162,7 +162,7 @@ def test_criterion_6_determinism(tmp_path):
 
 def test_criterion_7_golden_prompts():
     federal = TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES)
-    context = DecisionContext(
+    household_prompt = build_household_prompt(
         month=DecisionMonth(
             date="2001.03",
             previous_schedule=federal,
@@ -177,7 +177,6 @@ def test_criterion_7_golden_prompts():
         income_direction="decreased",
         last_consumption=544.68,
     )
-    household_prompt = build_household_prompt(context)
     household_golden = (FIXTURES / "household_prompt_golden.txt").read_text()[:-1]
 
     data = json.loads((FIXTURES / "planner_observation.json").read_text())

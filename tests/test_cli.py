@@ -180,6 +180,18 @@ class TestRunCommand:
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["config.json"]  # not even the default "out"
 
+    def test_output_dir_with_a_nul_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_households": 2, "months": 2, "output_dir": "o\u0000x"}))
+        assert main(["run", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "taxsim: error: output_dir 'o\\x00x' does not encode with os.fsencode\n"
+        )
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_out_with_an_undecodable_byte_still_runs(self, tmp_path):
         # Python decodes the byte 0xff of a command-line argument to "\udcff",
         # and os.fsencode turns it back into that byte.

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import fields
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import taxsim.households as households_module
-from helpers import CountingGateway, FlakyTransport, deterministic_reply, scripted_gateway
+from helpers import (
+    CountingGateway,
+    FlakyTransport,
+    PromptedGateway,
+    deterministic_reply,
+    scripted_gateway,
+)
 from taxsim.config import SimConfig
 from taxsim.economy import Persona, TaxSchedule, compute_tax
 from taxsim.gateway import ChatGateway, ReplayMissError
@@ -21,12 +29,12 @@ from taxsim.households import (
     INCREASED,
     UNCHANGED,
     Decision,
-    DecisionContext,
     DecisionError,
     DecisionMonth,
     HouseholdLLMConfig,
     LLMBackend,
     MemoryEntry,
+    _parse_any_reply,
     build_household_prompt,
     build_reflection_prompt,
     decide,
@@ -35,7 +43,7 @@ from taxsim.households import (
     rule_based_decide,
 )
 from taxsim.policies import DEFAULT_BRACKETS, US_FEDERAL_RATES, free_market_schedule
-from taxsim.simulation import month_label, run
+from taxsim.simulation import _Ensemble, month_label, run
 
 ADAM = Persona("Adam Mills", 58, "San Antonio, Texas", "Newspaper Delivery")
 FEDERAL = TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES)
@@ -44,25 +52,33 @@ FEDERAL = TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES)
 MONTH_FIELDS = tuple(f.name for f in fields(DecisionMonth))
 
 
-def context(**overrides) -> DecisionContext:
-    """Adam's context for March 2001; an override of a month field goes to
-    the context's DecisionMonth."""
-    base = dict(
-        date="2001.03",
-        persona=ADAM,
-        expected_income=567.18,
-        previous_schedule=FEDERAL,
-        current_schedule=FEDERAL,
-        average_price=126.78,
-        savings=13072.25,
-        interest_rate=0.03,
-        income_direction="decreased",
-        price_direction="decreased",
-        last_consumption=544.68,
-    )
-    base.update(overrides)
+# Adam's March 2001: the month's and the household's values.
+ADAM_MARCH = dict(
+    date="2001.03",
+    persona=ADAM,
+    expected_income=567.18,
+    previous_schedule=FEDERAL,
+    current_schedule=FEDERAL,
+    average_price=126.78,
+    savings=13072.25,
+    interest_rate=0.03,
+    income_direction="decreased",
+    price_direction="decreased",
+    last_consumption=544.68,
+)
+
+
+def context(**overrides) -> dict:
+    """Adam's ``build_household_prompt`` arguments for March 2001; an
+    override of a month field goes to their DecisionMonth."""
+    base = {**ADAM_MARCH, **overrides}
     month = DecisionMonth(**{name: base.pop(name) for name in MONTH_FIELDS})
-    return DecisionContext(month=month, **base)
+    return dict(month=month, **base)
+
+
+def prompt(**overrides) -> str:
+    """Adam's March 2001 prompt, with ``context``'s overrides."""
+    return build_household_prompt(**context(**overrides))
 
 
 def template_prompt(
@@ -142,63 +158,58 @@ PERSONA_TEXT = st.text(
 class TestBuildHouseholdPrompt:
     def test_golden_prompt(self, fixtures_dir):
         expected = (fixtures_dir / "household_prompt_golden.txt").read_text()[:-1]
-        assert build_household_prompt(context()) == expected
+        assert prompt() == expected
 
     def test_required_fields_present(self):
-        prompt = build_household_prompt(context())
-        assert "[0.00, 808.33, 3289.58, 7016.67, 13393.75, 17008.33, 42525.00]" in prompt
-        assert "intervals of 0.02" in prompt
-        assert "[0.10, 0.12, 0.22, 0.24, 0.32, 0.35, 0.37]" in prompt
-        assert "[10.00%, 12.00%, 22.00%, 24.00%, 32.00%, 35.00%, 37.00%]" in prompt
-        assert "Provide your decisions in a JSON format." in prompt
-        assert "the brackets are not changed" in prompt
+        text = prompt()
+        assert "[0.00, 808.33, 3289.58, 7016.67, 13393.75, 17008.33, 42525.00]" in text
+        assert "intervals of 0.02" in text
+        assert "[0.10, 0.12, 0.22, 0.24, 0.32, 0.35, 0.37]" in text
+        assert "[10.00%, 12.00%, 22.00%, 24.00%, 32.00%, 35.00%, 37.00%]" in text
+        assert "Provide your decisions in a JSON format." in text
+        assert "the brackets are not changed" in text
 
     def test_income_direction_phrases(self):
-        assert "decreased compared to last month" in build_household_prompt(
-            context(income_direction="decreased")
-        )
-        assert "increased compared to last month" in build_household_prompt(
-            context(income_direction="increased")
-        )
-        assert "is unchanged compared to last month" in build_household_prompt(
-            context(income_direction="unchanged")
-        )
+        assert "decreased compared to last month" in prompt(income_direction="decreased")
+        assert "increased compared to last month" in prompt(income_direction="increased")
+        assert "is unchanged compared to last month" in prompt(income_direction="unchanged")
 
     def test_price_direction_phrases(self):
-        assert "Deflation has led to a price decrease" in build_household_prompt(
-            context(price_direction="decreased")
-        )
-        assert "Inflation has led to a price increase" in build_household_prompt(
-            context(price_direction="increased")
-        )
+        assert "Deflation has led to a price decrease" in prompt(price_direction="decreased")
+        assert "Inflation has led to a price increase" in prompt(price_direction="increased")
 
     def test_reflection_note_appended_when_present(self):
         note = "save more when prices rise"
-        prompt = build_household_prompt(context(reflection_note=note))
-        assert prompt.endswith(note)
-        assert note not in build_household_prompt(context())
+        assert prompt(reflection_note=note).endswith(note)
+        assert note not in prompt()
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError, match="income_direction"):
-            context(income_direction="sideways")
+            prompt(income_direction="sideways")
         with pytest.raises(ValueError, match="price_direction"):
             context(price_direction="sideways")
-
-    def test_bad_amounts_rejected(self):
-        for overrides in ({"savings": -1.0}, {"last_consumption": -0.01}, {"average_price": 0.0}):
-            with pytest.raises(ValueError):
-                context(**overrides)
 
     @pytest.mark.parametrize("price", [math.nan, 0.0, -1.0])
     def test_month_rejects_nan_or_nonpositive_price(self, price):
         with pytest.raises(ValueError, match="average_price"):
             context(average_price=price)
 
-    @pytest.mark.parametrize("field", ["expected_income", "savings", "last_consumption"])
-    @pytest.mark.parametrize("value", [math.nan, -1.0])
-    def test_context_rejects_nan_or_negative_currency(self, field, value):
+    # Each amount a prompt shows, by the ensemble array that holds it.
+    @pytest.mark.parametrize(
+        "array", ["expected", "savings", "spent"], ids=["expected_income", "savings", "last_consumption"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -0.01])
+    def test_month_rejects_nan_or_negative_currency(self, array, value):
+        # Checked once a month over the whole ensemble, before any call.
+        gateway = CountingGateway("live", transport=deterministic_reply)
+        config = SimConfig(n_households=3, months=1, household_backend="llm")
+        state = _Ensemble([config], [gateway], False, None)
+        state.map = map
+        state.expected = np.full_like(state.wage, 567.18)
+        getattr(state, array)[0, 1] = value
         with pytest.raises(ValueError, match="currency"):
-            context(**{field: value})
+            state.households.decide(state, 1)
+        assert gateway.calls == 0
 
     @given(
         persona=st.builds(
@@ -234,7 +245,7 @@ class TestBuildHouseholdPrompt:
             last_consumption=amounts[2],
             reflection_note=reflection_note,
         )
-        assert build_household_prompt(context(**values)) == template_prompt(**values)
+        assert prompt(**values) == template_prompt(**values)
 
     @given(
         gaps=st.lists(st.one_of(BOUNDARY_AMOUNTS, st.floats(1e-3, 1e6)), max_size=7),
@@ -252,6 +263,11 @@ class TestBuildHouseholdPrompt:
             "[" + ", ".join(f"{r:.2f}" for r in schedule.rates) + "]",
             "[" + ", ".join(f"{r * 100:.2f}%" for r in schedule.rates) + "]",
         )
+
+
+# A reply nested deeper than the JSON decoder goes, whole and as the value of
+# a "{...}" candidate in chatter.
+NESTED_REPLIES = ["[" * 100_000, 'Sure! {"work": ' + "[" * 100_000 + ', "consumption": 0.5}']
 
 
 class TestParseDecisionReply:
@@ -317,13 +333,109 @@ class TestParseDecisionReply:
             assert 0.0 <= p <= 1.0
             assert abs(p * 50 - round(p * 50)) < 1e-9
 
+    @pytest.mark.parametrize("text", NESTED_REPLIES, ids=["bare", "in_an_object"])
+    def test_reply_nested_past_the_decoder_rejected(self, text):
+        with pytest.raises(DecisionError):
+            parse_decision_reply(text)
 
-def rule_decision(ctx: DecisionContext) -> Decision:
-    """The rule-based decision for one household's context."""
-    tax = compute_tax(ctx.month.current_schedule, ctx.expected_income)
-    return Decision(
-        *rule_based_decide(tax, ctx.expected_income, ctx.savings, ctx.month.average_price)
-    )
+    def test_negative_zero_integer_read_as_the_decoder_reads_it(self):
+        # JSON's -0 is the int 0, which snaps to 0.0; float("-0") is -0.0.
+        decision = parse_decision_reply('{"work": -0, "consumption": 0.5}')
+        assert decision.work_propensity.hex() == (0.0).hex()
+        assert parse_decision_reply('{"work": -0.0, "consumption": 0.5}').work_propensity.hex() == (
+            (-0.0).hex()
+        )
+
+
+def outcome(parse, text: str):
+    """What ``parse`` makes of ``text``: both fields by ``float.hex``, so
+    -0.0 differs from 0.0, or the DecisionError it raises."""
+    try:
+        decision = parse(text)
+    except DecisionError:
+        return DecisionError
+    return decision.work_propensity.hex(), decision.consumption_propensity.hex()
+
+
+# What ``json.dumps`` may write for a value: floats of every kind (±0.0,
+# subnormals, 1e-07, 1e+16, NaN, ±inf) and ints.
+DUMPED_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-07, 1e16, 0.5, math.nan, math.inf, -math.inf]),
+    st.integers(-(10**20), 10**20),
+)
+# Number spellings: any JSON number, and beside it ints, -0, exponents past
+# the float range, leading zeros, other scripts' digits and what ``float``
+# reads but JSON does not.
+NUMBER_TOKENS = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,3})(\.[0-9]{1,4})?([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(
+        ["-0", "0", "1", "00.5", "01", "1e400", "-1e400", "1.5E+400", "1e-400", ".5", "5.", "+0.5",
+         "\u0661.\u0665", "0.\u0665", "1_0.5", "inf", "nan", "NaN", "-Infinity", " 0.5", "1" + "0" * 400]
+    ),
+)
+# Near-canonical edits of a reply: spacing, key order, case, chatter.
+EDITS = [
+    lambda t: t.replace(": ", ":"),
+    lambda t: t.replace(", ", ","),
+    lambda t: t.replace("{", "{ "),
+    lambda t: " " + t,
+    lambda t: t + "\n",
+    lambda t: "Sure! " + t,
+    lambda t: t + " That is my answer.",
+    lambda t: t.replace('"work"', '"Work"'),
+    lambda t: t.replace("0.", "00.", 1),
+    lambda t: t.replace("e-", "E-"),
+]
+
+
+@st.composite
+def replies(draw) -> str:
+    """A ``json.dumps`` reply in either key order or the reply's template
+    around any two number tokens, either as it is or under one of the
+    ``EDITS``; or any text."""
+    kind = draw(st.sampled_from(["dumped", "swapped", "tokens", "text"]))
+    if kind == "text":
+        return draw(st.text())
+    if kind == "tokens":
+        text = f'{{"work": {draw(NUMBER_TOKENS)}, "consumption": {draw(NUMBER_TOKENS)}}}'
+    else:
+        pairs = [("work", draw(DUMPED_VALUES)), ("consumption", draw(DUMPED_VALUES))]
+        text = json.dumps(dict(pairs[::-1] if kind == "swapped" else pairs))
+    return draw(st.sampled_from(EDITS))(text) if draw(st.booleans()) else text
+
+
+class TestCanonicalReplyPath:
+    """``parse_decision_reply`` reads the canonical reply by a regular
+    expression; ``_parse_any_reply`` is the general parser it stands in for."""
+
+    @given(text=replies())
+    @example(text='{"work": -0, "consumption": 0.5}')
+    @example(text='{"work": 1e400, "consumption": 0.5}')
+    @example(text='{"work": 5e-324, "consumption": -0.0}')
+    @example(text='{"work": 1e+16, "consumption": 1e-07}')
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_the_general_parser(self, text):
+        assert outcome(parse_decision_reply, text) == outcome(_parse_any_reply, text)
+
+    def test_takes_every_fixture_decision_reply(self, fixtures_dir, monkeypatch):
+        # Each decision reply of the committed cache is canonical, so none
+        # reaches the general parser.
+        lines = (fixtures_dir / "replay_cache.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        replies = [r["response"] for r in records if r["prompt"].startswith("You're ")]
+        expected = [outcome(_parse_any_reply, text) for text in replies]
+        general = []
+        monkeypatch.setattr(households_module, "_parse_any_reply", general.append)
+        assert [outcome(parse_decision_reply, text) for text in replies] == expected
+        assert len(replies) == 56 and general == []
+
+
+def rule_decision(ctx: dict) -> Decision:
+    """The rule-based decision for one household's ``context``."""
+    month, expected = ctx["month"], ctx["expected_income"]
+    tax = compute_tax(month.current_schedule, expected)
+    return Decision(*rule_based_decide(tax, expected, ctx["savings"], month.average_price))
 
 
 class TestRuleBasedDecide:
@@ -353,8 +465,8 @@ class TestRuleBasedDecide:
         decision = rule_decision(ctx)
         assert decision.consumption_propensity == pytest.approx(0.02)
         # the implied spend is about three units of the good
-        assert decision.consumption_propensity * ctx.savings == pytest.approx(
-            3 * ctx.month.average_price, rel=0.5
+        assert decision.consumption_propensity * ctx["savings"] == pytest.approx(
+            3 * ctx["month"].average_price, rel=0.5
         )
 
     def test_deterministic(self):
@@ -376,46 +488,46 @@ class TestDecide:
             scripted_gateway(['{"work": 0.8, "consumption": 0.6}']),
             HouseholdLLMConfig(max_retries=1),
         )
-        assert decide(backend, context()) == Decision(0.8, 0.6)
+        assert decide(backend, prompt()) == Decision(0.8, 0.6)
 
     def test_parse_failure_returns_fallback(self):
         backend = LLMBackend(
             scripted_gateway(["nonsense"]), HouseholdLLMConfig(max_retries=1)
         )
         previous = Decision(0.44, 0.38)
-        assert decide(backend, context(), fallback=previous) == previous
+        assert decide(backend, prompt(), fallback=previous) == previous
 
     def test_huge_integer_reply_returns_fallback(self):
         reply = '{"work": 0.5, "consumption": 1' + "0" * 400 + "}"
         backend = LLMBackend(scripted_gateway([reply]), HouseholdLLMConfig(max_retries=1))
         previous = Decision(0.44, 0.38)
-        assert decide(backend, context(), fallback=previous) == previous
+        assert decide(backend, prompt(), fallback=previous) == previous
 
     def test_default_fallback_is_documented_constant(self):
         backend = LLMBackend(
             scripted_gateway(["nonsense"]), HouseholdLLMConfig(max_retries=1)
         )
-        assert decide(backend, context()) == DEFAULT_DECISION == Decision(0.6, 0.4)
+        assert decide(backend, prompt()) == DEFAULT_DECISION == Decision(0.6, 0.4)
 
     def test_retry_consumes_next_reply(self):
         backend = LLMBackend(
             scripted_gateway(["bad", '{"work": 0.5, "consumption": 0.5}']),
             HouseholdLLMConfig(max_retries=2),
         )
-        assert decide(backend, context()) == Decision(0.5, 0.5)
+        assert decide(backend, prompt()) == Decision(0.5, 0.5)
 
     def test_failed_complete_is_retried(self):
         # One attempt is one transport call: the first fails, the second answers.
         transport = FlakyTransport('{"work": 0.8, "consumption": 0.6}', 1)
         gateway = CountingGateway("live", transport=transport, sleeper=lambda _: None)
-        assert decide(LLMBackend(gateway), context()) == Decision(0.8, 0.6)
+        assert decide(LLMBackend(gateway), prompt()) == Decision(0.8, 0.6)
         assert gateway.calls == transport.calls == 2
 
     def test_reply_that_is_not_text_returns_fallback(self):
         sleeps: list[float] = []
         gateway = CountingGateway("live", transport=lambda request: None, sleeper=sleeps.append)
         previous = Decision(0.44, 0.38)
-        assert decide(LLMBackend(gateway), context(), fallback=previous) == previous
+        assert decide(LLMBackend(gateway), prompt(), fallback=previous) == previous
         assert gateway.calls == HouseholdLLMConfig().max_retries
         assert sleeps == [1.0, 2.0]
 
@@ -436,7 +548,7 @@ class TestDecide:
         sleeps: list[float] = []
         gateway = ChatGateway("live", endpoint="http://example.invalid", sleeper=sleeps.append)
         previous = Decision(0.44, 0.38)
-        assert decide(LLMBackend(gateway), context(), fallback=previous) == previous
+        assert decide(LLMBackend(gateway), prompt(), fallback=previous) == previous
         assert len(posts) == HouseholdLLMConfig().max_retries
         assert sleeps == [1.0, 2.0]
 
@@ -450,26 +562,35 @@ class TestDecide:
 
         monkeypatch.setattr(households_module, "parse_decision_reply", parse)
         reply = '{"work": 0.8, "consumption": 0.6}'
-        assert LLMBackend(scripted_gateway([reply])).decide(context()) == Decision(0.8, 0.6)
+        assert LLMBackend(scripted_gateway([reply])).decide(prompt()) == Decision(0.8, 0.6)
         assert seen == [reply]
 
     def test_replayed_malformed_reply_is_asked_for_once(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         previous = Decision(0.44, 0.38)
         recorder = CountingGateway("record", cache_path=cache, transport=lambda request: "bad")
-        assert decide(LLMBackend(recorder), context(), fallback=previous) == previous
+        assert decide(LLMBackend(recorder), prompt(), fallback=previous) == previous
         assert recorder.calls == HouseholdLLMConfig().max_retries
         # Asking the cache again would only return the same reply.
         replayer = CountingGateway("replay", cache_path=cache)
-        assert decide(LLMBackend(replayer), context(), fallback=previous) == previous
+        assert decide(LLMBackend(replayer), prompt(), fallback=previous) == previous
         assert replayer.calls == 1
+
+    @pytest.mark.parametrize("reply", NESTED_REPLIES, ids=["bare", "in_an_object"])
+    def test_nested_reply_falls_back_in_a_live_run(self, reply):
+        gateway = PromptedGateway(lambda prompt, attempt: reply)
+        config = SimConfig(n_households=2, months=1, household_backend="llm")
+        households = run(config, gateway=gateway).households
+        assert households["work_propensity"].tolist() == [[0.6, 0.6]]
+        assert households["consumption_propensity"].tolist() == [[0.4, 0.4]]
+        assert gateway.calls == 2 * HouseholdLLMConfig().max_retries
 
     def test_replay_miss_propagates(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text("")
         backend = LLMBackend(ChatGateway("replay", cache_path=cache))
         with pytest.raises(ReplayMissError):
-            decide(backend, context())
+            decide(backend, prompt())
 
 
 # Twelve months whose values sit on or beside a 0.005 rounding boundary, so
