@@ -167,7 +167,8 @@ class TestValidation:
     def test_nul_fails_the_encode_rule(self, key, data):
         # Not a later error that names the key: each of these failed at its
         # first use, after month 1 for output_dir.
-        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} .* does not encode with os\.fsencode$"):
+        message = rf"^{re.escape(key)} .* does not encode with os\.fsencode$"
+        with pytest.raises(ConfigError, match=message):
             config_from_dict(data).validate()
 
     def test_bounds_themselves_accepted(self):

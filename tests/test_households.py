@@ -196,7 +196,9 @@ class TestBuildHouseholdPrompt:
 
     # Each amount a prompt shows, by the ensemble array that holds it.
     @pytest.mark.parametrize(
-        "array", ["expected", "savings", "spent"], ids=["expected_income", "savings", "last_consumption"]
+        "array",
+        ["expected", "savings", "spent"],
+        ids=["expected_income", "savings", "last_consumption"],
     )
     @pytest.mark.parametrize("value", [math.nan, -1.0, -0.01])
     def test_month_rejects_nan_or_negative_currency(self, array, value):
@@ -340,11 +342,9 @@ class TestParseDecisionReply:
 
     def test_negative_zero_integer_read_as_the_decoder_reads_it(self):
         # JSON's -0 is the int 0, which snaps to 0.0; float("-0") is -0.0.
-        decision = parse_decision_reply('{"work": -0, "consumption": 0.5}')
-        assert decision.work_propensity.hex() == (0.0).hex()
-        assert parse_decision_reply('{"work": -0.0, "consumption": 0.5}').work_propensity.hex() == (
-            (-0.0).hex()
-        )
+        for work, snapped in (("-0", 0.0), ("-0.0", -0.0)):
+            text = f'{{"work": {work}, "consumption": 0.5}}'
+            assert outcome(parse_decision_reply, text) == (snapped.hex(), (0.5).hex())
 
 
 def outcome(parse, text: str):
@@ -370,8 +370,9 @@ DUMPED_VALUES = st.one_of(
 NUMBER_TOKENS = st.one_of(
     st.from_regex(r"-?(0|[1-9][0-9]{0,3})(\.[0-9]{1,4})?([eE][-+]?[0-9]{1,3})?", fullmatch=True),
     st.sampled_from(
-        ["-0", "0", "1", "00.5", "01", "1e400", "-1e400", "1.5E+400", "1e-400", ".5", "5.", "+0.5",
-         "\u0661.\u0665", "0.\u0665", "1_0.5", "inf", "nan", "NaN", "-Infinity", " 0.5", "1" + "0" * 400]
+        ["-0", "0", "1", "00.5", "01", "1e400", "-1e400", "1.5E+400", "1e-400", ".5", "5."]
+        + ["+0.5", "\u0661.\u0665", "0.\u0665", "1_0.5", "inf", "nan", "NaN", "-Infinity", " 0.5"]
+        + ["1" + "0" * 400]
     ),
 )
 # Near-canonical edits of a reply: spacing, key order, case, chatter.
