@@ -168,29 +168,24 @@ def _problems(section, where: str) -> list[str]:
             problems.append(f"{key} must be one of {rule['choices']}")
         elif "nonempty" in rule and not value:
             problems.append(f"{key} must be non-empty")
+        elif rule.get("encode") == "os.fsencode" and "\x00" in value:
+            # os.fsencode takes a NUL; no path or variable name can hold one
+            problems.append(f"{key} {value!r} holds a NUL character")
         elif "encode" in rule and not _encodes(_ENCODERS[rule["encode"]], value):
             problems.append(f"{key} {value!r} does not encode with {rule['encode']}")
     return problems
 
 
-def _fsencode(text: str) -> bytes:
-    """``os.fsencode`` of a path or an environment variable's name, neither
-    of which can hold a NUL: the OS would take ``text`` only up to it."""
-    if "\x00" in text:
-        raise ValueError("embedded null character")
-    return os.fsencode(text)
-
-
 # A lone surrogate, such as a JSON "\ud800" escape, is valid in a str but
 # encodes to no bytes; os.fsencode still takes the "\udc80".."\udcff" that
 # stand for the undecodable bytes of a command-line path.
-_ENCODERS = {"UTF-8": str.encode, "os.fsencode": _fsencode}
+_ENCODERS = {"UTF-8": str.encode, "os.fsencode": os.fsencode}
 
 
 def _encodes(encode, text: str) -> bool:
     try:
         encode(text)
-    except ValueError:  # UnicodeEncodeError, or a NUL in a path
+    except UnicodeEncodeError:
         return False
     return True
 

@@ -3,11 +3,8 @@
 Each month a household picks a work propensity and a consumption propensity,
 both on a 0.02 grid. The LLM backend renders a persona-grounded prompt over
 the household's economic situation and parses a two-key JSON reply, one
-household at a time. A reply spelled exactly as ``json.dumps`` writes the
-object the prompt asks for is read by one regular expression; any other
-reply goes through the general parser, which looks for such an object in
-the text. The rule-based decision is a deterministic offline stand-in
-computed for the whole population in one array pass. Quarterly, LLM
+household at a time. The rule-based decision is a deterministic offline
+stand-in computed for the whole population in one array pass. Quarterly, LLM
 households distill their memory of past months into a free-text reflection
 note that is appended to later prompts.
 """
@@ -185,42 +182,16 @@ def build_reflection_prompt(memory: Collection[MemoryEntry]) -> str:
 
 _JSON_OBJECT = re.compile(r"\{[^{}]*\}", re.DOTALL)
 
-# A JSON number with a fraction or an exponent, as ``json.dumps`` spells a
-# finite float. ASCII digits only: ``float`` also reads other scripts'
-# digits, which JSON does not. A JSON integer is left to the general path,
-# which reads ``-0`` as the int 0, not as -0.0.
-_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-# The reply the prompt asks for, exactly as ``json.dumps`` writes it.
-_CANONICAL_REPLY = re.compile(f'{{"work": {_FLOAT}, "consumption": {_FLOAT}}}')
-
-
-def parse_decision_reply(text: str) -> Decision:
-    """Parse a {"work": x, "consumption": y} reply into a grid-valid
-    Decision; values are clamped and snapped, anything unparsable raises
-    DecisionError.
-
-    A reply spelled exactly as ``json.dumps`` writes that object with two
-    float values, nearly every reply a model gives, is read by one regular
-    expression and ``float``, which is what the JSON decoder would do with
-    those tokens. Any other text, and a number beyond the float range, goes
-    through the general parser, so both paths end alike."""
-    match = _CANONICAL_REPLY.fullmatch(text)
-    if match is not None:
-        try:
-            return Decision(quantize_fraction(float(match[1])), quantize_fraction(float(match[2])))
-        except ValueError:
-            pass  # a non-finite number
-    return _parse_any_reply(text)
-
-
 # What ``json.loads`` raises on a text that is no JSON (JSONDecodeError is a
 # ValueError), and on one nested deeper than the decoder goes.
 _NOT_JSON = (ValueError, RecursionError)
 
 
-def _parse_any_reply(text: str) -> Decision:
-    """The general parser: the whole text as JSON, or else each brace pair
-    in it with no brace inside, the first that holds a numeric "work" and
+def parse_decision_reply(text: str) -> Decision:
+    """Parse a {"work": x, "consumption": y} reply into a grid-valid
+    Decision; values are clamped and snapped, anything unparsable raises
+    DecisionError. The whole text is read as JSON, or else each brace pair
+    in it with no brace inside; the first that holds a numeric "work" and
     "consumption" wins."""
     candidates = []
     try:

@@ -186,9 +186,7 @@ class TestRunCommand:
         config.write_text(json.dumps({"n_households": 2, "months": 2, "output_dir": "o\u0000x"}))
         assert main(["run", "--config", str(config)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            "taxsim: error: output_dir 'o\\x00x' does not encode with os.fsencode\n"
-        )
+        assert captured.err == "taxsim: error: output_dir 'o\\x00x' holds a NUL character\n"
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["config.json"]
 

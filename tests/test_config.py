@@ -16,13 +16,18 @@ from taxsim.config import (
 from taxsim.simulation import run
 
 URL = "http://example.invalid"
-# Each key checked by os.fsencode, holding a NUL, in a config that uses it.
+# Each key checked by os.fsencode holding a NUL (a JSON "\u0000" escape), in
+# a config that uses it, with the start of its error. Without the check, each
+# failed at its first use (output_dir after month 1) with a misleading message.
 NUL_VALUES = [
-    ("output_dir", {"output_dir": "o\u0000x"}),
-    ("persona_path", {"persona_path": "p\u0000x"}),
-    ("gateway.cache_path", {"household_backend": "llm", "gateway": {"cache_path": "c\u0000x"}}),
+    ("output_dir 'o\\x00x' holds a NUL", {"output_dir": "o\u0000x"}),
+    ("persona_path 'p\\x00x' holds a NUL", {"persona_path": "p\u0000x"}),
     (
-        "gateway.api_key_env",
+        "gateway.cache_path 'c\\x00x' holds a NUL",
+        {"household_backend": "llm", "gateway": {"cache_path": "c\u0000x"}},
+    ),
+    (
+        "gateway.api_key_env 'K\\x00x' holds a NUL",
         {
             "household_backend": "llm",
             "gateway": {"mode": "live", "endpoint": URL, "api_key_env": "K\u0000x"},
@@ -153,8 +158,6 @@ class TestValidation:
             ),
             ("persona_path", {"persona_path": "q\ud800"}),
             ("output_dir", {"output_dir": "q\ud800"}),
-            # a NUL (a JSON "\u0000" escape), which no path or environment
-            # variable's name can hold
             *NUL_VALUES,
         ],
     )
@@ -162,14 +165,6 @@ class TestValidation:
         config = config_from_dict(data)
         with pytest.raises(ConfigError, match=re.escape(key)):
             run(config)
-
-    @pytest.mark.parametrize("key,data", NUL_VALUES)
-    def test_nul_fails_the_encode_rule(self, key, data):
-        # Not a later error that names the key: each of these failed at its
-        # first use, after month 1 for output_dir.
-        message = rf"^{re.escape(key)} .* does not encode with os\.fsencode$"
-        with pytest.raises(ConfigError, match=message):
-            config_from_dict(data).validate()
 
     def test_bounds_themselves_accepted(self):
         for temperature, elasticity in ((0, 0), (2.0, 100)):
