@@ -15,13 +15,7 @@ from taxsim.config import (
     TaxAgentConfig,
     load_config,
 )
-from taxsim.economy import (
-    MarketState,
-    Persona,
-    TaxSchedule,
-    apply_taxation,
-    compute_tax,
-)
+from taxsim.economy import MarketState, Persona, TaxSchedule
 from taxsim.gateway import ChatGateway, ChatRequest
 from taxsim.households import Decision, DecisionMonth, LLMBackend
 from taxsim.metrics import equality, gini, productivity, social_outcome
@@ -58,9 +52,7 @@ __all__ = [
     "TaxAgentPolicy",
     "TaxSchedule",
     "US_FEDERAL_RATES",
-    "apply_taxation",
     "compare",
-    "compute_tax",
     "equality",
     "gini",
     "load_config",

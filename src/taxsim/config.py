@@ -1,5 +1,5 @@
 """Run configuration: one dataclass tree mirroring the JSON config file
-field-for-field, with validation and (de)serialization.
+field-for-field, with validation and loading.
 
 ``SimConfig.validate`` checks every field of the tree the same way: its
 value must match the field's annotation, and a field declared with
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
@@ -140,9 +140,6 @@ class SimConfig:
         if problems:
             raise ConfigError("; ".join(problems))
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 def _problems(section, where: str) -> list[str]:
     """Type and rule violations of every field of ``section`` and of its
@@ -261,8 +258,3 @@ def load_config(path: str | Path) -> SimConfig:
     """Read a JSON config whose keys mirror SimConfig field names."""
     return config_from_dict(read_json(path, f"config file {str(path)!r}"))
 
-
-def save_config(config: SimConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )

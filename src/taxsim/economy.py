@@ -11,19 +11,18 @@ of one. ``MarketState``, ``produce``, ``execute_consumption`` and
 per run, ``execute_consumption`` takes one numpy Generator per row, and
 ``adjust_wages_and_price`` takes each row's uniform draws, made by the
 caller.
-``compute_tax`` and ``apply_taxation`` also take a scalar or a 1-D array
-with one ``TaxSchedule`` (the public API and single-household callers), and
-a 2-D array with a ``ScheduleRows``; ``redistribute`` takes the incomes and
-their taxes in any of those shapes; ``quantize_fraction`` takes a scalar
-(one LLM reply) or an array; ``sequential_sum`` takes a vector or rows. A
-scalar gives a float. Functions return new arrays; the only mutation is of
-the ``MarketState`` passed in.
+``compute_tax`` and ``apply_taxation`` take that shape too, with the runs'
+schedules in one ``ScheduleRows``, and so does ``redistribute``.
+``quantize_fraction`` takes a scalar (one LLM reply) or an array, and
+``sequential_sum`` a vector or rows; a scalar gives a float. Functions
+return new arrays; the only mutation is of the ``MarketState`` passed in.
 
 The simulation taxes each household once a month: ``compute_tax`` on its
 full-time income before the decisions, which the rule-based decision reads,
 and taxation then charges that tax times employment (0 or 1), since a
-worker's pre-tax income is the same float. ``redistribute`` is the step
-that ``apply_taxation`` shares with it.
+worker's pre-tax income is the same float; ``redistribute`` then shares
+each run's taxes evenly. ``apply_taxation`` is the two steps in one call,
+which no run makes.
 
 Every total is a ``sequential_sum`` along its row and every kernel repeats
 the float operations of a per-household loop in the same order, so the
@@ -178,13 +177,6 @@ class TaxSchedule:
         return tuple(below)
 
     @cached_property
-    def bracket_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(thresholds, rates, ``tax_below``) as arrays, built on the
-        schedule's first ``compute_tax`` and kept: a schedule changes at
-        most once a proposal period."""
-        return np.array(self.thresholds), np.array(self.rates), np.array(self.tax_below)
-
-    @cached_property
     def prompt_texts(self) -> tuple[str, str, str]:
         """(thresholds, rates, rates in percent) as the household prompt
         spells them, rendered on the schedule's first prompt and kept: every
@@ -265,64 +257,60 @@ def produce(employed: np.ndarray, wages: np.ndarray, market: MarketState) -> np.
     return hours * wages
 
 
-def compute_tax(schedule: TaxSchedule | ScheduleRows, income):
-    """Tax owed on ``income`` (a scalar, giving a float, or an array):
-    each bracket's slice is taxed at that bracket's marginal rate only, so
-    the total is continuous and nondecreasing in income. A 2-D ``income``
-    (an ensemble) takes a ``ScheduleRows``, and row r pays schedule r.
+def compute_tax(schedules: ScheduleRows, incomes: np.ndarray) -> np.ndarray:
+    """Tax owed on each of the (runs x N) ``incomes``, row r under schedule
+    r: each bracket's slice is taxed at that bracket's marginal rate only, so
+    the total is continuous and nondecreasing in income.
 
     The tax is the full tax of every bracket below the income's, summed
     bracket by bracket, plus the marginal rate on the part inside it. A zero
     income (0.0 or -0.0) lies in bracket 0 and pays ``0.0 + rate * ±0.0``,
     which is 0.0.
     """
-    incomes = np.asarray(income, dtype=float)
     if not (incomes >= 0).all():  # NaN fails too
         raise ValueError("income must be >= 0")
-    thresholds, rates, below = schedule.bracket_table
+    thresholds, rates, below = schedules.bracket_table
     # bracket k holds incomes in (thresholds[k], thresholds[k + 1]], and zero
     k = thresholds[1:].searchsorted(incomes, side="left")
     lower = thresholds.take(k)
-    if rates.ndim == 2:  # row r pays the schedule of run r
-        k = k + schedule.row_offsets
-    tax = below.take(k) + rates.take(k) * (incomes - lower)
-    return float(tax) if tax.ndim == 0 else tax
+    k = k + schedules.row_offsets  # row r pays the schedule of run r
+    return below.take(k) + rates.take(k) * (incomes - lower)
 
 
 def apply_taxation(
-    schedule: TaxSchedule | ScheduleRows, pretax_incomes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Tax every income and redistribute the proceeds evenly (in an
-    ensemble, within each run).
+    schedules: ScheduleRows, pretax_incomes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tax the (runs x N) incomes and redistribute each run's proceeds
+    evenly within the run.
 
     Post-tax income is ``z - T(z) + mean(T)``; the even lump-sum transfer
     balances the budget exactly, so total post-tax equals total pre-tax.
 
-    Returns (posttax incomes, taxes, per-household redistribution).
+    Returns (posttax incomes, taxes, per-household redistribution of each
+    run).
 
     The month loop does not call this: it computes each tax once, on the
     full-time income before the decisions, with ``compute_tax``, and then
-    credits it with ``redistribute``. This function stays as the documented
-    one-call API for a schedule and a set of incomes.
+    credits it with ``redistribute``. This function stays because
+    perfbench's tracer times it by name.
     """
-    pretax_incomes = np.asarray(pretax_incomes, dtype=float)
     if not pretax_incomes.size:
         raise ValueError("need at least one income")
-    taxes = compute_tax(schedule, pretax_incomes)
+    taxes = compute_tax(schedules, pretax_incomes)
     posttax, redistribution = redistribute(pretax_incomes, taxes)
     return posttax, taxes, redistribution
 
 
 def redistribute(
     pretax_incomes: np.ndarray, taxes: np.ndarray
-) -> tuple[np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Credit every income net of its tax plus an even share of its run's
     taxes: ``z - T + mean(T)``, the mean a ``sequential_sum`` over N.
 
-    Returns (posttax incomes, per-household redistribution).
+    Returns (posttax incomes, per-household redistribution of each run).
     """
-    redistribution = sequential_sum(taxes) / taxes.shape[-1]
-    return pretax_incomes - taxes + np.asarray(redistribution)[..., None], redistribution
+    redistribution = sequential_sum(taxes) / taxes.shape[1]
+    return pretax_incomes - taxes + redistribution[:, None], redistribution
 
 
 def execute_consumption(

@@ -26,6 +26,7 @@ from helpers import (
 from taxsim.config import SimConfig, load_config
 from taxsim.economy import (
     AdjustmentParams,
+    ScheduleRows,
     apply_taxation,
     compute_tax,
     update_interest_rate,
@@ -61,7 +62,7 @@ def test_criterion_1_tax_oracle_equivalence():
         schedule = random_cent_schedule(rng)
         income = random_cent_income(rng)
         expected = tax_by_cent_integration(schedule.thresholds, schedule.rates, income)
-        got = compute_tax(schedule, income)
+        got = compute_tax(ScheduleRows([schedule]), np.array([[income]]))[0, 0]
         worst = max(worst, abs(got - expected) / max(abs(expected), 1e-12))
     elapsed = time.perf_counter() - start
     check(
@@ -79,8 +80,8 @@ def test_criterion_2_budget_balance():
         n = int(rng.integers(1, 201))
         incomes = rng.uniform(0.0, 60_000.0, n).tolist()
         schedule = random_cent_schedule(rng)
-        posttax, _, _ = apply_taxation(schedule, incomes)
-        ok = ok and abs(sum(posttax) - sum(incomes)) <= 1e-9 * sum(incomes)
+        posttax, _, _ = apply_taxation(ScheduleRows([schedule]), np.array([incomes]))
+        ok = ok and abs(sum(posttax[0]) - sum(incomes)) <= 1e-9 * sum(incomes)
     check(2, "budget balance over 10^3 random income vectors (N <= 200)", ok)
 
 

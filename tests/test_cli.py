@@ -146,6 +146,16 @@ class TestRunCommand:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_config_that_is_no_object_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[]")
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "taxsim: error: config root must be a JSON object\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_config_key_is_one_error_line(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"months": 1200, "months": 2}')

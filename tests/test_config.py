@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -11,7 +12,6 @@ from taxsim.config import (
     SimConfig,
     config_from_dict,
     load_config,
-    save_config,
 )
 from taxsim.simulation import run
 
@@ -223,7 +223,7 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         config = SimConfig(n_households=7, months=9, seed=42, tax_system="saez")
         path = tmp_path / "config.json"
-        save_config(config, path)
+        path.write_text(json.dumps(dataclasses.asdict(config)))
         assert load_config(path) == config
 
     def test_nested_sections(self, tmp_path):
@@ -252,6 +252,15 @@ class TestSerialization:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match=r"adjustment\.'max_wage'"):
             config_from_dict({"adjustment": {"max_wage": 0.1}})
+
+    def test_mapping_for_a_plain_key_rejected(self):
+        with pytest.raises(ConfigError, match="^config key 'seed' does not take a mapping$"):
+            config_from_dict({"seed": {"x": 1}})
+
+    @pytest.mark.parametrize("data", [[1], [], "x", None])
+    def test_root_that_is_no_object_rejected(self, data):
+        with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
+            config_from_dict(data)
 
     def test_removed_density_bandwidth_rejected(self):
         with pytest.raises(ConfigError, match=r"saez\.'density_bandwidth'"):

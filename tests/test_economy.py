@@ -40,6 +40,21 @@ from taxsim.economy import (
 from taxsim.policies import DEFAULT_BRACKETS, SaezParams, saez_schedule
 
 
+def one_run_tax(schedule: TaxSchedule, incomes) -> np.ndarray:
+    """``compute_tax`` of a run of one under ``schedule``: the taxes of
+    ``incomes``, a sequence, as one row."""
+    return compute_tax(ScheduleRows([schedule]), np.array([incomes], dtype=float))[0]
+
+
+def one_run_taxation(schedule: TaxSchedule, incomes) -> tuple:
+    """``apply_taxation`` of a run of one under ``schedule``: (posttax
+    incomes, taxes, redistribution) of ``incomes``, a sequence."""
+    posttax, taxes, redistribution = apply_taxation(
+        ScheduleRows([schedule]), np.array([incomes], dtype=float)
+    )
+    return posttax[0], taxes[0], redistribution[0]
+
+
 def assert_bits_equal(got, want):
     """Equal as IEEE doubles, bit for bit: -0.0 differs from 0.0."""
     got = np.asarray(got, dtype=float)
@@ -98,9 +113,9 @@ class TestBracketTableMatchesCumsum:
     def test_float_sum_is_the_cumsum_bit_for_bit(self, schedule):
         want = reference_bracket_table(schedule).view(np.int64).tolist()
         assert np.array(schedule.tax_below).view(np.int64).tolist() == want
-        assert schedule.bracket_table[2].view(np.int64).tolist() == want
-        rows = ScheduleRows([schedule, schedule]).bracket_table[2]
-        assert rows.view(np.int64).tolist() == [want, want]
+        for runs in (1, 2):
+            rows = ScheduleRows([schedule] * runs).bracket_table[2]
+            assert rows.view(np.int64).tolist() == [want] * runs
 
 
 # ------------------------------------------------------------------- market
@@ -187,20 +202,13 @@ class TestProduce:
 
 class TestComputeTax:
     def test_income_inside_first_bracket(self, federal_schedule):
-        assert compute_tax(federal_schedule, 500.0) == pytest.approx(50.0)
-
-    def test_zero_income_zero_tax(self, federal_schedule):
-        assert compute_tax(federal_schedule, 0.0) == 0.0
+        assert one_run_tax(federal_schedule, [500.0]) == pytest.approx([50.0])
 
     def test_income_spanning_two_brackets(self, federal_schedule):
         expected = 0.10 * 808.33 + 0.12 * (1000.0 - 808.33)
-        assert compute_tax(federal_schedule, 1000.0) == pytest.approx(expected)
-        assert compute_tax(federal_schedule, 1000.0) == pytest.approx(103.83, abs=0.01)
-
-    @pytest.mark.parametrize("income", [-1.0, math.nan])
-    def test_negative_income_rejected(self, federal_schedule, income):
-        with pytest.raises(ValueError):
-            compute_tax(federal_schedule, income)
+        (tax,) = one_run_tax(federal_schedule, [1000.0])
+        assert tax == pytest.approx(expected)
+        assert tax == pytest.approx(103.83, abs=0.01)
 
     def test_matches_cent_integration_oracle(self):
         rng = np.random.default_rng(42)
@@ -208,8 +216,8 @@ class TestComputeTax:
             schedule = random_cent_schedule(rng)
             income = round(float(rng.uniform(0, 1000)), 2)
             expected = tax_by_cent_integration(schedule.thresholds, schedule.rates, income)
-            assert compute_tax(schedule, income) == pytest.approx(
-                expected, rel=1e-9, abs=1e-12
+            assert one_run_tax(schedule, [income]) == pytest.approx(
+                [expected], rel=1e-9, abs=1e-12
             )
 
     def test_cent_oracle_repeat_form_equals_midpoint_form(self):
@@ -227,21 +235,19 @@ class TestComputeTax:
     @settings(max_examples=100, deadline=None)
     def test_tax_never_exceeds_income(self, income, seed):
         schedule = random_cent_schedule(np.random.default_rng(seed))
-        assert compute_tax(schedule, income) <= income + 1e-9
+        assert one_run_tax(schedule, [income])[0] <= income + 1e-9
 
     def test_nondecreasing_and_continuous_at_thresholds(self, federal_schedule):
         for b in federal_schedule.thresholds[1:]:
-            below = compute_tax(federal_schedule, b - 1e-6)
-            at = compute_tax(federal_schedule, b)
-            above = compute_tax(federal_schedule, b + 1e-6)
+            below, at, above = one_run_tax(federal_schedule, [b - 1e-6, b, b + 1e-6])
             assert below <= at <= above
             assert above - below < 1e-5
 
 
 class TestApplyTaxation:
     def test_two_household_redistribution(self, federal_schedule):
-        posttax, taxes, redistribution = apply_taxation(federal_schedule, [1000.0, 0.0])
-        tax = compute_tax(federal_schedule, 1000.0)
+        posttax, taxes, redistribution = one_run_taxation(federal_schedule, [1000.0, 0.0])
+        tax = bracket_loop_tax(federal_schedule, 1000.0)
         assert taxes == pytest.approx([tax, 0.0])
         assert redistribution == pytest.approx(tax / 2)
         assert posttax == pytest.approx([1000.0 - tax / 2, tax / 2])
@@ -249,14 +255,19 @@ class TestApplyTaxation:
     def test_zero_rate_schedule_is_identity(self):
         schedule = TaxSchedule((0.0, 100.0), (0.0, 0.0))
         incomes = [12.5, 900.0, 0.0]
-        posttax, taxes, redistribution = apply_taxation(schedule, incomes)
+        posttax, taxes, redistribution = one_run_taxation(schedule, incomes)
         assert posttax.tolist() == incomes
         assert taxes.tolist() == [0.0, 0.0, 0.0]
         assert redistribution == 0.0
 
     def test_equal_incomes_stay_equal(self, federal_schedule):
-        posttax, _, _ = apply_taxation(federal_schedule, [4000.0] * 5)
+        posttax, _, _ = one_run_taxation(federal_schedule, [4000.0] * 5)
         assert all(p == pytest.approx(4000.0) for p in posttax)
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_no_income_rejected(self, federal_schedule, runs):
+        with pytest.raises(ValueError, match="need at least one income"):
+            apply_taxation(ScheduleRows([federal_schedule] * runs), np.empty((runs, 0)))
 
     @given(
         incomes=st.lists(
@@ -267,7 +278,7 @@ class TestApplyTaxation:
     @settings(max_examples=60, deadline=None)
     def test_budget_balance(self, incomes, seed):
         schedule = random_cent_schedule(np.random.default_rng(seed))
-        posttax, _, _ = apply_taxation(schedule, incomes)
+        posttax, _, _ = one_run_taxation(schedule, incomes)
         assert abs(sum(posttax) - sum(incomes)) <= 1e-9 * max(sum(incomes), 1.0)
 
     @given(
@@ -279,7 +290,7 @@ class TestApplyTaxation:
     @settings(max_examples=60, deadline=None)
     def test_income_ranking_preserved(self, incomes, seed):
         schedule = random_cent_schedule(np.random.default_rng(seed))
-        posttax, _, _ = apply_taxation(schedule, incomes)
+        posttax, _, _ = one_run_taxation(schedule, incomes)
         for i in range(len(incomes)):
             for j in range(len(incomes)):
                 if incomes[i] < incomes[j]:
@@ -553,19 +564,17 @@ class TestComputeTaxMatchesBracketLoop:
             )
         )
         want = [bracket_loop_tax(schedule, z) for z in incomes.tolist()]
-        assert_bits_equal(compute_tax(schedule, incomes), want)
-        for z, expected in zip(incomes.tolist(), want):
-            assert_bits_equal(compute_tax(schedule, z), expected)
+        assert_bits_equal(one_run_tax(schedule, incomes), want)
 
     def test_zero_income_in_an_array_pays_zero(self, federal_schedule):
-        assert compute_tax(federal_schedule, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+        assert one_run_tax(federal_schedule, [0.0] * 3).tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("income", [-1.0, math.nan])
     def test_negative_income_in_an_array_rejected(self, federal_schedule, income):
         with pytest.raises(ValueError):
-            compute_tax(federal_schedule, np.array([100.0, income]))
+            one_run_tax(federal_schedule, [100.0, income])
         with pytest.raises(ValueError):
-            apply_taxation(federal_schedule, np.array([100.0, income]))
+            one_run_taxation(federal_schedule, [100.0, income])
 
 
 # Threshold sets shared by the schedules of one ensemble: the policies'

@@ -1,7 +1,7 @@
 """The lockstep ensemble: on (runs x N) arrays, the kernels that also take
-one run's 1-D array (the metrics, ``sequential_sum``, ``compute_tax`` and
-``apply_taxation``) give each row the bits of the 1-D call on that row
-alone; the ensemble-only kernels (``execute_consumption`` and
+one run's 1-D array (the metrics and ``sequential_sum``) give each row the
+bits of the 1-D call on that row alone; the ensemble-only kernels
+(``compute_tax``, ``apply_taxation``, ``execute_consumption`` and
 ``adjust_wages_and_price``) give each row the bits of the per-household
 reference loop on that row; and every row of a sweep equals ``run()`` of
 its config alone."""
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from helpers import (
     PromptedGateway,
     adjustment_draws,
+    bracket_loop_tax,
     market_of,
     sequential_adjustment,
     sequential_consumption,
@@ -150,15 +151,22 @@ class TestRowKernelsMatchOneRowAlone:
             picks = rng.random(shape) < 0.2
             incomes[picks] = rng.choice(edges, int(picks.sum()))
             table = ScheduleRows(schedules)
-            assert_bits_equal(
-                compute_tax(table, incomes),
-                [compute_tax(s, row) for s, row in zip(schedules, incomes)],
-            )
+            want = [
+                [bracket_loop_tax(s, z) for z in row]
+                for s, row in zip(schedules, incomes.tolist())
+            ]
+            assert_bits_equal(compute_tax(table, incomes), want)
             posttax, taxes, redistribution = apply_taxation(table, incomes)
-            one_by_one = [apply_taxation(s, row) for s, row in zip(schedules, incomes)]
-            assert_bits_equal(posttax, [p for p, _, _ in one_by_one])
-            assert_bits_equal(taxes, [t for _, t, _ in one_by_one])
-            assert_bits_equal(redistribution, [r for _, _, r in one_by_one])
+            shares = [sequential_sum(row) / len(row) for row in want]
+            assert_bits_equal(taxes, want)
+            assert_bits_equal(redistribution, shares)
+            assert_bits_equal(
+                posttax,
+                [
+                    [z - t + share for z, t in zip(row, taxes_of_row)]
+                    for row, taxes_of_row, share in zip(incomes.tolist(), want, shares)
+                ],
+            )
 
     def test_schedules_of_an_ensemble_share_thresholds(self):
         other = TaxSchedule((0.0, 100.0), (0.1, 0.2))

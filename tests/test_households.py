@@ -14,11 +14,12 @@ from helpers import (
     CountingGateway,
     FlakyTransport,
     PromptedGateway,
+    bracket_loop_tax,
     deterministic_reply,
     scripted_gateway,
 )
 from taxsim.config import SimConfig
-from taxsim.economy import Persona, TaxSchedule, compute_tax
+from taxsim.economy import Persona, TaxSchedule
 from taxsim.gateway import ChatGateway, ReplayMissError
 from taxsim.households import (
     _INCOME_PHRASES,
@@ -342,7 +343,7 @@ class TestParseDecisionReply:
 def rule_decision(ctx: dict) -> Decision:
     """The rule-based decision for one household's ``context``."""
     month, expected = ctx["month"], ctx["expected_income"]
-    tax = compute_tax(month.current_schedule, expected)
+    tax = bracket_loop_tax(month.current_schedule, expected)
     return Decision(*rule_based_decide(tax, expected, ctx["savings"], month.average_price))
 
 

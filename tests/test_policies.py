@@ -64,6 +64,10 @@ class TestPolicyObservation:
         with pytest.raises(ValueError, match="schedule_history"):
             observation(incomes=[1.0], schedules=())
 
+    def test_incomes_and_wealth_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            observation(incomes=[1.0, 2.0], wealth=[1.0])
+
 
 class TestFixedPolicies:
     def test_free_market_rates_are_all_zero(self):
@@ -90,6 +94,13 @@ class TestParetoParameter:
     def test_empty_tail_raises(self):
         with pytest.raises(EmptyTailError):
             pareto_parameter([100.0, 200.0], 40_000.0)
+
+    def test_tail_mean_rounded_down_to_the_threshold_raises(self):
+        # Every income lies one ulp above 0.1, but their float sum rounds
+        # down, so the tail mean is 0.1 itself and a = m / (m - z*) would
+        # divide by zero.
+        with pytest.raises(EmptyTailError, match="tail mean does not exceed"):
+            pareto_parameter([math.nextafter(0.1, math.inf)] * 7, 0.1)
 
 
 class TestTopRate:
@@ -410,6 +421,15 @@ class TestBuildTaxPrompt:
             eq = "[" + ", ".join(f" ({round(v, 2)})" for v in values[::-1]) + "]"
             assert f"were {prod}: the past months' equality performances were {eq}(the" in prompt
 
+    def test_history_memo_emptied_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(policies_module._HistoryEntries, "limit", 3)
+        values = [0.125, 0.25, 0.375, 0.5, 0.625, 1.125, 0.125]
+        for end in range(1, len(values) + 1):
+            prompt = build_tax_prompt(observation(incomes=[1.0], prod=values[:end]))
+            prod = "[" + ", ".join(f" ({round(v, 2)})" for v in values[:end]) + "]"
+            assert f"were {prod}: the past" in prompt
+            assert len(policies_module._HISTORY_ENTRIES) <= 3
+
     def test_non_worker_incomes_render_as_zero_point_zero(self):
         obs = observation(incomes=[0.0, 810.0, 0.0], wealth=[1.0, 2.0, 3.0],
                           schedules=[us_federal_schedule()])
@@ -449,6 +469,27 @@ class TestParseTaxReply:
         text = "[1, 2] then [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1] then [0.9]*7"
         assert parse_tax_reply(text) == (0.1,) * 7
 
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "[a, b, c, d, e, f, g]",  # words fail float()
+            "[nan, 0, 0, 0, 0, 0, 0]",  # non-finite numbers fail the snap
+            "[0, 0, 0, inf, 0, 0, 0]",
+            "[0, 0, 0, 0, 0, 0, -inf]",
+            "[1e400, 0, 0, 0, 0, 0, 0]",
+        ],
+    )
+    def test_list_that_is_no_rates_is_skipped(self, first):
+        text = f"{first} or rather [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]"
+        assert parse_tax_reply(text) == (0.1,) * 7
+
+    @pytest.mark.parametrize(
+        "text", ["[a, b, c, d, e, f, g]", "[nan, 0, 0, 0, 0, 0, 0] [0, 0, 0, 0, 0, 0, inf]"]
+    )
+    def test_only_lists_that_are_no_rates_rejected(self, text):
+        with pytest.raises(TaxReplyParseError):
+            parse_tax_reply(text)
+
     def test_json_object_wrapped_list(self):
         text = '{"decision": [0.05, 0.1, 0.2, 0.25, 0.3, 0.35, 0.4]}'
         assert parse_tax_reply(text) == (0.05, 0.1, 0.2, 0.25, 0.3, 0.35, 0.4)
@@ -475,6 +516,13 @@ class TestTaxAgentPolicy:
     def test_malformed_replies_fall_back_to_previous(self):
         gateway = scripted_gateway(["nope", "[1,2]", "still no"])
         policy = TaxAgentPolicy(gateway, TaxAgentConfig(max_retries=3))
+        previous = free_market_schedule()
+        obs = observation(incomes=[1.0], wealth=[1.0], schedules=[previous])
+        assert policy.propose(obs) == previous
+
+    def test_lists_that_are_no_rates_fall_back_to_previous(self):
+        replies = ["[a, b, c, d, e, f, g]", "[nan, 0, 0, 0, 0, 0, 0]", "[0, 0, 0, 0, 0, 0, inf]"]
+        policy = TaxAgentPolicy(scripted_gateway(replies), TaxAgentConfig(max_retries=3))
         previous = free_market_schedule()
         obs = observation(incomes=[1.0], wealth=[1.0], schedules=[previous])
         assert policy.propose(obs) == previous

@@ -533,6 +533,10 @@ class TestCompare:
         with pytest.raises(ValueError, match="share"):
             compare([SMALL, replace(SMALL, months=7)])
 
+    def test_no_configs_rejected(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            compare([])
+
     def test_single_config_degenerate_table(self):
         result = compare([SMALL])
         assert len(result.rows) == 1
