@@ -14,11 +14,12 @@ from taxsim.simulation import ComparisonResult, run, sweep
 
 
 def _config(args: argparse.Namespace, **flags) -> SimConfig:
-    """The ``--config`` file (or the defaults) with each flag given applied.
-    An output directory that is a file or lies under one is a ConfigError
-    before any month runs; nothing is created here."""
+    """The ``--config`` file (or the defaults) with each flag given applied,
+    validated. An output directory that is a file or lies under one is a
+    ConfigError before any month runs; nothing is created here."""
     config = load_config(args.config) if args.config else SimConfig()
     config = replace(config, **{key: value for key, value in flags.items() if value is not None})
+    config.validate()
     out = Path(config.output_dir)
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():

@@ -189,10 +189,10 @@ _NOT_JSON = (ValueError, RecursionError)
 
 def parse_decision_reply(text: str) -> Decision:
     """Parse a {"work": x, "consumption": y} reply into a grid-valid
-    Decision; values are clamped and snapped, anything unparsable raises
-    DecisionError. The whole text is read as JSON, or else each brace pair
-    in it with no brace inside; the first that holds a numeric "work" and
-    "consumption" wins."""
+    Decision; values are clamped and snapped (a -0.0 reads as 0.0), and
+    anything unparsable raises DecisionError. The whole text is read as
+    JSON, or else each brace pair in it with no brace inside; the first that
+    holds a numeric "work" and "consumption" wins."""
     candidates = []
     try:
         candidates.append(json.loads(text))
@@ -216,7 +216,7 @@ def parse_decision_reply(text: str) -> Decision:
         ):
             continue
         try:
-            return Decision(quantize_fraction(work), quantize_fraction(consumption))
+            return Decision(quantize_fraction(work) + 0.0, quantize_fraction(consumption) + 0.0)
         except ValueError:
             continue  # non-finite numbers
     raise DecisionError("reply contains no work/consumption object")

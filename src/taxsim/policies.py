@@ -239,8 +239,9 @@ _BRACKETED_GROUP = re.compile(r"\[([^\[\]]*)\]")
 
 def parse_tax_reply(text: str) -> tuple[float, ...]:
     """Extract the first bracketed list of exactly seven numbers from a
-    reply, clamp each into [0, 1], and snap to the 0.01 grid. Surrounding
-    chatter is ignored; anything else raises TaxReplyParseError."""
+    reply, clamp each into [0, 1], and snap to the 0.01 grid (a -0 reads as
+    0.0). Surrounding chatter is ignored; anything else raises
+    TaxReplyParseError."""
     for match in _BRACKETED_GROUP.finditer(text):
         parts = [p.strip() for p in match.group(1).split(",")]
         if len(parts) != 7:
@@ -250,7 +251,7 @@ def parse_tax_reply(text: str) -> tuple[float, ...]:
         except ValueError:
             continue
         try:
-            return tuple(quantize_fraction(v, "0.01") for v in values)
+            return tuple(quantize_fraction(v, "0.01") + 0.0 for v in values)
         except ValueError:
             continue  # non-finite entries
     raise TaxReplyParseError("reply contains no list of seven rates")

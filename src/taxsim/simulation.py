@@ -31,24 +31,22 @@ vectorised, on which runs share its ensemble, or on the interpreter's
 ``sum``. With the rule-based backend, or an LLM backend in replay mode, two
 runs produce byte-identical outputs.
 
-Each proposal is submitted at the end of the month before it, after
-``annual``: it observes that month's incomes and the wealth after interest,
-which is what ``propose`` would see, and no reflection note. So it overlaps
-the reflections, whose notes are collected only after it is submitted; no
-proposal is made after the last month.
+Each proposal is made at the end of the month before it, in ``reflect``,
+after ``annual``: it observes that month's incomes and the wealth after
+interest, and no reflection note. No proposal is made after the last month.
 
 Every LLM call goes through the one ``map`` that ``_llm_map`` yields, and
-the gateways alone decide how: an ensemble fans out when any of its runs
-makes LLM calls through a live or record gateway, whatever its household
-backend. A month's decisions of every run, and a quarter's reflections
-together with the next proposals, each depend only on state that is fixed
-before they start, so they then run concurrently on up to
-``FAN_OUT_WORKERS`` threads. Their results are applied in a fixed order
-(run by run, households in order, then the proposals), so no output
-depends on the order in which calls complete; only the record cache's line
-order does. An ensemble whose calls are all replayed makes each call on
-the calling thread when its result is read, keeping the serial order:
-reflections, proposals, then decisions.
+every round of calls is made and read inside the phase that submits it: a
+month's decisions in ``decide``, a quarter's reflections together with the
+next proposals in ``reflect``. Each round depends only on state that is
+fixed before it starts, so an ensemble fans it out on up to
+``FAN_OUT_WORKERS`` threads when any of its runs makes LLM calls through a
+live or record gateway, whatever its household backend. Results are
+applied in a fixed order (run by run, households in order, then the
+proposals), so no output depends on the order in which calls complete;
+only the record cache's line order does. An ensemble whose calls are all
+replayed makes them serially in that order: reflections, proposals, then
+decisions.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -288,20 +286,15 @@ def _prepared(config: SimConfig, gateway: ChatGateway | None, built: dict):
     return config, gateway
 
 
-def run(
-    config: SimConfig,
-    gateway: ChatGateway | None = None,
-    event_log: list[tuple[int, str]] | None = None,
-) -> SimulationResult:
+def run(config: SimConfig, gateway: ChatGateway | None = None) -> SimulationResult:
     """Execute a full simulation and return every record.
 
     ``gateway`` is only consulted when the config needs LLM calls (tax_agent
     system or llm household backend); passing one in overrides the config's
-    gateway section. ``event_log`` (for tests) receives (month, step) pairs
-    in execution order.
+    gateway section.
     """
     config, gateway = _prepared(config, gateway, {})
-    (only,) = _simulate([config], [gateway], config.write_households, event_log)
+    (only,) = _simulate([config], [gateway], config.write_households)
     return only.result()
 
 
@@ -387,12 +380,11 @@ class _Ensemble:
     """The state of an ensemble of runs that advance in lockstep, and the
     nine phases of its month, each a method of the month."""
 
-    def __init__(self, configs, gateways, keep_households, event_log) -> None:
+    def __init__(self, configs, gateways, keep_households) -> None:
         head = self.head = configs[0]
         self.n = n = head.n_households
         k = len(configs)
         personas = load_personas(head.persona_path or None)
-        self.event_log = event_log
         # Month m's values of run r are monthly[m - 1, :, r].
         monthly = self.monthly = np.empty((head.months, len(_MONTH_VALUES), k))
         runs: list[_Run] = []
@@ -441,19 +433,15 @@ class _Ensemble:
             _LLMHouseholds(head, gateways, personas) if llm else _RuleBasedHouseholds()
         )
 
-    def log(self, month: int, step: str) -> None:
-        if self.event_log is not None:
-            self.event_log.append((month, step))
-
-    def submit_proposals(self, months_done: int) -> None:
-        """Each proposing run's proposal for the next month, when there is a
-        next month and the cadence asks for one (None otherwise), submitted
-        with the run's observation of its own last month. Its incomes and
-        wealth are rows of one read-only copy of the proposers' rows, so a
-        proposal in flight on a pool thread never sees a later month."""
-        self.proposals = None
+    def submit_proposals(self, months_done: int) -> Iterable[tuple[_Run, TaxSchedule]]:
+        """Each proposing run paired with its proposal for the next month,
+        when there is a next month and the cadence asks for one (none
+        otherwise), submitted with the run's observation of its own last
+        month; the caller reads them. Its incomes and wealth are rows of one
+        read-only copy of the proposers' rows, so a proposal in flight on a
+        pool thread never sees a later month."""
         if months_done == self.head.months or months_done % self.head.adjust_period_months:
-            return
+            return ()
         incomes, wealth = self.pretax[self.proposers], self.savings[self.proposers]
         incomes.setflags(write=False)
         wealth.setflags(write=False)
@@ -461,17 +449,14 @@ class _Ensemble:
         observations = [
             r.observation(months_done, i, w) for r, i, w in zip(proposing, incomes, wealth)
         ]
-        self.proposals = zip(proposing, self.map(_Run.propose, proposing, observations))
+        return zip(proposing, self.map(_Run.propose, proposing, observations))
 
     def propose(self, month: int) -> None:
-        """On the cadence, the proposals submitted last month take force."""
-        if self.proposals is None:
-            return
-        for r, schedule in self.proposals:
-            r.schedule = schedule
-        if self.proposers:
+        """On the cadence, the proposals made last month take force."""
+        if self.proposals:
+            for r, schedule in self.proposals:
+                r.schedule = schedule
             self.schedules = ScheduleRows([r.schedule for r in self.runs])
-        self.log(month, "propose")
 
     def decide(self, month: int) -> None:
         """Decisions from start-of-month state. The tax on full-time income
@@ -479,13 +464,11 @@ class _Ensemble:
         self.expected = HOURS_PER_MONTH * self.wage
         self.full_time_tax = compute_tax(self.schedules, self.expected)
         self.work, self.consumption = self.households.decide(self, month)
-        self.log(month, "decide")
 
     def produce(self, month: int) -> None:
         """Labor realization, then production."""
         self.employed = (self.labor_draws < self.work).astype(int)
         self.pretax = produce(self.employed, self.wage, self.market)
-        self.log(month, "produce")
 
     def tax(self, month: int) -> None:
         """Taxation with even redistribution; post-tax income is credited. A
@@ -493,7 +476,6 @@ class _Ensemble:
         self.tax_paid = self.full_time_tax * self.employed
         self.posttax, _ = redistribute(self.pretax, self.tax_paid)
         self.savings = self.savings + self.posttax
-        self.log(month, "tax")
 
     def consume(self, month: int) -> None:
         """Consumption against the post-production inventory, and the
@@ -502,7 +484,6 @@ class _Ensemble:
         spent, demand = execute_consumption(self.savings, self.consumption, self.market, self.rngs)
         self.spent, self.savings = spent, self.savings - spent
         self.mismatch = np.array(list(map(compute_mismatch, demand.tolist(), supply.tolist())))
-        self.log(month, "consume")
 
     def adjust(self, month: int) -> None:
         """Wage and price steps, drawn with the next month's labor."""
@@ -510,7 +491,6 @@ class _Ensemble:
             rng.random(out=row)
         params, steps = self.head.adjustment, self.draws[:, : self.n + 1]
         self.wage = adjust_wages_and_price(self.wage, self.market, self.mismatch, params, steps)
-        self.log(month, "adjust")
 
     def record(self, month: int) -> None:
         """End-of-month state; the metrics over wealth at the end of a
@@ -530,7 +510,6 @@ class _Ensemble:
                 self.columns[name][month - 1] = column
         self.employment[:, (month - 1) % 12] = self.employed
         self.households.remember(self, month)
-        self.log(month, "record")
 
     def record_metrics(self, month: int, wealth: np.ndarray) -> None:
         """The metrics of the months up to ``month``, whose wealth ``wealth``
@@ -554,35 +533,33 @@ class _Ensemble:
             rates[i] = update_interest_rate(params, inflation, unemployment)
             r.annual_records.append(AnnualRecord(month // 12, inflation, unemployment))
         self.savings = self.savings * (1.0 + rates[:, None])
-        self.log(month, "annual")
 
     def reflect(self, month: int) -> None:
         """On the cadence, the reflections are submitted, then the next
-        month's proposals, which read no note and so overlap them, and then
-        the notes are collected."""
+        month's proposals, which read no note and so overlap them; the notes
+        are collected, then the proposals."""
         reflecting = month % self.head.reflection_period_months == 0
         if reflecting:
             self.households.submit_reflections(self)
-        self.submit_proposals(month)
+        proposals = self.submit_proposals(month)
         if reflecting:
             self.households.collect_reflections()
-            self.log(month, "reflect")
+        self.proposals = list(proposals)
 
 
 def _simulate(
     configs: Sequence[SimConfig],
     gateways: Sequence[ChatGateway | None],
     keep_households: bool,
-    event_log: list[tuple[int, str]] | None = None,
 ) -> list[_Run]:
     """Advance validated runs that differ at most in ``_PER_RUN_FIELDS`` in
     lockstep, and return them in order; a run that makes no LLM call has no
     gateway. ``keep_households`` keeps the months x N household arrays."""
-    state = _Ensemble(configs, gateways, keep_households, event_log)
+    state = _Ensemble(configs, gateways, keep_households)
     # Only live and record gateways wait on a transport, so only they gain from fanning out.
     fan_out = any(gateway is not None and gateway.mode != "replay" for gateway in gateways)
     with _llm_map(fan_out) as state.map:
-        state.submit_proposals(0)
+        state.proposals = list(state.submit_proposals(0))
         for month in range(1, state.head.months + 1):
             state.propose(month)
             state.decide(month)

@@ -1,8 +1,8 @@
 """Shared test utilities: independent oracles for the tax, gini, and
 optimal-rate computations, the loop form of the Saez schedule,
 per-household reference loops for the columnar kernels and a builder of
-their per-run market, deterministic offline LLM stand-ins, and the
-golden-output cases."""
+their per-run market, deterministic offline LLM stand-ins, logs of the
+month's phases and of the LLM call map, and the golden-output cases."""
 
 from __future__ import annotations
 
@@ -11,16 +11,27 @@ import json
 import math
 import threading
 from collections import Counter, deque
+from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
 
+import taxsim.simulation as simulation
 from taxsim.config import config_from_dict, load_config
 from taxsim.economy import MarketState, TaxSchedule
 from taxsim.gateway import ChatGateway, ChatRequest, GatewayError
 from taxsim.policies import DegenerateIncomesError, EmptyTailError
 from taxsim.simulation import run
+
+
+def left_to_right_sum(values) -> float:
+    """The floats' sum, added one by one from the left with no compensation,
+    as the builtin ``sum`` adds up to CPython 3.11 (3.12 compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def tax_by_cent_integration(
@@ -120,7 +131,7 @@ def sequential_consumption(savings, propensities, price, inventory, rng):
         savings[idx] = float(max(savings[idx] - cost, 0.0))
         inventory = float(max(inventory - filled, 0.0))
         spent[idx] = float(cost)
-    return spent, savings, inventory, float(sum(demands))
+    return spent, savings, inventory, left_to_right_sum(demands)
 
 
 def sequential_adjustment(wages, price, mismatch, params, rng):
@@ -188,7 +199,7 @@ def oracle_saez_rates(incomes, brackets, elasticity, previous_top=None):
         rates.append(min(max(raw, 0.0), 1.0))
     tail = [x for x in positive if x > brackets[-1]]
     if tail:
-        tail_mean = sum(tail) / len(tail)
+        tail_mean = left_to_right_sum(tail) / len(tail)
         pareto = tail_mean / (tail_mean - brackets[-1])
         rates.append(1.0 / (1.0 + pareto * e))
     else:
@@ -215,7 +226,7 @@ def reference_marginal_rate(cdf_value, density_value, elasticity, income):
 def reference_saez_schedule(incomes, brackets, params, previous=None) -> TaxSchedule:
     """``policies.saez_schedule`` as a loop over the brackets with scalar
     formulas: the CDF at each midpoint from its own ``searchsorted``, each
-    rate clamped with ``min``/``max``, and the tail mean a builtin ``sum``.
+    rate clamped with ``min``/``max``, and the tail mean a left-to-right sum.
     ``saez_schedule`` must return the same schedule, bit for bit, or raise
     the same exception type."""
 
@@ -223,7 +234,7 @@ def reference_saez_schedule(incomes, brackets, params, previous=None) -> TaxSche
         tail = [z for z in values if z > tail_threshold]
         if not tail:
             raise EmptyTailError(f"no incomes above {tail_threshold}")
-        tail_mean = sum(tail) / len(tail)
+        tail_mean = left_to_right_sum(tail) / len(tail)
         if tail_mean <= tail_threshold:
             raise EmptyTailError("tail mean does not exceed the threshold")
         return tail_mean / (tail_mean - tail_threshold)
@@ -263,14 +274,25 @@ def reference_saez_schedule(incomes, brackets, params, previous=None) -> TaxSche
     return TaxSchedule(brackets, tuple(rates))
 
 
+def prompt_kind(prompt: str) -> str:
+    """Which call ``prompt`` is: "propose" (the planner's), "reflect" or
+    "decide" (a household's)."""
+    if prompt.startswith("You are a tax planner"):
+        return "propose"
+    if prompt.startswith("You are reviewing your household finances"):
+        return "reflect"
+    return "decide"
+
+
 def deterministic_reply(request: ChatRequest) -> str:
     """Offline transport: a reply derived from the prompt hash, valid for
     whichever template produced the prompt."""
     digest = hashlib.sha256(request.prompt.encode("utf-8")).digest()
-    if request.prompt.startswith("You are a tax planner"):
+    kind = prompt_kind(request.prompt)
+    if kind == "propose":
         rates = [round(((digest[i] % 46) + 5) / 100.0, 2) for i in range(7)]
         return str(rates)
-    if request.prompt.startswith("You are reviewing your household finances"):
+    if kind == "reflect":
         return "Keep working steadily and trim spending when prices climb."
     work = round(((digest[0] % 41) + 30) / 100.0, 2)
     consumption = round(((digest[1] % 41) + 20) / 100.0, 2)
@@ -367,6 +389,59 @@ class CountingGateway(ChatGateway):
         self.calls += 1
         self.prompts.append(request.prompt)
         return super().complete(request)
+
+
+# The nine phases of a month, in the order ``_simulate`` runs them.
+PHASES = ("propose", "decide", "produce", "tax", "consume", "adjust", "record", "annual", "reflect")
+
+
+class PhaseLog(list):
+    """The (month, phase) of each call of ``_Ensemble``'s phase methods, in
+    call order; ``running`` is the call under way, None between calls."""
+
+    running: tuple[int, str] | None = None
+
+
+def phase_log(monkeypatch) -> PhaseLog:
+    """Wrap the nine phase methods of ``_Ensemble`` so that each call logs
+    its (month, phase) when it starts."""
+    log = PhaseLog()
+
+    def logging(phase, method):
+        def logged(self, month):
+            log.running = month, phase
+            log.append(log.running)
+            try:
+                return method(self, month)
+            finally:
+                log.running = None
+
+        return logged
+
+    for phase in PHASES:
+        method = getattr(simulation._Ensemble, phase)
+        monkeypatch.setattr(simulation._Ensemble, phase, logging(phase, method))
+    return log
+
+
+def call_log(monkeypatch) -> list[tuple[bool, str]]:
+    """Wrap the map that ``_llm_map`` yields so that it logs, for each call
+    of it, whether the ensemble fans out and the mapped function's name."""
+    log: list[tuple[bool, str]] = []
+    original = simulation._llm_map
+
+    @contextmanager
+    def logging_map(fan_out):
+        with original(fan_out) as inner:
+
+            def logged(fn, *iterables):
+                log.append((fan_out, fn.__name__))
+                return inner(fn, *iterables)
+
+            yield logged
+
+    monkeypatch.setattr(simulation, "_llm_map", logging_map)
+    return log
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -355,3 +355,29 @@ def test_out_naming_a_file_is_one_error_line(tmp_path, capsys, monkeypatch, argv
     )
     assert captured.out == ""
     assert file.read_text() == "a file, not a directory"
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("output_dir", 123),
+        ("output_dir", None),
+        ("output_dir", ["a"]),
+        ("gateway", 5),
+        ("gateway", None),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_one_error_line(
+    tmp_path, capsys, monkeypatch, argv, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    # The last --config given wins, so replay reads this one, not the fixture's.
+    assert main(argv + ["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"taxsim: error: {key} must be ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["config.json"]

@@ -12,6 +12,7 @@ from helpers import (
     adjustment_draws,
     bracket_loop_tax,
     decimal_quantize,
+    left_to_right_sum,
     market_of,
     random_cent_income,
     random_cent_schedule,
@@ -689,3 +690,8 @@ class TestConsumptionMatchesSequentialLoop:
         assert sequential_sum([0.1] * 10) == 0.9999999999999999
         assert sequential_sum(np.array([1e16, 1.0, -1e16])) == 0.0
         assert sequential_sum([]) == 0.0
+
+    def test_oracle_sum_is_left_to_right(self):
+        # The oracles' own sum: the builtin sum gives 1.0 here from CPython 3.12 on.
+        assert left_to_right_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_to_right_sum([0.1] * 10) == 0.9999999999999999

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -204,7 +204,7 @@ class TestBuildHouseholdPrompt:
         # Checked once a month over the whole ensemble, before any call.
         gateway = CountingGateway("live", transport=deterministic_reply)
         config = SimConfig(n_households=3, months=1, household_backend="llm")
-        state = _Ensemble([config], [gateway], False, None)
+        state = _Ensemble([config], [gateway], False)
         state.map = map
         state.expected = np.full_like(state.wage, 567.18)
         getattr(state, array)[0, 1] = value
@@ -291,6 +291,14 @@ class TestParseDecisionReply:
     def test_out_of_range_values_clamped(self):
         decision = parse_decision_reply('{"work": 1.5, "consumption": -2.0}')
         assert decision == Decision(1.0, 0.0)
+
+    @pytest.mark.parametrize("chatter", ["", "Sure! "])
+    def test_negative_zero_reads_as_zero(self, chatter):
+        # A -0.0 propensity would be written as "-0.000000" in households.csv.
+        decision = parse_decision_reply(chatter + '{"work": -0.0, "consumption": -0.0}')
+        assert decision == Decision(0.0, 0.0)
+        signs = [math.copysign(1.0, p) for p in astuple(decision)]
+        assert signs == [1.0, 1.0]
 
     def test_missing_key_rejected(self):
         with pytest.raises(DecisionError):

@@ -10,14 +10,13 @@ the call map before the next proposals, serially and fanned out.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
 import taxsim.gateway as gateway_module
 import taxsim.simulation as simulation
-from helpers import OUTPUT_FILES, deterministic_reply, panicking_transport
+from helpers import OUTPUT_FILES, call_log, deterministic_reply, panicking_transport
 from taxsim.config import GatewayConfig, SimConfig
 from taxsim.gateway import ChatGateway
 from taxsim.results import ComparisonRow
@@ -123,26 +122,6 @@ def test_configs_sharing_a_gateway_section_share_one_gateway(monkeypatch, tmp_pa
     section = GatewayConfig(mode="replay", cache_path=str(cache))
     assert sweep(replace(base, gateway=section), systems, seeds) == recorded
     assert loads == [str(cache)]
-
-
-def call_log(monkeypatch) -> list[tuple[bool, str]]:
-    """Wrap the map that ``_llm_map`` yields so that it logs, for each call
-    of it, whether the ensemble fans out and the mapped function's name."""
-    log: list[tuple[bool, str]] = []
-    original = simulation._llm_map
-
-    @contextmanager
-    def logging_map(fan_out):
-        with original(fan_out) as inner:
-
-            def logged(fn, *iterables):
-                log.append((fan_out, fn.__name__))
-                return inner(fn, *iterables)
-
-            yield logged
-
-    monkeypatch.setattr(simulation, "_llm_map", logging_map)
-    return log
 
 
 def test_reflections_reach_the_map_before_the_next_proposals(monkeypatch, tmp_path):

@@ -460,6 +460,17 @@ class TestParseTaxReply:
         assert rates[0] == 0.0
         assert rates[1] == 1.0
 
+    @pytest.mark.parametrize("zero", ["-0", "-0.0", "-0e5", "-0.000"])
+    def test_negative_zero_reads_as_zero(self, zero):
+        # A -0.0 rate would render as "-0.00%" in the household prompt.
+        rates = parse_tax_reply(f"[{zero}, 0.1, 0.1, 0.1, 0.1, 0.1, {zero}]")
+        assert [math.copysign(1.0, r) for r in rates] == [1.0] * 7
+        assert rates == (0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.0)
+
+    def test_numbers_read_as_python_floats(self):
+        # float() takes digit-group underscores: ten, clamped to 1.0.
+        assert parse_tax_reply("[1_0, 0, 0, 0, 0, 0, 0]") == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
     def test_values_snapped_to_001_grid(self):
         rates = parse_tax_reply("[0.123, 0.456, 0.1, 0.1, 0.1, 0.1, 0.1]")
         assert rates[0] == pytest.approx(0.12)
@@ -477,6 +488,8 @@ class TestParseTaxReply:
             "[0, 0, 0, inf, 0, 0, 0]",
             "[0, 0, 0, 0, 0, 0, -inf]",
             "[1e400, 0, 0, 0, 0, 0, 0]",
+            "[0, 0, 0, 0, 0, 0, 0,]",  # a trailing comma: eight parts
+            "[0, 0, 0, 0, 0, 0,]",  # seven parts, the last empty
         ],
     )
     def test_list_that_is_no_rates_is_skipped(self, first):

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import tempfile
 import threading
+from collections import Counter
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -13,17 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taxsim.simulation as simulation
 from conftest import FIXTURES
 from helpers import (
     OUTPUT_FILES,
+    PHASES,
     CountingGateway,
     PromptedGateway,
+    call_log,
     deterministic_reply,
     panicking_transport,
+    phase_log,
+    prompt_kind,
 )
 from taxsim import metrics
-from taxsim.config import ConfigError, GatewayConfig, SimConfig, load_config
-from taxsim.economy import sequential_sum
+from taxsim.config import AdjustmentParams, ConfigError, GatewayConfig, SimConfig, load_config
+from taxsim.economy import TaxSchedule, sequential_sum
 from taxsim.gateway import GATEWAY_MODES, ChatGateway
 from taxsim.personas import load_personas, roster_for
 from taxsim.policies import US_FEDERAL_RATES, PolicyObservation
@@ -148,93 +153,90 @@ class TestSystems:
             assert got.social_outcome == got.equality * got.productivity
 
 
+@pytest.fixture
+def proposals(monkeypatch) -> list[tuple[PolicyObservation, TaxSchedule]]:
+    """The observation and the schedule of each ``_Run.propose`` call."""
+    made = []
+    original = simulation._Run.propose
+
+    def noting(r, observation):
+        schedule = original(r, observation)
+        made.append((observation, schedule))
+        return schedule
+
+    monkeypatch.setattr(simulation._Run, "propose", noting)
+    return made
+
+
 class TestStepOrder:
-    def test_monthly_pipeline_order(self):
-        events: list[tuple[int, str]] = []
-        run(replace(SMALL, months=12), event_log=events)
-        for month, month_events in itertools.groupby(events, key=lambda e: e[0]):
-            steps = [step for _, step in month_events]
-            assert steps.index("produce") < steps.index("tax")
-            assert steps.index("tax") < steps.index("consume")
-            assert steps.index("consume") < steps.index("adjust")
-            assert steps.index("adjust") < steps.index("record")
-            if "propose" in steps:
-                assert steps.index("propose") == 0
-            assert steps.index("decide") < steps.index("produce")
-            if month == 12:
-                assert "annual" in steps
+    def test_every_month_runs_the_nine_phases_in_order(self, monkeypatch):
+        log = phase_log(monkeypatch)
+        run(replace(SMALL, months=13))
+        assert log == [(month, phase) for month in range(1, 14) for phase in PHASES]
 
-    def test_propose_follows_adjustment_cadence(self):
-        events: list[tuple[int, str]] = []
-        run(replace(SMALL, months=9, adjust_period_months=3), event_log=events)
-        propose_months = [m for m, step in events if step == "propose"]
-        assert propose_months == [1, 4, 7]
+    @pytest.mark.parametrize("months,period,made", [(9, 3, [0, 3, 6]), (6, 2, [0, 2, 4])])
+    def test_proposals_follow_the_adjustment_cadence(self, proposals, months, period, made):
+        # Each proposal observes the month before the one it takes force in;
+        # none is made after the last month.
+        config = replace(SMALL, months=months, tax_system="saez", adjust_period_months=period)
+        records = run(config).month_records
+        assert [observation.month for observation, _ in proposals] == made
+        schedules = {observation.month: schedule for observation, schedule in proposals}
+        for record in records:
+            assert record.rates == schedules[(record.month - 1) // period * period].rates
 
-    def test_reflection_cadence(self):
-        events: list[tuple[int, str]] = []
-        run(replace(SMALL, months=9, reflection_period_months=3), event_log=events)
-        reflect_months = [m for m, step in events if step == "reflect"]
-        assert reflect_months == [3, 6, 9]
+    def test_reflection_cadence(self, monkeypatch):
+        # Decisions are mapped once a month, so each reflect call's place
+        # among them is its month: 3, 6 and 9.
+        log = call_log(monkeypatch)
+        config = replace(SMALL, months=9, household_backend="llm", reflection_period_months=3)
+        run(config, gateway=ChatGateway("live", transport=deterministic_reply))
+        assert [name for _, name in log if name != "propose"] == (["decide"] * 3 + ["reflect"]) * 3
 
-    @pytest.mark.parametrize(
-        "name,months",
-        [
-            # tax_agent planner, LLM households, both cadences 3, 14 months:
-            # "reflect" follows "annual" at month 12
-            (
-                "replay_fixture",
-                [
-                    "propose decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record reflect",
-                    "propose decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record reflect",
-                    "propose decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record reflect",
-                    "propose decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record annual reflect",
-                    "propose decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record",
-                ],
-            ),
-            # a fixed schedule proposes nothing, yet "propose" is logged on the
-            # cadence; the cadence falls on month 7, the last, and nothing
-            # follows it
-            (
-                "us_federal_n6_m7",
-                [
-                    "propose decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record",
-                    "propose decide produce tax consume adjust record reflect",
-                    "decide produce tax consume adjust record",
-                    "propose decide produce tax consume adjust record",
-                    "decide produce tax consume adjust record reflect",
-                    "propose decide produce tax consume adjust record",
-                ],
-            ),
-        ],
-    )
-    def test_whole_step_sequence(self, name, months):
-        events: list[tuple[int, str]] = []
-        if name == "replay_fixture":
-            gateway = ChatGateway(
-                "replay", cache_path=FIXTURES / "replay_cache.jsonl", transport=panicking_transport
-            )
-            run(load_config(FIXTURES / "replay_config.json"), gateway, event_log=events)
+    def test_a_year_end_proposal_reads_the_wealth_after_interest(self, proposals):
+        # A high natural rate keeps the Taylor rule's update above its floor of 0.
+        adjustment = AdjustmentParams(natural_rate=0.5)
+        config = replace(
+            SMALL, months=13, tax_system="saez", adjustment=adjustment, write_households=True
+        )
+        result = run(config)
+        wealth = {observation.month: observation.wealth for observation, _ in proposals}
+        savings = result.households["savings"][11]  # at the end of month 12
+        rate = result.month_records[12].interest_rate  # month 12's annual update
+        assert rate > 0
+        np.testing.assert_array_equal(wealth[12], savings * (1.0 + rate))
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    def test_each_llm_round_is_made_inside_the_phase_that_submits_it(
+        self, monkeypatch, tmp_path, mode
+    ):
+        # tax_agent planner, LLM households, both cadences 3, 14 months.
+        config = load_config(FIXTURES / "replay_config.json")
+        log = phase_log(monkeypatch)
+        placed = []
+
+        class PlacingGateway(ChatGateway):
+            def complete(self, request):
+                placed.append((log.running, prompt_kind(request.prompt)))
+                return super().complete(request)
+
+        if mode == "record":
+            cache, transport = tmp_path / "cache.jsonl", deterministic_reply
         else:
-            config = replace(
-                SMALL,
-                months=7,
-                tax_system="us_federal",
-                adjust_period_months=2,
-                reflection_period_months=3,
-            )
-            run(config, event_log=events)
-        expected = [(m, step) for m, steps in enumerate(months, 1) for step in steps.split()]
-        assert events == expected
+            cache, transport = FIXTURES / "replay_cache.jsonl", panicking_transport
+        run(config, PlacingGateway(mode, cache_path=cache, transport=transport))
+        # Month 1's proposal before month 1; a quarter's reflections and the
+        # next proposal inside its reflect, in that order when serial.
+        want = [(None, "propose")]
+        for month in range(1, config.months + 1):
+            want += [((month, "decide"), "decide")] * config.n_households
+            if month % 3 == 0:
+                want += [((month, "reflect"), "reflect")] * config.n_households
+                want.append(((month, "reflect"), "propose"))
+        if mode == "replay":
+            assert placed == want
+        else:  # fanned out: a round's calls complete in any order
+            assert Counter(placed) == Counter(want)
 
 
 class TestInvariants:
@@ -284,8 +286,6 @@ class TestGatewayUsage:
         assert len(result.month_records) == SMALL.months
 
     def test_rule_based_run_builds_no_persona_roster(self, monkeypatch):
-        import taxsim.simulation as simulation
-
         def refuse(*args):
             raise AssertionError("rule-based households read no persona")
 
@@ -631,12 +631,12 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             run(replace(SMALL, months=0))
 
-    def test_missing_persona_roster_is_fatal(self, tmp_path):
+    def test_missing_persona_roster_is_fatal(self, tmp_path, monkeypatch):
         config = replace(SMALL, persona_path=str(tmp_path / "absent.json"))
-        events: list[tuple[int, str]] = []
+        log = phase_log(monkeypatch)
         with pytest.raises(ConfigError, match="persona_path"):
-            run(config, event_log=events)
-        assert events == []
+            run(config)
+        assert log == []
 
     @pytest.mark.parametrize(
         "record,problem",
@@ -649,37 +649,41 @@ class TestConfigErrors:
             ),
         ],
     )
-    def test_bad_persona_record_fails_before_month_1(self, tmp_path, record, problem):
+    def test_bad_persona_record_fails_before_month_1(self, tmp_path, monkeypatch, record, problem):
         good = {"name": "Pat Doe", "age": 30, "city": "Reno", "occupation": "Baker"}
         path = tmp_path / "roster.json"
         path.write_text(json.dumps([good, record]))
-        events: list[tuple[int, str]] = []
+        log = phase_log(monkeypatch)
         with pytest.raises(ConfigError, match=rf"persona_path .*: record 1\b.*{problem}"):
-            run(replace(SMALL, persona_path=str(path)), event_log=events)
-        assert events == []
+            run(replace(SMALL, persona_path=str(path)))
+        assert log == []
 
-    def test_lone_surrogate_persona_fails_a_record_run_before_its_first_call(self, tmp_path):
+    def test_lone_surrogate_persona_fails_a_record_run_before_its_first_call(
+        self, tmp_path, monkeypatch
+    ):
         good = {"name": "Pat Doe", "age": 30, "city": "Reno", "occupation": "Baker"}
         path = tmp_path / "roster.json"
         path.write_text(json.dumps([good, {**good, "name": "Ann\ud800"}]))
         config = replace(SMALL, household_backend="llm", persona_path=str(path))
         cache = tmp_path / "cache.jsonl"
         gateway = CountingGateway("record", cache_path=cache, transport=surrogate_reply)
-        events: list[tuple[int, str]] = []
+        log = phase_log(monkeypatch)
         with pytest.raises(ConfigError, match=r"persona_path .*: record 1 .*not valid UTF-8"):
-            run(config, gateway=gateway, event_log=events)
-        assert events == [] and gateway.prompts == []
+            run(config, gateway=gateway)
+        assert log == [] and gateway.prompts == []
         assert not cache.exists() or cache.read_bytes() == b""
 
     @pytest.mark.parametrize("cache_path", ["", "missing.jsonl"])
-    def test_replay_without_a_cache_file_fails_before_month_1(self, tmp_path, cache_path):
+    def test_replay_without_a_cache_file_fails_before_month_1(
+        self, tmp_path, monkeypatch, cache_path
+    ):
         config = load_config(FIXTURES / "replay_config.json")
         path = str(tmp_path / cache_path) if cache_path else ""
         config = replace(config, gateway=replace(config.gateway, cache_path=path))
-        events: list[tuple[int, str]] = []
+        log = phase_log(monkeypatch)
         with pytest.raises(ConfigError, match="gateway.cache_path"):
-            run(config, event_log=events)
-        assert events == []
+            run(config)
+        assert log == []
 
     def test_replay_miss_is_fatal_not_a_fallback(self, tmp_path):
         from taxsim.gateway import ReplayMissError
