@@ -7,8 +7,8 @@ the ensemble of one; ``sweep`` and ``compare`` put every config into one
 ensemble with the others that differ from it only in ``_PER_RUN_FIELDS``,
 whatever its household backend. ``_Ensemble`` holds the state, one
 (runs x N) array per household quantity, and each month calls its phases
-in order: ``propose``, ``decide``, ``produce``, ``tax``, ``consume``,
-``adjust``, ``record``, ``annual`` and ``reflect``. The households are
+in order: ``decide``, ``produce``, ``tax``, ``consume``, ``adjust``,
+``record``, ``annual`` and ``reflect``. The households are
 ``_RuleBasedHouseholds``, one array pass, or ``_LLMHouseholds``, one call
 per household of every run, which alone keep memories and notes.
 
@@ -32,8 +32,9 @@ vectorised, on which runs share its ensemble, or on the interpreter's
 runs produce byte-identical outputs.
 
 Each proposal is made at the end of the month before it, in ``reflect``,
-after ``annual``: it observes that month's incomes and the wealth after
-interest, and no reflection note. No proposal is made after the last month.
+after ``annual``, and takes force there: it observes that month's incomes
+and the wealth after interest, and no reflection note. No proposal is made
+after the last month.
 
 Every LLM call goes through the one ``map`` that ``_llm_map`` yields, and
 every round of calls is made and read inside the phase that submits it: a
@@ -378,7 +379,7 @@ class _LLMHouseholds:
 
 class _Ensemble:
     """The state of an ensemble of runs that advance in lockstep, and the
-    nine phases of its month, each a method of the month."""
+    eight phases of its month, each a method of the month."""
 
     def __init__(self, configs, gateways, keep_households) -> None:
         head = self.head = configs[0]
@@ -451,11 +452,12 @@ class _Ensemble:
         ]
         return zip(proposing, self.map(_Run.propose, proposing, observations))
 
-    def propose(self, month: int) -> None:
-        """On the cadence, the proposals made last month take force."""
-        if self.proposals:
-            for r, schedule in self.proposals:
-                r.schedule = schedule
+    def enact(self, proposals: Iterable[tuple[_Run, TaxSchedule]]) -> None:
+        """Read the proposals; each takes force from the next month."""
+        proposals = list(proposals)
+        for r, schedule in proposals:
+            r.schedule = schedule
+        if proposals:
             self.schedules = ScheduleRows([r.schedule for r in self.runs])
 
     def decide(self, month: int) -> None:
@@ -537,14 +539,14 @@ class _Ensemble:
     def reflect(self, month: int) -> None:
         """On the cadence, the reflections are submitted, then the next
         month's proposals, which read no note and so overlap them; the notes
-        are collected, then the proposals."""
+        are collected, then the proposals are read and enacted."""
         reflecting = month % self.head.reflection_period_months == 0
         if reflecting:
             self.households.submit_reflections(self)
         proposals = self.submit_proposals(month)
         if reflecting:
             self.households.collect_reflections()
-        self.proposals = list(proposals)
+        self.enact(proposals)
 
 
 def _simulate(
@@ -559,9 +561,8 @@ def _simulate(
     # Only live and record gateways wait on a transport, so only they gain from fanning out.
     fan_out = any(gateway is not None and gateway.mode != "replay" for gateway in gateways)
     with _llm_map(fan_out) as state.map:
-        state.proposals = list(state.submit_proposals(0))
+        state.enact(state.submit_proposals(0))
         for month in range(1, state.head.months + 1):
-            state.propose(month)
             state.decide(month)
             state.produce(month)
             state.tax(month)

@@ -391,8 +391,8 @@ class CountingGateway(ChatGateway):
         return super().complete(request)
 
 
-# The nine phases of a month, in the order ``_simulate`` runs them.
-PHASES = ("propose", "decide", "produce", "tax", "consume", "adjust", "record", "annual", "reflect")
+# The eight phases of a month, in the order ``_simulate`` runs them.
+PHASES = ("decide", "produce", "tax", "consume", "adjust", "record", "annual", "reflect")
 
 
 class PhaseLog(list):
@@ -403,7 +403,7 @@ class PhaseLog(list):
 
 
 def phase_log(monkeypatch) -> PhaseLog:
-    """Wrap the nine phase methods of ``_Ensemble`` so that each call logs
+    """Wrap the eight phase methods of ``_Ensemble`` so that each call logs
     its (month, phase) when it starts."""
     log = PhaseLog()
 

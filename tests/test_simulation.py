@@ -169,7 +169,7 @@ def proposals(monkeypatch) -> list[tuple[PolicyObservation, TaxSchedule]]:
 
 
 class TestStepOrder:
-    def test_every_month_runs_the_nine_phases_in_order(self, monkeypatch):
+    def test_every_month_runs_its_phases_in_order(self, monkeypatch):
         log = phase_log(monkeypatch)
         run(replace(SMALL, months=13))
         assert log == [(month, phase) for month in range(1, 14) for phase in PHASES]
@@ -187,9 +187,15 @@ class TestStepOrder:
 
     def test_reflection_cadence(self, monkeypatch):
         # Decisions are mapped once a month, so each reflect call's place
-        # among them is its month: 3, 6 and 9.
+        # among them is its month: 3, 6 and 9, not the adjustment months.
         log = call_log(monkeypatch)
-        config = replace(SMALL, months=9, household_backend="llm", reflection_period_months=3)
+        config = replace(
+            SMALL,
+            months=9,
+            household_backend="llm",
+            reflection_period_months=3,
+            adjust_period_months=2,
+        )
         run(config, gateway=ChatGateway("live", transport=deterministic_reply))
         assert [name for _, name in log if name != "propose"] == (["decide"] * 3 + ["reflect"]) * 3
 
