@@ -64,6 +64,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     config = _config(args, output_dir=args.out)
+    if not config.makes_llm_calls:
+        raise ConfigError(
+            f"the config makes no LLM call to replay (tax_system {config.tax_system!r}, "
+            f"household_backend {config.household_backend!r})"
+        )
     config = replace(
         config,
         gateway=replace(config.gateway, mode="replay", cache_path=args.cache),

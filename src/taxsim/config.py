@@ -134,6 +134,12 @@ class SimConfig:
     output_dir: str = _checked("out", encode="os.fsencode")
     write_households: bool = True
 
+    @property
+    def makes_llm_calls(self) -> bool:
+        """Whether a run of this config needs a gateway: a tax_agent planner
+        or LLM households."""
+        return self.tax_system == "tax_agent" or self.household_backend == "llm"
+
     def validate(self) -> None:
         """Raise one ConfigError naming every bad key, before any work."""
         problems = _problems(self, "")

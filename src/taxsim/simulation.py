@@ -3,12 +3,12 @@ records a run returns, and the files written from them, live in
 ``results.py``, and the CSV writer in ``tables.py``.
 
 ``_simulate`` advances an ensemble of runs in lockstep. ``run(config)`` is
-the ensemble of one; ``sweep`` and ``compare`` put every config into one
-ensemble with the others that differ from it only in ``_PER_RUN_FIELDS``,
-whatever its household backend. ``_Ensemble`` holds the state, one
-(runs x N) array per household quantity, and each month calls its phases
-in order: ``decide``, ``produce``, ``tax``, ``consume``, ``adjust``,
-``record``, ``annual`` and ``reflect``. The households are
+the ensemble of one; ``sweep`` puts all its configs, which differ only in
+``tax_system`` and ``seed``, into one ensemble, whatever their household
+backend, and ``compare`` runs each config alone. ``_Ensemble`` holds the
+state, one (runs x N) array per household quantity, and each month calls
+its phases in order: ``decide``, ``produce``, ``tax``, ``consume``,
+``adjust``, ``record``, ``annual`` and ``reflect``. The households are
 ``_RuleBasedHouseholds``, one array pass, or ``_LLMHouseholds``, one call
 per household of every run, which alone keep memories and notes.
 
@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -261,23 +261,12 @@ class _Run:
         return SimulationResult(config, month_records, annual, self.households, summary)
 
 
-# What may differ between the runs of one ensemble: each run draws from its
-# own seed and proposes through its own policy and gateway. Every other
-# setting is shared.
-_PER_RUN_FIELDS = ("tax_system", "seed", "saez", "tax_agent", "gateway")
-_SHARED_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name not in _PER_RUN_FIELDS)
-
-
-def _shared_settings(config: SimConfig) -> list:
-    return [getattr(config, name) for name in _SHARED_FIELDS]
-
-
 def _prepared(config: SimConfig, gateway: ChatGateway | None, built: dict):
     """Validate ``config`` and pair it with its gateway when the run makes
     LLM calls: the one passed in, or the one ``built`` keeps per section.
     A run that makes none gets None."""
     config.validate()
-    if config.tax_system != "tax_agent" and config.household_backend != "llm":
+    if not config.makes_llm_calls:
         return config, None
     if gateway is None:
         key = astuple(config.gateway)
@@ -554,9 +543,10 @@ def _simulate(
     gateways: Sequence[ChatGateway | None],
     keep_households: bool,
 ) -> list[_Run]:
-    """Advance validated runs that differ at most in ``_PER_RUN_FIELDS`` in
-    lockstep, and return them in order; a run that makes no LLM call has no
-    gateway. ``keep_households`` keeps the months x N household arrays."""
+    """Advance validated runs in lockstep, and return them in order. The
+    configs differ only in ``tax_system`` and ``seed``; each run has its own
+    gateway, None when it makes no LLM call. ``keep_households`` keeps the
+    months x N household arrays."""
     state = _Ensemble(configs, gateways, keep_households)
     # Only live and record gateways wait on a transport, so only they gain from fanning out.
     fan_out = any(gateway is not None and gateway.mode != "replay" for gateway in gateways)
@@ -576,54 +566,14 @@ def _simulate(
     return state.runs
 
 
-def _comparison_rows(
-    configs: Sequence[SimConfig],
-    gateway_factory: Callable[[SimConfig], ChatGateway | None] | None,
-) -> list[ComparisonRow]:
-    """One row of final metrics per config, in order. Configs that differ
-    only in ``_PER_RUN_FIELDS`` run as one ensemble. Every config is
-    validated, and its gateway built (once per gateway section), before any
-    month runs; no household arrays are kept."""
+def compare(configs: Sequence[SimConfig]) -> ComparisonResult:
+    """Run each config alone and collect their final metrics side by side,
+    in order. Every config is validated, and its gateway built (once per
+    gateway section), before any month runs; no household arrays are kept."""
     built: dict[tuple, ChatGateway] = {}
-    prepared = [
-        _prepared(cfg, gateway_factory(cfg) if gateway_factory else None, built)
-        for cfg in configs
-    ]
-    ensembles: list[list[int]] = []
-    for i, (cfg, _) in enumerate(prepared):
-        shared = _shared_settings(cfg)
-        for members in ensembles:
-            if shared == _shared_settings(prepared[members[0]][0]):
-                members.append(i)
-                break
-        else:
-            ensembles.append([i])
-    rows: list[ComparisonRow] = [None] * len(configs)  # type: ignore[list-item]
-    for members in ensembles:
-        ensemble = [prepared[i] for i in members]
-        runs = _simulate([c for c, _ in ensemble], [g for _, g in ensemble], False)
-        for i, r in zip(members, runs):
-            rows[i] = r.final_row()
-    return rows
-
-
-def compare(
-    configs: Sequence[SimConfig],
-    gateway_factory: Callable[[SimConfig], ChatGateway | None] | None = None,
-) -> ComparisonResult:
-    """Run several configs that share (n_households, months, seed) and
-    collect their final metrics side by side."""
-    if not configs:
-        raise ValueError("compare needs at least one config")
-    head = configs[0]
-    for cfg in configs[1:]:
-        if (
-            cfg.n_households != head.n_households
-            or cfg.months != head.months
-            or cfg.seed != head.seed
-        ):
-            raise ValueError("compared configs must share n_households, months, seed")
-    return ComparisonResult(rows=_comparison_rows(configs, gateway_factory))
+    prepared = [_prepared(config, None, built) for config in configs]
+    runs = (_simulate([config], [gateway], False) for config, gateway in prepared)
+    return ComparisonResult(rows=[only.final_row() for (only,) in runs])
 
 
 def sweep(
@@ -632,6 +582,16 @@ def sweep(
     seeds: Sequence[int],
     gateway_factory: Callable[[SimConfig], ChatGateway | None] | None = None,
 ) -> list[ComparisonRow]:
-    """Cross systems with seeds: one row per (seed, system), seed-major."""
+    """Cross systems with seeds: one row per (seed, system), seed-major, all
+    run as one ensemble. Every config is validated, and its gateway built
+    (once per gateway section), before any month runs; no household arrays
+    are kept. No system or no seed runs nothing."""
     configs = [replace(base, tax_system=system, seed=seed) for seed in seeds for system in systems]
-    return _comparison_rows(configs, gateway_factory)
+    if not configs:
+        return []
+    built: dict[tuple, ChatGateway] = {}
+    prepared = [
+        _prepared(cfg, gateway_factory(cfg) if gateway_factory else None, built) for cfg in configs
+    ]
+    configs, gateways = zip(*prepared)
+    return [r.final_row() for r in _simulate(configs, gateways, False)]

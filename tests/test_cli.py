@@ -300,6 +300,27 @@ class TestReplayCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "settings,error",
+        [
+            ({}, "the config makes no LLM call to replay (tax_system 'us_federal', "),
+            ({"tax_system": "saez"}, "the config makes no LLM call to replay (tax_system 'saez', "),
+            ({"months": 0}, "months must be >= 1"),  # a config error comes first
+        ],
+        ids=["defaults", "saez", "bad_config"],
+    )
+    def test_config_without_llm_calls_is_one_error_line(self, tmp_path, capsys, settings, error):
+        # Its run would never open the cache, so it would replay nothing.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        argv = ["replay", "--config", str(config), "--cache", str(tmp_path / "missing.jsonl")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"taxsim: error: {error}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "cache_text,error",
         [
             ("", "no cached exchange for key"),

@@ -278,16 +278,20 @@ class TestEnsembleEqualsSingleRuns:
             assert len(gateway.asked) == len(range(0, months, 3))
             assert set(gateway.asked.values()) <= {1, 2}
 
-    def test_configs_that_differ_elsewhere_run_apart(self):
-        # A different productivity puts a config in an ensemble of its own;
-        # the rows still come back in config order.
+    def test_configs_that_differ_elsewhere_run_apart(self, ensemble_sizes):
+        # compare runs each config alone, whatever it shares with the others,
+        # and returns the rows in config order.
         base = SimConfig(n_households=7, months=14, seed=3)
         configs = [
             replace(base, tax_system="saez"),
             replace(base, tax_system="free", productivity=0.3),
             replace(base, tax_system="us_federal"),
+            replace(base, tax_system="saez", seed=99),
+            replace(base, tax_system="free", months=7),
         ]
-        assert compare(configs).rows == [row_of_run_alone(config) for config in configs]
+        rows = compare(configs).rows
+        assert ensemble_sizes == [1] * len(configs)
+        assert rows == [row_of_run_alone(config) for config in configs]
 
     def test_household_arrays_kept_only_for_households_csv(self):
         config = SimConfig(n_households=4, months=5, seed=1)

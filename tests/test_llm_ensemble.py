@@ -15,7 +15,6 @@ from dataclasses import replace
 import pytest
 
 import taxsim.gateway as gateway_module
-import taxsim.simulation as simulation
 from helpers import OUTPUT_FILES, call_log, deterministic_reply, panicking_transport
 from taxsim.config import GatewayConfig, SimConfig
 from taxsim.gateway import ChatGateway
@@ -63,20 +62,6 @@ def lone_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("lone")
     results = [run(c, gateway=ChatGateway("live", transport=deterministic_reply)) for c in CONFIGS]
     return [(row_of(r), outputs(r, out / str(i))) for i, r in enumerate(results)]
-
-
-@pytest.fixture
-def ensemble_sizes(monkeypatch) -> list[int]:
-    """The number of runs of each ensemble that ``_simulate`` advances."""
-    sizes: list[int] = []
-    original = simulation._simulate
-
-    def counting(configs, *args, **kwargs):
-        sizes.append(len(configs))
-        return original(configs, *args, **kwargs)
-
-    monkeypatch.setattr(simulation, "_simulate", counting)
-    return sizes
 
 
 @pytest.mark.parametrize("mode", ["live", "record", "replay"])

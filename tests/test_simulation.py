@@ -531,17 +531,12 @@ class TestFixedSchedules:
 
 
 class TestCompare:
-    def test_mismatched_seed_rejected(self):
-        with pytest.raises(ValueError, match="share"):
-            compare([SMALL, replace(SMALL, seed=99)])
-
-    def test_mismatched_months_rejected(self):
-        with pytest.raises(ValueError, match="share"):
-            compare([SMALL, replace(SMALL, months=7)])
-
-    def test_no_configs_rejected(self):
-        with pytest.raises(ValueError, match="at least one config"):
-            compare([])
+    def test_no_config_runs_no_month(self, monkeypatch):
+        log = phase_log(monkeypatch)
+        assert sweep(SMALL, [], [1, 2]) == []
+        assert sweep(SMALL, ["free", "saez"], []) == []
+        assert compare([]).rows == []
+        assert log == []
 
     def test_single_config_degenerate_table(self):
         result = compare([SMALL])
