@@ -111,30 +111,24 @@ class DecisionMonth:
         )
 
 
-class MemoryEntry:
-    """One month's summary kept for the quarterly self-review: its line of
-    the review prompt, which is all the review reads. The line is rendered
-    once, on creation: an entry stays in memory for up to four reviews and
-    nearly every entry reaches one. A household's memory is a
-    ``deque(maxlen=12)`` of its entries, oldest first."""
-
-    __slots__ = ("line",)
-
-    def __init__(
-        self,
-        date: str,
-        work_propensity: float,
-        consumption_propensity: float,
-        pretax_income: float,
-        posttax_income: float,
-        consumption: float,
-    ) -> None:
-        self.line = (
-            f"{date}: work propensity {work_propensity:.2f}, consumption "
-            f"propensity {consumption_propensity:.2f}, pre-tax income "
-            f"${pretax_income:.2f}, post-tax income ${posttax_income:.2f}, "
-            f"spent ${consumption:.2f}"
-        )
+def memory_line(
+    date: str,
+    work_propensity: float,
+    consumption_propensity: float,
+    pretax_income: float,
+    posttax_income: float,
+    consumption: float,
+) -> str:
+    """One month's line of the quarterly self-review prompt, all the review
+    reads of the month. It is rendered once, when the month ends: a line
+    stays in memory for up to four reviews, and nearly every line reaches
+    one. A household's memory is a ``deque(maxlen=12)`` of its lines, oldest first."""
+    return (
+        f"{date}: work propensity {work_propensity:.2f}, consumption "
+        f"propensity {consumption_propensity:.2f}, pre-tax income "
+        f"${pretax_income:.2f}, post-tax income ${posttax_income:.2f}, "
+        f"spent ${consumption:.2f}"
+    )
 
 
 def build_household_prompt(
@@ -169,11 +163,11 @@ def build_household_prompt(
     )
 
 
-def build_reflection_prompt(memory: Collection[MemoryEntry]) -> str:
-    """Render the quarterly self-review prompt from the memory entries."""
+def build_reflection_prompt(memory: Collection[str]) -> str:
+    """Render the quarterly self-review prompt from the memory lines."""
     return (
         "You are reviewing your household finances. Here is your record of "
-        "recent months:\n" + "\n".join(e.line for e in memory) + "\n"
+        "recent months:\n" + "\n".join(memory) + "\n"
         "Write a short note to yourself (two or three sentences) with lessons "
         "from these months to guide your upcoming work and spending "
         "decisions. Reply with the note only."
@@ -263,7 +257,7 @@ class LLMBackend:
             raise DecisionError("no parsable decision after retries")
         return decision
 
-    def reflect(self, memory: Collection[MemoryEntry]) -> str | None:
+    def reflect(self, memory: Collection[str]) -> str | None:
         return self.gateway.ask(self.config, build_reflection_prompt(memory), str.strip)
 
 
@@ -282,7 +276,7 @@ def decide(
         return fallback
 
 
-def reflect(backend: LLMBackend, memory: Collection[MemoryEntry], previous: str = "") -> str:
+def reflect(backend: LLMBackend, memory: Collection[str], previous: str = "") -> str:
     """Total reflection step: empty memory yields an empty note, and a
     reflection that gets no reply keeps the previous note."""
     if not memory:

@@ -2,15 +2,17 @@
 records a run returns, and the files written from them, live in
 ``results.py``, and the CSV writer in ``tables.py``.
 
-``_simulate`` advances an ensemble of runs in lockstep. ``run(config)`` is
-the ensemble of one; ``sweep`` puts all its configs, which differ only in
-``tax_system`` and ``seed``, into one ensemble, whatever their household
-backend, and ``compare`` runs each config alone. ``_Ensemble`` holds the
-state, one (runs x N) array per household quantity, and each month calls
-its phases in order: ``decide``, ``produce``, ``tax``, ``consume``,
-``adjust``, ``record``, ``annual`` and ``reflect``. The households are
-``_RuleBasedHouseholds``, one array pass, or ``_LLMHouseholds``, one call
-per household of every run, which alone keep memories and notes.
+``_simulate`` advances an ensemble of runs in lockstep through its one
+gateway, None when no run makes LLM calls. ``run(config)`` is the ensemble
+of one; ``sweep`` puts all its configs, which differ only in ``tax_system``
+and ``seed``, into one ensemble, whatever their household backend, and
+``compare`` runs each config alone, all prepared before any month runs.
+``_Ensemble`` holds the state, one (runs x N) array per household quantity,
+and each month calls its phases in order: ``decide``, ``produce``, ``tax``,
+``consume``, ``adjust``, ``record``, ``annual`` and ``reflect``. The
+households are ``_RuleBasedHouseholds``, one array pass, or
+``_LLMHouseholds``, one call per household of every run, which alone keep
+memories and notes.
 
 Determinism: a run's Generator drives every draw of that run, and no other,
 in a fixed order (initial wages, initial savings, then per month: labor in
@@ -41,13 +43,12 @@ every round of calls is made and read inside the phase that submits it: a
 month's decisions in ``decide``, a quarter's reflections together with the
 next proposals in ``reflect``. Each round depends only on state that is
 fixed before it starts, so an ensemble fans it out on up to
-``FAN_OUT_WORKERS`` threads when any of its runs makes LLM calls through a
-live or record gateway, whatever its household backend. Results are
-applied in a fixed order (run by run, households in order, then the
-proposals), so no output depends on the order in which calls complete;
-only the record cache's line order does. An ensemble whose calls are all
-replayed makes them serially in that order: reflections, proposals, then
-decisions.
+``FAN_OUT_WORKERS`` threads when its gateway is a live or record one,
+whatever its household backend. Results are applied in a fixed order (run
+by run, households in order, then the proposals), so no output depends on
+the order in which calls complete; only the record cache's line order
+does. An ensemble whose calls are replayed makes them serially in that
+order: reflections, proposals, then decisions.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -84,9 +85,9 @@ from taxsim.households import (
     UNCHANGED,
     DecisionMonth,
     LLMBackend,
-    MemoryEntry,
     build_household_prompt,
     decide,
+    memory_line,
     reflect,
     rule_based_decide,
 )
@@ -261,19 +262,21 @@ class _Run:
         return SimulationResult(config, month_records, annual, self.households, summary)
 
 
-def _prepared(config: SimConfig, gateway: ChatGateway | None, built: dict):
-    """Validate ``config`` and pair it with its gateway when the run makes
-    LLM calls: the one passed in, or the one ``built`` keeps per section.
-    A run that makes none gets None."""
-    config.validate()
-    if not config.makes_llm_calls:
-        return config, None
-    if gateway is None:
-        key = astuple(config.gateway)
-        if key not in built:
-            built[key] = build_gateway(config.gateway)
-        gateway = built[key]
-    return config, gateway
+def _prepared(
+    configs: Sequence[SimConfig], gateway: ChatGateway | None
+) -> tuple[ChatGateway | None, list]:
+    """Validate every config of an ensemble, then return the ensemble's one
+    gateway and its persona roster. The gateway is None when no run makes
+    LLM calls, else the one passed in, else one built from the configs'
+    shared gateway section."""
+    for config in configs:
+        config.validate()
+    head = configs[0]
+    if not any(config.makes_llm_calls for config in configs):
+        gateway = None
+    elif gateway is None:
+        gateway = build_gateway(head.gateway)
+    return gateway, load_personas(head.persona_path or None)
 
 
 def run(config: SimConfig, gateway: ChatGateway | None = None) -> SimulationResult:
@@ -283,8 +286,7 @@ def run(config: SimConfig, gateway: ChatGateway | None = None) -> SimulationResu
     system or llm household backend); passing one in overrides the config's
     gateway section.
     """
-    config, gateway = _prepared(config, gateway, {})
-    (only,) = _simulate([config], [gateway], config.write_households)
+    (only,) = _simulate([config], *_prepared([config], gateway), config.write_households)
     return only.result()
 
 
@@ -304,15 +306,14 @@ class _RuleBasedHouseholds:
 
 class _LLMHouseholds:
     """What only LLM households keep, since it feeds their prompts alone:
-    the backends, personas, memories, reflection notes and last decisions,
-    and last month's expected incomes and prices, which the prompts compare
-    against: one entry per household of every run, run by run, as in the
-    ensemble's raveled (runs x N) arrays, and one price per run."""
+    the ensemble's backend, and personas, memories, reflection notes, last
+    decisions and last month's expected incomes and prices, which the
+    prompts compare against: one per household of every run, run by run, as
+    in the ensemble's raveled (runs x N) arrays, and one price per run."""
 
-    def __init__(self, config: SimConfig, gateways: Sequence[ChatGateway], personas: list) -> None:
-        n, k = config.n_households, len(gateways)
-        backends = [LLMBackend(gateway, config.household_llm) for gateway in gateways]
-        self.backends = [b for b in backends for _ in range(n)]  # each run's, per household
+    def __init__(self, config: SimConfig, k: int, gateway: ChatGateway, personas: list) -> None:
+        n = config.n_households
+        self.backend = LLMBackend(gateway, config.household_llm)
         self.personas = roster_for(n, personas) * k
         self.memories = [deque(maxlen=12) for _ in range(k * n)]  # the last 12 months
         self.notes = [""] * (k * n)
@@ -346,7 +347,7 @@ class _LLMHouseholds:
             state.spent.ravel().tolist(),
             self.notes,
         )
-        decisions = list(state.map(decide, self.backends, prompts, self.decisions))
+        decisions = list(state.map(decide, repeat(self.backend), prompts, self.decisions))
         self.decisions, self.previous_expected, self.previous_price = decisions, expected, prices
         work = np.array([d.work_propensity for d in decisions])
         consumption = np.array([d.consumption_propensity for d in decisions])
@@ -355,12 +356,12 @@ class _LLMHouseholds:
     def remember(self, state: _Ensemble, month: int) -> None:
         rows = state.work, state.consumption, state.pretax, state.posttax, state.spent
         columns = [row.ravel().tolist() for row in rows]
-        entries = map(partial(MemoryEntry, month_label(month)), *columns)
-        for memory, entry in zip(self.memories, entries):
-            memory.append(entry)
+        lines = map(memory_line, repeat(month_label(month)), *columns)
+        for memory, line in zip(self.memories, lines):
+            memory.append(line)
 
     def submit_reflections(self, state: _Ensemble) -> None:
-        self.next_notes = state.map(reflect, self.backends, self.memories, self.notes)
+        self.next_notes = state.map(reflect, repeat(self.backend), self.memories, self.notes)
 
     def collect_reflections(self) -> None:
         self.notes = list(self.next_notes)
@@ -370,17 +371,16 @@ class _Ensemble:
     """The state of an ensemble of runs that advance in lockstep, and the
     eight phases of its month, each a method of the month."""
 
-    def __init__(self, configs, gateways, keep_households) -> None:
+    def __init__(self, configs, gateway, personas, keep_households) -> None:
         head = self.head = configs[0]
         self.n = n = head.n_households
         k = len(configs)
-        personas = load_personas(head.persona_path or None)
         # Month m's values of run r are monthly[m - 1, :, r].
         monthly = self.monthly = np.empty((head.months, len(_MONTH_VALUES), k))
         runs: list[_Run] = []
         wages, savings = [], []
         self.rngs = [np.random.default_rng(config.seed) for config in configs]
-        for i, (config, gateway, rng) in enumerate(zip(configs, gateways, self.rngs)):
+        for i, (config, rng) in enumerate(zip(configs, self.rngs)):
             init = config.initial
             wages.append(rng.lognormal(math.log(init.wage_median), init.wage_sigma, n))
             savings.append(rng.lognormal(math.log(init.savings_median), init.savings_sigma, n))
@@ -420,7 +420,7 @@ class _Ensemble:
         } if keep_households else {}
         llm = head.household_backend == "llm"
         self.households = (
-            _LLMHouseholds(head, gateways, personas) if llm else _RuleBasedHouseholds()
+            _LLMHouseholds(head, k, gateway, personas) if llm else _RuleBasedHouseholds()
         )
 
     def submit_proposals(self, months_done: int) -> Iterable[tuple[_Run, TaxSchedule]]:
@@ -540,16 +540,17 @@ class _Ensemble:
 
 def _simulate(
     configs: Sequence[SimConfig],
-    gateways: Sequence[ChatGateway | None],
+    gateway: ChatGateway | None,
+    personas: list,
     keep_households: bool,
 ) -> list[_Run]:
     """Advance validated runs in lockstep, and return them in order. The
-    configs differ only in ``tax_system`` and ``seed``; each run has its own
-    gateway, None when it makes no LLM call. ``keep_households`` keeps the
-    months x N household arrays."""
-    state = _Ensemble(configs, gateways, keep_households)
+    configs differ only in ``tax_system`` and ``seed``, and share the
+    ensemble's gateway, None when no run makes an LLM call, and the persona
+    roster. ``keep_households`` keeps the months x N household arrays."""
+    state = _Ensemble(configs, gateway, personas, keep_households)
     # Only live and record gateways wait on a transport, so only they gain from fanning out.
-    fan_out = any(gateway is not None and gateway.mode != "replay" for gateway in gateways)
+    fan_out = gateway is not None and gateway.mode != "replay"
     with _llm_map(fan_out) as state.map:
         state.enact(state.submit_proposals(0))
         for month in range(1, state.head.months + 1):
@@ -568,11 +569,10 @@ def _simulate(
 
 def compare(configs: Sequence[SimConfig]) -> ComparisonResult:
     """Run each config alone and collect their final metrics side by side,
-    in order. Every config is validated, and its gateway built (once per
-    gateway section), before any month runs; no household arrays are kept."""
-    built: dict[tuple, ChatGateway] = {}
-    prepared = [_prepared(config, None, built) for config in configs]
-    runs = (_simulate([config], [gateway], False) for config, gateway in prepared)
+    in order. Every config is prepared alone (validated, its gateway built,
+    its roster loaded) before any month runs; no household arrays are kept."""
+    prepared = [([config], *_prepared([config], None)) for config in configs]
+    runs = (_simulate(*ensemble, False) for ensemble in prepared)
     return ComparisonResult(rows=[only.final_row() for (only,) in runs])
 
 
@@ -580,18 +580,14 @@ def sweep(
     base: SimConfig,
     systems: Sequence[str],
     seeds: Sequence[int],
-    gateway_factory: Callable[[SimConfig], ChatGateway | None] | None = None,
+    gateway: ChatGateway | None = None,
 ) -> list[ComparisonRow]:
     """Cross systems with seeds: one row per (seed, system), seed-major, all
-    run as one ensemble. Every config is validated, and its gateway built
-    (once per gateway section), before any month runs; no household arrays
-    are kept. No system or no seed runs nothing."""
+    run as one ensemble, whose ``gateway`` is consulted as ``run``'s. Every
+    config is validated, the gateway built and the roster loaded, before any
+    month runs; no household arrays are kept. No system or no seed runs
+    nothing."""
     configs = [replace(base, tax_system=system, seed=seed) for seed in seeds for system in systems]
     if not configs:
         return []
-    built: dict[tuple, ChatGateway] = {}
-    prepared = [
-        _prepared(cfg, gateway_factory(cfg) if gateway_factory else None, built) for cfg in configs
-    ]
-    configs, gateways = zip(*prepared)
-    return [r.final_row() for r in _simulate(configs, gateways, False)]
+    return [r.final_row() for r in _simulate(configs, *_prepared(configs, gateway), False)]

@@ -292,7 +292,7 @@ def test_criterion_10_directional_desk_scale():
         SimConfig(),
         systems=("free", "us_federal", "saez", "tax_agent"),
         seeds=(1, 2, 3, 4, 5),
-        gateway_factory=lambda cfg: planner if cfg.tax_system == "tax_agent" else None,
+        gateway=planner,
     )
     elapsed = time.perf_counter() - start
     assert planner.calls == 5 * 40  # one proposal every 3 of the 120 months, per seed

@@ -12,6 +12,10 @@ import taxsim.gateway as gateway_module
 from conftest import FIXTURES
 from helpers import COMPARISON_CSV_SHA256
 from taxsim.cli import main
+from taxsim.config import load_config
+from taxsim.gateway import ChatGateway
+from taxsim.results import ComparisonResult, ComparisonRow
+from taxsim.simulation import run
 
 
 @pytest.fixture
@@ -255,6 +259,34 @@ class TestCompareCommand:
             "  us_federal   182793.940563",
             "  saez         118329.474480",
         ]
+
+    def test_replayed_llm_comparison(self, tmp_path, monkeypatch):
+        # Two tax_agent runs of each of two equal seeds, LLM households
+        # included, replay the fixture cache through the ensemble's one
+        # gateway: one cache load, and every row the fixture replay's.
+        cache = FIXTURES / "replay_cache.jsonl"
+        settings = json.loads((FIXTURES / "replay_config.json").read_text())
+        settings["gateway"] = {"mode": "replay", "cache_path": str(cache)}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        loads: list[str] = []
+        original = gateway_module.load_cache
+
+        def counting(path):
+            loads.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(gateway_module, "load_cache", counting)
+        out = tmp_path / "cmp"
+        argv = ["compare", "--config", str(config), "--systems", "tax_agent,tax_agent"]
+        assert main(argv + ["--seeds", "2024,2024", "--out", str(out)]) == 0
+        assert loads == [str(cache)]
+        replayed = run(load_config(config), gateway=ChatGateway("replay", cache_path=cache))
+        final = replayed.month_records[-1]
+        scores = final.gini, final.equality, final.productivity, final.social_outcome
+        row = ComparisonRow("tax_agent", 2024, *scores)
+        ComparisonResult([row] * 4).write_csv(tmp_path / "expected.csv")
+        assert (out / "comparison.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_empty_systems_rejected(self, small_config):
         assert main(

@@ -212,29 +212,18 @@ class TestRowKernelsMatchOneRowAlone:
             assert_bits_equal(market.price[r], price_r)
 
 
-def planner_reply(seed: int):
-    """Scripted planner replies for a tax_agent run: rate lists drawn from
-    the seed and the prompt, and the first reply to about every fourth
-    prompt junk (a retry)."""
-
-    def reply(prompt: str, attempt: int) -> str:
-        digest = hashlib.sha256(prompt.encode("utf-8")).digest()
-        if attempt == 0 and digest[0] % 4 == 3:
-            return "no rates this time"
-        rng = np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
-        return str(np.round(rng.uniform(0, 0.6, 7), 2).tolist())
-
-    return reply
-
-
-def scripted_planner(config: SimConfig):
-    if config.tax_system == "tax_agent":
-        return PromptedGateway(planner_reply(config.seed))
-    return None
+def planner_reply(prompt: str, attempt: int) -> str:
+    """Scripted planner replies: rate lists drawn from the prompt alone, and
+    the first reply to about every fourth prompt junk (a retry)."""
+    digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+    if attempt == 0 and digest[0] % 4 == 3:
+        return "no rates this time"
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    return str(np.round(rng.uniform(0, 0.6, 7), 2).tolist())
 
 
 def row_of_run_alone(config: SimConfig) -> ComparisonRow:
-    final = run(config, gateway=scripted_planner(config)).month_records[-1]
+    final = run(config, gateway=PromptedGateway(planner_reply)).month_records[-1]
     return ComparisonRow(
         config.tax_system,
         config.seed,
@@ -263,20 +252,17 @@ class TestEnsembleEqualsSingleRuns:
         # Productivity 0.005 reaches the partial consumption fill and the
         # Saez fallbacks.
         base = SimConfig(n_households=n, months=months, productivity=productivity)
-        planners = []
-
-        def planner(config):
-            planners.append(scripted_planner(config))
-            return planners[-1]
-
-        rows = sweep(base, systems, seeds, gateway_factory=planner)
+        planner = PromptedGateway(planner_reply)
+        rows = sweep(base, systems, seeds, gateway=planner)
         configs = [replace(base, tax_system=s, seed=seed) for seed in seeds for s in systems]
         assert rows == [row_of_run_alone(config) for config in configs]
-        # One prompt a proposal, every 3 months before the last; a junk
-        # first reply asks once more.
-        for gateway in filter(None, planners):
-            assert len(gateway.asked) == len(range(0, months, 3))
-            assert set(gateway.asked.values()) <= {1, 2}
+        # One prompt a proposal, every 3 months before the last, of each
+        # distinct seed: the runs of a repeated seed ask the same prompts. A
+        # junk first reply asks once more, once per prompt: only a prompt's
+        # first ask, by whichever twin, gets the junk.
+        proposals = len(range(0, months, 3)) if "tax_agent" in systems else 0
+        assert len(planner.asked) == len(set(seeds)) * proposals
+        assert 0 <= planner.calls - len(seeds) * proposals <= len(planner.asked)
 
     def test_configs_that_differ_elsewhere_run_apart(self, ensemble_sizes):
         # compare runs each config alone, whatever it shares with the others,

@@ -316,7 +316,7 @@ def test_planner_calls_of_rule_based_runs_fan_out():
     seeds = (0, 1, 2)
     transport = PeakTransport(len(seeds), timeout=1.0, waiting=("planner",))
     gateway = ThreadLoggingGateway("live", transport=transport)
-    sweep(config, ["tax_agent"], seeds, gateway_factory=lambda cfg: gateway)
+    sweep(config, ["tax_agent"], seeds, gateway=gateway)
     assert transport.peak == len(seeds)
     # Months 1 and 4's proposals of each run, all on pool threads.
     assert gateway.kinds == ["planner"] * 2 * len(seeds)
@@ -324,12 +324,12 @@ def test_planner_calls_of_rule_based_runs_fan_out():
 
 
 def test_only_runs_that_make_llm_calls_get_a_gateway_and_fan_out(monkeypatch):
-    log: list[tuple[list[bool], bool]] = []  # (which runs have a gateway, fan-out)
+    log: list[tuple[bool, bool]] = []  # (whether the ensemble has a gateway, fan-out)
     simulate, llm_map = simulation._simulate, simulation._llm_map
 
-    def noting_simulate(configs, gateways, *args, **kwargs):
-        log.append(([g is not None for g in gateways], None))
-        return simulate(configs, gateways, *args, **kwargs)
+    def noting_simulate(configs, gateway, *args, **kwargs):
+        log.append((gateway is not None, None))
+        return simulate(configs, gateway, *args, **kwargs)
 
     def noting_map(fan_out):
         log[-1] = (log[-1][0], fan_out)
@@ -339,6 +339,6 @@ def test_only_runs_that_make_llm_calls_get_a_gateway_and_fan_out(monkeypatch):
     monkeypatch.setattr(simulation, "_llm_map", noting_map)
     gateway = ChatGateway("live", transport=deterministic_reply)
     base = replace(CONFIG, household_backend="rule_based")
-    sweep(base, ["free", "us_federal", "saez"], [0], gateway_factory=lambda cfg: gateway)
-    sweep(base, ["us_federal", "tax_agent"], [0], gateway_factory=lambda cfg: gateway)
-    assert log == [([False] * 3, False), ([False, True], True)]
+    sweep(base, ["free", "us_federal", "saez"], [0], gateway=gateway)
+    sweep(base, ["us_federal", "tax_agent"], [0], gateway=gateway)
+    assert log == [(False, False), (True, True)]

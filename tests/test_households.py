@@ -33,14 +33,15 @@ from taxsim.households import (
     DecisionMonth,
     HouseholdLLMConfig,
     LLMBackend,
-    MemoryEntry,
     build_household_prompt,
     build_reflection_prompt,
     decide,
+    memory_line,
     parse_decision_reply,
     reflect,
     rule_based_decide,
 )
+from taxsim.personas import load_personas
 from taxsim.policies import DEFAULT_BRACKETS, US_FEDERAL_RATES, free_market_schedule
 from taxsim.simulation import _Ensemble, month_label, run
 
@@ -204,7 +205,7 @@ class TestBuildHouseholdPrompt:
         # Checked once a month over the whole ensemble, before any call.
         gateway = CountingGateway("live", transport=deterministic_reply)
         config = SimConfig(n_households=3, months=1, household_backend="llm")
-        state = _Ensemble([config], [gateway], False)
+        state = _Ensemble([config], gateway, load_personas(), False)
         state.map = map
         state.expected = np.full_like(state.wage, 567.18)
         getattr(state, array)[0, 1] = value
@@ -529,16 +530,16 @@ GOLDEN_MEMORY_ROWS = [
 ]
 
 
-def golden_memory() -> deque[MemoryEntry]:
+def golden_memory() -> deque[str]:
     return deque(
-        MemoryEntry(f"2001.{month:02d}", *row)
+        memory_line(f"2001.{month:02d}", *row)
         for month, row in enumerate(GOLDEN_MEMORY_ROWS, 1)
     )
 
 
-def make_memory(months=3) -> deque[MemoryEntry]:
+def make_memory(months=3) -> deque[str]:
     return deque(
-        MemoryEntry(
+        memory_line(
             date=f"2001.{m:02d}",
             work_propensity=0.6,
             consumption_propensity=0.4,

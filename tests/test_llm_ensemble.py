@@ -68,13 +68,11 @@ def lone_runs(tmp_path_factory):
 def test_llm_household_sweep_rows_equal_lone_runs(mode, lone_runs, ensemble_sizes, tmp_path):
     cache = tmp_path / "ensemble.jsonl"
     transport = ThreadNotingTransport()
-    recorder = ChatGateway("record", cache_path=cache, transport=transport)
-
-    def gateway_of(cfg):
-        # Live: a gateway of its own for every run. Record: one for all.
-        return ChatGateway("live", transport=transport) if mode == "live" else recorder
-
-    rows = sweep(BASE, SYSTEMS, SEEDS, gateway_factory=gateway_of)
+    if mode == "live":
+        gateway = ChatGateway("live", transport=transport)
+    else:
+        gateway = ChatGateway("record", cache_path=cache, transport=transport)
+    rows = sweep(BASE, SYSTEMS, SEEDS, gateway=gateway)
     # The calls fanned out over the pool.
     assert transport.threads - {threading.get_ident()}
     if mode == "replay":
@@ -94,7 +92,7 @@ def test_configs_sharing_a_gateway_section_share_one_gateway(monkeypatch, tmp_pa
     systems, seeds = SYSTEMS, (0, 1, 2)
     cache = tmp_path / "cache.jsonl"
     recorder = ChatGateway("record", cache_path=cache, transport=deterministic_reply)
-    recorded = sweep(base, systems, seeds, gateway_factory=lambda cfg: recorder)
+    recorded = sweep(base, systems, seeds, gateway=recorder)
 
     loads: list[str] = []
     original = gateway_module.load_cache
@@ -119,10 +117,10 @@ def test_reflections_reach_the_map_before_the_next_proposals(monkeypatch, tmp_pa
 
     log = call_log(monkeypatch)
     recorder = ChatGateway("record", cache_path=cache, transport=deterministic_reply)
-    recorded = sweep(base, systems, [base.seed], gateway_factory=lambda cfg: recorder)
+    recorded = sweep(base, systems, [base.seed], gateway=recorder)
     assert log == [(True, name) for name in want]
 
     log.clear()
     replayer = ChatGateway("replay", cache_path=cache, transport=panicking_transport)
-    assert sweep(base, systems, [base.seed], gateway_factory=lambda cfg: replayer) == recorded
+    assert sweep(base, systems, [base.seed], gateway=replayer) == recorded
     assert log == [(False, name) for name in want]

@@ -538,6 +538,27 @@ class TestCompare:
         assert compare([]).rows == []
         assert log == []
 
+    @pytest.mark.parametrize("fault", ["absent_roster", "missing_replay_cache"])
+    def test_bad_second_config_fails_before_any_month(self, fault, tmp_path, monkeypatch):
+        # compare prepares every config, its roster and gateway included,
+        # before the first config's first month.
+        missing = str(tmp_path / "missing.json")
+        bad, key = {
+            "absent_roster": (replace(SMALL, persona_path=missing), "persona_path"),
+            "missing_replay_cache": (
+                replace(
+                    SMALL,
+                    household_backend="llm",
+                    gateway=GatewayConfig(mode="replay", cache_path=missing),
+                ),
+                "gateway.cache_path",
+            ),
+        }[fault]
+        log = phase_log(monkeypatch)
+        with pytest.raises(ConfigError, match=key):
+            compare([SMALL, bad])
+        assert log == []
+
     def test_single_config_degenerate_table(self):
         result = compare([SMALL])
         assert len(result.rows) == 1
@@ -550,7 +571,7 @@ class TestCompare:
             config,
             systems=("free", "us_federal", "saez", "tax_agent"),
             seeds=(1, 2),
-            gateway_factory=lambda cfg: planner if cfg.tax_system == "tax_agent" else None,
+            gateway=planner,
         )
         assert planner.calls == 2 * 3  # proposals at months 1, 4 and 7 of each seed
         assert len(rows) == 8
