@@ -201,11 +201,12 @@ class ScheduleRows:
     (runs x N) arrays. They share thresholds, so ``compute_tax`` finds every
     bracket with one ``searchsorted`` and gathers each row's rates and
     cumulative tax from ``bracket_table`` at the flat positions of its row,
-    bracket k of row r at ``k + row_offsets[r]``. Built once per schedule
-    change, from the schedules' float rows."""
+    bracket k of row r at ``k + row_offsets[r]``. Built once, from the
+    schedules' float rows; ``set_row`` rewrites the row of a run whose
+    schedule changes."""
 
     def __init__(self, schedules: Sequence[TaxSchedule]) -> None:
-        thresholds = schedules[0].thresholds
+        self.thresholds = thresholds = schedules[0].thresholds
         if any(s.thresholds != thresholds for s in schedules):
             raise ScheduleError("the schedules of an ensemble must share thresholds")
         self.bracket_table = (
@@ -214,6 +215,14 @@ class ScheduleRows:
             np.array([s.tax_below for s in schedules]),
         )
         self.row_offsets = len(thresholds) * np.arange(len(schedules))[:, None]
+
+    def set_row(self, row: int, schedule: TaxSchedule) -> None:
+        """Put ``schedule`` in force in row ``row``; it must share the
+        thresholds of the others."""
+        if schedule.thresholds != self.thresholds:
+            raise ScheduleError("the schedules of an ensemble must share thresholds")
+        _, rates, below = self.bracket_table
+        rates[row], below[row] = schedule.rates, schedule.tax_below
 
 
 @dataclass

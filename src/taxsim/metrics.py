@@ -4,9 +4,13 @@ inflation/unemployment series.
 
 ``gini``, ``equality`` and ``productivity`` also take any stack of rows,
 such as the wealth of an ensemble of runs (runs x N) or of several months of
-it (months x runs x N), and give each row's value. numpy reduces along the
-last axis, where each row is contiguous, exactly as it reduces that row
-alone, so a row's value has the bits of the 1-D call on it."""
+it (months x runs x N), and give each row's value; so do the annual
+functions, of each run's price history (runs x months) or employment window
+(runs x 12 x N). numpy reduces along the last axis, where each row is
+contiguous, exactly as it reduces that row alone, so a row's value has the
+bits of the 1-D call on it. A strided stack, such as a transposed view, is
+reduced left to right instead, so the annual functions copy their stack to
+C order first."""
 
 from __future__ import annotations
 
@@ -67,24 +71,26 @@ def social_outcome(equality_score: float, productivity_score: float) -> float:
     return equality_score * productivity_score
 
 
-def annual_inflation(monthly_prices: Sequence[float]) -> float:
+def annual_inflation(monthly_prices: Sequence[float] | np.ndarray):
     """Year-over-year change of the mean monthly price across the last two
-    complete years; 0.0 while fewer than two years exist."""
-    prices = np.asarray(monthly_prices, dtype=float)
-    full_years = prices.size // 12
+    complete years; 0.0 while fewer than two years exist. Of a (runs x
+    months) stack, each run's change."""
+    prices = np.ascontiguousarray(monthly_prices, dtype=float)
+    full_years = prices.shape[-1] // 12
     if full_years < 2:
-        return 0.0
-    current = prices[12 * (full_years - 1) : 12 * full_years].mean()
-    previous = prices[12 * (full_years - 2) : 12 * (full_years - 1)].mean()
-    return float((current - previous) / previous)
+        return _per_row(np.zeros(prices.shape[:-1]))
+    current = prices[..., 12 * (full_years - 1) : 12 * full_years].mean(axis=-1)
+    previous = prices[..., 12 * (full_years - 2) : 12 * (full_years - 1)].mean(axis=-1)
+    return _per_row((current - previous) / previous)
 
 
-def annual_unemployment(labor_history: Sequence[Sequence[int]]) -> float:
+def annual_unemployment(labor_history: Sequence[Sequence[int]] | np.ndarray):
     """Fraction of household-months not worked over exactly twelve months.
 
-    ``labor_history`` is a 12 x N matrix of 0/1 employment indicators.
+    ``labor_history`` is a 12 x N matrix of 0/1 employment indicators, or a
+    (runs x 12 x N) stack of them, which gives each run's fraction.
     """
-    arr = np.asarray(labor_history, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != 12 or arr.shape[1] < 1:
+    arr = np.ascontiguousarray(labor_history, dtype=float)
+    if arr.ndim < 2 or arr.shape[-2] != 12 or arr.shape[-1] < 1:
         raise ValueError("labor history must be a 12 x N matrix")
-    return float(1.0 - arr.mean())
+    return _per_row(1.0 - arr.reshape(*arr.shape[:-2], -1).mean(axis=-1))

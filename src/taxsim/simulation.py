@@ -27,16 +27,19 @@ reduces along the last axis of an array whose rows are each contiguous as
 it would reduce that row alone, so the row reductions (``sequential_sum``,
 ``gini``, ``productivity``) give each run's month the bits of its own 1-D
 reduction, whether over one month's rows or a proposal period's stack of
-them, and each annual unemployment reduces the run's contiguous 12 x N
-window. So the output bits of a run do not depend on how the work is
-vectorised, on which runs share its ensemble, or on the interpreter's
-``sum``. With the rule-based backend, or an LLM backend in replay mode, two
-runs produce byte-identical outputs.
+them. A year end is one pass too: the annual inflation of every run's price
+history and the unemployment of every run's 12 x N window, each stack
+copied to C order first. So the output bits of a run do not depend on how
+the work is vectorised, on which runs share its ensemble, or on the
+interpreter's ``sum``. With the rule-based backend, or an LLM backend in
+replay mode, two runs produce byte-identical outputs.
 
 Each proposal is made at the end of the month before it, in ``reflect``,
 after ``annual``, and takes force there: it observes that month's incomes
-and the wealth after interest, and no reflection note. No proposal is made
-after the last month.
+and the wealth after interest, and no reflection note. No proposal and no
+reflection is made after the last month, since no month would read them.
+A proposal is enacted by rewriting its run's row of the ensemble's
+``ScheduleRows``.
 
 Every LLM call goes through the one ``map`` that ``_llm_map`` yields, and
 every round of calls is made and read inside the phase that submits it: a
@@ -388,7 +391,7 @@ class _Ensemble:
             policy = build_policy(config, gateway)
             runs.append(_Run(config, policy, schedule, [schedule], monthly[:, :, i]))
         self.runs = runs
-        self.proposers = [i for i, r in enumerate(runs) if r.policy is not None]
+        self.proposers = np.flatnonzero([r.policy is not None for r in runs])
         # The population, one (runs x N) array per quantity: row r is run r,
         # column i household i.
         self.wage, self.savings = np.array(wages), np.array(savings)
@@ -423,9 +426,9 @@ class _Ensemble:
             _LLMHouseholds(head, k, gateway, personas) if llm else _RuleBasedHouseholds()
         )
 
-    def submit_proposals(self, months_done: int) -> Iterable[tuple[_Run, TaxSchedule]]:
-        """Each proposing run paired with its proposal for the next month,
-        when there is a next month and the cadence asks for one (none
+    def submit_proposals(self, months_done: int) -> Iterable[tuple[int, TaxSchedule]]:
+        """Each proposing run's row paired with its proposal for the next
+        month, when there is a next month and the cadence asks for one (none
         otherwise), submitted with the run's observation of its own last
         month; the caller reads them. Its incomes and wealth are rows of one
         read-only copy of the proposers' rows, so a proposal in flight on a
@@ -435,19 +438,19 @@ class _Ensemble:
         incomes, wealth = self.pretax[self.proposers], self.savings[self.proposers]
         incomes.setflags(write=False)
         wealth.setflags(write=False)
-        proposing = [self.runs[k] for k in self.proposers]
+        rows = self.proposers.tolist()
+        proposing = [self.runs[row] for row in rows]
         observations = [
             r.observation(months_done, i, w) for r, i, w in zip(proposing, incomes, wealth)
         ]
-        return zip(proposing, self.map(_Run.propose, proposing, observations))
+        return zip(rows, self.map(_Run.propose, proposing, observations))
 
-    def enact(self, proposals: Iterable[tuple[_Run, TaxSchedule]]) -> None:
-        """Read the proposals; each takes force from the next month."""
-        proposals = list(proposals)
-        for r, schedule in proposals:
-            r.schedule = schedule
-        if proposals:
-            self.schedules = ScheduleRows([r.schedule for r in self.runs])
+    def enact(self, proposals: Iterable[tuple[int, TaxSchedule]]) -> None:
+        """Read the proposals; each takes force in its run's row from the
+        next month."""
+        for row, schedule in proposals:
+            self.runs[row].schedule = schedule
+            self.schedules.set_row(row, schedule)
 
     def decide(self, month: int) -> None:
         """Decisions from start-of-month state. The tax on full-time income
@@ -513,23 +516,26 @@ class _Ensemble:
         self.monthly[month - len(wealth) : month, _GINI:] = np.stack(scores, axis=1)
 
     def annual(self, month: int) -> None:
-        """At a year end, each run's annual metrics and Taylor-rule update,
-        then one interest accrual over the ensemble."""
+        """At a year end, the annual metrics of every run in one pass, each
+        run's Taylor-rule update, then one interest accrual over the
+        ensemble."""
         if month % 12:
             return
+        inflation = metrics.annual_inflation(self.monthly[:month, _PRICE].T).tolist()
+        unemployment = metrics.annual_unemployment(self.employment).tolist()
         rates, params = self.market.interest_rate, self.head.adjustment
         for i, r in enumerate(self.runs):
-            inflation = metrics.annual_inflation(r.monthly[:month, _PRICE].tolist())
-            unemployment = metrics.annual_unemployment(self.employment[i])
-            rates[i] = update_interest_rate(params, inflation, unemployment)
-            r.annual_records.append(AnnualRecord(month // 12, inflation, unemployment))
+            rates[i] = update_interest_rate(params, inflation[i], unemployment[i])
+            r.annual_records.append(AnnualRecord(month // 12, inflation[i], unemployment[i]))
         self.savings = self.savings * (1.0 + rates[:, None])
 
     def reflect(self, month: int) -> None:
-        """On the cadence, the reflections are submitted, then the next
-        month's proposals, which read no note and so overlap them; the notes
-        are collected, then the proposals are read and enacted."""
-        reflecting = month % self.head.reflection_period_months == 0
+        """On the cadence, when a later month follows, the reflections are
+        submitted, then the next month's proposals, which read no note and so
+        overlap them; the notes are collected, then the proposals are read
+        and enacted. After the last month no note would be read, so none is
+        asked for."""
+        reflecting = month < self.head.months and month % self.head.reflection_period_months == 0
         if reflecting:
             self.households.submit_reflections(self)
         proposals = self.submit_proposals(month)

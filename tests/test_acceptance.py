@@ -252,7 +252,7 @@ def test_criterion_8_parser_robustness():
         tax_agent=replace(config.tax_agent, max_retries=1),
         household_llm=replace(config.household_llm, max_retries=1),
     )
-    # decisions 3*9, reflections 3*3, proposals 3 -> 39 calls, which cycle
+    # decisions 3*9, reflections 3*2, proposals 3 -> 36 calls, which cycle
     # through the corpus in whatever order the fanned-out calls arrive
     corpus = itertools.cycle(MALFORMED_REPLIES)
     lock = threading.Lock()

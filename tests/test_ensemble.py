@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -36,9 +36,15 @@ from taxsim.economy import (
     execute_consumption,
     sequential_sum,
 )
-from taxsim.metrics import equality, gini, productivity
+from taxsim.metrics import (
+    annual_inflation,
+    annual_unemployment,
+    equality,
+    gini,
+    productivity,
+)
 from taxsim.policies import DEFAULT_BRACKETS, US_FEDERAL_RATES
-from taxsim.simulation import ComparisonRow, compare, run, sweep
+from taxsim.simulation import ComparisonRow, _prepared, _simulate, compare, run, sweep
 
 
 def assert_bits_equal(got, want):
@@ -112,6 +118,31 @@ class TestRowKernelsMatchOneRowAlone:
                 [[sequential_sum(total) for total in month] for month in buffer],
             )
 
+    @given(
+        k=st.integers(1, 4),
+        n=st.integers(1, 60),
+        months=st.integers(12, 48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=4, n=60, months=48, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_annual_metrics_of_a_stack(self, k, n, months, seed):
+        # The year end hands each function every run's history at once, as
+        # strided views: the price column of its (months x values x runs)
+        # table, transposed, and an employment window laid out months first.
+        # 12N > 128 passes numpy's pairwise block.
+        rng = np.random.default_rng(seed)
+        table = rng.lognormal(np.log(100.0), rng.uniform(0.0, 1.0), (months, 7, k))
+        prices = table[:, 0].T
+        employed = (rng.random((12, k, n)) < rng.uniform(0.0, 1.0)).astype(float)
+        windows = employed.transpose(1, 0, 2)
+        inflation = annual_inflation(prices)
+        unemployment = annual_unemployment(windows)
+        assert inflation.shape == unemployment.shape == (k,)
+        assert_bits_equal(inflation, [annual_inflation(row.tolist()) for row in prices])
+        alone = [annual_unemployment(window.tolist()) for window in windows]
+        assert_bits_equal(unemployment, alone)
+
     def test_sequential_sum(self):
         rng = np.random.default_rng(3)
         for shape in random_shapes(300, seed=4):
@@ -172,6 +203,23 @@ class TestRowKernelsMatchOneRowAlone:
         other = TaxSchedule((0.0, 100.0), (0.1, 0.2))
         with pytest.raises(ScheduleError):
             ScheduleRows([TaxSchedule(DEFAULT_BRACKETS, US_FEDERAL_RATES), other])
+
+    def test_rewritten_rows_equal_a_fresh_table(self):
+        rng = np.random.default_rng(9)
+        schedules = [random_rates_schedule(rng) for _ in range(5)]
+        table = ScheduleRows(schedules)
+        for row in rng.integers(0, 5, 12).tolist():
+            schedules[row] = random_rates_schedule(rng)
+            table.set_row(row, schedules[row])
+        fresh = ScheduleRows(schedules)
+        for got, want in zip(table.bracket_table, fresh.bracket_table):
+            assert_bits_equal(got, want)
+        assert (table.row_offsets == fresh.row_offsets).all()
+        # A schedule of other thresholds is refused before any row changes.
+        with pytest.raises(ScheduleError):
+            table.set_row(2, TaxSchedule((0.0, 100.0), (0.1, 0.2)))
+        for got, want in zip(table.bracket_table, fresh.bracket_table):
+            assert_bits_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_consumption_and_adjustment_draw_per_run(self, seed):
@@ -263,6 +311,24 @@ class TestEnsembleEqualsSingleRuns:
         proposals = len(range(0, months, 3)) if "tax_agent" in systems else 0
         assert len(planner.asked) == len(set(seeds)) * proposals
         assert 0 <= planner.calls - len(seeds) * proposals <= len(planner.asked)
+
+    def test_annual_records_equal_run_alone(self):
+        # Nine runs, 49 months: inflation from the second year end on, and
+        # the year ends are one pass over the ensemble.
+        base = SimConfig(n_households=7, months=49, write_households=False)
+        configs = [
+            replace(base, tax_system=system, seed=seed)
+            for seed in (0, 5, 11)
+            for system in ("free", "us_federal", "saez")
+        ]
+        runs = _simulate(configs, *_prepared(configs, None), False)
+        for config, r in zip(configs, runs):
+            alone = run(config).annual_records
+            assert [record.year for record in r.annual_records] == [1, 2, 3, 4]
+            assert_bits_equal(
+                [(a.inflation, a.unemployment) for a in r.annual_records],
+                [(a.inflation, a.unemployment) for a in alone],
+            )
 
     def test_configs_that_differ_elsewhere_run_apart(self, ensemble_sizes):
         # compare runs each config alone, whatever it shares with the others,

@@ -588,10 +588,10 @@ class TestReflect:
 
 class TestMemory:
     def test_review_reads_the_last_twelve_months(self):
-        # Month 15's reviews are the run's last calls; each household's
-        # memory then holds 2001.04 through 2002.03, its oldest trimmed.
+        # Month 15's reviews are the run's last; each household's memory
+        # then holds 2001.04 through 2002.03, its oldest trimmed.
         gateway = CountingGateway("live", transport=deterministic_reply)
-        run(SimConfig(n_households=2, months=15, household_backend="llm"), gateway=gateway)
+        run(SimConfig(n_households=2, months=16, household_backend="llm"), gateway=gateway)
         reviews = [p for p in gateway.prompts if p.startswith("You are reviewing")]
         assert len(reviews) == 2 * 5
         want = [month_label(m) for m in range(4, 16)]

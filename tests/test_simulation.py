@@ -187,7 +187,8 @@ class TestStepOrder:
 
     def test_reflection_cadence(self, monkeypatch):
         # Decisions are mapped once a month, so each reflect call's place
-        # among them is its month: 3, 6 and 9, not the adjustment months.
+        # among them is its month: 3 and 6, not the adjustment months, and
+        # not month 9, the last, whose notes no month would read.
         log = call_log(monkeypatch)
         config = replace(
             SMALL,
@@ -197,7 +198,21 @@ class TestStepOrder:
             adjust_period_months=2,
         )
         run(config, gateway=ChatGateway("live", transport=deterministic_reply))
-        assert [name for _, name in log if name != "propose"] == (["decide"] * 3 + ["reflect"]) * 3
+        want = (["decide"] * 3 + ["reflect"]) * 2 + ["decide"] * 3
+        assert [name for _, name in log if name != "propose"] == want
+
+    @pytest.mark.parametrize("months,reflections", [(6, 1), (7, 2)])
+    def test_no_reflection_after_the_last_month(self, months, reflections):
+        # At period 3 month 6 reflects only when a month 7 follows to read
+        # the notes.
+        config = replace(
+            SMALL, months=months, household_backend="llm", reflection_period_months=3
+        )
+        gateway = CountingGateway("live", transport=deterministic_reply)
+        run(config, gateway=gateway)
+        asked = Counter(map(prompt_kind, gateway.prompts))
+        assert asked["reflect"] == reflections * config.n_households
+        assert asked["decide"] == months * config.n_households
 
     def test_a_year_end_proposal_reads_the_wealth_after_interest(self, proposals):
         # A high natural rate keeps the Taylor rule's update above its floor of 0.
@@ -322,7 +337,7 @@ class TestGatewayUsage:
             tax_agent=replace(SMALL.tax_agent, max_retries=1),
             household_llm=replace(SMALL.household_llm, max_retries=1),
         )
-        # decisions 3*6=18, reflections 3*2=6, proposals 2 -> 26 calls, all junk
+        # decisions 3*6=18, reflections 3*1=3, proposals 2 -> 23 calls, all junk
         gateway = ChatGateway("live", transport=lambda request: "junk reply")
         result = run(config, gateway=gateway)
         assert len(result.month_records) == 6
