@@ -201,24 +201,21 @@ class ScheduleRows:
     (runs x N) arrays. They share thresholds, so ``compute_tax`` finds every
     bracket with one ``searchsorted`` and gathers each row's rates and
     cumulative tax from ``bracket_table`` at the flat positions of its row,
-    bracket k of row r at ``k + row_offsets[r]``. Built once, from the
-    schedules' float rows; ``set_row`` rewrites the row of a run whose
-    schedule changes."""
+    bracket k of row r at ``k + row_offsets[r]``. Each row holds its
+    schedule's float rows, written by ``set_row``, which rewrites the row of
+    a run whose schedule changes."""
 
     def __init__(self, schedules: Sequence[TaxSchedule]) -> None:
         self.thresholds = thresholds = schedules[0].thresholds
-        if any(s.thresholds != thresholds for s in schedules):
-            raise ScheduleError("the schedules of an ensemble must share thresholds")
-        self.bracket_table = (
-            np.array(thresholds),
-            np.array([s.rates for s in schedules]),
-            np.array([s.tax_below for s in schedules]),
-        )
+        shape = len(schedules), len(thresholds)
+        self.bracket_table = np.array(thresholds), np.empty(shape), np.empty(shape)
         self.row_offsets = len(thresholds) * np.arange(len(schedules))[:, None]
+        for row, schedule in enumerate(schedules):
+            self.set_row(row, schedule)
 
     def set_row(self, row: int, schedule: TaxSchedule) -> None:
         """Put ``schedule`` in force in row ``row``; it must share the
-        thresholds of the others."""
+        thresholds of row 0's."""
         if schedule.thresholds != self.thresholds:
             raise ScheduleError("the schedules of an ensemble must share thresholds")
         _, rates, below = self.bracket_table

@@ -21,6 +21,7 @@ from helpers import (
     adjustment_draws,
     bracket_loop_tax,
     market_of,
+    reference_bracket_table,
     sequential_adjustment,
     sequential_consumption,
 )
@@ -212,14 +213,20 @@ class TestRowKernelsMatchOneRowAlone:
             schedules[row] = random_rates_schedule(rng)
             table.set_row(row, schedules[row])
         fresh = ScheduleRows(schedules)
-        for got, want in zip(table.bracket_table, fresh.bracket_table):
-            assert_bits_equal(got, want)
+        want = (
+            DEFAULT_BRACKETS,
+            [s.rates for s in schedules],
+            [reference_bracket_table(s) for s in schedules],
+        )
+        for rows in (table, fresh):
+            for got, expected in zip(rows.bracket_table, want):
+                assert_bits_equal(got, expected)
         assert (table.row_offsets == fresh.row_offsets).all()
         # A schedule of other thresholds is refused before any row changes.
         with pytest.raises(ScheduleError):
             table.set_row(2, TaxSchedule((0.0, 100.0), (0.1, 0.2)))
-        for got, want in zip(table.bracket_table, fresh.bracket_table):
-            assert_bits_equal(got, want)
+        for got, expected in zip(table.bracket_table, want):
+            assert_bits_equal(got, expected)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_consumption_and_adjustment_draw_per_run(self, seed):
