@@ -66,15 +66,18 @@ class PolicyObservation:
     """What a policy sees when asked for new rates: last month's pre-tax
     incomes (zeros for non-workers) and current wealth, one read-only float
     array each, and the per-month schedule (ending with the one in force),
-    productivity and equality histories, aligned by month. Not comparable:
-    arrays have no single truth value, so ``==`` could not work."""
+    productivity and equality histories, aligned by month. Only the
+    planner's prompt reads the metric histories, so the month loop fills
+    them for ``TaxAgentPolicy`` alone; they default to empty. Not
+    comparable: arrays have no single truth value, so ``==`` could not
+    work."""
 
     month: int
     incomes: np.ndarray
     wealth: np.ndarray
     schedule_history: tuple[TaxSchedule, ...]
-    productivity_history: tuple[float, ...]
-    equality_history: tuple[float, ...]
+    productivity_history: tuple[float, ...] = ()
+    equality_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.incomes) != len(self.wealth):

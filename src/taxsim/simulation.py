@@ -41,6 +41,14 @@ reflection is made after the last month, since no month would read them.
 A proposal is enacted by rewriting its run's row of the ensemble's
 ``ScheduleRows``.
 
+The wealth metrics are computed where something reads them. ``run`` keeps
+every month's record, and the planner's prompt reads the metric histories,
+so a run, or an ensemble with a ``TaxAgentPolicy`` run, computes them at
+each proposal period's end for all of its months, and at the last month.
+Any other ensemble, as a ``sweep`` or ``compare`` of the offline systems,
+is read only for its final rows, so it computes them at the last month
+alone, from that month's savings.
+
 Every LLM call goes through the one ``map`` that ``_llm_map`` yields, and
 every round of calls is made and read inside the phase that submits it: a
 month's decisions in ``decide``, a quarter's reflections together with the
@@ -212,26 +220,39 @@ class _Run:
     annual_records: list[AnnualRecord] = field(default_factory=list)
     households: dict[str, np.ndarray] = field(default_factory=dict)  # when kept
 
+    @property
+    def planner(self) -> bool:
+        """Whether the policy is the LLM planner, the one reader of the
+        metric histories."""
+        return isinstance(self.policy, TaxAgentPolicy)
+
     def observation(
         self, months_done: int, incomes: np.ndarray, wealth: np.ndarray
     ) -> PolicyObservation:
-        """What the policy sees after ``months_done`` months; each metric
-        history is 0.0 for month 0, then one value a month."""
-        equality, productivity = self.monthly[:months_done, _EQUALITY : _EQUALITY + 2].T.tolist()
+        """What the policy sees after ``months_done`` months. Only the
+        planner's holds the metric histories, each 0.0 for month 0, then one
+        value a month; a Saez policy's are empty."""
+        histories = {}
+        if self.planner:
+            scores = self.monthly[:months_done, _EQUALITY : _EQUALITY + 2]
+            equality, productivity = scores.T.tolist()
+            histories = dict(
+                productivity_history=(0.0, *productivity), equality_history=(0.0, *equality)
+            )
         return PolicyObservation(
             month=months_done,
             incomes=incomes,
             wealth=wealth,
             schedule_history=tuple(self.schedule_history),
-            productivity_history=(0.0, *productivity),
-            equality_history=(0.0, *equality),
+            **histories,
         )
 
     def propose(self, observation: PolicyObservation) -> TaxSchedule:
         return self.policy.propose(observation)
 
     def final_row(self) -> ComparisonRow:
-        """The run's final metrics, read from its last month's values."""
+        """The run's final metrics, read from its last month's values, the
+        only month whose metrics every ensemble computes."""
         scores = self.monthly[-1, _GINI:].tolist()
         return ComparisonRow(self.config.tax_system, self.config.seed, *scores)
 
@@ -271,7 +292,9 @@ def _prepared(
     """Validate every config of an ensemble, then return the ensemble's one
     gateway and its persona roster. The gateway is None when no run makes
     LLM calls, else the one passed in, else one built from the configs'
-    shared gateway section."""
+    shared gateway section. A set ``persona_path`` is read and checked
+    whatever the backend; the packaged roster is loaded only for LLM
+    households, its one reader, and the roster is empty otherwise."""
     for config in configs:
         config.validate()
     head = configs[0]
@@ -279,7 +302,8 @@ def _prepared(
         gateway = None
     elif gateway is None:
         gateway = build_gateway(head.gateway)
-    return gateway, load_personas(head.persona_path or None)
+    reads_roster = head.persona_path or head.household_backend == "llm"
+    return gateway, load_personas(head.persona_path or None) if reads_roster else []
 
 
 def run(config: SimConfig, gateway: ChatGateway | None = None) -> SimulationResult:
@@ -289,7 +313,7 @@ def run(config: SimConfig, gateway: ChatGateway | None = None) -> SimulationResu
     system or llm household backend); passing one in overrides the config's
     gateway section.
     """
-    (only,) = _simulate([config], *_prepared([config], gateway), config.write_households)
+    (only,) = _simulate([config], *_prepared([config], gateway), True)
     return only.result()
 
 
@@ -374,7 +398,7 @@ class _Ensemble:
     """The state of an ensemble of runs that advance in lockstep, and the
     eight phases of its month, each a method of the month."""
 
-    def __init__(self, configs, gateway, personas, keep_households) -> None:
+    def __init__(self, configs, gateway, personas, records) -> None:
         head = self.head = configs[0]
         self.n = n = head.n_households
         k = len(configs)
@@ -407,9 +431,13 @@ class _Ensemble:
         # The wealth the metrics read, every run's savings, month m at
         # [(m - 1) % span]: the metrics of a proposal period are one pass
         # over its months, made at its end, before the next proposal reads
-        # them, and at the last month.
-        self.span = min(head.adjust_period_months, head.months)
-        self.wealth_rows = np.empty((self.span, k, n))
+        # them, and at the last month. Only when the caller keeps every
+        # month's record or a planner reads them; else ``record`` computes
+        # the last month's alone, for the final rows.
+        self.every_period = records or any(r.planner for r in runs)
+        if self.every_period:
+            self.span = min(head.adjust_period_months, head.months)
+            self.wealth_rows = np.empty((self.span, k, n))
         # Employment of the last 12 months, month m at [:, (m - 1) % 12]: at
         # each year end every run's 12 x N window is in month order.
         self.employment = np.empty((k, 12, n))
@@ -420,7 +448,7 @@ class _Ensemble:
         self.columns = {
             name: np.empty((head.months, k, n), dtype=int if name == "employed" else float)
             for name in HOUSEHOLD_COLUMNS
-        } if keep_households else {}
+        } if records and head.write_households else {}
         llm = head.household_backend == "llm"
         self.households = (
             _LLMHouseholds(head, k, gateway, personas) if llm else _RuleBasedHouseholds()
@@ -488,15 +516,19 @@ class _Ensemble:
 
     def record(self, month: int) -> None:
         """End-of-month state; the metrics over wealth at the end of a
-        proposal period and at the last month."""
+        proposal period and at the last month, or, when no month but the
+        last is read, at the last month alone."""
         market = self.market
         self.monthly[month - 1, :_GINI] = market.price, market.inventory, market.interest_rate
         for r in self.runs:
             r.schedule_history.append(r.schedule)
-        slot = (month - 1) % self.span
-        self.wealth_rows[slot] = self.savings
-        if slot == self.span - 1 or month == self.head.months:
-            self.record_metrics(month, self.wealth_rows[: slot + 1])
+        if self.every_period:
+            slot = (month - 1) % self.span
+            self.wealth_rows[slot] = self.savings
+            if slot == self.span - 1 or month == self.head.months:
+                self.record_metrics(month, self.wealth_rows[: slot + 1])
+        elif month == self.head.months:
+            self.record_metrics(month, self.savings[None])
         if self.columns:
             columns = self.wage, self.savings, self.work, self.consumption, self.employed
             columns += (self.pretax, self.tax_paid, self.posttax, self.spent)
@@ -548,13 +580,15 @@ def _simulate(
     configs: Sequence[SimConfig],
     gateway: ChatGateway | None,
     personas: list,
-    keep_households: bool,
+    records: bool,
 ) -> list[_Run]:
     """Advance validated runs in lockstep, and return them in order. The
     configs differ only in ``tax_system`` and ``seed``, and share the
     ensemble's gateway, None when no run makes an LLM call, and the persona
-    roster. ``keep_households`` keeps the months x N household arrays."""
-    state = _Ensemble(configs, gateway, personas, keep_households)
+    roster. ``records`` keeps every month's record, and the months x N
+    household arrays when the config writes them; without it only the last
+    month's metrics are computed, unless a planner reads every period's."""
+    state = _Ensemble(configs, gateway, personas, records)
     # Only live and record gateways wait on a transport, so only they gain from fanning out.
     fan_out = gateway is not None and gateway.mode != "replay"
     with _llm_map(fan_out) as state.map:
@@ -576,7 +610,9 @@ def _simulate(
 def compare(configs: Sequence[SimConfig]) -> ComparisonResult:
     """Run each config alone and collect their final metrics side by side,
     in order. Every config is prepared alone (validated, its gateway built,
-    its roster loaded) before any month runs; no household arrays are kept."""
+    its roster read if it is read) before any month runs; only the final
+    rows are kept, so a run that is no planner computes its metrics at its
+    last month alone, and no household arrays are kept."""
     prepared = [([config], *_prepared([config], None)) for config in configs]
     runs = (_simulate(*ensemble, False) for ensemble in prepared)
     return ComparisonResult(rows=[only.final_row() for (only,) in runs])
@@ -590,9 +626,10 @@ def sweep(
 ) -> list[ComparisonRow]:
     """Cross systems with seeds: one row per (seed, system), seed-major, all
     run as one ensemble, whose ``gateway`` is consulted as ``run``'s. Every
-    config is validated, the gateway built and the roster loaded, before any
-    month runs; no household arrays are kept. No system or no seed runs
-    nothing."""
+    config is validated, the gateway built and the roster read if it is
+    read, before any month runs. Only the final rows are kept: the metrics
+    are computed at the last month alone unless a run is a planner, and no
+    household arrays are kept. No system or no seed runs nothing."""
     configs = [replace(base, tax_system=system, seed=seed) for seed in seeds for system in systems]
     if not configs:
         return []

@@ -340,6 +340,16 @@ class PromptedGateway(ChatGateway):
         return self._reply(request.prompt, attempt)
 
 
+def planner_reply(prompt: str, attempt: int) -> str:
+    """Scripted planner replies: rate lists drawn from the prompt alone, and
+    the first reply to about every fourth prompt junk (a retry)."""
+    digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+    if attempt == 0 and digest[0] % 4 == 3:
+        return "no rates this time"
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    return str(np.round(rng.uniform(0, 0.6, 7), 2).tolist())
+
+
 class FlakyTransport:
     """Raises a ConnectionError on its first ``failures`` calls, then
     answers ``reply``; ``calls`` counts every call."""

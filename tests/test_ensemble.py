@@ -8,7 +8,6 @@ its config alone."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +20,7 @@ from helpers import (
     adjustment_draws,
     bracket_loop_tax,
     market_of,
+    planner_reply,
     reference_bracket_table,
     sequential_adjustment,
     sequential_consumption,
@@ -267,16 +267,6 @@ class TestRowKernelsMatchOneRowAlone:
             assert_bits_equal(market.price[r], price_r)
 
 
-def planner_reply(prompt: str, attempt: int) -> str:
-    """Scripted planner replies: rate lists drawn from the prompt alone, and
-    the first reply to about every fourth prompt junk (a retry)."""
-    digest = hashlib.sha256(prompt.encode("utf-8")).digest()
-    if attempt == 0 and digest[0] % 4 == 3:
-        return "no rates this time"
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-    return str(np.round(rng.uniform(0, 0.6, 7), 2).tolist())
-
-
 def row_of_run_alone(config: SimConfig) -> ComparisonRow:
     final = run(config, gateway=PromptedGateway(planner_reply)).month_records[-1]
     return ComparisonRow(
@@ -300,22 +290,35 @@ class TestEnsembleEqualsSingleRuns:
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
         n=st.integers(1, 12),
         months=st.integers(1, 30),
+        period=st.integers(1, 5),
         productivity=st.sampled_from([0.005, 1.0]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_every_sweep_row_equals_run_alone(self, systems, seeds, n, months, productivity):
+    # The last month ends no period, with and without a planner.
+    @example(
+        systems=["free", "saez"], seeds=[0], n=5, months=7, period=3, productivity=1.0
+    )
+    @example(
+        systems=["saez", "tax_agent"], seeds=[1], n=4, months=8, period=5, productivity=1.0
+    )
+    def test_every_sweep_row_equals_run_alone(
+        self, systems, seeds, n, months, period, productivity
+    ):
         # Productivity 0.005 reaches the partial consumption fill and the
-        # Saez fallbacks.
-        base = SimConfig(n_households=n, months=months, productivity=productivity)
+        # Saez fallbacks. A sweep with no planner computes its metrics at
+        # the last month alone, a run at every period's end.
+        base = SimConfig(
+            n_households=n, months=months, adjust_period_months=period, productivity=productivity
+        )
         planner = PromptedGateway(planner_reply)
         rows = sweep(base, systems, seeds, gateway=planner)
         configs = [replace(base, tax_system=s, seed=seed) for seed in seeds for s in systems]
         assert rows == [row_of_run_alone(config) for config in configs]
-        # One prompt a proposal, every 3 months before the last, of each
-        # distinct seed: the runs of a repeated seed ask the same prompts. A
-        # junk first reply asks once more, once per prompt: only a prompt's
-        # first ask, by whichever twin, gets the junk.
-        proposals = len(range(0, months, 3)) if "tax_agent" in systems else 0
+        # One prompt a proposal, every period before the last month, of
+        # each distinct seed: the runs of a repeated seed ask the same
+        # prompts. A junk first reply asks once more, once per prompt: only
+        # a prompt's first ask, by whichever twin, gets the junk.
+        proposals = len(range(0, months, period)) if "tax_agent" in systems else 0
         assert len(planner.asked) == len(set(seeds)) * proposals
         assert 0 <= planner.calls - len(seeds) * proposals <= len(planner.asked)
 

@@ -24,6 +24,7 @@ from helpers import (
     deterministic_reply,
     panicking_transport,
     phase_log,
+    planner_reply,
     prompt_kind,
 )
 from taxsim import metrics
@@ -425,32 +426,25 @@ class TestLoneSurrogateReplies:
 
 class TestPolicyObservations:
     """Every observation a policy receives holds read-only copies of its
-    run's income and wealth rows of that month, unchanged after the run,
-    and the run's metric histories through that month."""
+    run's income and wealth rows of that month, unchanged after the run.
+    A planner's holds its run's metric histories through that month, and a
+    Saez policy's none, alone as in an ensemble."""
 
     @pytest.fixture
     def kept(self, monkeypatch):
-        import taxsim.simulation as simulation
-
+        # ``_Run.propose`` is wrapped, not the policy, so that the ensemble
+        # still sees which of its runs are planners.
         kept: dict[tuple[str, int], list] = {}
-        build = simulation.build_policy
+        propose = simulation._Run.propose
 
-        class KeepingPolicy:
-            def __init__(self, policy, observations):
-                self.policy, self.observations = policy, observations
+        def keeping(r, observation):
+            copies = observation.incomes.copy(), observation.wealth.copy()
+            kept.setdefault((r.config.tax_system, r.config.seed), []).append(
+                (observation, copies)
+            )
+            return propose(r, observation)
 
-            def propose(self, observation):
-                copies = observation.incomes.copy(), observation.wealth.copy()
-                self.observations.append((observation, copies))
-                return self.policy.propose(observation)
-
-        def keeping(config, gateway):
-            policy = build(config, gateway)
-            if policy is None:  # a fixed schedule makes no proposal
-                return None
-            return KeepingPolicy(policy, kept.setdefault((config.tax_system, config.seed), []))
-
-        monkeypatch.setattr(simulation, "build_policy", keeping)
+        monkeypatch.setattr(simulation._Run, "propose", keeping)
         return kept
 
     @staticmethod
@@ -468,6 +462,9 @@ class TestPolicyObservations:
                 (obs.productivity_history, "productivity"),
                 (obs.equality_history, "equality"),
             ):
+                if config.tax_system != "tax_agent":
+                    assert history == ()
+                    continue
                 want = [0.0, *(getattr(m, name) for m in records[: obs.month])]
                 assert np.array(history).tobytes() == np.array(want).tobytes()
             if obs.month == 0:
@@ -488,16 +485,18 @@ class TestPolicyObservations:
     @pytest.mark.parametrize("period", [1, 2, 3, 5])
     def test_metric_histories_over_proposal_periods(self, kept, period):
         # The metrics of a period are recorded at its end, before the next
-        # proposal; the fixed-schedule runs between the saez runs of the
-        # ensemble make no proposal.
+        # proposal reads them; the fixed-schedule runs between the planner
+        # and Saez runs of the ensemble make no proposal.
         base = replace(SMALL, months=11, adjust_period_months=period)
         seeds = (3, 4)
-        sweep(base, ["free", "saez", "us_federal"], seeds)
-        ensemble = {seed: kept.pop(("saez", seed)) for seed in seeds}
+        systems = ["free", "tax_agent", "us_federal", "saez"]
+        sweep(base, systems, seeds, gateway=PromptedGateway(planner_reply))
+        ensemble = {(s, seed): kept.pop((s, seed)) for s in ("tax_agent", "saez") for seed in seeds}
         assert not kept
-        for seed in seeds:
-            result = run(replace(base, tax_system="saez", seed=seed, write_households=True))
-            self.assert_snapshots(ensemble[seed], result)
+        for (system, seed), observations in ensemble.items():
+            config = replace(base, tax_system=system, seed=seed, write_households=True)
+            result = run(config, gateway=PromptedGateway(planner_reply))
+            self.assert_snapshots(observations, result)
 
     def test_tax_agent_fanned_out_over_a_live_transport(self, kept):
         config = replace(
@@ -506,6 +505,48 @@ class TestPolicyObservations:
         )
         result = run(config, gateway=ChatGateway("live", transport=deterministic_reply))
         self.assert_snapshots(kept[("tax_agent", SMALL.seed)], result)
+
+
+class TestMetricsWhereRead:
+    """The wealth metrics are computed where something reads them: a run
+    keeps every month's record, and a planner reads every period's in its
+    prompt, so each computes them once a proposal period; a comparison with
+    no planner reads only its final rows, so it computes them once."""
+
+    @pytest.fixture
+    def gini_blocks(self, monkeypatch) -> list[tuple[int, ...]]:
+        """The (months, runs) of the wealth block of each ``gini`` call."""
+        blocks = []
+        gini = metrics.gini
+
+        def counting(wealth):
+            blocks.append(wealth.shape[:-1])
+            return gini(wealth)
+
+        monkeypatch.setattr(metrics, "gini", counting)
+        return blocks
+
+    # SMALL's 13 months in periods of 3: months 3, 6, 9 and 12 end a period,
+    # and month 13 is the last.
+    PERIODS = [3, 3, 3, 3, 1]
+
+    def test_a_planner_free_sweep_once_per_ensemble(self, gini_blocks):
+        sweep(SMALL, ["free", "us_federal", "saez"], [1, 2])
+        assert gini_blocks == [(1, 6)]
+
+    def test_compare_once_per_config(self, gini_blocks):
+        compare([replace(SMALL, tax_system=system) for system in ("free", "saez")])
+        assert gini_blocks == [(1, 1), (1, 1)]
+
+    @pytest.mark.parametrize("system", ["free", "saez", "tax_agent"])
+    def test_a_run_once_per_period(self, gini_blocks, system):
+        run(replace(SMALL, tax_system=system), gateway=PromptedGateway(planner_reply))
+        assert gini_blocks == [(months, 1) for months in self.PERIODS]
+
+    def test_a_sweep_with_a_planner_once_per_period(self, gini_blocks):
+        systems = ["free", "saez", "tax_agent"]
+        sweep(SMALL, systems, [1, 2], gateway=PromptedGateway(planner_reply))
+        assert gini_blocks == [(months, 6) for months in self.PERIODS]
 
 
 class TestFixedSchedules:
@@ -761,6 +802,19 @@ def assert_whole_run_invariants(config: SimConfig, out: Path, gateway_factory=la
         posttax[month] += float(row["posttax_income"])
     for pre, post in zip(pretax, posttax):
         assert abs(post - pre) <= 1e-6 * n + 1e-9 * abs(pre)  # taxes all come back
+
+
+class TestPersonaRoster:
+    def test_rule_based_runs_load_no_roster(self, monkeypatch):
+        # Only LLM households read the roster, so a rule-based run or sweep
+        # with no persona_path set never loads the packaged one.
+        def unread(path=None):
+            raise AssertionError("the roster was loaded")
+
+        monkeypatch.setattr(simulation, "load_personas", unread)
+        run(SMALL)
+        systems = ["free", "us_federal", "saez", "tax_agent"]
+        sweep(SMALL, systems, [1, 2], gateway=PromptedGateway(planner_reply))
 
 
 class TestWholeRunProperties:
