@@ -610,8 +610,8 @@ def _simulate(
 def compare(configs: Sequence[SimConfig]) -> ComparisonResult:
     """Run each config alone and collect their final metrics side by side,
     in order. Every config is prepared alone (validated, its gateway built,
-    its roster read if it is read) before any month runs; only the final
-    rows are kept, so a run that is no planner computes its metrics at its
+    its roster read as ``_prepared`` says) before any month runs. Only the
+    final rows are kept: a run with no planner computes its metrics at its
     last month alone, and no household arrays are kept."""
     prepared = [([config], *_prepared([config], None)) for config in configs]
     runs = (_simulate(*ensemble, False) for ensemble in prepared)
@@ -626,10 +626,11 @@ def sweep(
 ) -> list[ComparisonRow]:
     """Cross systems with seeds: one row per (seed, system), seed-major, all
     run as one ensemble, whose ``gateway`` is consulted as ``run``'s. Every
-    config is validated, the gateway built and the roster read if it is
-    read, before any month runs. Only the final rows are kept: the metrics
-    are computed at the last month alone unless a run is a planner, and no
-    household arrays are kept. No system or no seed runs nothing."""
+    config is validated, the gateway built and the roster read as
+    ``_prepared`` says, before any month runs. Only the final rows are kept:
+    the metrics are computed at the last month alone unless a run is a
+    planner, and no household arrays are kept. No system or no seed runs
+    nothing."""
     configs = [replace(base, tax_system=system, seed=seed) for seed in seeds for system in systems]
     if not configs:
         return []
